@@ -164,3 +164,59 @@ class TestPlanning:
 
         with pytest.raises(ArpError):
             SecureEvaluator(Sequential([Weird()]), CFG)
+
+
+class TestTranscriptPin:
+    """Fixed seeds pin both parties' transcripts and the per-phase accounting.
+
+    A refactor that leaves these values unchanged sends byte-identical
+    messages; a deliberate protocol or dealer change re-pins them here.
+    """
+
+    PINNED = {
+        "mlp": dict(
+            hashes=("2fe489bc66582a3616dedf7c2fa5edef2744f9a39d12aa1835a5dc797b5c8182",
+                    "51d98a6afb65896179e0fee2a7cbc3d96339bfc7e0c26b72ea5d685ce1b6677b"),
+            bytes_sent=1002236, rounds=21,
+            phases={"dealer": (0, 0), "linear": (1036, 1), "comparison": (967896, 18),
+                    "polynomial": (33304, 2)},
+        ),
+        "smallcnn": dict(
+            hashes=("a736d649b36a538238cdb81baec2e6d0f9b469b999c4a52dc5db2b320c5f933c",
+                    "b13f72d3f29d3c8d120fb594ee51a0b064c89d228f1e4cc1ff1e36e6b64ceaa7"),
+            bytes_sent=1635836, rounds=21,
+            phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (1589976, 18),
+                    "polynomial": (45336, 2)},
+        ),
+    }
+
+    @staticmethod
+    def _model_and_inputs(arch):
+        from arp.dapa import PolyCoeffs
+        from arp.data import toy_images
+        from arp.nn import fold_batchnorm
+
+        if arch == "mlp":
+            model = build_model("mlp", seed=0)
+            inputs, _ = two_spirals(64, seed=3)
+        else:
+            model = build_model("smallcnn", seed=0, num_classes=4)
+            inputs, _ = toy_images(16, seed=3)
+        rng = np.random.default_rng(5)
+        for act in model.hybrid_layers():
+            act.indicator.m = (rng.random(act.feat_shape) < 0.5).astype(np.float64)
+            channels = act.feat_shape[act.channel_axis]
+            act.coeffs = PolyCoeffs(np.tile([0.28, 0.5, 0.14], (channels, 1)))
+        return fold_batchnorm(model), inputs
+
+    @pytest.mark.parametrize("arch", ["mlp", "smallcnn"])
+    def test_transcripts_and_phases_are_pinned(self, arch):
+        model, inputs = self._model_and_inputs(arch)
+        reports = private_inference_memory(model, CFG, inputs, dealer_seed=7, input_seed=11)
+        pin = self.PINNED[arch]
+        assert tuple(r.transcript_hash for r in reports) == pin["hashes"]
+        for rep in reports:
+            assert rep.totals["bytes_sent"] == pin["bytes_sent"]
+            assert rep.totals["rounds"] == pin["rounds"]
+            got = {name: (row["bytes_sent"], row["rounds"]) for name, row in rep.phases.items()}
+            assert got == pin["phases"]
