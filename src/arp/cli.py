@@ -57,7 +57,10 @@ def _load_inputs(path: str, limit: int | None):
 def cmd_gen_data(args) -> int:
     seed = _seed(args)
     if args.dataset == "two-spiral":
-        x, y = datamod.two_spirals(args.n, args.noise, seed=seed)
+        try:
+            x, y = datamod.two_spirals(args.n, args.noise, seed=seed)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
         datamod.save_csv(args.out, x, y)
     elif args.dataset == "toy-images":
         imgs, y = datamod.toy_images(args.n, seed=seed)

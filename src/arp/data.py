@@ -21,7 +21,12 @@ ARIM_MAGIC = b"ARIM"
 
 
 def two_spirals(n: int = 1024, noise: float = 0.15, turns: float = 1.75, seed: int = 0):
-    """Deterministic interleaved-spirals binary classification set."""
+    """Deterministic interleaved-spirals binary classification set.
+
+    The two arms get n/2 points each, so n must be positive and even.
+    """
+    if n <= 0 or n % 2:
+        raise ValueError(f"two spirals need a positive even example count, got {n}")
     rng = np.random.default_rng(seed)
     half = n // 2
     t = np.sqrt(rng.uniform(0.05, 1.0, size=half)) * turns * 2 * np.pi

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError
 from .fixed import FixedConfig, RingTensor, pack_words, unpack_words
+from .im2col import conv_out_hw
 
 __all__ = [
     "BeaverRequest",
@@ -39,8 +40,6 @@ __all__ = [
 
 TAPE_MAGIC = b"ARPT"
 TAPE_VERSION = 1
-
-PRODUCT_OPS = ("elementwise", "matmul", "conv2d")
 
 
 # ---- requests --------------------------------------------------------------
@@ -103,20 +102,32 @@ class AndTriple:
     used: bool = field(default=False, compare=False)
 
 
-def apply_product(op: str, a: RingTensor, b: RingTensor, stride: int = 1, padding: int = 0) -> RingTensor:
+def apply_product_shape(op: str, a_shape, b_shape, stride: int = 1, padding: int = 0) -> tuple:
+    """Output shape of a ring product without computing it; rejects misfit operands."""
     if op == "elementwise":
         try:
-            np.broadcast_shapes(a.shape, b.shape)
+            return np.broadcast_shapes(a_shape, b_shape)
         except ValueError:
-            raise ValueError(f"elementwise shapes incompatible: {a.shape} vs {b.shape}") from None
+            raise ValueError(f"elementwise shapes incompatible: {a_shape} vs {b_shape}") from None
+    if op == "matmul":
+        if len(a_shape) != 2 or len(b_shape) != 2 or a_shape[1] != b_shape[0]:
+            raise ValueError(f"matmul shapes incompatible: {a_shape} @ {b_shape}")
+        return (a_shape[0], b_shape[1])
+    if op == "conv2d":
+        b_, _, h, w = a_shape
+        oc, _, kh, kw = b_shape
+        oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
+        return (b_, oc, oh, ow)
+    raise ValueError(f"unknown product op {op!r}")
+
+
+def apply_product(op: str, a: RingTensor, b: RingTensor, stride: int = 1, padding: int = 0) -> RingTensor:
+    apply_product_shape(op, a.shape, b.shape, stride, padding)
+    if op == "elementwise":
         return a * b
     if op == "matmul":
-        if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
         return a.matmul(b)
-    if op == "conv2d":
-        return a.conv2d(b, stride=stride, padding=padding)
-    raise ValueError(f"unknown product op {op!r}")
+    return a.conv2d(b, stride=stride, padding=padding)
 
 
 # ---- dealer ----------------------------------------------------------------
@@ -259,13 +270,16 @@ def _pack_shape(shape) -> bytes:
 
 
 class _Cursor:
-    def __init__(self, buf: bytes):
+    """Bounds-checked reader over a file's bytes; `kind` names the file in errors."""
+
+    def __init__(self, buf: bytes, kind: str):
         self.buf = buf
+        self.kind = kind
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise FormatError("tape file truncated")
+            raise FormatError(f"{self.kind} file truncated")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -316,7 +330,7 @@ def tape_to_bytes(tape: Tape) -> bytes:
 
 
 def tape_from_bytes(buf: bytes) -> Tape:
-    cur = _Cursor(buf)
+    cur = _Cursor(buf, "tape")
     if cur.take(4) != TAPE_MAGIC:
         raise FormatError("not a tape file (bad magic)")
     version, bits, frac, party, count = cur.unpack("<HHHBI")
@@ -339,7 +353,10 @@ def tape_from_bytes(buf: bytes) -> Tape:
             a_shape, b_shape = cur.shape(), cur.shape()
             op = _OP_NAME[opc]
             a, b = words(a_shape), words(b_shape)
-            z_shape = apply_product_shape(op, a_shape, b_shape, stride, padding)
+            try:
+                z_shape = apply_product_shape(op, a_shape, b_shape, stride, padding)
+            except ValueError as exc:
+                raise FormatError(f"bad beaver record shapes: {exc}") from None
             records.append(BeaverTriple(party, op, a, b, words(z_shape), stride, padding))
         elif tag == 2:
             shape = cur.shape()
@@ -352,22 +369,6 @@ def tape_from_bytes(buf: bytes) -> Tape:
     if cur.pos != len(buf):
         raise FormatError("trailing bytes after last tape record")
     return Tape(party, cfg, records)
-
-
-def apply_product_shape(op: str, a_shape, b_shape, stride: int = 1, padding: int = 0) -> tuple:
-    """Output shape of a ring product without computing it."""
-    if op == "elementwise":
-        return tuple(a_shape)
-    if op == "matmul":
-        return (a_shape[0], b_shape[1])
-    if op == "conv2d":
-        from .im2col import conv_out_hw
-
-        b_, _, h, w = a_shape
-        oc, _, kh, kw = b_shape
-        oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
-        return (b_, oc, oh, ow)
-    raise ValueError(f"unknown product op {op!r}")
 
 
 def write_tape(tape: Tape, path) -> None:

@@ -20,6 +20,7 @@ import struct
 
 import numpy as np
 
+from .dealer import _Cursor, _pack_shape
 from .errors import FormatError
 from .fixed import FixedConfig
 from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential, fold_batchnorm
@@ -34,10 +35,20 @@ _F64, _U8 = 0, 1
 
 
 def _pack_array(arr: np.ndarray, tag: int) -> bytes:
-    dims = arr.shape
-    head = struct.pack("<BB", tag, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    head = struct.pack("<B", tag) + _pack_shape(arr.shape)
     dt = "<f8" if tag == _F64 else "u1"
     return head + np.ascontiguousarray(arr).astype(dt).tobytes()
+
+
+def _read_array(cur: _Cursor) -> np.ndarray:
+    (tag,) = cur.unpack("<B")
+    dims = cur.shape()
+    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    if tag == _F64:
+        return np.frombuffer(cur.take(count * 8), dtype="<f8").reshape(dims).astype(np.float64)
+    if tag == _U8:
+        return np.frombuffer(cur.take(count), dtype="u1").reshape(dims).copy()
+    raise FormatError(f"unknown array dtype tag {tag}")
 
 
 def _layer_entry(layer):
@@ -90,34 +101,6 @@ def serialize_model(model: Sequential, cfg: FixedConfig, seed: int = 0) -> bytes
     return header + digest + body
 
 
-class _Cursor:
-    def __init__(self, buf: bytes, pos: int = 0):
-        self.buf = buf
-        self.pos = pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FormatError("model file truncated")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def array(self) -> np.ndarray:
-        tag, rank = self.unpack("<BB")
-        dims = self.unpack(f"<{rank}I") if rank else ()
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        if tag == _F64:
-            raw = self.take(count * 8)
-            return np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
-        if tag == _U8:
-            raw = self.take(count)
-            return np.frombuffer(raw, dtype="u1").reshape(dims).copy()
-        raise FormatError(f"unknown array dtype tag {tag}")
-
-
 def deserialize_model(buf: bytes):
     """Rebuild (model, cfg, seed) from model file bytes; verifies the digest."""
     if len(buf) < 4 + 14 + 32 or buf[:4] != MODEL_MAGIC:
@@ -130,7 +113,7 @@ def deserialize_model(buf: bytes):
     if hashlib.sha256(body).digest() != digest:
         raise FormatError("model file digest mismatch (corrupted or truncated)")
     cfg = FixedConfig(bits, frac)
-    cur = _Cursor(body)
+    cur = _Cursor(body, "model")
     (desc_len,) = cur.unpack("<I")
     try:
         desc = json.loads(cur.take(desc_len).decode())
@@ -143,15 +126,15 @@ def deserialize_model(buf: bytes):
         kind = entry["kind"]
         if kind == "dense":
             layer = Dense(entry["in"], entry["out"], rng)
-            layer.w.value = cur.array()
-            layer.b.value = cur.array()
+            layer.w.value = _read_array(cur)
+            layer.b.value = _read_array(cur)
             if layer.w.value.shape != (entry["in"], entry["out"]):
                 raise FormatError("dense weight shape inconsistent with descriptor")
         elif kind == "conv2d":
             layer = Conv2d(entry["in"], entry["out"], entry["kernel"], rng,
                            stride=entry["stride"], padding=entry["padding"])
-            layer.w.value = cur.array()
-            layer.b.value = cur.array()
+            layer.w.value = _read_array(cur)
+            layer.b.value = _read_array(cur)
             if layer.w.value.shape != (entry["out"], entry["in"], entry["kernel"], entry["kernel"]):
                 raise FormatError("conv weight shape inconsistent with descriptor")
         elif kind == "avgpool":
@@ -161,8 +144,8 @@ def deserialize_model(buf: bytes):
         elif kind == "hybrid":
             feat = tuple(entry["feat_shape"])
             layer = HybridActivation(feat, entry["channel_axis"], entry["degree"])
-            mask = cur.array().astype(np.float64)
-            coeffs = cur.array()
+            mask = _read_array(cur).astype(np.float64)
+            coeffs = _read_array(cur)
             if mask.shape != feat:
                 raise FormatError("hybrid mask shape inconsistent with descriptor")
             channels = feat[entry["channel_axis"]]

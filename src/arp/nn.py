@@ -1,7 +1,8 @@
 """Minimal differentiable networks with manual backprop.
 
 Dense, conv (im2col), average pooling, flatten, and batch norm, plus the
-optimizers and loss used by both baseline training and replacement training.
+Adam optimizer and the loss used by both baseline training and
+replacement training.
 Layers cache what their backward pass needs; one forward/backward pair per
 step, gradients are overwritten rather than accumulated.
 """
@@ -22,7 +23,6 @@ __all__ = [
     "Sequential",
     "AdamArray",
     "Adam",
-    "SGD",
     "cosine_lr",
     "loss_cross_entropy",
     "fold_batchnorm",
@@ -228,20 +228,6 @@ class Adam:
     def step(self):
         for p, o in zip(self.params, self._opts):
             p.value = o.update(p.value, p.grad)
-
-
-class SGD:
-    def __init__(self, params: list[Parameter], lr: float = 0.1, momentum: float = 0.9):
-        self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self._vel = [np.zeros_like(p.value) for p in params]
-
-    def step(self):
-        for p, v in zip(self.params, self._vel):
-            v *= self.momentum
-            v += p.grad
-            p.value = p.value - self.lr * v
 
 
 def cosine_lr(base: float, step: int, total: int) -> float:

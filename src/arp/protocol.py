@@ -12,8 +12,9 @@ Model weights and polynomial coefficients are public to both compute
 servers; only activations are secret shared.  Truncation after a product is
 a local arithmetic shift of each party's share, which costs nothing in
 communication but can leave the reconstruction one ULP below the value-level
-shift (plus a wrap error whose probability decays as 2^-(L-f-1) per unit of
-magnitude).
+shift.  It also wraps, giving a wildly wrong result, with probability about
+|v| * 2^(2f-L) per element for a product of decoded magnitude |v| held at
+scale 2f (e.g. 1.2% at L=32, f=12, |v|=3).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "ltz",
     "relu_secure",
     "dapa_eval_secure",
-    "hybrid_activation_secure",
     "a2b_requests",
     "ltz_requests",
     "relu_requests",
@@ -338,40 +338,10 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None,
     return _rescale(ShareTensor(sess.party, acc, 0), 2 * f)
 
 
-def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray,
-                             c0, c1, c2=None) -> ShareTensor:
-    """Route masked elements through secure ReLU, the rest through the polynomial.
-
-    `mask` has the per-element activation shape (x's shape without the
-    leading batch axis); coefficient arrays are broadcastable to that same
-    shape.  Kept elements are gathered into a single batched comparison.
-    """
-    batch = x.shape[0]
-    feat_shape = x.shape[1:]
-    m = np.asarray(mask)
-    if m.shape != feat_shape:
-        raise ValueError(f"mask shape {m.shape} does not match activation shape {feat_shape}")
-    flat_m = m.reshape(-1).astype(bool)
-    relu_idx = np.flatnonzero(flat_m)
-    poly_idx = np.flatnonzero(~flat_m)
-    words = x.payload.words.reshape(batch, -1)
-    out = np.empty_like(words)
-
-    if relu_idx.size:
-        xr = sess.share_of(words[:, relu_idx], x.scale)
-        out[:, relu_idx] = relu_secure(sess, xr).payload.words
-    if poly_idx.size:
-        sel = lambda c: np.broadcast_to(np.asarray(c, dtype=np.float64), feat_shape).reshape(-1)[poly_idx]
-        xp = sess.share_of(words[:, poly_idx], x.scale)
-        c2p = sel(c2) if c2 is not None else None
-        out[:, poly_idx] = dapa_eval_secure(sess, xp, sel(c0), sel(c1), c2p).payload.words
-    return sess.share_of(out.reshape(x.shape), x.scale)
-
-
 # ---- tape request planning ---------------------------------------------------
-# These mirror the consumption order of the operations above; the runtime
-# builds its dealer tapes from them and tests assert that running an op
-# leaves exactly zero unused records.
+# These mirror the consumption order of the operations above and of
+# runtime.hybrid_activation_secure; the runtime builds its dealer tapes from
+# them and tests assert that running an op leaves exactly zero unused records.
 
 
 def a2b_requests(shape, cfg: FixedConfig) -> list:

@@ -32,7 +32,6 @@ __all__ = [
     "penalty_grad_aux",
     "count_relu",
     "refresh_coeffs",
-    "hybrid_forward",
     "train_supervised",
     "train_replace",
     "evaluate",
@@ -130,22 +129,22 @@ class HybridActivation:
     def params(self):
         return []
 
-    def _cast(self, per_channel: np.ndarray, z_ndim: int) -> np.ndarray:
-        """Reshape a (channels,) vector to broadcast over (batch,) + feat_shape."""
-        shape = [1] * z_ndim
-        shape[1 + self.channel_axis] = -1
-        return per_channel.reshape(shape)
+    def term(self, i: int) -> np.ndarray:
+        """Per-channel coefficient of z^i, shaped to broadcast over feat_shape."""
+        shape = [1] * len(self.feat_shape)
+        shape[self.channel_axis] = -1
+        return self.coeffs.term(i).reshape(shape)
 
     def poly(self, z: np.ndarray) -> np.ndarray:
         out = np.zeros_like(z)
         for i in range(self.degree, -1, -1):
-            out = out * z + self._cast(self.coeffs.term(i), z.ndim)
+            out = out * z + self.term(i)
         return out
 
     def poly_deriv(self, z: np.ndarray) -> np.ndarray:
         out = np.zeros_like(z)
         for i in range(self.degree, 0, -1):
-            out = out * z + i * self._cast(self.coeffs.term(i), z.ndim)
+            out = out * z + i * self.term(i)
         return out
 
     def forward(self, z: np.ndarray, training: bool = False) -> np.ndarray:
@@ -165,10 +164,6 @@ class HybridActivation:
     def indicator_grad(self) -> np.ndarray:
         """Batch-reduced task gradient for m_w from the cached backward pass."""
         return acc_grad_aux(self.last_dldx, self._z, self).sum(axis=0)
-
-
-def hybrid_forward(z: np.ndarray, act: HybridActivation, training: bool = False) -> np.ndarray:
-    return act.forward(z, training=training)
 
 
 def refresh_coeffs(act: HybridActivation) -> HybridActivation:
@@ -244,16 +239,10 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def train_supervised(model: Sequential, x: np.ndarray, y: np.ndarray, *, epochs: int = 100,
-                     lr: float = 1e-3, batch_size: int = 64, seed: int = 0,
-                     optimizer: str = "adam", momentum: float = 0.9) -> Sequential:
+                     lr: float = 1e-3, batch_size: int = 64, seed: int = 0) -> Sequential:
     """Plain baseline training; indicators stay all-ReLU, stats warm up."""
-    from .nn import SGD
-
     rng = np.random.default_rng(seed)
-    if optimizer == "adam":
-        opt = Adam(model.params(), lr=lr)
-    else:
-        opt = SGD(model.params(), lr=lr, momentum=momentum)
+    opt = Adam(model.params(), lr=lr)
     total = epochs * max(1, (len(x) + batch_size - 1) // batch_size)
     step = 0
     for _ in range(epochs):

@@ -48,6 +48,7 @@ __all__ = [
     "PhaseMeter",
     "InferenceReport",
     "SecureEvaluator",
+    "hybrid_activation_secure",
     "error_budget_ulp",
     "run_both",
     "private_inference_memory",
@@ -80,18 +81,37 @@ class PhaseMeter:
     def add_setup_seconds(self, seconds: float) -> None:
         self.rows["dealer"]["seconds"] += seconds
 
-    def totals(self) -> dict:
-        out = dict(bytes_sent=0, bytes_received=0, rounds=0, opened_words=0, seconds=0.0)
-        for row in self.rows.values():
-            for k in out:
-                out[k] += row[k]
-        return out
 
+def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0, c1, c2=None,
+                             meter: PhaseMeter | None = None) -> ShareTensor:
+    """Route masked elements through secure ReLU, the rest through the polynomial.
 
-def _per_element_coeff(layer: HybridActivation, i: int) -> np.ndarray:
-    shape = [1] * len(layer.feat_shape)
-    shape[layer.channel_axis] = -1
-    return np.broadcast_to(layer.coeffs.term(i).reshape(shape), layer.feat_shape)
+    `mask` has the per-element activation shape (x's shape without the
+    leading batch axis); coefficient arrays are broadcastable to that same
+    shape.  Kept elements are gathered into a single batched comparison,
+    charged to the meter's "comparison" phase; the rest go to "polynomial".
+    """
+    meter = meter or PhaseMeter(sess)
+    batch, feat_shape = x.shape[0], x.shape[1:]
+    m = np.asarray(mask)
+    if m.shape != feat_shape:
+        raise ValueError(f"mask shape {m.shape} does not match activation shape {feat_shape}")
+    flat_m = m.reshape(-1).astype(bool)
+    relu_idx = np.flatnonzero(flat_m)
+    poly_idx = np.flatnonzero(~flat_m)
+    words = x.payload.words.reshape(batch, -1)
+    out = np.empty_like(words)
+    if relu_idx.size:
+        with meter.measure("comparison"):
+            xr = sess.share_of(words[:, relu_idx], x.scale)
+            out[:, relu_idx] = relu_secure(sess, xr).payload.words
+    if poly_idx.size:
+        with meter.measure("polynomial"):
+            sel = lambda c: np.broadcast_to(np.asarray(c, dtype=np.float64), feat_shape).reshape(-1)[poly_idx]
+            xp = sess.share_of(words[:, poly_idx], x.scale)
+            c2p = sel(c2) if c2 is not None else None
+            out[:, poly_idx] = dapa_eval_secure(sess, xp, sel(c0), sel(c1), c2p).payload.words
+    return sess.share_of(out.reshape(x.shape), x.scale)
 
 
 class SecureEvaluator:
@@ -144,30 +164,10 @@ class SecureEvaluator:
             elif isinstance(layer, Flatten):
                 x = x.reshape(x.shape[0], -1)
             elif isinstance(layer, HybridActivation):
-                x = self._hybrid(sess, x, layer, meter)
+                c2 = layer.term(2) if layer.degree >= 2 else None
+                x = hybrid_activation_secure(sess, x, layer.indicator.m, layer.term(0),
+                                             layer.term(1), c2, meter)
         return x
-
-    def _hybrid(self, sess: Session, x: ShareTensor, layer: HybridActivation,
-                meter: PhaseMeter) -> ShareTensor:
-        batch = x.shape[0]
-        if x.shape[1:] != layer.feat_shape:
-            raise ArpError(f"activation shape {x.shape[1:]} != mask shape {layer.feat_shape}")
-        flat_m = layer.indicator.m.reshape(-1).astype(bool)
-        relu_idx = np.flatnonzero(flat_m)
-        poly_idx = np.flatnonzero(~flat_m)
-        words = x.payload.words.reshape(batch, -1)
-        out = np.empty_like(words)
-        if relu_idx.size:
-            with meter.measure("comparison"):
-                xr = sess.share_of(words[:, relu_idx], x.scale)
-                out[:, relu_idx] = relu_secure(sess, xr).payload.words
-        if poly_idx.size:
-            with meter.measure("polynomial"):
-                sel = lambda i: _per_element_coeff(layer, i).reshape(-1)[poly_idx]
-                xp = sess.share_of(words[:, poly_idx], x.scale)
-                c2 = sel(2) if layer.degree >= 2 else None
-                out[:, poly_idx] = dapa_eval_secure(sess, xp, sel(0), sel(1), c2).payload.words
-        return sess.share_of(out.reshape(x.shape), x.scale)
 
 
 def error_budget_ulp(model: Sequential) -> int:
@@ -273,12 +273,9 @@ def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, inputs:
         logits = decode(sess.reveal(logits_share), cfg)
     if sess.tape.remaining():
         raise ArpError(f"{sess.tape.remaining()} unused tape records after evaluation")
-    totals = meter.totals()
-    if (totals["bytes_sent"], totals["rounds"]) != (channel.bytes_sent, channel.rounds):
-        raise ArpError("phase accounting does not cover all channel traffic")
 
     plain = model.forward(inputs, training=False)
-    return InferenceReport(
+    report = InferenceReport(
         party=party,
         cfg=cfg,
         plain_logits=plain,
@@ -289,6 +286,9 @@ def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, inputs:
         dealer_seed=dealer_seed,
         input_seed=input_seed,
     )
+    if (report.totals["bytes_sent"], report.totals["rounds"]) != (channel.bytes_sent, channel.rounds):
+        raise ArpError("phase accounting does not cover all channel traffic")
+    return report
 
 
 def run_both(fn0, fn1):

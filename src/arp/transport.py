@@ -42,10 +42,8 @@ class Channel:
 
     # backend hooks ------------------------------------------------------
 
-    def _send_frame(self, frame: bytes) -> None:
-        raise NotImplementedError
-
-    def _recv_frame(self) -> bytes:
+    def _swap(self, frame: bytes) -> bytes:
+        """Send one whole frame; return the peer's frame without its length prefix."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -63,8 +61,7 @@ class Channel:
         frame = struct.pack("<I", len(payload)) + payload
         self._sent_digest.update(frame)
         self.bytes_sent += len(frame)
-        self._send_frame(frame)
-        inbound = self._recv_frame()
+        inbound = self._swap(frame)
         self.bytes_received += len(inbound) + 4
         self.rounds += 1
         return inbound
@@ -87,10 +84,8 @@ class InMemoryChannel(Channel):
         self._inbox = inbox
         self._outbox = outbox
 
-    def _send_frame(self, frame: bytes) -> None:
+    def _swap(self, frame: bytes) -> bytes:
         self._outbox.put(frame)
-
-    def _recv_frame(self) -> bytes:
         try:
             frame = self._inbox.get(timeout=self.timeout)
         except queue.Empty:
@@ -121,18 +116,16 @@ class TcpChannel(Channel):
         except OSError:
             pass
 
-    def _pump(self, out: bytes | None, want_frame: bool) -> bytes | None:
-        """Drive the socket until `out` is fully sent and (optionally) one
-        whole frame has been received."""
+    def _swap(self, frame: bytes) -> bytes:
+        """Drive the socket until `frame` is fully sent and one whole frame
+        has been received."""
         deadline = time.monotonic() + self.timeout
-        view = memoryview(out) if out else None
-        frame = self._try_pop_frame() if want_frame else None
+        view = memoryview(frame)
+        inbound = self._try_pop_frame()
         with selectors.DefaultSelector() as sel:
             sel.register(self._sock, selectors.EVENT_READ | selectors.EVENT_WRITE)
-            while True:
-                need_rx = want_frame and frame is None
-                if view is None and not need_rx:
-                    break
+            while view is not None or inbound is None:
+                need_rx = inbound is None
                 events = (selectors.EVENT_READ if need_rx else 0) | (
                     selectors.EVENT_WRITE if view is not None else 0
                 )
@@ -155,8 +148,8 @@ class TcpChannel(Channel):
                         self._rxbuf.extend(chunk)
                     except BlockingIOError:
                         pass
-                    frame = self._try_pop_frame()
-        return frame
+                    inbound = self._try_pop_frame()
+        return inbound
 
     def _try_pop_frame(self) -> bytes | None:
         if len(self._rxbuf) < 4:
@@ -167,16 +160,6 @@ class TcpChannel(Channel):
         payload = bytes(self._rxbuf[4 : 4 + length])
         del self._rxbuf[: 4 + length]
         return payload
-
-    def _send_frame(self, frame: bytes) -> None:
-        self._pending_out = frame  # actual I/O happens in _recv_frame's pump
-
-    def _recv_frame(self) -> bytes:
-        out = getattr(self, "_pending_out", None)
-        self._pending_out = None
-        frame = self._pump(out, want_frame=True)
-        assert frame is not None
-        return frame
 
 
 def tcp_listen(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:

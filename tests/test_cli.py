@@ -25,6 +25,12 @@ class TestGenData:
         run(["gen-data", "--n", 32, "--seed", 2, "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_odd_spiral_count_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "odd.csv"
+        assert run(["gen-data", "--n", 1025, "--out", out]) == 4
+        assert "positive even" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_toy_images(self, tmp_path):
         out = tmp_path / "imgs.arim"
         assert run(["gen-data", "--dataset", "toy-images", "--n", 16, "--out", out]) == 0

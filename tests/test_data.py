@@ -22,6 +22,19 @@ class TestTwoSpirals:
         x, y = two_spirals(1000, noise=0.0, seed=2)
         assert x.shape == (1000, 2)
 
+    @pytest.mark.parametrize("n", [1, 1025, 0, -2])
+    def test_rejects_odd_or_non_positive_count(self, n):
+        with pytest.raises(ValueError, match="positive even"):
+            two_spirals(n)
+
+    def test_even_count_output_is_pinned(self):
+        import hashlib
+
+        x, y = two_spirals(256, seed=5)
+        assert len(x) == 256
+        digest = hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest()
+        assert digest == "c9881c75465606f05986110a235e760d5d5b87b05ffc9e64dd3486037a944971"
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):

@@ -183,3 +183,11 @@ class TestTapes:
             tape_from_bytes(b"XXXX" + raw[4:])
         with pytest.raises(FormatError):
             tape_from_bytes(raw[:-2])
+
+    def test_misfit_beaver_shapes_are_format_errors(self):
+        from arp.dealer import BeaverTriple, Tape
+
+        ring = lambda shape: RingTensor(np.zeros(shape, dtype=np.uint64), CFG)
+        bad = BeaverTriple(0, "matmul", ring((2, 3)), ring((4, 5)), ring((2, 5)))
+        with pytest.raises(FormatError, match="beaver record shapes"):
+            tape_from_bytes(tape_to_bytes(Tape(0, CFG, [bad])))

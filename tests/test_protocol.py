@@ -25,7 +25,6 @@ from arp.protocol import (
     b2a,
     dapa_eval_secure,
     dapa_requests,
-    hybrid_activation_secure,
     hybrid_requests,
     lin_combine,
     ltz,
@@ -37,6 +36,7 @@ from arp.protocol import (
     relu_secure,
     square,
 )
+from arp.runtime import hybrid_activation_secure
 
 from conftest import CFG8, CFG64, as_share, share_reals, share_ring, two_party
 
@@ -474,6 +474,16 @@ class TestHybridSecure:
         c0, c1, c2 = self.COEFFS
         plain = mask * np.maximum(x, 0) + (1 - mask) * (c2 * x**2 + c1 * x + c0)
         assert np.max(np.abs(r - plain)) <= 4 * ULP
+
+    def test_mask_shape_mismatch_raises_value_error(self):
+        xs = share_reals(np.zeros((2, 6)))
+
+        def fn(sess):
+            with pytest.raises(ValueError, match="mask shape"):
+                hybrid_activation_secure(sess, as_share(sess, xs), np.ones(5), *self.COEFFS)
+            return sess.channel.rounds
+
+        assert two_party(fn) == (0, 0)
 
 
 class TestAccounting:

@@ -17,7 +17,6 @@ from arp.replace import (
     apply_hysteresis,
     count_relu,
     evaluate,
-    hybrid_forward,
     hysteresis_step,
     penalty_grad_aux,
     refresh_coeffs,
@@ -149,19 +148,19 @@ class TestHybridForwardAndRefresh:
     def test_all_relu(self):
         act = HybridActivation((4,))
         z = np.random.default_rng(5).normal(size=(3, 4))
-        np.testing.assert_array_equal(hybrid_forward(z, act), np.maximum(z, 0))
+        np.testing.assert_array_equal(act.forward(z), np.maximum(z, 0))
 
     def test_all_poly_identity(self):
         act = HybridActivation((4,))
         act.indicator.m[:] = 0.0
         z = np.random.default_rng(6).normal(size=(3, 4))
-        np.testing.assert_allclose(hybrid_forward(z, act), z)  # identity start coeffs
+        np.testing.assert_allclose(act.forward(z), z)  # identity start coeffs
 
     def test_poly_value(self):
         act = HybridActivation((1,))
         act.indicator.m[:] = 0.0
         act.coeffs.coeffs[:] = [0.28, 0.5, 0.14]
-        np.testing.assert_allclose(hybrid_forward(np.array([[2.0]]), act), [[1.84]])
+        np.testing.assert_allclose(act.forward(np.array([[2.0]])), [[1.84]])
 
     def test_refresh_matches_closed_form(self):
         act = HybridActivation((2,))
