@@ -2,7 +2,8 @@
 
 Global flags: --seed (ARP_SEED env var wins), --fixed-bits, --frac-bits,
 --party with --listen/--connect for the TCP roles.  Exit codes: 0 success,
-2 protocol desync, 3 tape exhaustion, 4 I/O or format error.
+2 protocol desync, 3 tape exhaustion, 4 I/O or format error, 5 peer or
+transport error (no peer within --timeout, connection refused or lost).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import data as datamod
 from .dapa import GaussianStats, PolyCoeffs, empirical_loss, fit_closed_form, \
     fit_closed_form_linear, fit_monte_carlo, min_approx_loss
-from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError
+from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError, TransportError
 from .fixed import FixedConfig
 from .model_io import load_model, save_model
 from .nn import build_model
@@ -26,6 +27,7 @@ from .runtime import bench, private_inference_memory, private_inference_tcp
 EXIT_DESYNC = 2
 EXIT_TAPE = 3
 EXIT_FORMAT = 4
+EXIT_TRANSPORT = 5
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -269,6 +271,9 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"i/o or format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except TransportError as exc:
+        print(f"peer/transport error: {exc}", file=sys.stderr)
+        return EXIT_TRANSPORT
 
 
 if __name__ == "__main__":

@@ -270,14 +270,17 @@ def _pack_shape(shape) -> bytes:
 
 
 class _Cursor:
-    """Bounds-checked reader over a file's bytes; `kind` names the file in errors."""
+    """Bounds-checked reader over a file's bytes; `kind` names the file in errors.
 
-    def __init__(self, buf: bytes, kind: str):
-        self.buf = buf
+    `take` returns read-only views into the buffer, not copies.
+    """
+
+    def __init__(self, buf, kind: str):
+        self.buf = memoryview(buf).toreadonly()
         self.kind = kind
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise FormatError(f"{self.kind} file truncated")
         out = self.buf[self.pos : self.pos + n]
@@ -329,7 +332,9 @@ def tape_to_bytes(tape: Tape) -> bytes:
     return b"".join(out)
 
 
-def tape_from_bytes(buf: bytes) -> Tape:
+def tape_from_bytes(buf) -> Tape:
+    """Decode a tape; record arrays are read-only views into `buf`, which
+    must not change while the tape is in use."""
     cur = _Cursor(buf, "tape")
     if cur.take(4) != TAPE_MAGIC:
         raise FormatError("not a tape file (bad magic)")

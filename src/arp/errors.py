@@ -1,7 +1,7 @@
 """Shared exception types.
 
 Exit-code mapping used by the CLI: ProtocolDesyncError -> 2,
-TapeExhaustedError -> 3, FormatError (and OSError) -> 4.
+TapeExhaustedError -> 3, FormatError (and OSError) -> 4, TransportError -> 5.
 """
 
 

@@ -86,7 +86,8 @@ class RingTensor:
 
     Thin wrapper over a uint64 ndarray plus the FixedConfig that defines the
     ring.  Operations return new tensors; nothing mutates in place, so values
-    are safe to hand between threads.
+    are safe to hand between threads, and the words may be read-only views
+    into a tape or wire buffer (see from_bytes and unpack_words).
     """
 
     __slots__ = ("words", "cfg")
@@ -197,11 +198,16 @@ class RingTensor:
 
     def to_bytes(self) -> bytes:
         dims = self.shape
-        header = struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
-        return header + pack_words(self)
+        header = struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+        return b"".join((header, pack_words(self)))
 
     @classmethod
-    def from_bytes(cls, buf: bytes, cfg: FixedConfig) -> "RingTensor":
+    def from_bytes(cls, buf, cfg: FixedConfig) -> "RingTensor":
+        """Decode a wire payload (any bytes-like object).
+
+        With 8-byte words the result is a view into `buf`, read-only when
+        `buf` is; ring ops never write in place, so it need not be copied.
+        """
         if len(buf) < 4:
             raise FormatError("ring tensor payload shorter than rank field")
         (rank,) = struct.unpack_from("<I", buf, 0)
@@ -209,28 +215,34 @@ class RingTensor:
         if len(buf) < need:
             raise FormatError("ring tensor payload truncated in dims")
         dims = struct.unpack_from(f"<{rank}I", buf, 4)
-        return unpack_words(buf[need:], dims, cfg)
+        return unpack_words(memoryview(buf)[need:], dims, cfg)
 
 
-def pack_words(r: RingTensor) -> bytes:
-    """Row-major words as ceil(L/8)-byte little-endian groups, no shape header."""
+def pack_words(r: RingTensor):
+    """Row-major words as ceil(L/8)-byte little-endian groups, no shape header.
+
+    With 8-byte words this is a byte view of the (contiguous, little-endian)
+    word array rather than a copy; join it into the outgoing buffer.
+    """
     nb = r.cfg.word_bytes
-    flat = np.ascontiguousarray(r.words.reshape(-1))
+    flat = np.ascontiguousarray(r.words.reshape(-1), dtype="<u8")
     if nb == 8:
-        return flat.astype("<u8").tobytes()
-    return flat.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nb].tobytes()
+        return memoryview(flat).cast("B")
+    return flat.view(np.uint8).reshape(-1, 8)[:, :nb].tobytes()
 
 
-def unpack_words(buf: bytes, shape, cfg: FixedConfig) -> RingTensor:
-    """Inverse of pack_words for a known shape."""
+def unpack_words(buf, shape, cfg: FixedConfig) -> RingTensor:
+    """Inverse of pack_words for a known shape; 8-byte words are not copied."""
     count = int(np.prod(shape, dtype=np.int64)) if len(shape) else 1
     nb = cfg.word_bytes
     if len(buf) != count * nb:
         raise FormatError(f"expected {count * nb} payload bytes, got {len(buf)}")
+    if nb == 8:
+        return RingTensor(np.frombuffer(buf, "<u8", count).reshape(shape), cfg)
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(count, nb)
     full = np.zeros((count, 8), dtype=np.uint8)
     full[:, :nb] = raw
-    return RingTensor(full.view("<u8").reshape(shape).astype(np.uint64), cfg)
+    return RingTensor(full.view("<u8").reshape(shape), cfg)
 
 
 # ---- encode / decode / truncate ------------------------------------------

@@ -116,7 +116,7 @@ def deserialize_model(buf: bytes):
     cur = _Cursor(body, "model")
     (desc_len,) = cur.unpack("<I")
     try:
-        desc = json.loads(cur.take(desc_len).decode())
+        desc = json.loads(bytes(cur.take(desc_len)).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad model descriptor: {exc}") from exc
 

@@ -4,6 +4,13 @@ Framing is a 4-byte little-endian payload length followed by the payload
 (rank u32, dims u32 each, ring words).  Counters track bytes in each
 direction and protocol rounds; a running digest of the sent frames lets
 tests compare transcripts across backends.
+
+A frame travels as two buffers, the length prefix and the payload, so the
+payload is never copied to prepend its prefix.  The in-memory channel hands
+the payload object itself to the peer.  The TCP channel sends both buffers
+with one `sendmsg` per writable turn, reads the 4-byte prefix, then reads
+the payload with `recv_into` a buffer of exactly the announced size, so it
+never reads past the frame it is waiting for.
 """
 
 from __future__ import annotations
@@ -42,8 +49,9 @@ class Channel:
 
     # backend hooks ------------------------------------------------------
 
-    def _swap(self, frame: bytes) -> bytes:
-        """Send one whole frame; return the peer's frame without its length prefix."""
+    def _swap(self, prefix: bytes, payload: bytes):
+        """Send one frame (its length prefix, then its payload); return the
+        peer's payload, without its prefix, as a bytes-like object."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -56,12 +64,13 @@ class Channel:
         """Hex digest over every frame sent so far."""
         return self._sent_digest.hexdigest()
 
-    def exchange_bytes(self, payload: bytes) -> bytes:
+    def exchange_bytes(self, payload: bytes):
         """Send one framed payload and receive the peer's; one round."""
-        frame = struct.pack("<I", len(payload)) + payload
-        self._sent_digest.update(frame)
-        self.bytes_sent += len(frame)
-        inbound = self._swap(frame)
+        prefix = struct.pack("<I", len(payload))
+        self._sent_digest.update(prefix)
+        self._sent_digest.update(payload)
+        self.bytes_sent += len(prefix) + len(payload)
+        inbound = self._swap(prefix, payload)
         self.bytes_received += len(inbound) + 4
         self.rounds += 1
         return inbound
@@ -84,13 +93,12 @@ class InMemoryChannel(Channel):
         self._inbox = inbox
         self._outbox = outbox
 
-    def _swap(self, frame: bytes) -> bytes:
-        self._outbox.put(frame)
+    def _swap(self, prefix: bytes, payload: bytes):
+        self._outbox.put(payload)
         try:
-            frame = self._inbox.get(timeout=self.timeout)
+            return self._inbox.get(timeout=self.timeout)
         except queue.Empty:
             raise TransportError(f"no message from peer within {self.timeout}s") from None
-        return frame[4:]
 
 
 def memory_channel_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[InMemoryChannel, InMemoryChannel]:
@@ -108,58 +116,71 @@ class TcpChannel(Channel):
         self._sock = sock
         self._sock.setblocking(False)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rxbuf = bytearray()
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(sock, selectors.EVENT_READ)
 
     def close(self) -> None:
+        self._sel.close()
         try:
             self._sock.close()
         except OSError:
             pass
 
-    def _swap(self, frame: bytes) -> bytes:
-        """Drive the socket until `frame` is fully sent and one whole frame
-        has been received."""
-        deadline = time.monotonic() + self.timeout
-        view = memoryview(frame)
-        inbound = self._try_pop_frame()
-        with selectors.DefaultSelector() as sel:
-            sel.register(self._sock, selectors.EVENT_READ | selectors.EVENT_WRITE)
-            while view is not None or inbound is None:
-                need_rx = inbound is None
-                events = (selectors.EVENT_READ if need_rx else 0) | (
-                    selectors.EVENT_WRITE if view is not None else 0
-                )
-                sel.modify(self._sock, events)
-                ready = sel.select(timeout=max(0.0, deadline - time.monotonic()))
-                if not ready:
-                    raise TransportError(f"peer exchange timed out after {self.timeout}s")
-                mask = ready[0][1]
-                if view is not None and mask & selectors.EVENT_WRITE:
-                    try:
-                        n = self._sock.send(view)
-                        view = view[n:] if n < len(view) else None
-                    except BlockingIOError:
-                        pass
-                if need_rx and mask & selectors.EVENT_READ:
-                    try:
-                        chunk = self._sock.recv(1 << 20)
-                        if not chunk:
-                            raise TransportError("peer closed the connection")
-                        self._rxbuf.extend(chunk)
-                    except BlockingIOError:
-                        pass
-                    inbound = self._try_pop_frame()
-        return inbound
+    def _wait(self, events: int, deadline: float) -> None:
+        """Block until the socket is ready for one of `events`."""
+        self._sel.modify(self._sock, events)  # a no-op when `events` is unchanged
+        if not self._sel.select(timeout=max(0.0, deadline - time.monotonic())):
+            raise TransportError(f"peer exchange timed out after {self.timeout}s")
 
-    def _try_pop_frame(self) -> bytes | None:
-        if len(self._rxbuf) < 4:
-            return None
-        (length,) = struct.unpack_from("<I", self._rxbuf, 0)
-        if len(self._rxbuf) < 4 + length:
-            return None
-        payload = bytes(self._rxbuf[4 : 4 + length])
-        del self._rxbuf[: 4 + length]
-        return payload
+    def _swap(self, prefix: bytes, payload: bytes):
+        """Drive the socket until the frame is fully sent and the peer's
+        whole frame has been received; each side is tried before blocking."""
+        deadline = time.monotonic() + self.timeout
+        out = [memoryview(b) for b in (prefix, payload) if len(b)]
+        head = bytearray(4)
+        body = None
+        view = memoryview(head)  # unfilled part of the buffer being received
+        while out or view is not None:
+            moved = bool(out) and self._send_some(out)
+            if view is not None and (n := self._recv_some(view)):
+                moved = True
+                view = view[n:] if n < len(view) else None
+                if view is None and body is None:
+                    (length,) = struct.unpack("<I", head)
+                    body = bytearray(length)
+                    view = memoryview(body) if length else None
+            if not moved:
+                self._wait((selectors.EVENT_READ if view is not None else 0)
+                           | (selectors.EVENT_WRITE if out else 0), deadline)
+        return body
+
+    def _send_some(self, out: list) -> bool:
+        """Send what the socket takes of the pending buffers and drop it
+        from `out`; False when the socket takes nothing now."""
+        try:
+            n = self._sock.sendmsg(out)
+        except BlockingIOError:
+            return False
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise TransportError(f"peer closed the connection: {exc}") from None
+        while n:
+            if n < len(out[0]):
+                out[0], n = out[0][n:], 0
+            else:
+                n -= len(out.pop(0))
+        return True
+
+    def _recv_some(self, view: memoryview) -> int:
+        """Bytes read into `view`; 0 when the socket has none ready."""
+        try:
+            n = self._sock.recv_into(view)
+        except BlockingIOError:
+            return 0
+        except ConnectionResetError as exc:
+            raise TransportError(f"peer closed the connection: {exc}") from None
+        if n == 0:
+            raise TransportError("peer closed the connection")
+        return n
 
 
 def tcp_listen(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
@@ -178,7 +199,10 @@ def tcp_listen(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> TcpCha
 
 
 def tcp_connect(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
+    """Connect to a listening peer, retrying (1 ms backoff, doubling to 50 ms)
+    until it is up or `timeout` has passed."""
     deadline = time.monotonic() + timeout
+    delay = 0.001
     last_err: Exception | None = None
     while time.monotonic() < deadline:
         try:
@@ -186,5 +210,6 @@ def tcp_connect(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> TcpCh
             return TcpChannel(sock, timeout)
         except OSError as e:  # listener may not be up yet
             last_err = e
-            time.sleep(0.05)
+            time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
+            delay = min(2 * delay, 0.05)
     raise TransportError(f"could not reach {host}:{port} within {timeout}s: {last_err}")

@@ -6,6 +6,8 @@ import pytest
 from arp.cli import main
 from arp.data import load_csv
 
+from conftest import free_port
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -125,3 +127,13 @@ class TestPipeline:
         raw[-1] ^= 0xFF
         bad.write_bytes(bytes(raw))
         assert run(["infer-private", "--model", bad, "--inputs", data]) == 4
+
+    @pytest.mark.parametrize("role", ["--listen", "--connect"])
+    def test_missing_peer_exit_code(self, artifacts, capsys, role):
+        _, data, model = artifacts
+        code = run(["infer-private", "--model", model, "--inputs", data, "--limit", 4,
+                    "--mode", "tcp", "--party", 0 if role == "--listen" else 1,
+                    role, f"127.0.0.1:{free_port()}", "--timeout", 0.3])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("peer/transport error: ") and "Traceback" not in err

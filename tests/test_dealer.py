@@ -191,3 +191,47 @@ class TestTapes:
         bad = BeaverTriple(0, "matmul", ring((2, 3)), ring((4, 5)), ring((2, 5)))
         with pytest.raises(FormatError, match="beaver record shapes"):
             tape_from_bytes(tape_to_bytes(Tape(0, CFG, [bad])))
+
+
+class TestTapeBuffers:
+    """The tape codec reads records as views into the tape bytes."""
+
+    @pytest.mark.parametrize("bits", [24, 32])
+    def test_narrow_ring_tapes_round_trip(self, bits):
+        cfg = FixedConfig(bits, 8)
+        reqs = [BeaverRequest("matmul", (2, 3), (3, 2)), SquareRequest((4,)), AndRequest((5,))]
+        for tape in Dealer(5, cfg).build_tapes(reqs):
+            raw = tape_to_bytes(tape)
+            loaded = tape_from_bytes(raw)
+            assert tape_to_bytes(loaded) == raw
+            assert loaded.records[0].z == tape.records[0].z
+
+    def test_loaded_records_are_read_only(self):
+        reqs = [BeaverRequest("elementwise", (3,), (3,)), SquareRequest((2,)), AndRequest((4,))]
+        loaded = tape_from_bytes(tape_to_bytes(Dealer(6, CFG).build_tapes(reqs)[0]))
+        arrays = [v.words for rec in loaded.records for v in vars(rec).values()
+                  if isinstance(v, RingTensor)]
+        assert len(arrays) == 3 + 2 + 3
+        for words in arrays:
+            assert not words.flags.writeable
+            with pytest.raises(ValueError):
+                words[...] = 0
+
+    def test_inference_consumes_a_read_only_tape(self, monkeypatch):
+        import arp.runtime as runtime
+        from arp.data import two_spirals
+        from arp.nn import build_model
+
+        loaded = []
+
+        def spy(buf):
+            tape = tape_from_bytes(buf)
+            loaded.append(tape)
+            return tape
+
+        monkeypatch.setattr(runtime, "tape_from_bytes", spy)
+        x, _ = two_spirals(8, seed=1)
+        # _run_party raises when records are left over after evaluation
+        runtime.private_inference_memory(build_model("mlp", seed=0), CFG, x)
+        assert len(loaded) == 2 and all(t.records for t in loaded)
+        assert all(not r.a.words.flags.writeable for t in loaded for r in t.records)

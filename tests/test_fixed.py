@@ -146,3 +146,17 @@ class TestWireEncoding:
             RingTensor.from_bytes(raw[:-1], cfg)
         with pytest.raises(FormatError):
             RingTensor.from_bytes(raw[:6], cfg)
+
+    @pytest.mark.parametrize("bits", [24, 64])
+    def test_from_bytes_accepts_any_bytes_like(self, bits):
+        cfg = FixedConfig(bits, 8)
+        r = RingTensor(np.arange(6, dtype=np.uint64).reshape(2, 3) * 977, cfg)
+        raw = r.to_bytes()
+        got = [RingTensor.from_bytes(b, cfg) for b in (raw, bytearray(raw), memoryview(raw))]
+        assert all(g == r and g.shape == (2, 3) for g in got)
+
+    def test_wrong_length_word_buffer_rejected(self):
+        cfg = FixedConfig(64, 16)
+        for n in (15, 17, 24):
+            with pytest.raises(FormatError, match="expected 16 payload bytes"):
+                unpack_words(bytes(n), (2,), cfg)

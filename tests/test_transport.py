@@ -1,12 +1,18 @@
 """Framed exchange, counters, and backend transcript equivalence."""
 
+import os
+import socket
+import struct
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from arp.errors import ProtocolDesyncError, TransportError
 from arp.fixed import FixedConfig, RingTensor
 from arp.runtime import run_both
-from arp.transport import memory_channel_pair, tcp_connect, tcp_listen
+from arp.transport import TcpChannel, memory_channel_pair, tcp_connect, tcp_listen
 
 from conftest import free_port
 
@@ -122,3 +128,118 @@ class TestTcpBackend:
         r0, r1 = run_both(p0, p1)
         assert np.array_equal(r0.words, big + np.uint64(1))
         assert np.array_equal(r1.words, big)
+
+
+def loopback_pair():
+    """Two connected TCP sockets over 127.0.0.1."""
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        a = socket.create_connection(srv.getsockname())
+        b, _ = srv.accept()
+    return a, b
+
+
+def recv_exactly(sock, n):
+    out = b""
+    while len(out) < n:
+        chunk = sock.recv(n - len(out))
+        assert chunk, "peer closed early"
+        out += chunk
+    return out
+
+
+class TestTcpLoop:
+    """The TCP receive path reads exactly one frame per exchange."""
+
+    def test_zero_length_payload(self):
+        ch0, ch1 = (TcpChannel(s, timeout=5) for s in loopback_pair())
+        try:
+            r0, r1 = run_both(lambda: ch0.exchange_bytes(b""), lambda: ch1.exchange_bytes(b"xy"))
+        finally:
+            ch0.close()
+            ch1.close()
+        assert bytes(r0) == b"xy" and bytes(r1) == b""
+        assert (ch0.bytes_sent, ch0.bytes_received) == (4, 6)
+
+    def test_peer_closing_mid_frame(self):
+        a, b = loopback_pair()
+        ch = TcpChannel(a, timeout=5)
+
+        def peer():
+            recv_exactly(b, 4 + 3)  # take this side's whole frame, then fail mid-frame
+            b.sendall(struct.pack("<I", 100) + bytes(10))
+            b.close()
+
+        t = threading.Thread(target=peer)
+        t.start()
+        try:
+            with pytest.raises(TransportError, match="peer closed"):
+                ch.exchange_bytes(b"abc")
+        finally:
+            t.join(timeout=5)
+            ch.close()
+        assert not t.is_alive()
+
+    def test_silent_peer_times_out(self):
+        a, b = loopback_pair()
+        ch = TcpChannel(a, timeout=0.2)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                ch.exchange_bytes(b"hello")
+            assert time.monotonic() - t0 >= 0.2
+        finally:
+            ch.close()
+            b.close()
+
+    def test_back_to_back_frames_never_merge_or_split(self):
+        ch0, ch1 = (TcpChannel(s, timeout=10) for s in loopback_pair())
+        sent0 = [bytes([k % 251]) * (k % 9) for k in range(200)]
+        sent1 = [bytes([k % 13]) * (k % 5 + 3) for k in range(200)]
+
+        def eager():
+            return [bytes(ch0.exchange_bytes(p)) for p in sent0]
+
+        def sleepy():
+            got = []
+            for p in sent1:
+                time.sleep(0.0005)  # the eager side's next frame is queued by now
+                got.append(bytes(ch1.exchange_bytes(p)))
+            return got
+
+        try:
+            got0, got1 = run_both(eager, sleepy)
+        finally:
+            ch0.close()
+            ch1.close()
+        assert got0 == sent1 and got1 == sent0
+        assert ch0.rounds == ch1.rounds == 200
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_channels_release_descriptors(self):
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(100):
+            for ch in [TcpChannel(s) for s in loopback_pair()]:
+                ch.close()
+        assert len(os.listdir("/proc/self/fd")) <= before
+
+    def test_connect_before_listener(self):
+        port = free_port()
+
+        def late_listener():
+            time.sleep(0.1)
+            return tcp_listen("127.0.0.1", port, timeout=5)
+
+        ch1, ch0 = run_both(lambda: tcp_connect("127.0.0.1", port, timeout=5), late_listener)
+        try:
+            r1, r0 = run_both(lambda: ch1.exchange(tensor([1])), lambda: ch0.exchange(tensor([2])))
+        finally:
+            ch0.close()
+            ch1.close()
+        assert r1.words.tolist() == [2] and r0.words.tolist() == [1]
+
+    def test_unreachable_port_times_out(self):
+        port = free_port()
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match=f"could not reach 127.0.0.1:{port} within 0.2s"):
+            tcp_connect("127.0.0.1", port, timeout=0.2)
+        assert time.monotonic() - t0 >= 0.2
