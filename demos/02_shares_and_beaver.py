@@ -29,7 +29,7 @@ print("reconstruct :", decode(x_shares[0] + x_shares[1], cfg))
 # offline phase: the dealer pre-generates the correlated randomness
 dealer = Dealer(seed=7, cfg=cfg)
 tapes = dealer.build_tapes([
-    BeaverRequest("elementwise", (3,), (3,)),
+    BeaverRequest((3,)),
     SquareRequest((3,)),
 ])
 

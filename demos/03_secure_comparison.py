@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from arp.dealer import Dealer
+from arp.dealer import BeaverRequest, Dealer
 from arp.fixed import FixedConfig, decode, encode
 from arp.protocol import (
     Session,
@@ -33,11 +33,9 @@ x_shares = Dealer(seed=1, cfg=cfg).gen_shares(encode(x, cfg))
 
 # the tape must mirror the program below: a2b, then the b2a multiply, then
 # a full ltz, then a full relu
-from arp.dealer import BeaverRequest
-
 reqs = (
     a2b_requests((5,), cfg)
-    + [BeaverRequest("elementwise", (5,), (5,))]
+    + [BeaverRequest((5,))]
     + ltz_requests((5,), cfg)
     + relu_requests((5,), cfg)
 )

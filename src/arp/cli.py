@@ -1,9 +1,12 @@
 """Command-line surface: gen-data, train-replace, dapa-fit, export, infer-private, bench.
 
-Global flags: --seed (ARP_SEED env var wins), --fixed-bits, --frac-bits,
+Shared flags, accepted only by the commands that read them: --seed
+(gen-data, train-replace, dapa-fit; the ARP_SEED env var wins) and
+--fixed-bits/--frac-bits (train-replace, export).  infer-private takes
 --party with --listen/--connect for the TCP roles.  Exit codes: 0 success,
-2 protocol desync, 3 tape exhaustion, 4 I/O or format error, 5 peer or
-transport error (no peer within --timeout, connection refused or lost).
+2 protocol desync or a usage error (such as a flag the command does not
+take), 3 tape exhaustion, 4 I/O or format error, 5 peer or transport error
+(no peer within --timeout, connection refused or lost).
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ EXIT_FORMAT = 4
 EXIT_TRANSPORT = 5
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed (ARP_SEED overrides)")
+
+
+def _add_ring(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fixed-bits", type=int, default=64, help="ring bit width L")
     p.add_argument("--frac-bits", type=int, default=16, help="fractional bits f")
 
@@ -193,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="emit a deterministic dataset")
-    _add_common(p)
+    _add_seed(p)
     p.add_argument("--dataset", choices=["two-spiral", "toy-images"], default="two-spiral")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--noise", type=float, default=0.15)
@@ -201,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train-replace", help="baseline-train then learn a replacement plan")
-    _add_common(p)
+    _add_seed(p)
+    _add_ring(p)
     p.add_argument("--budget", type=int, required=True, help="target surviving ReLU count")
     p.add_argument("--mu", type=float, default=1.0, help="normalized count penalty")
     p.add_argument("--th", type=float, default=0.003, help="hysteresis threshold")
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train_replace)
 
     p = sub.add_parser("dapa-fit", help="fit polynomial coefficients to ReLU")
-    _add_common(p)
+    _add_seed(p)
     p.add_argument("--stats", action="append", metavar="MU,VAR",
                    help="Gaussian stats pair; repeatable")
     p.add_argument("--samples", help="text file of raw samples, one per line")
@@ -224,13 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dapa_fit)
 
     p = sub.add_parser("export", help="re-encode a model file at a new fixed-point config")
-    _add_common(p)
+    _add_ring(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("infer-private", help="two-party evaluation of a model file")
-    _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--inputs", required=True)
     p.add_argument("--mode", choices=["memory", "tcp"], default="memory")
@@ -246,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_infer_private)
 
     p = sub.add_parser("bench", help="bytes/rounds per phase across batch sizes")
-    _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--inputs", required=True)
     p.add_argument("--batch-sizes", default="1,8,32")

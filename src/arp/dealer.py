@@ -1,28 +1,30 @@
 """Trusted dealer: all correlated randomness is pre-generated from a seed.
 
 The dealer runs as an offline setup phase.  It answers a list of typed
-requests (Beaver triples for elementwise/matmul/conv2d products, square
-pairs, boolean AND triples) and emits one tape per party.  Tapes are
-consumed strictly in order by the online protocol, so a replay with the same
-seed and request sequence uses identical randomness.
+requests for elementwise correlations (Beaver triples, square pairs,
+boolean AND triples) and emits one tape per party.  The compute servers
+hold the model weights in the clear, so no other product consumes dealer
+randomness.  Tapes are consumed strictly in order by the online protocol,
+which reads each record with the request that planned it; a replay with the
+same seed and request sequence uses identical randomness.
 
 Tape file layout (little-endian throughout):
   magic "ARPT", version u16, L u16, f u16, party u8, record count u32,
   then per record: tag u8 (1 beaver / 2 square / 3 and), descriptor, shapes
   (rank u8 + dims u32 each) and this party's share words packed to
-  ceil(L/8) bytes.
+  ceil(L/8) bytes.  A Beaver record keeps version 1's fixed op code 0
+  (elementwise), stride 1 and padding 0 bytes and writes its shape twice.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError
 from .fixed import FixedConfig, RingTensor, pack_words, unpack_words
-from .im2col import conv_out_hw
 
 __all__ = [
     "BeaverRequest",
@@ -47,11 +49,7 @@ TAPE_VERSION = 1
 
 @dataclass(frozen=True)
 class BeaverRequest:
-    op: str
-    a_shape: tuple
-    b_shape: tuple
-    stride: int = 1
-    padding: int = 0
+    shape: tuple
 
 
 @dataclass(frozen=True)
@@ -69,15 +67,11 @@ class AndRequest:
 
 @dataclass
 class BeaverTriple:
-    """One party's halves of (A, B, Z = A (op) B); single use."""
+    """One party's halves of (A, B, Z = A * B); single use."""
 
-    party: int
-    op: str
     a: RingTensor
     b: RingTensor
     z: RingTensor
-    stride: int = 1
-    padding: int = 0
     used: bool = field(default=False, compare=False)
 
 
@@ -85,7 +79,6 @@ class BeaverTriple:
 class SquarePair:
     """One party's halves of (A, Z = A * A); single use."""
 
-    party: int
     a: RingTensor
     z: RingTensor
     used: bool = field(default=False, compare=False)
@@ -95,39 +88,13 @@ class SquarePair:
 class AndTriple:
     """One party's XOR shares of (a, b, c = a & b) bit words; single use."""
 
-    party: int
     a: RingTensor
     b: RingTensor
     c: RingTensor
     used: bool = field(default=False, compare=False)
 
 
-def apply_product_shape(op: str, a_shape, b_shape, stride: int = 1, padding: int = 0) -> tuple:
-    """Output shape of a ring product without computing it; rejects misfit operands."""
-    if op == "elementwise":
-        try:
-            return np.broadcast_shapes(a_shape, b_shape)
-        except ValueError:
-            raise ValueError(f"elementwise shapes incompatible: {a_shape} vs {b_shape}") from None
-    if op == "matmul":
-        if len(a_shape) != 2 or len(b_shape) != 2 or a_shape[1] != b_shape[0]:
-            raise ValueError(f"matmul shapes incompatible: {a_shape} @ {b_shape}")
-        return (a_shape[0], b_shape[1])
-    if op == "conv2d":
-        b_, _, h, w = a_shape
-        oc, _, kh, kw = b_shape
-        oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
-        return (b_, oc, oh, ow)
-    raise ValueError(f"unknown product op {op!r}")
-
-
-def apply_product(op: str, a: RingTensor, b: RingTensor, stride: int = 1, padding: int = 0) -> RingTensor:
-    apply_product_shape(op, a.shape, b.shape, stride, padding)
-    if op == "elementwise":
-        return a * b
-    if op == "matmul":
-        return a.matmul(b)
-    return a.conv2d(b, stride=stride, padding=padding)
+_RECORD = {BeaverRequest: BeaverTriple, SquareRequest: SquarePair, AndRequest: AndTriple}
 
 
 # ---- dealer ----------------------------------------------------------------
@@ -152,21 +119,19 @@ class Dealer:
         return r, x - r
 
     def gen_triple(self, req: BeaverRequest) -> tuple[BeaverTriple, BeaverTriple]:
-        a = self._rand_ring(req.a_shape)
-        b = self._rand_ring(req.b_shape)
-        z = apply_product(req.op, a, b, req.stride, req.padding)
+        a = self._rand_ring(req.shape)
+        b = self._rand_ring(req.shape)
         a0, a1 = self.gen_shares(a)
         b0, b1 = self.gen_shares(b)
-        z0, z1 = self.gen_shares(z)
-        mk = lambda p, aa, bb, zz: BeaverTriple(p, req.op, aa, bb, zz, req.stride, req.padding)
-        return mk(0, a0, b0, z0), mk(1, a1, b1, z1)
+        z0, z1 = self.gen_shares(a * b)
+        return BeaverTriple(a0, b0, z0), BeaverTriple(a1, b1, z1)
 
     def gen_square_pair(self, req: SquareRequest) -> tuple[SquarePair, SquarePair]:
         a = self._rand_ring(req.shape)
         z = a * a
         a0, a1 = self.gen_shares(a)
         z0, z1 = self.gen_shares(z)
-        return SquarePair(0, a0, z0), SquarePair(1, a1, z1)
+        return SquarePair(a0, z0), SquarePair(a1, z1)
 
     def gen_and_triples(self, req: AndRequest) -> tuple[AndTriple, AndTriple]:
         a = self._rand_ring(req.shape)
@@ -175,10 +140,7 @@ class Dealer:
         a0 = self._rand_ring(req.shape)
         b0 = self._rand_ring(req.shape)
         c0 = self._rand_ring(req.shape)
-        return (
-            AndTriple(0, a0, b0, c0),
-            AndTriple(1, a ^ a0, b ^ b0, c ^ c0),
-        )
+        return AndTriple(a0, b0, c0), AndTriple(a ^ a0, b ^ b0, c ^ c0)
 
     def build_tapes(self, requests) -> tuple["Tape", "Tape"]:
         """Serve a request list in order; returns one tape per party."""
@@ -220,7 +182,9 @@ class TapeReader:
     def remaining(self) -> int:
         return len(self.tape.records) - self.pos
 
-    def _next(self, kind):
+    def take(self, request):
+        """The next record, which must be `request`'s kind and shape."""
+        kind = _RECORD[type(request)]
         if self.pos >= len(self.tape.records):
             raise TapeExhaustedError(f"tape exhausted after {self.pos} records wanting {kind.__name__}")
         rec = self.tape.records[self.pos]
@@ -228,41 +192,29 @@ class TapeReader:
             raise ProtocolDesyncError(
                 f"tape record {self.pos} is {type(rec).__name__}, expected {kind.__name__}"
             )
+        if rec.a.shape != tuple(request.shape):
+            raise ProtocolDesyncError(
+                f"tape record {self.pos} {kind.__name__} has shape {rec.a.shape}, "
+                f"request was {tuple(request.shape)}"
+            )
         self.pos += 1
-        return rec
-
-    def next_beaver(self, op: str, a_shape, b_shape, stride: int = 1, padding: int = 0) -> BeaverTriple:
-        rec = self._next(BeaverTriple)
-        if (rec.op, rec.a.shape, rec.b.shape) != (op, tuple(a_shape), tuple(b_shape)) or (
-            op == "conv2d" and (rec.stride, rec.padding) != (stride, padding)
-        ):
-            raise ProtocolDesyncError(
-                f"beaver record mismatch: tape has {rec.op} {rec.a.shape}x{rec.b.shape}, "
-                f"request was {op} {tuple(a_shape)}x{tuple(b_shape)}"
-            )
-        return rec
-
-    def next_square(self, shape) -> SquarePair:
-        rec = self._next(SquarePair)
-        if rec.a.shape != tuple(shape):
-            raise ProtocolDesyncError(
-                f"square record mismatch: tape has {rec.a.shape}, request was {tuple(shape)}"
-            )
-        return rec
-
-    def next_and(self, shape) -> AndTriple:
-        rec = self._next(AndTriple)
-        if rec.a.shape != tuple(shape):
-            raise ProtocolDesyncError(
-                f"and record mismatch: tape has {rec.a.shape}, request was {tuple(shape)}"
-            )
         return rec
 
 
 # ---- tape serialization -----------------------------------------------------
 
-_OP_CODE = {"elementwise": 0, "matmul": 1, "conv2d": 2}
-_OP_NAME = {v: k for k, v in _OP_CODE.items()}
+# per record type: tag, fixed descriptor bytes, copies of the shape, and the
+# share tensors in tape order.  A Beaver record's descriptor is op code 0
+# (elementwise), stride 1, padding 0.
+_LAYOUT = {
+    kind: (tag, head, copies, tuple(f.name for f in fields(kind) if f.name != "used"))
+    for kind, tag, head, copies in [
+        (BeaverTriple, 1, b"\x00\x01\x00", 2),
+        (SquarePair, 2, b"", 1),
+        (AndTriple, 3, b"", 1),
+    ]
+}
+_BY_TAG = {tag: (kind, head, copies, names) for kind, (tag, head, copies, names) in _LAYOUT.items()}
 
 
 def _pack_shape(shape) -> bytes:
@@ -299,36 +251,14 @@ def tape_to_bytes(tape: Tape) -> bytes:
     cfg = tape.cfg
     out = [
         TAPE_MAGIC,
-        struct.pack(
-            "<HHHBI",
-            TAPE_VERSION,
-            cfg.total_bits,
-            cfg.frac_bits,
-            tape.party,
-            len(tape.records),
-        ),
+        struct.pack("<HHHBI", TAPE_VERSION, cfg.total_bits, cfg.frac_bits, tape.party, len(tape.records)),
     ]
     for rec in tape.records:
-        if isinstance(rec, BeaverTriple):
-            out.append(struct.pack("<BBBB", 1, _OP_CODE[rec.op], rec.stride, rec.padding))
-            out.append(_pack_shape(rec.a.shape))
-            out.append(_pack_shape(rec.b.shape))
-            out.append(pack_words(rec.a))
-            out.append(pack_words(rec.b))
-            out.append(pack_words(rec.z))
-        elif isinstance(rec, SquarePair):
-            out.append(struct.pack("<B", 2))
-            out.append(_pack_shape(rec.a.shape))
-            out.append(pack_words(rec.a))
-            out.append(pack_words(rec.z))
-        elif isinstance(rec, AndTriple):
-            out.append(struct.pack("<B", 3))
-            out.append(_pack_shape(rec.a.shape))
-            out.append(pack_words(rec.a))
-            out.append(pack_words(rec.b))
-            out.append(pack_words(rec.c))
-        else:
+        if type(rec) not in _LAYOUT:
             raise TypeError(f"unknown record {rec!r}")
+        tag, head, copies, names = _LAYOUT[type(rec)]
+        out += [struct.pack("<B", tag), head, _pack_shape(rec.a.shape) * copies]
+        out += [pack_words(getattr(rec, name)) for name in names]
     return b"".join(out)
 
 
@@ -351,26 +281,15 @@ def tape_from_bytes(buf) -> Tape:
     records = []
     for _ in range(count):
         (tag,) = cur.unpack("<B")
-        if tag == 1:
-            opc, stride, padding = cur.unpack("<BBB")
-            if opc not in _OP_NAME:
-                raise FormatError(f"unknown beaver op code {opc}")
-            a_shape, b_shape = cur.shape(), cur.shape()
-            op = _OP_NAME[opc]
-            a, b = words(a_shape), words(b_shape)
-            try:
-                z_shape = apply_product_shape(op, a_shape, b_shape, stride, padding)
-            except ValueError as exc:
-                raise FormatError(f"bad beaver record shapes: {exc}") from None
-            records.append(BeaverTriple(party, op, a, b, words(z_shape), stride, padding))
-        elif tag == 2:
-            shape = cur.shape()
-            records.append(SquarePair(party, words(shape), words(shape)))
-        elif tag == 3:
-            shape = cur.shape()
-            records.append(AndTriple(party, words(shape), words(shape), words(shape)))
-        else:
+        if tag not in _BY_TAG:
             raise FormatError(f"unknown tape record tag {tag}")
+        kind, head, copies, names = _BY_TAG[tag]
+        if cur.take(len(head)) != head:
+            raise FormatError(f"bad {kind.__name__} descriptor: only elementwise records are served")
+        shapes = [cur.shape() for _ in range(copies)]
+        if len(set(shapes)) > 1:
+            raise FormatError(f"bad {kind.__name__} shapes: {shapes} are not equal")
+        records.append(kind(*[words(shapes[0]) for _ in names]))
     if cur.pos != len(buf):
         raise FormatError("trailing bytes after last tape record")
     return Tape(party, cfg, records)

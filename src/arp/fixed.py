@@ -23,6 +23,7 @@ __all__ = [
     "truncate",
     "pack_words",
     "unpack_words",
+    "flat_to_bytes",
 ]
 
 
@@ -197,9 +198,7 @@ class RingTensor:
     # little-endian bytes.
 
     def to_bytes(self) -> bytes:
-        dims = self.shape
-        header = struct.pack(f"<I{len(dims)}I", len(dims), *dims)
-        return b"".join((header, pack_words(self)))
+        return b"".join((_wire_header(self.shape), pack_words(self)))
 
     @classmethod
     def from_bytes(cls, buf, cfg: FixedConfig) -> "RingTensor":
@@ -216,6 +215,17 @@ class RingTensor:
             raise FormatError("ring tensor payload truncated in dims")
         dims = struct.unpack_from(f"<{rank}I", buf, 4)
         return unpack_words(memoryview(buf)[need:], dims, cfg)
+
+
+def _wire_header(dims) -> bytes:
+    return struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+
+
+def flat_to_bytes(tensors) -> bytes:
+    """Wire payload of the concatenated row-major words of `tensors`, framed
+    as one rank-1 tensor; each tensor's words join the output directly."""
+    n = sum(t.size for t in tensors)
+    return b"".join([_wire_header((n,)), *map(pack_words, tensors)])
 
 
 def pack_words(r: RingTensor):

@@ -2,19 +2,23 @@
 
 Round and opening accounting (asserted by tests):
   lin_combine / mul_public / msb   0 rounds, nothing opened
-  mul_beaver                       1 round, opens 2 masked tensors
-  square                           1 round, opens 1 masked tensor
+  mul_beaver                       1 round, opens 2|X| words
+  square                           1 round, opens |X| words
   b2a                              1 round (one Beaver multiply)
   a2b                              1 + ceil(log2 L) rounds (initial AND plus
                                    one batched AND per prefix-adder level)
 
 Model weights and polynomial coefficients are public to both compute
-servers; only activations are secret shared.  Truncation after a product is
-a local arithmetic shift of each party's share, which costs nothing in
-communication but can leave the reconstruction one ULP below the value-level
-shift.  It also wraps, giving a wildly wrong result, with probability about
-|v| * 2^(2f-L) per element for a product of decoded magnitude |v| held at
-scale 2f (e.g. 1.2% at L=32, f=12, |v|=3).
+servers; only activations are secret shared.  So every interactive op is
+elementwise, and it reads its dealer record (Beaver triple, square pair or
+AND triple) from the session's tape with the same kind of request that the
+planners below hand the dealer.
+
+Truncation after a product is a local arithmetic shift of each party's
+share, which costs nothing in communication but can leave the reconstruction
+one ULP below the value-level shift.  It also wraps, giving a wildly wrong
+result, with probability about |v| * 2^(2f-L) per element for a product of
+decoded magnitude |v| held at scale 2f (e.g. 1.2% at L=32, f=12, |v|=3).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 from . import dealer as dl
 from .errors import TripleReuseError
 from .fixed import FixedConfig, RingTensor, encode, truncate
+from .im2col import conv_out_hw
 from .transport import Channel
 
 __all__ = [
@@ -125,16 +130,18 @@ class Session:
 
     def reveal_many(self, tensors: list[RingTensor], mode: str = "add") -> list[RingTensor]:
         """Open several masked tensors in one message (one round)."""
-        flats = [t.words.reshape(-1) for t in tensors]
-        mine = RingTensor(np.concatenate(flats) if len(flats) > 1 else flats[0], self.cfg)
-        theirs = self.channel.exchange(mine)
-        combined = mine + theirs if mode == "add" else mine ^ theirs
-        self.opened_words += mine.size
+        theirs = self.channel.exchange(tensors).words
+        combine = np.add if mode == "add" else np.bitwise_xor
+        # one buffer for all opened parts: a fresh array per part took about
+        # 45% more page faults per request (smallcnn, batch 256, all ReLU)
+        opened = np.empty_like(theirs)
         out, at = [], 0
         for t in tensors:
-            n = t.size
-            out.append(RingTensor(combined.words[at : at + n].reshape(t.shape), self.cfg))
-            at += n
+            part = opened[at : at + t.size]
+            combine(t.words.reshape(-1), theirs[at : at + t.size], out=part)
+            out.append(RingTensor(part.reshape(t.shape), self.cfg))
+            at += t.size
+        self.opened_words += at
         return out
 
     def reveal(self, x: ShareTensor) -> RingTensor:
@@ -173,12 +180,40 @@ def lin_combine(a: float, x: ShareTensor, y: ShareTensor) -> ShareTensor:
     return scaled + y
 
 
+def apply_product_shape(op: str, a_shape, b_shape, stride: int = 1, padding: int = 0) -> tuple:
+    """Output shape of a ring product without computing it; rejects misfit operands."""
+    if op == "elementwise":
+        try:
+            return np.broadcast_shapes(a_shape, b_shape)
+        except ValueError:
+            raise ValueError(f"elementwise shapes incompatible: {a_shape} vs {b_shape}") from None
+    if op == "matmul":
+        if len(a_shape) != 2 or len(b_shape) != 2 or a_shape[1] != b_shape[0]:
+            raise ValueError(f"matmul shapes incompatible: {a_shape} @ {b_shape}")
+        return (a_shape[0], b_shape[1])
+    if op == "conv2d":
+        b_, _, h, w = a_shape
+        oc, _, kh, kw = b_shape
+        oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
+        return (b_, oc, oh, ow)
+    raise ValueError(f"unknown product op {op!r}")
+
+
+def apply_product(op: str, a: RingTensor, b: RingTensor, stride: int = 1, padding: int = 0) -> RingTensor:
+    apply_product_shape(op, a.shape, b.shape, stride, padding)
+    if op == "elementwise":
+        return a * b
+    if op == "matmul":
+        return a.matmul(b)
+    return a.conv2d(b, stride=stride, padding=padding)
+
+
 def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *, w_scale: int | None = None,
                stride: int = 1, padding: int = 0) -> ShareTensor:
     """Multiply a share by a public ring tensor; local, zero rounds."""
     cfg = x.payload.cfg
     w_scale = cfg.frac_bits if w_scale is None else w_scale
-    raw = dl.apply_product(op, x.payload, w, stride, padding)
+    raw = apply_product(op, x.payload, w, stride, padding)
     return _rescale(ShareTensor(x.party, raw, x.scale), x.scale + w_scale)
 
 
@@ -200,32 +235,21 @@ def public_complement(x: ShareTensor) -> ShareTensor:
 # ---- interactive operations --------------------------------------------------
 
 
-def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor, triple: dl.BeaverTriple | None = None,
-               op: str = "elementwise", stride: int = 1, padding: int = 0) -> ShareTensor:
-    """Secure product via one Beaver triple; one round, opens |X|+|Y| words."""
-    if triple is None:
-        triple = sess.tape.next_beaver(op, x.shape, y.shape, stride, padding)
-    _consume(triple)
-    if triple.op != op or triple.a.shape != x.shape or triple.b.shape != y.shape:
-        raise ValueError(
-            f"triple {triple.op} {triple.a.shape}x{triple.b.shape} does not fit "
-            f"{op} {x.shape}x{y.shape}"
-        )
+def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor) -> ShareTensor:
+    """Elementwise secure product via one Beaver triple; one round, opens 2|X| words."""
+    if x.shape != y.shape:
+        raise ValueError(f"mul_beaver needs equal shapes, got {x.shape} and {y.shape}")
+    triple = _consume(sess.tape.take(dl.BeaverRequest(x.shape)))
     e, f_ = sess.reveal_many([x.payload - triple.a, y.payload - triple.b])
-    prod = lambda a, b: dl.apply_product(op, a, b, stride, padding)
-    r = prod(x.payload, f_) + prod(e, y.payload) + triple.z
+    r = x.payload * f_ + e * y.payload + triple.z
     if sess.party == 1:
-        r = r - prod(e, f_)
+        r = r - e * f_
     return _rescale(ShareTensor(sess.party, r, 0), x.scale + y.scale)
 
 
-def square(sess: Session, x: ShareTensor, pair: dl.SquarePair | None = None) -> ShareTensor:
+def square(sess: Session, x: ShareTensor) -> ShareTensor:
     """Elementwise secure square; one round, opens |X| words (half a multiply)."""
-    if pair is None:
-        pair = sess.tape.next_square(x.shape)
-    _consume(pair)
-    if pair.a.shape != x.shape:
-        raise ValueError(f"square pair shape {pair.a.shape} does not fit {x.shape}")
+    pair = _consume(sess.tape.take(dl.SquareRequest(x.shape)))
     (e,) = sess.reveal_many([x.payload - pair.a])
     r = pair.z + e * pair.a * np.uint64(2)
     if sess.party == 0:
@@ -233,11 +257,9 @@ def square(sess: Session, x: ShareTensor, pair: dl.SquarePair | None = None) -> 
     return _rescale(ShareTensor(sess.party, r, 0), 2 * x.scale)
 
 
-def and_shares(sess: Session, x: RingTensor, y: RingTensor, triple: dl.AndTriple | None = None) -> RingTensor:
+def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
     """Bitwise AND of XOR-shared words via one AND triple; one round."""
-    if triple is None:
-        triple = sess.tape.next_and(x.shape)
-    _consume(triple)
+    triple = _consume(sess.tape.take(dl.AndRequest(x.shape)))
     e, f_ = sess.reveal_many([x ^ triple.a, y ^ triple.b], mode="xor")
     z = triple.c ^ (e & triple.b) ^ (triple.a & f_)
     if sess.party == 0:
@@ -277,7 +299,7 @@ def msb(x: BinaryShareTensor) -> BinaryShareTensor:
     return BinaryShareTensor(x.party, x.payload.rshift(bits - 1))
 
 
-def b2a(sess: Session, bit: BinaryShareTensor, triple: dl.BeaverTriple | None = None) -> ShareTensor:
+def b2a(sess: Session, bit: BinaryShareTensor) -> ShareTensor:
     """Convert a 1-bit XOR sharing to an arithmetic sharing at scale 0.
 
     b0 XOR b1 = b0 + b1 - 2*b0*b1; the cross term costs one Beaver multiply.
@@ -287,7 +309,7 @@ def b2a(sess: Session, bit: BinaryShareTensor, triple: dl.BeaverTriple | None = 
     own = bit.payload
     x0 = ShareTensor(sess.party, own if sess.party == 0 else zero, 0)
     x1 = ShareTensor(sess.party, own if sess.party == 1 else zero, 0)
-    cross = mul_beaver(sess, x0, x1, triple)
+    cross = mul_beaver(sess, x0, x1)
     return ShareTensor(sess.party, own - cross.payload * np.uint64(2), 0)
 
 
@@ -306,13 +328,12 @@ def relu_secure(sess: Session, x: ShareTensor) -> ShareTensor:
     return mul_beaver(sess, public_complement(b), x)
 
 
-def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None,
-                     pair: dl.SquarePair | None = None) -> ShareTensor:
+def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTensor:
     """Evaluate the public polynomial c2*x^2 + c1*x + c0 on a share.
 
     Coefficients are numpy arrays broadcastable to x's shape (per channel or
-    per element).  Degree 2 costs one square (one round); degree 1 (c2 None
-    or all-zero) is communication free.
+    per element).  Degree 2 (c2 given, even if all zero) costs one square
+    (one round); c2 None is communication free.
 
     All terms are combined at double scale and shifted down once, so the
     result sits within 2 ULP of the fixed-point reference: one possible ULP
@@ -326,12 +347,11 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None,
         raise ValueError(f"polynomial evaluation expects scale {f}, got {x.scale}")
     c0b = np.broadcast_to(np.asarray(c0, dtype=np.float64), x.shape)
     c1b = np.broadcast_to(np.asarray(c1, dtype=np.float64), x.shape)
-    use_square = c2 is not None and np.any(np.asarray(c2) != 0)
 
     acc = x.payload * encode(c1b, cfg)  # scale 2f
-    if use_square:
+    if c2 is not None:
         c2b = np.broadcast_to(np.asarray(c2, dtype=np.float64), x.shape)
-        sq = square(sess, x, pair)  # scale f, one rescale inside
+        sq = square(sess, x)  # scale f, one rescale inside
         acc = acc + sq.payload * encode(c2b, cfg)
     if sess.party == 0:
         acc = acc + encode(c0b, cfg).lshift(f)
@@ -350,11 +370,11 @@ def a2b_requests(shape, cfg: FixedConfig) -> list:
 
 
 def ltz_requests(shape, cfg: FixedConfig) -> list:
-    return a2b_requests(shape, cfg) + [dl.BeaverRequest("elementwise", tuple(shape), tuple(shape))]
+    return a2b_requests(shape, cfg) + [dl.BeaverRequest(tuple(shape))]
 
 
 def relu_requests(shape, cfg: FixedConfig) -> list:
-    return ltz_requests(shape, cfg) + [dl.BeaverRequest("elementwise", tuple(shape), tuple(shape))]
+    return ltz_requests(shape, cfg) + [dl.BeaverRequest(tuple(shape))]
 
 
 def dapa_requests(shape, degree: int = 2) -> list:

@@ -23,7 +23,7 @@ import struct
 import time
 
 from .errors import ProtocolDesyncError, TransportError
-from .fixed import FixedConfig, RingTensor
+from .fixed import RingTensor, flat_to_bytes
 
 __all__ = [
     "Channel",
@@ -75,13 +75,13 @@ class Channel:
         self.rounds += 1
         return inbound
 
-    def exchange(self, outbound: RingTensor) -> RingTensor:
-        """Swap tensors with the peer; shapes must agree on both sides."""
-        got = RingTensor.from_bytes(self.exchange_bytes(outbound.to_bytes()), outbound.cfg)
-        if got.shape != outbound.shape:
-            raise ProtocolDesyncError(
-                f"peer sent shape {got.shape}, this party sent {outbound.shape}"
-            )
+    def exchange(self, outbound: list[RingTensor]) -> RingTensor:
+        """Send the tensors' words as one rank-1 tensor and return the peer's
+        words, a rank-1 tensor that must be as long."""
+        got = RingTensor.from_bytes(self.exchange_bytes(flat_to_bytes(outbound)), outbound[0].cfg)
+        sent = (sum(t.size for t in outbound),)
+        if got.shape != sent:
+            raise ProtocolDesyncError(f"peer sent shape {got.shape}, this party sent {sent}")
         return got
 
 

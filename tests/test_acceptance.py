@@ -239,8 +239,7 @@ def test_criterion_05_plaintext_ciphertext_equivalence():
         return out
 
     reqs = (
-        [BeaverRequest("elementwise", (n,), (n,)), SquareRequest((n,)),
-         BeaverRequest("elementwise", (n,), (n,))]
+        [BeaverRequest((n,)), SquareRequest((n,)), BeaverRequest((n,))]
         + relu_requests((n,), CFG64)
         + dapa_requests((n,), 2)
         + hybrid_requests(100, mask, CFG64, 2)
@@ -309,9 +308,9 @@ def test_criterion_06_round_and_opening_accounting():
         return stats
 
     reqs = (
-        [BeaverRequest("elementwise", (n,), (n,)), SquareRequest((n,))]
+        [BeaverRequest((n,)), SquareRequest((n,))]
         + a2b_requests((n,), CFG64)
-        + [BeaverRequest("elementwise", (n,), (n,))]
+        + [BeaverRequest((n,))]
     )
     (s, _) = two_party(fn, reqs)
 

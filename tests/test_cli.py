@@ -65,6 +65,38 @@ class TestDapaFit:
         assert run(["dapa-fit"]) == 4
 
 
+class TestIgnoredFlags:
+    """A flag that a command would silently ignore ends in a usage error."""
+
+    BASE = {
+        "gen-data": ["--out", "d.csv"],
+        "dapa-fit": ["--stats", "0,2"],
+        "export": ["--model", "m.arpm", "--out", "o.arpm"],
+        "infer-private": ["--model", "m.arpm", "--inputs", "d.csv"],
+        "bench": ["--model", "m.arpm", "--inputs", "d.csv"],
+    }
+
+    @pytest.mark.parametrize("command,flag", [
+        ("infer-private", "--fixed-bits"),
+        ("infer-private", "--frac-bits"),
+        ("infer-private", "--seed"),
+        ("bench", "--fixed-bits"),
+        ("bench", "--seed"),
+        ("export", "--seed"),
+        ("gen-data", "--fixed-bits"),
+        ("dapa-fit", "--frac-bits"),
+    ])
+    def test_usage_exit(self, command, flag, capsys):
+        from arp.cli import build_parser
+
+        base = [command, *self.BASE[command]]
+        build_parser().parse_args(base)  # the command line is valid without the flag
+        with pytest.raises(SystemExit) as exc:
+            run([*base, flag, 12])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")

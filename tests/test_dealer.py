@@ -1,4 +1,8 @@
-"""Dealer correctness: triple identities, determinism, tape format, share uniformity."""
+"""Dealer correctness: triple identities, determinism, tape format, share uniformity.
+
+The ring matmul and conv the public-weight layers use are checked here
+against big-integer oracles.
+"""
 
 import numpy as np
 import pytest
@@ -16,9 +20,17 @@ from arp.dealer import (
 )
 from arp.errors import FormatError, ProtocolDesyncError, TapeExhaustedError
 from arp.fixed import FixedConfig, RingTensor
+from arp.protocol import mul_beaver
+
+from conftest import two_party
 
 CFG = FixedConfig(64, 16)
 CFG8 = FixedConfig(8, 4)
+
+
+def rand_ring(rng, shape, cfg=CFG):
+    words = rng.integers(0, np.iinfo(np.uint64).max, endpoint=True, dtype=np.uint64, size=shape)
+    return RingTensor(words, cfg)
 
 
 def naive_conv2d(x, w, stride, padding, mod):
@@ -79,18 +91,17 @@ class TestShares:
 class TestTriples:
     def test_elementwise_identity(self):
         d = Dealer(1, CFG8)
-        t0, t1 = d.gen_triple(BeaverRequest("elementwise", (3,), (3,)))
+        t0, t1 = d.gen_triple(BeaverRequest((3,)))
         a = t0.a + t1.a
         b = t0.b + t1.b
         z = t0.z + t1.z
         assert z == a * b
 
     def test_matmul_identity_against_bigint(self):
-        d = Dealer(2, CFG)
-        t0, t1 = d.gen_triple(BeaverRequest("matmul", (2, 3), (3, 4)))
-        a = (t0.a + t1.a).words
-        b = (t0.b + t1.b).words
-        z = (t0.z + t1.z).words
+        rng = np.random.default_rng(2)
+        a, b = rand_ring(rng, (2, 3)), rand_ring(rng, (3, 4))
+        z = a.matmul(b).words
+        a, b = a.words, b.words
         assert z.shape == (2, 4)
         mod = 1 << 64
         for i in range(2):
@@ -99,19 +110,21 @@ class TestTriples:
                 assert int(z[i, j]) == expect
 
     def test_conv_identity_against_naive_oracle(self):
-        d = Dealer(3, CFG)
-        req = BeaverRequest("conv2d", (1, 1, 4, 4), (2, 1, 3, 3), stride=1, padding=1)
-        t0, t1 = d.gen_triple(req)
-        a = (t0.a + t1.a).words
-        b = (t0.b + t1.b).words
-        z = (t0.z + t1.z).words
-        expect = naive_conv2d(a, b, 1, 1, 1 << 64)
+        rng = np.random.default_rng(3)
+        a, b = rand_ring(rng, (1, 1, 4, 4)), rand_ring(rng, (2, 1, 3, 3))
+        z = a.conv2d(b, stride=1, padding=1).words
+        expect = naive_conv2d(a.words, b.words, 1, 1, 1 << 64)
         assert np.array_equal(z.astype(object), expect)
 
     def test_incompatible_shapes(self):
-        d = Dealer(4, CFG)
-        with pytest.raises(ValueError):
-            d.gen_triple(BeaverRequest("matmul", (2, 3), (4, 2)))
+        """mul_beaver rejects unequal shapes before it reads the tape."""
+
+        def fn(sess):
+            with pytest.raises(ValueError, match="equal shapes"):
+                mul_beaver(sess, sess.zeros_like((2,)), sess.zeros_like((3,)))
+            return sess.tape.remaining(), sess.channel.rounds
+
+        assert two_party(fn, [BeaverRequest((2,))]) == ((1, 0), (1, 0))
 
     def test_square_pair_property(self):
         d = Dealer(5, CFG8)
@@ -139,9 +152,9 @@ class TestTriples:
 class TestTapes:
     def _requests(self):
         return [
-            BeaverRequest("elementwise", (3,), (3,)),
-            BeaverRequest("matmul", (2, 3), (3, 2)),
-            BeaverRequest("conv2d", (1, 1, 4, 4), (1, 1, 3, 3), stride=1, padding=1),
+            BeaverRequest((3,)),
+            BeaverRequest((2, 3)),
+            BeaverRequest((1, 1, 4, 4)),
             SquareRequest((2, 2)),
             AndRequest((5,)),
         ]
@@ -167,15 +180,14 @@ class TestTapes:
     def test_reader_validation(self):
         tapes = Dealer(12, CFG).build_tapes([SquareRequest((2,))])
         rd = tapes[0].reader()
-        with pytest.raises(ProtocolDesyncError):
-            rd.next_beaver("elementwise", (2,), (2,))
-        rd = tapes[0].reader()
-        with pytest.raises(ProtocolDesyncError):
-            rd.next_square((3,))
-        rd = tapes[0].reader()
-        rd.next_square((2,))
+        with pytest.raises(ProtocolDesyncError, match="is SquarePair, expected BeaverTriple"):
+            rd.take(BeaverRequest((2,)))
+        with pytest.raises(ProtocolDesyncError, match=r"has shape \(2,\), request was \(3,\)"):
+            rd.take(SquareRequest((3,)))
+        assert rd.remaining() == 1
+        assert rd.take(SquareRequest((2,))) is tapes[0].records[0]
         with pytest.raises(TapeExhaustedError):
-            rd.next_square((2,))
+            rd.take(SquareRequest((2,)))
 
     def test_bad_magic(self):
         raw = tape_to_bytes(Dealer(13, CFG).build_tapes([AndRequest((1,))])[0])
@@ -185,12 +197,18 @@ class TestTapes:
             tape_from_bytes(raw[:-2])
 
     def test_misfit_beaver_shapes_are_format_errors(self):
-        from arp.dealer import BeaverTriple, Tape
-
-        ring = lambda shape: RingTensor(np.zeros(shape, dtype=np.uint64), CFG)
-        bad = BeaverTriple(0, "matmul", ring((2, 3)), ring((4, 5)), ring((2, 5)))
-        with pytest.raises(FormatError, match="beaver record shapes"):
-            tape_from_bytes(tape_to_bytes(Tape(0, CFG, [bad])))
+        """Beaver records keep the version-1 head (op 0, stride 1, padding 0)
+        and two equal shapes; any other head or unequal shapes are refused."""
+        raw = tape_to_bytes(Dealer(14, CFG).build_tapes([BeaverRequest((2,))])[0])
+        at = 4 + 11  # magic, then the header fields
+        dim2 = (2).to_bytes(4, "little")
+        assert raw[at : at + 14] == bytes([1, 0, 1, 0, 1]) + dim2 + bytes([1]) + dim2
+        for head in ([1, 1, 0], [0, 2, 0], [0, 1, 1]):
+            with pytest.raises(FormatError, match="descriptor"):
+                tape_from_bytes(raw[: at + 1] + bytes(head) + raw[at + 4 :])
+        unequal = raw[: at + 9] + bytes([1]) + (3).to_bytes(4, "little") + raw[at + 14 :]
+        with pytest.raises(FormatError, match="shapes"):
+            tape_from_bytes(unequal)
 
 
 class TestTapeBuffers:
@@ -199,7 +217,7 @@ class TestTapeBuffers:
     @pytest.mark.parametrize("bits", [24, 32])
     def test_narrow_ring_tapes_round_trip(self, bits):
         cfg = FixedConfig(bits, 8)
-        reqs = [BeaverRequest("matmul", (2, 3), (3, 2)), SquareRequest((4,)), AndRequest((5,))]
+        reqs = [BeaverRequest((2, 3)), SquareRequest((4,)), AndRequest((5,))]
         for tape in Dealer(5, cfg).build_tapes(reqs):
             raw = tape_to_bytes(tape)
             loaded = tape_from_bytes(raw)
@@ -207,7 +225,7 @@ class TestTapeBuffers:
             assert loaded.records[0].z == tape.records[0].z
 
     def test_loaded_records_are_read_only(self):
-        reqs = [BeaverRequest("elementwise", (3,), (3,)), SquareRequest((2,)), AndRequest((4,))]
+        reqs = [BeaverRequest((3,)), SquareRequest((2,)), AndRequest((4,))]
         loaded = tape_from_bytes(tape_to_bytes(Dealer(6, CFG).build_tapes(reqs)[0]))
         arrays = [v.words for rec in loaded.records for v in vars(rec).values()
                   if isinstance(v, RingTensor)]

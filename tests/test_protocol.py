@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from arp.dealer import AndRequest, BeaverRequest, Dealer, SquareRequest
-from arp.errors import TripleReuseError
+from arp.errors import ProtocolDesyncError, TripleReuseError
 from arp.fixed import FixedConfig, RingTensor, decode, encode, truncate
 from arp.protocol import (
     BinaryShareTensor,
@@ -151,7 +151,7 @@ class TestMulBeaver:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [BeaverRequest("elementwise", (1,), (1,))])
+        (r, _) = two_party(fn, [BeaverRequest((1,))])
         assert abs(r[0] - 6.0) <= ULP
 
     def test_annihilation(self):
@@ -162,7 +162,7 @@ class TestMulBeaver:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [BeaverRequest("elementwise", (2,), (2,))])
+        (r, _) = two_party(fn, [BeaverRequest((2,))])
         assert np.max(np.abs(r)) <= ULP
 
     def test_random_against_reference(self):
@@ -175,49 +175,21 @@ class TestMulBeaver:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [BeaverRequest("elementwise", (2000,), (2000,))])
+        (r, _) = two_party(fn, [BeaverRequest((2000,))])
         assert np.max(np.abs(r - ref_mul(x, y))) <= ULP
-
-    def test_matmul(self):
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-2, 2, size=(4, 3))
-        y = rng.uniform(-2, 2, size=(3, 5))
-        xs, ys = share_reals(x), share_reals(y, seed=2)
-
-        def fn(sess):
-            out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys), op="matmul")
-            return decode(sess.reveal(out))
-
-        (r, _) = two_party(fn, [BeaverRequest("matmul", (4, 3), (3, 5))])
-        assert np.max(np.abs(r - x @ y)) <= 4 * ULP
-
-    def test_conv(self):
-        rng = np.random.default_rng(10)
-        x = rng.uniform(-1, 1, size=(2, 1, 4, 4))
-        y = rng.uniform(-1, 1, size=(2, 1, 3, 3))
-        xs, ys = share_reals(x), share_reals(y, seed=2)
-        req = BeaverRequest("conv2d", x.shape, y.shape, stride=1, padding=1)
-
-        def fn(sess):
-            out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys),
-                             op="conv2d", stride=1, padding=1)
-            return decode(sess.reveal(out))
-
-        (r, _) = two_party(fn, [req])
-        from arp.im2col import conv2d_forward
-
-        assert np.max(np.abs(r - conv2d_forward(x, y, 1, 1))) <= 10 * ULP
 
     def test_triple_reuse_is_hard_error(self):
         xs = share_reals(np.array([1.0]))
-        tapes = Dealer(5, CFG64).build_tapes([BeaverRequest("elementwise", (1,), (1,))])
+        tapes = Dealer(5, CFG64).build_tapes([BeaverRequest((1,))])
+        for tape in tapes:  # a faulty tape that holds one record twice
+            tape.records.append(tape.records[0])
 
         def fn(sess):
-            tr = (tapes[0] if sess.party == 0 else tapes[1]).records[0]
+            sess.tape = tapes[sess.party].reader()
             xt = as_share(sess, xs)
-            mul_beaver(sess, xt, xt, triple=tr)
+            mul_beaver(sess, xt, xt)
             with pytest.raises(TripleReuseError):
-                mul_beaver(sess, xt, xt, triple=tr)
+                mul_beaver(sess, xt, xt)
             return True
 
         ok0, ok1 = two_party(fn)
@@ -225,17 +197,14 @@ class TestMulBeaver:
 
     def test_triple_shape_mismatch(self):
         xs = share_reals(np.array([1.0, 2.0]))
-        tapes = Dealer(6, CFG64).build_tapes([BeaverRequest("elementwise", (3,), (3,))])
 
         def fn(sess):
-            tr = (tapes[0] if sess.party == 0 else tapes[1]).records[0]
             xt = as_share(sess, xs)
-            with pytest.raises(ValueError):
-                mul_beaver(sess, xt, xt, triple=tr)
-            return True
+            with pytest.raises(ProtocolDesyncError, match="request was"):
+                mul_beaver(sess, xt, xt)
+            return sess.channel.rounds
 
-        ok0, ok1 = two_party(fn)
-        assert ok0 and ok1
+        assert two_party(fn, [BeaverRequest((3,))]) == (0, 0)
 
 
 class TestSquare:
@@ -266,7 +235,7 @@ class TestSquare:
         n = 64
         x = np.linspace(-5, 5, n)
         xs = share_reals(x)
-        reqs = [BeaverRequest("elementwise", (n,), (n,)), SquareRequest((n,))]
+        reqs = [BeaverRequest((n,)), SquareRequest((n,))]
 
         def fn(sess):
             xt = as_share(sess, xs)
@@ -332,7 +301,7 @@ class TestB2A:
             out = b2a(sess, bit)
             return sess.reveal(out).words
 
-        (vals, _) = two_party(fn, [BeaverRequest("elementwise", (n,), (n,))])
+        (vals, _) = two_party(fn, [BeaverRequest((n,))])
         return vals
 
     def test_examples(self):
@@ -518,9 +487,9 @@ class TestAccounting:
             return counts
 
         reqs = (
-            [BeaverRequest("elementwise", (2,), (2,)), SquareRequest((2,))]
+            [BeaverRequest((2,)), SquareRequest((2,))]
             + a2b_requests((2,), CFG64)
-            + [BeaverRequest("elementwise", (2,), (2,))]
+            + [BeaverRequest((2,))]
         )
         (c, _) = two_party(fn, reqs)
         assert c["local"] == 0

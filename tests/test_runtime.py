@@ -154,6 +154,17 @@ class TestPlanning:
         assert error_budget_ulp(base) > 0
         assert error_budget_ulp(replaced) > 0
 
+    def test_zero_square_coefficient_still_squares(self):
+        """A degree-2 layer whose c2 is all zero (a fitted dead channel gives
+        c2 = 0 exactly) still consumes the square its plan requested."""
+        model = build_model("mlp", 0)
+        model.hybrid_layers()[0].indicator.m[:32] = 0  # identity coefficients: c2 = 0
+        x, _ = two_spirals(16, seed=1)
+        # _run_party raises if records are left over; reaching a report proves none are
+        rep0, rep1 = private_inference_memory(model, CFG, x, 7, 11)
+        assert rep0.agreement == rep1.agreement == 1.0
+        assert rep0.phases["polynomial"]["rounds"] == 1
+
     def test_rejects_unknown_layer(self):
         class Weird:
             def params(self):

@@ -27,8 +27,8 @@ class TestExchange:
     def test_swap(self):
         ch0, ch1 = memory_channel_pair()
         r0, r1 = run_both(
-            lambda: ch0.exchange(tensor([1, 2])),
-            lambda: ch1.exchange(tensor([3, 4])),
+            lambda: ch0.exchange([tensor([1, 2])]),
+            lambda: ch1.exchange([tensor([3, 4])]),
         )
         assert r0.words.tolist() == [3, 4]
         assert r1.words.tolist() == [1, 2]
@@ -37,8 +37,8 @@ class TestExchange:
         # 4-byte length prefix + 8-byte shape header + 32 bytes payload
         ch0, ch1 = memory_channel_pair()
         run_both(
-            lambda: ch0.exchange(tensor([1, 2, 3, 4])),
-            lambda: ch1.exchange(tensor([5, 6, 7, 8])),
+            lambda: ch0.exchange([tensor([1, 2, 3, 4])]),
+            lambda: ch1.exchange([tensor([5, 6, 7, 8])]),
         )
         for ch in (ch0, ch1):
             assert ch.bytes_sent == 44
@@ -49,21 +49,36 @@ class TestExchange:
         ch0, ch1 = memory_channel_pair()
         with pytest.raises(ProtocolDesyncError):
             run_both(
-                lambda: ch0.exchange(tensor([1, 2])),
-                lambda: ch1.exchange(tensor([1, 2, 3])),
+                lambda: ch0.exchange([tensor([1, 2])]),
+                lambda: ch1.exchange([tensor([1, 2, 3])]),
             )
+
+    def test_multi_part_exchange_is_one_flat_frame(self):
+        """Several tensors travel as the frame of their concatenated words."""
+        parts = [tensor([1, 2, 3]), RingTensor(np.arange(4, dtype=np.uint64).reshape(2, 2), CFG)]
+        flat = tensor([1, 2, 3, 0, 1, 2, 3])
+        peer = tensor(range(10, 17))
+        ch0, ch1 = memory_channel_pair()
+        mine, seen_by_peer = run_both(lambda: ch0.exchange(parts),
+                                      lambda: ch1.exchange_bytes(peer.to_bytes()))
+        assert bytes(seen_by_peer) == flat.to_bytes()
+        assert mine.shape == (7,) and mine == peer
+        ref0, ref1 = memory_channel_pair()
+        run_both(lambda: ref0.exchange([flat]), lambda: ref1.exchange([peer]))
+        assert ch0.transcript_hash == ref0.transcript_hash
+        assert ch0.bytes_sent == ref0.bytes_sent == 4 + 8 + 7 * 8
 
     def test_timeout(self):
         ch0, _ = memory_channel_pair(timeout=0.05)
         with pytest.raises(TransportError):
-            ch0.exchange(tensor([1]))
+            ch0.exchange([tensor([1])])
 
     def test_rounds_monotone(self):
         ch0, ch1 = memory_channel_pair()
         for k in range(5):
             run_both(
-                lambda: ch0.exchange(tensor([k])),
-                lambda: ch1.exchange(tensor([k])),
+                lambda: ch0.exchange([tensor([k])]),
+                lambda: ch1.exchange([tensor([k])]),
             )
         assert ch0.rounds == ch1.rounds == 5
 
@@ -72,7 +87,7 @@ class TestTcpBackend:
     def _run_script(self, ch, values):
         out = []
         for v in values:
-            out.append(ch.exchange(tensor(v)).words.tolist())
+            out.append(ch.exchange([tensor(v)]).words.tolist())
         return out, ch.transcript_hash, ch.bytes_sent
 
     def test_transcript_matches_memory(self):
@@ -115,13 +130,13 @@ class TestTcpBackend:
 
         def p0():
             ch = tcp_listen("127.0.0.1", port, timeout=15)
-            got = ch.exchange(RingTensor(big, CFG))
+            got = ch.exchange([RingTensor(big, CFG)])
             ch.close()
             return got
 
         def p1():
             ch = tcp_connect("127.0.0.1", port, timeout=15)
-            got = ch.exchange(RingTensor(big + np.uint64(1), CFG))
+            got = ch.exchange([RingTensor(big + np.uint64(1), CFG)])
             ch.close()
             return got
 
@@ -231,7 +246,7 @@ class TestTcpLoop:
 
         ch1, ch0 = run_both(lambda: tcp_connect("127.0.0.1", port, timeout=5), late_listener)
         try:
-            r1, r0 = run_both(lambda: ch1.exchange(tensor([1])), lambda: ch0.exchange(tensor([2])))
+            r1, r0 = run_both(lambda: ch1.exchange([tensor([1])]), lambda: ch0.exchange([tensor([2])]))
         finally:
             ch0.close()
             ch1.close()
