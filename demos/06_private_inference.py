@@ -41,7 +41,11 @@ print(f"  classification agreement with plaintext: {report.agreement:.4f}")
 print(f"  max logit deviation: {report.max_dev_ulp:.2f} ULP "
       f"(declared budget {report.budget_ulp} ULP)")
 print(f"  transcript: {report.transcript_hash[:16]}...\n")
-print(report.phases_to_csv())
+print(f"{'phase':<12}{'bytes sent':>12}{'rounds':>8}{'opened words':>14}{'seconds':>10}")
+for phase, row in [*report.phases.items(), ("total", report.totals)]:
+    print(f"{phase:<12}{row['bytes_sent']:>12}{row['rounds']:>8}{row['opened_words']:>14}"
+          f"{row['seconds']:>10.4f}")
+print()
 
 # the all-ReLU baseline pays double in the comparison phase
 base_model, base_cfg, _ = deserialize_model(serialize_model(baseline, cfg, seed=0))

@@ -25,7 +25,6 @@ from .replace import (
 from .runtime import (
     InferenceReport,
     SecureEvaluator,
-    bench,
     private_inference_memory,
     private_inference_tcp,
 )

@@ -1,4 +1,4 @@
-"""Command-line surface: gen-data, train-replace, dapa-fit, export, infer-private, bench.
+"""Command-line surface: gen-data, train-replace, dapa-fit, export, infer-private.
 
 Shared flags, accepted only by the commands that read them: --seed
 (gen-data, train-replace, dapa-fit; the ARP_SEED env var wins) and
@@ -6,12 +6,15 @@ Shared flags, accepted only by the commands that read them: --seed
 --party with --listen/--connect for the TCP roles.  Exit codes: 0 success,
 2 protocol desync or a usage error (such as a flag the command does not
 take), 3 tape exhaustion, 4 I/O or format error, 5 peer or transport error
-(no peer within --timeout, connection refused or lost).
+(no peer within --timeout, connection refused or lost), 6 private logits
+outside the declared error budget (the run completed; its summary and
+--report are still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -25,12 +28,13 @@ from .fixed import FixedConfig
 from .model_io import load_model, save_model
 from .nn import build_model
 from .replace import ReplacementConfig, train_replace, train_supervised, evaluate
-from .runtime import bench, private_inference_memory, private_inference_tcp
+from .runtime import private_inference_memory, private_inference_tcp
 
 EXIT_DESYNC = 2
 EXIT_TAPE = 3
 EXIT_FORMAT = 4
 EXIT_TRANSPORT = 5
+EXIT_BUDGET = 6
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -174,23 +178,11 @@ def cmd_infer_private(args) -> int:
           f"bytes={rep.totals['bytes_sent']} transcript={rep.transcript_hash[:16]}{extra}")
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(rep.to_csv())
-    if args.phases:
-        with open(args.phases, "w") as fh:
-            fh.write(rep.phases_to_csv())
-    return 0
-
-
-def cmd_bench(args) -> int:
-    model, cfg, _ = load_model(args.model)
-    x, _ = _load_inputs(args.inputs, None)
-    sizes = [int(s) for s in args.batch_sizes.split(",")]
-    text = bench(model, cfg, x, sizes, args.dealer_seed, args.input_seed)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            json.dump(rep.to_json(), fh)
+    if not rep.within_budget:
+        print(f"logits outside the declared error budget: max_dev_ulp={rep.max_dev_ulp:.3f} "
+              f"> budget_ulp={rep.budget_ulp}", file=sys.stderr)
+        return EXIT_BUDGET
     return 0
 
 
@@ -247,18 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dealer-seed", type=int, default=7)
     p.add_argument("--input-seed", type=int, default=11)
     p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--report", help="per-example csv to write")
-    p.add_argument("--phases", help="phase accounting csv to write")
+    p.add_argument("--report", help="JSON run report to write")
     p.set_defaults(fn=cmd_infer_private)
-
-    p = sub.add_parser("bench", help="bytes/rounds per phase across batch sizes")
-    p.add_argument("--model", required=True)
-    p.add_argument("--inputs", required=True)
-    p.add_argument("--batch-sizes", default="1,8,32")
-    p.add_argument("--dealer-seed", type=int, default=7)
-    p.add_argument("--input-seed", type=int, default=11)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_bench)
 
     return ap
 

@@ -18,6 +18,7 @@ Tape file layout (little-endian throughout):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -275,8 +276,7 @@ def tape_from_bytes(buf) -> Tape:
     nb = cfg.word_bytes
 
     def words(shape) -> RingTensor:
-        n = int(np.prod(shape, dtype=np.int64)) if len(shape) else 1
-        return unpack_words(cur.take(n * nb), shape, cfg)
+        return unpack_words(cur.take(math.prod(shape) * nb), shape, cfg)
 
     records = []
     for _ in range(count):

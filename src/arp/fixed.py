@@ -8,6 +8,7 @@ zero.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -243,7 +244,7 @@ def pack_words(r: RingTensor):
 
 def unpack_words(buf, shape, cfg: FixedConfig) -> RingTensor:
     """Inverse of pack_words for a known shape; 8-byte words are not copied."""
-    count = int(np.prod(shape, dtype=np.int64)) if len(shape) else 1
+    count = math.prod(shape)
     nb = cfg.word_bytes
     if len(buf) != count * nb:
         raise FormatError(f"expected {count * nb} payload bytes, got {len(buf)}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -43,7 +44,7 @@ def _pack_array(arr: np.ndarray, tag: int) -> bytes:
 def _read_array(cur: _Cursor) -> np.ndarray:
     (tag,) = cur.unpack("<B")
     dims = cur.shape()
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    count = math.prod(dims)
     if tag == _F64:
         return np.frombuffer(cur.take(count * 8), dtype="<f8").reshape(dims).astype(np.float64)
     if tag == _U8:

@@ -24,6 +24,8 @@ decoded magnitude |v| held at scale 2f (e.g. 1.2% at L=32, f=12, |v|=3).
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +33,10 @@ import numpy as np
 from . import dealer as dl
 from .errors import TripleReuseError
 from .fixed import FixedConfig, RingTensor, encode, truncate
-from .im2col import conv_out_hw
 from .transport import Channel
 
 __all__ = [
+    "PHASES",
     "ShareTensor",
     "BinaryShareTensor",
     "Session",
@@ -107,8 +109,18 @@ class BinaryShareTensor:
         return self.payload.shape
 
 
+PHASES = ("dealer", "linear", "comparison", "polynomial")
+
+
 class Session:
-    """One party's view of a protocol run: channel, tape, and counters."""
+    """One party's view of a protocol run: channel, tape, and counters.
+
+    Phase accounting: `phases` holds one row per phase of bytes sent and
+    received, rounds, opened words and seconds.  "dealer" covers tape
+    generation (setup), "linear" covers public-weight layers, pooling and
+    the final logit opening, "comparison" covers secure ReLU (including its
+    multiply), "polynomial" covers the secure polynomial path.
+    """
 
     def __init__(self, party: int, cfg: FixedConfig, channel: Channel, tape: dl.TapeReader | None = None):
         if party not in (0, 1):
@@ -118,6 +130,21 @@ class Session:
         self.channel = channel
         self.tape = tape
         self.opened_words = 0
+        self.phases = {p: dict(bytes_sent=0, bytes_received=0, rounds=0, opened_words=0, seconds=0.0)
+                       for p in PHASES}
+
+    @contextmanager
+    def measure(self, phase: str):
+        """Charge the traffic, openings and time inside the block to `phase`."""
+        ch = self.channel
+        before = (ch.bytes_sent, ch.bytes_received, ch.rounds, self.opened_words, time.perf_counter())
+        yield
+        row = self.phases[phase]
+        row["bytes_sent"] += ch.bytes_sent - before[0]
+        row["bytes_received"] += ch.bytes_received - before[1]
+        row["rounds"] += ch.rounds - before[2]
+        row["opened_words"] += self.opened_words - before[3]
+        row["seconds"] += time.perf_counter() - before[4]
 
     # -- share plumbing ---------------------------------------------------
 
@@ -180,41 +207,18 @@ def lin_combine(a: float, x: ShareTensor, y: ShareTensor) -> ShareTensor:
     return scaled + y
 
 
-def apply_product_shape(op: str, a_shape, b_shape, stride: int = 1, padding: int = 0) -> tuple:
-    """Output shape of a ring product without computing it; rejects misfit operands."""
-    if op == "elementwise":
-        try:
-            return np.broadcast_shapes(a_shape, b_shape)
-        except ValueError:
-            raise ValueError(f"elementwise shapes incompatible: {a_shape} vs {b_shape}") from None
-    if op == "matmul":
-        if len(a_shape) != 2 or len(b_shape) != 2 or a_shape[1] != b_shape[0]:
-            raise ValueError(f"matmul shapes incompatible: {a_shape} @ {b_shape}")
-        return (a_shape[0], b_shape[1])
-    if op == "conv2d":
-        b_, _, h, w = a_shape
-        oc, _, kh, kw = b_shape
-        oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
-        return (b_, oc, oh, ow)
-    raise ValueError(f"unknown product op {op!r}")
-
-
-def apply_product(op: str, a: RingTensor, b: RingTensor, stride: int = 1, padding: int = 0) -> RingTensor:
-    apply_product_shape(op, a.shape, b.shape, stride, padding)
-    if op == "elementwise":
-        return a * b
-    if op == "matmul":
-        return a.matmul(b)
-    return a.conv2d(b, stride=stride, padding=padding)
-
-
-def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *, w_scale: int | None = None,
+def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *,
                stride: int = 1, padding: int = 0) -> ShareTensor:
-    """Multiply a share by a public ring tensor; local, zero rounds."""
-    cfg = x.payload.cfg
-    w_scale = cfg.frac_bits if w_scale is None else w_scale
-    raw = apply_product(op, x.payload, w, stride, padding)
-    return _rescale(ShareTensor(x.party, raw, x.scale), x.scale + w_scale)
+    """Multiply a share by a public ring tensor at scale f; local, zero rounds."""
+    if op == "elementwise":
+        raw = x.payload * w
+    elif op == "matmul":
+        raw = x.payload.matmul(w)
+    elif op == "conv2d":
+        raw = x.payload.conv2d(w, stride=stride, padding=padding)
+    else:
+        raise ValueError(f"unknown product op {op!r}")
+    return _rescale(ShareTensor(x.party, raw, x.scale), x.scale + x.payload.cfg.frac_bits)
 
 
 def add_public(x: ShareTensor, c: RingTensor) -> ShareTensor:

@@ -1,28 +1,25 @@
-"""Two-party inference orchestration: planning, evaluation, reports, bench.
+"""Two-party inference orchestration: planning, evaluation, the run report.
 
 The client is simulated in-process: it encodes the input batch, splits
 shares from a seed, and both parties derive the same dealer tapes from
 another seed, so in-memory and TCP runs of the same seeds produce
-byte-identical transcripts.
-
-Phase accounting: "dealer" covers tape generation (setup), "linear" covers
-public-weight layers, pooling and the final logit opening, "comparison"
-covers secure ReLU (including its multiply), "polynomial" covers the secure
-polynomial path.
+byte-identical transcripts.  Per-phase cost accounting lives on the
+protocol `Session` (see its docstring).
 
 The declared logit error budget is a worst-case ULP propagation: encode
 contributes half an ULP, each truncating op up to two ULPs, linear layers
 amplify by their max absolute input-weight sum, and the polynomial path by
 |c1| + 2|c2|*R with R = 8 decoded units of assumed activation range.
-Observed deviations sit far below it (the bound multiplies worst cases that
-cannot align); private logits are asserted against it in the acceptance
-suite alongside the much tighter classification-agreement check.
+At L=64, f=16 observed deviations sit far below it (the bound multiplies
+worst cases that cannot align); private logits are asserted against it in
+the acceptance suite alongside the much tighter classification-agreement
+check.  Smaller rings can break it through truncation wrap faults (see
+`protocol`); the CLI flags such a run and exits non-zero.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from threading import Thread
 
@@ -45,7 +42,6 @@ from .replace import HybridActivation
 from .transport import memory_channel_pair, tcp_connect, tcp_listen
 
 __all__ = [
-    "PhaseMeter",
     "InferenceReport",
     "SecureEvaluator",
     "hybrid_activation_secure",
@@ -53,45 +49,19 @@ __all__ = [
     "run_both",
     "private_inference_memory",
     "private_inference_tcp",
-    "bench",
 ]
 
-PHASES = ("dealer", "linear", "comparison", "polynomial")
 POLY_RANGE = 8.0  # assumed |activation| bound feeding the budget heuristic
 
 
-class PhaseMeter:
-    def __init__(self, sess: Session):
-        self.sess = sess
-        self.rows = {p: dict(bytes_sent=0, bytes_received=0, rounds=0, opened_words=0, seconds=0.0)
-                     for p in PHASES}
-
-    @contextmanager
-    def measure(self, phase: str):
-        ch, sess = self.sess.channel, self.sess
-        before = (ch.bytes_sent, ch.bytes_received, ch.rounds, sess.opened_words, time.perf_counter())
-        yield
-        row = self.rows[phase]
-        row["bytes_sent"] += ch.bytes_sent - before[0]
-        row["bytes_received"] += ch.bytes_received - before[1]
-        row["rounds"] += ch.rounds - before[2]
-        row["opened_words"] += sess.opened_words - before[3]
-        row["seconds"] += time.perf_counter() - before[4]
-
-    def add_setup_seconds(self, seconds: float) -> None:
-        self.rows["dealer"]["seconds"] += seconds
-
-
-def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0, c1, c2=None,
-                             meter: PhaseMeter | None = None) -> ShareTensor:
+def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0, c1, c2=None) -> ShareTensor:
     """Route masked elements through secure ReLU, the rest through the polynomial.
 
     `mask` has the per-element activation shape (x's shape without the
     leading batch axis); coefficient arrays are broadcastable to that same
     shape.  Kept elements are gathered into a single batched comparison,
-    charged to the meter's "comparison" phase; the rest go to "polynomial".
+    charged to the session's "comparison" phase; the rest go to "polynomial".
     """
-    meter = meter or PhaseMeter(sess)
     batch, feat_shape = x.shape[0], x.shape[1:]
     m = np.asarray(mask)
     if m.shape != feat_shape:
@@ -102,11 +72,11 @@ def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0
     words = x.payload.words.reshape(batch, -1)
     out = np.empty_like(words)
     if relu_idx.size:
-        with meter.measure("comparison"):
+        with sess.measure("comparison"):
             xr = sess.share_of(words[:, relu_idx], x.scale)
             out[:, relu_idx] = relu_secure(sess, xr).payload.words
     if poly_idx.size:
-        with meter.measure("polynomial"):
+        with sess.measure("polynomial"):
             sel = lambda c: np.broadcast_to(np.asarray(c, dtype=np.float64), feat_shape).reshape(-1)[poly_idx]
             xp = sess.share_of(words[:, poly_idx], x.scale)
             c2p = sel(c2) if c2 is not None else None
@@ -139,21 +109,20 @@ class SecureEvaluator:
 
     # -- evaluation ----------------------------------------------------------
 
-    def run(self, sess: Session, x: ShareTensor, meter: PhaseMeter | None = None) -> ShareTensor:
-        meter = meter or PhaseMeter(sess)
+    def run(self, sess: Session, x: ShareTensor) -> ShareTensor:
         cfg = self.cfg
         for layer in self.model.layers:
             if isinstance(layer, Dense):
-                with meter.measure("linear"):
+                with sess.measure("linear"):
                     x = mul_public(x, encode(layer.w.value, cfg), "matmul")
                     x = add_public(x, encode(layer.b.value, cfg))
             elif isinstance(layer, Conv2d):
-                with meter.measure("linear"):
+                with sess.measure("linear"):
                     x = mul_public(x, encode(layer.w.value, cfg), "conv2d",
                                    stride=layer.stride, padding=layer.padding)
                     x = add_public(x, encode(layer.b.value.reshape(-1, 1, 1), cfg))
             elif isinstance(layer, AvgPool2d):
-                with meter.measure("linear"):
+                with sess.measure("linear"):
                     k = layer.k
                     b, c, h, w = x.shape
                     summed = x.payload.words.reshape(b, c, h // k, k, w // k, k).sum(
@@ -166,7 +135,7 @@ class SecureEvaluator:
             elif isinstance(layer, HybridActivation):
                 c2 = layer.term(2) if layer.degree >= 2 else None
                 x = hybrid_activation_secure(sess, x, layer.indicator.m, layer.term(0),
-                                             layer.term(1), c2, meter)
+                                             layer.term(1), c2)
         return x
 
 
@@ -219,38 +188,32 @@ class InferenceReport:
     def max_dev_ulp(self) -> float:
         return float(np.max(np.abs(self.plain_logits - self.private_logits)) / self.cfg.resolution)
 
-    def to_csv(self) -> str:
-        lines = [
-            f"# arp inference report v1 party={self.party} L={self.cfg.total_bits} "
-            f"f={self.cfg.frac_bits} budget_ulp={self.budget_ulp} "
-            f"agreement={self.agreement:.6f} max_dev_ulp={self.max_dev_ulp:.3f} "
-            f"transcript={self.transcript_hash} dealer_seed={self.dealer_seed} "
-            f"input_seed={self.input_seed}",
-            "example,plain_class,private_class,agree,max_dev_ulp",
-        ]
-        plain_cls = np.argmax(self.plain_logits, axis=1)
-        priv_cls = np.argmax(self.private_logits, axis=1)
-        dev = np.max(np.abs(self.plain_logits - self.private_logits), axis=1) / self.cfg.resolution
-        for i in range(len(plain_cls)):
-            lines.append(
-                f"{i},{plain_cls[i]},{priv_cls[i]},{int(plain_cls[i] == priv_cls[i])},{dev[i]:.3f}"
-            )
-        return "\n".join(lines) + "\n"
+    @property
+    def within_budget(self) -> bool:
+        return self.max_dev_ulp <= self.budget_ulp
 
-    def phases_to_csv(self) -> str:
-        lines = ["phase,bytes_sent,bytes_received,rounds,opened_words,seconds"]
-        for name in PHASES:
-            r = self.phases[name]
-            lines.append(
-                f"{name},{r['bytes_sent']},{r['bytes_received']},{r['rounds']},"
-                f"{r['opened_words']},{r['seconds']:.6f}"
-            )
-        t = self.totals
-        lines.append(
-            f"total,{t['bytes_sent']},{t['bytes_received']},{t['rounds']},"
-            f"{t['opened_words']},{t['seconds']:.6f}"
-        )
-        return "\n".join(lines) + "\n"
+    def to_json(self) -> dict:
+        """The run as plain JSON types: header, phase rows and totals, per-example results."""
+        dev = np.max(np.abs(self.plain_logits - self.private_logits), axis=1) / self.cfg.resolution
+        return {
+            "party": self.party,
+            "L": self.cfg.total_bits,
+            "f": self.cfg.frac_bits,
+            "budget_ulp": self.budget_ulp,
+            "agreement": self.agreement,
+            "max_dev_ulp": self.max_dev_ulp,
+            "within_budget": self.within_budget,
+            "transcript": self.transcript_hash,
+            "dealer_seed": self.dealer_seed,
+            "input_seed": self.input_seed,
+            "phases": self.phases,
+            "totals": self.totals,
+            "examples": {
+                "plain_class": np.argmax(self.plain_logits, axis=1).tolist(),
+                "private_class": np.argmax(self.private_logits, axis=1).tolist(),
+                "max_dev_ulp": dev.tolist(),
+            },
+        }
 
 
 def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, inputs: np.ndarray,
@@ -265,11 +228,10 @@ def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, inputs:
     setup_seconds = time.perf_counter() - t0
 
     sess = Session(party, cfg, channel, tape.reader())
-    meter = PhaseMeter(sess)
-    meter.add_setup_seconds(setup_seconds)
+    sess.phases["dealer"]["seconds"] += setup_seconds
     x = ShareTensor(party, my_input_share, cfg.frac_bits)
-    logits_share = evaluator.run(sess, x, meter)
-    with meter.measure("linear"):
+    logits_share = evaluator.run(sess, x)
+    with sess.measure("linear"):
         logits = decode(sess.reveal(logits_share), cfg)
     if sess.tape.remaining():
         raise ArpError(f"{sess.tape.remaining()} unused tape records after evaluation")
@@ -280,7 +242,7 @@ def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, inputs:
         cfg=cfg,
         plain_logits=plain,
         private_logits=logits,
-        phases=meter.rows,
+        phases=sess.phases,
         budget_ulp=error_budget_ulp(model),
         transcript_hash=channel.transcript_hash,
         dealer_seed=dealer_seed,
@@ -334,18 +296,3 @@ def private_inference_tcp(model: Sequential, cfg: FixedConfig, inputs: np.ndarra
     finally:
         channel.close()
 
-
-def bench(model: Sequential, cfg: FixedConfig, inputs: np.ndarray, batch_sizes,
-          dealer_seed: int = 7, input_seed: int = 11) -> str:
-    """Deterministic bytes/rounds per phase across batch sizes, as CSV."""
-    lines = ["batch,phase,bytes_sent,rounds,opened_words,seconds"]
-    for bs in batch_sizes:
-        if bs > len(inputs):
-            raise ValueError(f"batch size {bs} exceeds {len(inputs)} available inputs")
-        rep, _ = private_inference_memory(model, cfg, inputs[:bs], dealer_seed, input_seed)
-        for name in PHASES:
-            r = rep.phases[name]
-            lines.append(
-                f"{bs},{name},{r['bytes_sent']},{r['rounds']},{r['opened_words']},{r['seconds']:.6f}"
-            )
-    return "\n".join(lines) + "\n"

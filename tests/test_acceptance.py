@@ -5,6 +5,7 @@ stdout so they are visible regardless of capture settings.
 """
 
 import copy
+import json
 import math
 import subprocess
 import sys
@@ -455,27 +456,24 @@ def test_criterion_10_private_inference_tcp(baseline, replaced_half, tmp_path):
               "--model", str(model_path), "--inputs", str(data_path),
               "--mode", "tcp", "--dealer-seed", "7", "--input-seed", "11"]
     p0 = subprocess.Popen(common + ["--party", "0", "--listen", f"127.0.0.1:{port}",
-                                    "--report", str(tmp_path / "r0.csv"),
-                                    "--phases", str(tmp_path / "p0.csv")],
+                                    "--report", str(tmp_path / "r0.json")],
                           stdout=subprocess.PIPE, text=True)
     p1 = subprocess.Popen(common + ["--party", "1", "--connect", f"127.0.0.1:{port}",
-                                    "--report", str(tmp_path / "r1.csv"),
-                                    "--phases", str(tmp_path / "p1.csv")],
+                                    "--report", str(tmp_path / "r1.json")],
                           stdout=subprocess.PIPE, text=True)
     out0, _ = p0.communicate(timeout=180)
     out1, _ = p1.communicate(timeout=180)
     assert p0.returncode == 0 and p1.returncode == 0, (out0, out1)
 
-    def header_field(path, key):
-        head = (tmp_path / path).read_text().splitlines()[0]
-        return dict(kv.split("=") for kv in head.lstrip("# ").split() if "=" in kv)[key]
+    def report_field(path, key):
+        return json.loads((tmp_path / path).read_text())[key]
 
     model_loaded, cfg_loaded, _ = deserialize_model(model_path.read_bytes())
     mem0, mem1 = private_inference_memory(model_loaded, cfg_loaded, inputs, 7, 11)
 
-    agreement = float(header_field("r0.csv", "agreement"))
-    tcp_hash0 = header_field("r0.csv", "transcript")
-    tcp_hash1 = header_field("r1.csv", "transcript")
+    agreement = report_field("r0.json", "agreement")
+    tcp_hash0 = report_field("r0.json", "transcript")
+    tcp_hash1 = report_field("r1.json", "transcript")
     transcripts_ok = tcp_hash0 == mem0.transcript_hash and tcp_hash1 == mem1.transcript_hash
 
     all_relu, _ = private_inference_memory(baseline, cfg_loaded, inputs, 7, 11)

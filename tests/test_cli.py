@@ -1,5 +1,7 @@
 """CLI surface: verbs, seeds, exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -73,15 +75,12 @@ class TestIgnoredFlags:
         "dapa-fit": ["--stats", "0,2"],
         "export": ["--model", "m.arpm", "--out", "o.arpm"],
         "infer-private": ["--model", "m.arpm", "--inputs", "d.csv"],
-        "bench": ["--model", "m.arpm", "--inputs", "d.csv"],
     }
 
     @pytest.mark.parametrize("command,flag", [
         ("infer-private", "--fixed-bits"),
         ("infer-private", "--frac-bits"),
         ("infer-private", "--seed"),
-        ("bench", "--fixed-bits"),
-        ("bench", "--seed"),
         ("export", "--seed"),
         ("gen-data", "--fixed-bits"),
         ("dapa-fit", "--frac-bits"),
@@ -121,15 +120,15 @@ class TestPipeline:
 
     def test_infer_memory(self, artifacts):
         root, data, model = artifacts
-        report = root / "report.csv"
-        phases = root / "phases.csv"
+        report = root / "report.json"
         code = run([
             "infer-private", "--model", model, "--inputs", data, "--limit", 16,
-            "--report", report, "--phases", phases,
+            "--report", report,
         ])
         assert code == 0
-        assert report.read_text().splitlines()[1].startswith("example,")
-        assert phases.read_text().splitlines()[0].startswith("phase,")
+        doc = json.loads(report.read_text())
+        assert len(doc["examples"]["plain_class"]) == 16
+        assert list(doc["phases"]) == ["dealer", "linear", "comparison", "polynomial"]
 
     def test_export_reencodes(self, artifacts):
         root, _, model = artifacts
@@ -141,12 +140,22 @@ class TestPipeline:
         _, cfg, _ = load_model(out)
         assert (cfg.total_bits, cfg.frac_bits) == (32, 12)
 
-    def test_bench(self, artifacts, capsys):
+    @pytest.mark.parametrize("frac_bits,code", [(12, 6), (8, 0)])
+    def test_budget_breach_exit_code(self, artifacts, capsys, frac_bits, code):
+        """At L=32, f=12 truncation wrap faults push the logits past the declared
+        budget; the run still writes its report, then exits 6."""
         root, data, model = artifacts
-        assert run(["bench", "--model", model, "--inputs", data,
-                    "--batch-sizes", "1,2"]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "batch,phase,bytes_sent,rounds,opened_words,seconds"
+        ring = root / f"model32f{frac_bits}.arpm"
+        report = root / f"report32f{frac_bits}.json"
+        assert run(["export", "--model", model, "--out", ring,
+                    "--fixed-bits", 32, "--frac-bits", frac_bits]) == 0
+        assert run(["infer-private", "--model", ring, "--inputs", data, "--report", report]) == code
+        err = capsys.readouterr().err
+        doc = json.loads(report.read_text())
+        assert doc["within_budget"] == (code == 0)
+        breach = f"logits outside the declared error budget: max_dev_ulp={doc['max_dev_ulp']:.3f} " \
+                 f"> budget_ulp={doc['budget_ulp']}"
+        assert (breach in err) == (code == 6)
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run(["infer-private", "--model", tmp_path / "nope.arpm",

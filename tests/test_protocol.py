@@ -141,6 +141,11 @@ class TestMulPublic:
         (r, _) = two_party(fn)
         assert np.all(r == 0)
 
+    def test_dense_wrong_fan_in_raises_value_error(self):
+        x0, _ = share_reals(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            mul_public(ShareTensor(0, x0, CFG64.frac_bits), encode(np.ones((4, 2)), CFG64), "matmul")
+
 
 class TestMulBeaver:
     def test_values(self):

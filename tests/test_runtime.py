@@ -1,6 +1,7 @@
-"""Secure evaluation orchestration: reports, phases, planning, bench."""
+"""Secure evaluation orchestration: reports, phases, planning."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from arp.data import two_spirals
 from arp.fixed import FixedConfig
 from arp.model_io import deserialize_model, serialize_model
 from arp.nn import build_model
+from arp.protocol import PHASES
 from arp.replace import ReplacementConfig, train_replace, train_supervised
 from arp.runtime import (
     SecureEvaluator,
-    bench,
     error_budget_ulp,
     private_inference_memory,
     private_inference_tcp,
@@ -94,11 +95,11 @@ class TestMemoryInference:
     def test_reports_render(self, trained):
         _, model, x = trained
         rep, _ = private_inference_memory(model, CFG, x[:8], 7, 11)
-        csv = rep.to_csv()
-        assert csv.splitlines()[1] == "example,plain_class,private_class,agree,max_dev_ulp"
-        phases = rep.phases_to_csv()
-        assert phases.splitlines()[0].startswith("phase,")
-        assert phases.strip().splitlines()[-1].startswith("total,")
+        doc = json.loads(json.dumps(rep.to_json()))
+        assert list(doc["examples"]) == ["plain_class", "private_class", "max_dev_ulp"]
+        assert all(len(column) == 8 for column in doc["examples"].values())
+        assert list(doc["phases"]) == list(PHASES)
+        assert doc["totals"] == rep.totals
 
 
 class TestTcpInference:
@@ -133,13 +134,6 @@ class TestAccountingShape:
             b2 = r2.phases[phase]["bytes_sent"]
             # framing/shape headers are per message, payloads dominate
             assert abs(b2 - 2 * b1) <= 0.02 * b2
-
-    def test_bench_csv(self, trained):
-        _, model, x = trained
-        text = bench(model, CFG, x[:16], [2, 4])
-        lines = text.strip().splitlines()
-        assert lines[0] == "batch,phase,bytes_sent,rounds,opened_words,seconds"
-        assert len(lines) == 1 + 2 * 4
 
 
 class TestPlanning:
