@@ -5,8 +5,9 @@ Shared flags, accepted only by the commands that read them: --seed
 --fixed-bits/--frac-bits (train-replace, export).  infer-private takes
 --party with --listen/--connect for the TCP roles.  Exit codes: 0 success,
 2 protocol desync or a usage error (such as a flag the command does not
-take), 3 tape exhaustion, 4 I/O or format error, 5 peer or transport error
-(no peer within --timeout, connection refused or lost), 6 private logits
+take, a malformed HOST:PORT or a --limit below 1), 3 tape exhaustion, 4 I/O
+or format error, 5 peer or transport error (no peer within --timeout,
+connection refused or lost, a listen port in use), 6 private logits
 outside the declared error budget (the run completed; its summary and
 --report are still written).
 """
@@ -53,7 +54,15 @@ def _seed(args) -> int:
 
 def _hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
+    if not (port.isdecimal() and 0 < int(port) < 65536):
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT with a port in 1-65535, got {text!r}")
     return host or "127.0.0.1", int(port)
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _load_inputs(path: str, limit: int | None):
@@ -169,7 +178,7 @@ def cmd_infer_private(args) -> int:
     else:
         if args.party is None or not (args.listen or args.connect):
             raise FormatError("tcp mode needs --party and --listen or --connect")
-        host, port = _hostport(args.listen or args.connect)
+        host, port = args.listen or args.connect
         rep = private_inference_tcp(model, cfg, x, args.party, host, port,
                                     args.dealer_seed, args.input_seed, timeout=args.timeout)
         extra = ""
@@ -233,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", required=True)
     p.add_argument("--mode", choices=["memory", "tcp"], default="memory")
     p.add_argument("--party", type=int, choices=[0, 1])
-    p.add_argument("--listen", metavar="HOST:PORT")
-    p.add_argument("--connect", metavar="HOST:PORT")
-    p.add_argument("--limit", type=int, help="use only the first N inputs")
+    p.add_argument("--listen", type=_hostport, metavar="HOST:PORT")
+    p.add_argument("--connect", type=_hostport, metavar="HOST:PORT")
+    p.add_argument("--limit", type=_positive_int, help="use only the first N inputs")
     p.add_argument("--dealer-seed", type=int, default=7)
     p.add_argument("--input-seed", type=int, default=11)
     p.add_argument("--timeout", type=float, default=30.0)

@@ -8,6 +8,15 @@ randomness.  Tapes are consumed strictly in order by the online protocol,
 which reads each record with the request that planned it; a replay with the
 same seed and request sequence uses identical randomness.
 
+Draw order.  The dealer's Philox generator is the one source of the tapes'
+randomness, read as raw 64-bit words.  `build_tapes` draws the words for
+its whole request list at once; per record, in request order, come the
+secret words (a and b per element, or a alone for a square pair), then
+party 0's share of each field in record order.  Party 1's share of a field
+is its value (a secret, or the product a*b, a*a or a&b) minus party 0's
+share, or XOR it for AND triples.  Each `gen_shares` call draws one word per
+element of its input, at its turn in the stream.  Words are reduced mod 2^L.
+
 Tape file layout (little-endian throughout):
   magic "ARPT", version u16, L u16, f u16, party u8, record count u32,
   then per record: tag u8 (1 beaver / 2 square / 3 and), descriptor, shapes
@@ -95,7 +104,14 @@ class AndTriple:
     used: bool = field(default=False, compare=False)
 
 
-_RECORD = {BeaverRequest: BeaverTriple, SquareRequest: SquarePair, AndRequest: AndTriple}
+# per request kind: the record it deals, how many secret words it draws per
+# element, the ufunc that derives the record's last field from those secrets,
+# and the ufunc that splits a secret into party 1's share given party 0's
+_CORRELATION = {
+    BeaverRequest: (BeaverTriple, 2, np.multiply, np.subtract),
+    SquareRequest: (SquarePair, 1, np.square, np.subtract),
+    AndRequest: (AndTriple, 2, np.bitwise_and, np.bitwise_xor),
+}
 
 
 # ---- dealer ----------------------------------------------------------------
@@ -106,57 +122,37 @@ class Dealer:
 
     def __init__(self, seed: int, cfg: FixedConfig):
         self.cfg = cfg
-        self._rng = np.random.Generator(np.random.Philox(seed))
-
-    def _rand_ring(self, shape) -> RingTensor:
-        words = self._rng.integers(
-            0, np.iinfo(np.uint64).max, endpoint=True, dtype=np.uint64, size=shape
-        )
-        return RingTensor(words, self.cfg)
+        self._bits = np.random.Philox(seed)
 
     def gen_shares(self, x: RingTensor) -> tuple[RingTensor, RingTensor]:
         """Split x into (r, x - r) with r uniform over the ring."""
-        r = self._rand_ring(x.shape)
+        r = RingTensor(self._bits.random_raw(x.size).reshape(x.shape), self.cfg)
         return r, x - r
 
-    def gen_triple(self, req: BeaverRequest) -> tuple[BeaverTriple, BeaverTriple]:
-        a = self._rand_ring(req.shape)
-        b = self._rand_ring(req.shape)
-        a0, a1 = self.gen_shares(a)
-        b0, b1 = self.gen_shares(b)
-        z0, z1 = self.gen_shares(a * b)
-        return BeaverTriple(a0, b0, z0), BeaverTriple(a1, b1, z1)
-
-    def gen_square_pair(self, req: SquareRequest) -> tuple[SquarePair, SquarePair]:
-        a = self._rand_ring(req.shape)
-        z = a * a
-        a0, a1 = self.gen_shares(a)
-        z0, z1 = self.gen_shares(z)
-        return SquarePair(a0, z0), SquarePair(a1, z1)
-
-    def gen_and_triples(self, req: AndRequest) -> tuple[AndTriple, AndTriple]:
-        a = self._rand_ring(req.shape)
-        b = self._rand_ring(req.shape)
-        c = a & b
-        a0 = self._rand_ring(req.shape)
-        b0 = self._rand_ring(req.shape)
-        c0 = self._rand_ring(req.shape)
-        return AndTriple(a0, b0, c0), AndTriple(a ^ a0, b ^ b0, c ^ c0)
-
     def build_tapes(self, requests) -> tuple["Tape", "Tape"]:
-        """Serve a request list in order; returns one tape per party."""
-        recs0, recs1 = [], []
+        """Serve a request list in order; returns one tape per party.
+
+        One draw covers the whole list.  Each record's slice holds its
+        secrets, then party 0's fields, which stay views of the draw; party
+        1's shares overwrite the secrets and the derived field in place.
+        """
+        specs = []
         for req in requests:
-            if isinstance(req, BeaverRequest):
-                r0, r1 = self.gen_triple(req)
-            elif isinstance(req, SquareRequest):
-                r0, r1 = self.gen_square_pair(req)
-            elif isinstance(req, AndRequest):
-                r0, r1 = self.gen_and_triples(req)
-            else:
+            if type(req) not in _CORRELATION:
                 raise TypeError(f"unknown request {req!r}")
-            recs0.append(r0)
-            recs1.append(r1)
+            specs.append((req.shape, math.prod(req.shape), *_CORRELATION[type(req)]))
+        draw = self._bits.random_raw(sum((2 * s + 1) * n for _, n, _, s, _, _ in specs))
+        recs0, recs1 = [], []
+        at = 0
+        for shape, n, kind, secrets, derive, split in specs:
+            rows = draw[at : at + (2 * secrets + 1) * n].reshape(2 * secrets + 1, n)
+            at += rows.size
+            secret, share0 = rows[:secrets], rows[secrets:]
+            last = derive(*secret)
+            split(last, share0[-1], out=last)
+            split(secret, share0[:-1], out=secret)
+            recs0.append(kind(*(RingTensor(w.reshape(shape), self.cfg) for w in share0)))
+            recs1.append(kind(*(RingTensor(w.reshape(shape), self.cfg) for w in (*secret, last))))
         return Tape(0, self.cfg, recs0), Tape(1, self.cfg, recs1)
 
 
@@ -185,7 +181,7 @@ class TapeReader:
 
     def take(self, request):
         """The next record, which must be `request`'s kind and shape."""
-        kind = _RECORD[type(request)]
+        kind = _CORRELATION[type(request)][0]
         if self.pos >= len(self.tape.records):
             raise TapeExhaustedError(f"tape exhausted after {self.pos} records wanting {kind.__name__}")
         rec = self.tape.records[self.pos]
@@ -248,7 +244,18 @@ class _Cursor:
         return tuple(self.unpack(f"<{rank}I")) if rank else ()
 
 
-def tape_to_bytes(tape: Tape) -> bytes:
+# numpy asks the kernel for huge pages from this allocation size on; below
+# it a bytes join is cheaper (it decoded a 24 KB tape in about 2/3 the time)
+_HUGE_PAGE_JOIN = 4 << 20
+
+
+def tape_to_bytes(tape: Tape) -> bytes | memoryview:
+    """The tape file's bytes, as a bytes-like object.
+
+    A tape of 4 MiB or more is joined into one numpy buffer, which is backed
+    by huge pages, and returned as a read-only memoryview; a smaller one is
+    `bytes`.
+    """
     cfg = tape.cfg
     out = [
         TAPE_MAGIC,
@@ -260,7 +267,9 @@ def tape_to_bytes(tape: Tape) -> bytes:
         tag, head, copies, names = _LAYOUT[type(rec)]
         out += [struct.pack("<B", tag), head, _pack_shape(rec.a.shape) * copies]
         out += [pack_words(getattr(rec, name)) for name in names]
-    return b"".join(out)
+    if sum(map(len, out)) < _HUGE_PAGE_JOIN:
+        return b"".join(out)
+    return memoryview(np.concatenate([np.frombuffer(part, np.uint8) for part in out])).toreadonly()
 
 
 def tape_from_bytes(buf) -> Tape:

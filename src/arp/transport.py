@@ -184,17 +184,18 @@ class TcpChannel(Channel):
 
 
 def tcp_listen(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(1)
-    srv.settimeout(timeout)
-    try:
-        conn, _ = srv.accept()
-    except socket.timeout:
-        raise TransportError(f"no peer connected to {host}:{port} within {timeout}s") from None
-    finally:
-        srv.close()
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
+        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            srv.bind((host, port))
+        except OSError as e:  # the port is taken, or the host is not local
+            raise TransportError(f"cannot listen on {host}:{port}: {e}") from None
+        srv.listen(1)
+        srv.settimeout(timeout)
+        try:
+            conn, _ = srv.accept()
+        except socket.timeout:
+            raise TransportError(f"no peer connected to {host}:{port} within {timeout}s") from None
     return TcpChannel(conn, timeout)
 
 

@@ -96,6 +96,26 @@ class TestIgnoredFlags:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+class TestBadValues:
+    """A malformed address or input limit ends in a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--listen", "127.0.0.1:abc"),
+        ("--listen", "127.0.0.1:99999"),
+        ("--connect", "127.0.0.1:0"),
+        ("--connect", "localhost"),
+        ("--limit", "-1"),
+        ("--limit", "0"),
+    ])
+    def test_usage_exit(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["infer-private", "--model", "m.arpm", "--inputs", "d.csv",
+                 "--mode", "tcp", "--party", 0, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected" in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -178,3 +198,18 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert code == 5
         assert err.startswith("peer/transport error: ") and "Traceback" not in err
+
+    def test_port_in_use_exit_code(self, artifacts, capsys):
+        import socket
+
+        _, data, model = artifacts
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen(1)
+            port = held.getsockname()[1]
+            code = run(["infer-private", "--model", model, "--inputs", data, "--limit", 4,
+                        "--mode", "tcp", "--party", 0, "--listen", f"127.0.0.1:{port}",
+                        "--timeout", 0.3])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith(f"peer/transport error: cannot listen on 127.0.0.1:{port}")

@@ -4,6 +4,8 @@ The ring matmul and conv the public-weight layers use are checked here
 against big-integer oracles.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,7 +21,7 @@ from arp.dealer import (
     write_tape,
 )
 from arp.errors import FormatError, ProtocolDesyncError, TapeExhaustedError
-from arp.fixed import FixedConfig, RingTensor
+from arp.fixed import FixedConfig, RingTensor, pack_words
 from arp.protocol import mul_beaver
 
 from conftest import two_party
@@ -91,7 +93,7 @@ class TestShares:
 class TestTriples:
     def test_elementwise_identity(self):
         d = Dealer(1, CFG8)
-        t0, t1 = d.gen_triple(BeaverRequest((3,)))
+        t0, t1 = (t.records[0] for t in d.build_tapes([BeaverRequest((3,))]))
         a = t0.a + t1.a
         b = t0.b + t1.b
         z = t0.z + t1.z
@@ -128,21 +130,21 @@ class TestTriples:
 
     def test_square_pair_property(self):
         d = Dealer(5, CFG8)
-        p0, p1 = d.gen_square_pair(SquareRequest((10_000,)))
+        p0, p1 = (t.records[0] for t in d.build_tapes([SquareRequest((10_000,))]))
         a = p0.a + p1.a
         z = p0.z + p1.z
         assert z == a * a
 
     def test_square_scalar(self):
         d = Dealer(6, FixedConfig(8, 0))
-        p0, p1 = d.gen_square_pair(SquareRequest((1,)))
+        p0, p1 = (t.records[0] for t in d.build_tapes([SquareRequest((1,))]))
         a = int((p0.a + p1.a).words[0])
         z = int((p0.z + p1.z).words[0])
         assert z == (a * a) % 256
 
     def test_and_triples_exhaustive(self):
         d = Dealer(7, CFG8)
-        t0, t1 = d.gen_and_triples(AndRequest((100_000,)))
+        t0, t1 = (t.records[0] for t in d.build_tapes([AndRequest((100_000,))]))
         a = (t0.a ^ t1.a).words
         b = (t0.b ^ t1.b).words
         c = (t0.c ^ t1.c).words
@@ -210,6 +212,26 @@ class TestTapes:
         with pytest.raises(FormatError, match="shapes"):
             tape_from_bytes(unequal)
 
+    @pytest.mark.parametrize("bits, frac, digests", [
+        (64, 16, ("adf833e62ebc9cfcf320ad586a70ac7e5e6ecd1762035362f5d576f1d671a048",
+                  "82516b3c0fa826784b1022beb56c54014e5d4cbd566bd195ec4a6b7828e60ed9",
+                  "d95280570408ada2350202c9715911280a0b8ba4e1d18acb3ee4b6926eecf187")),
+        (32, 12, ("caeea14270c7cb372d9201271030e68aa5e1ddb4ff55f77a2e908059f7ea059d",
+                  "7614b6de04acf74a10341aad79984dc24e6771efa1537f79d9581c3c2042778e",
+                  "3fd9aa6cec44e366b92767dd9145b841e17fccf7b774bf2d3dac3fe865550131")),
+    ])
+    def test_dealer_stream_is_pinned(self, bits, frac, digests):
+        """SHA-256 of both tapes and of input shares dealt after them: any
+        change to the draw order or the share arithmetic moves these."""
+        cfg = FixedConfig(bits, frac)
+        reqs = [BeaverRequest((3,)), SquareRequest((2, 5)), AndRequest((1, 1, 4, 4)),
+                BeaverRequest((2, 5)), AndRequest((3,)), SquareRequest((1, 1, 4, 4))]
+        d = Dealer(2024, cfg)
+        t0, t1 = d.build_tapes(reqs)
+        s0, s1 = d.gen_shares(RingTensor(np.arange(7, dtype=np.uint64), cfg))
+        blobs = (tape_to_bytes(t0), tape_to_bytes(t1), bytes(pack_words(s0)) + bytes(pack_words(s1)))
+        assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == digests
+
 
 class TestTapeBuffers:
     """The tape codec reads records as views into the tape bytes."""
@@ -253,3 +275,29 @@ class TestTapeBuffers:
         runtime.private_inference_memory(build_model("mlp", seed=0), CFG, x)
         assert len(loaded) == 2 and all(t.records for t in loaded)
         assert all(not r.a.words.flags.writeable for t in loaded for r in t.records)
+
+    @pytest.mark.parametrize("bits, n", [(64, 200_000), (24, 500_000)])
+    def test_large_tape_joins_into_a_read_only_buffer(self, bits, n, tmp_path, monkeypatch):
+        """A tape of 4 MiB or more comes back as a read-only memoryview whose
+        bytes equal the plain join of the same parts, and round-trips."""
+        import arp.dealer as dealer
+
+        cfg = FixedConfig(bits, 8)
+        tape = Dealer(8, cfg).build_tapes([AndRequest((n,)), BeaverRequest((3,))])[1]
+        raw = tape_to_bytes(tape)
+        assert isinstance(raw, memoryview) and raw.readonly
+        assert len(raw) >= 4 << 20
+        with monkeypatch.context() as m:
+            m.setattr(dealer, "_HUGE_PAGE_JOIN", 1 << 62)
+            joined = tape_to_bytes(tape)
+        assert type(joined) is bytes and bytes(raw) == joined
+        assert bytes(tape_to_bytes(tape_from_bytes(raw))) == joined
+        path = tmp_path / "large.arpt"
+        write_tape(tape, path)
+        assert path.read_bytes() == joined
+        assert bytes(tape_to_bytes(read_tape(path))) == joined
+
+    def test_small_tape_is_bytes(self):
+        tape = Dealer(9, CFG).build_tapes([AndRequest((100_000,))])[0]
+        raw = tape_to_bytes(tape)
+        assert type(raw) is bytes and 2 << 20 < len(raw) < 4 << 20
