@@ -87,9 +87,11 @@ class RingTensor:
     """Dense tensor of L-bit ring elements.
 
     Thin wrapper over a uint64 ndarray plus the FixedConfig that defines the
-    ring.  Operations return new tensors; nothing mutates in place, so values
-    are safe to hand between threads, and the words may be read-only views
-    into a tape or wire buffer (see from_bytes and unpack_words).
+    ring.  Operations return new tensors and never write into an operand, so
+    values are safe to hand between threads, and the words may be read-only
+    views into a tape or wire buffer (see from_bytes and unpack_words).  An
+    online op may fill a buffer it has just allocated itself in place, but
+    never an input, a tape record or a wire buffer.
     """
 
     __slots__ = ("words", "cfg")
@@ -121,10 +123,14 @@ class RingTensor:
         return int(self.words.size)
 
     def signed(self) -> np.ndarray:
-        """Two's-complement interpretation as int64 (sign-extended from L bits)."""
-        shift = np.uint64(64 - self.cfg.total_bits)
-        w = np.ascontiguousarray(self.words << shift)
-        return w.view(np.int64) >> np.int64(64 - self.cfg.total_bits)
+        """Two's-complement interpretation as int64 (sign-extended from L bits).
+
+        At L=64 this is a view of the words, read-only when they are.
+        """
+        spare = 64 - self.cfg.total_bits
+        if not spare:
+            return self.words.view(np.int64)
+        return (self.words << np.uint64(spare)).view(np.int64) >> np.int64(spare)
 
     def reshape(self, *shape) -> "RingTensor":
         return RingTensor(self.words.reshape(*shape), self.cfg)
@@ -176,9 +182,6 @@ class RingTensor:
     def __xor__(self, other) -> "RingTensor":
         return RingTensor(self.words ^ self._coerce(other), self.cfg)
 
-    def __and__(self, other) -> "RingTensor":
-        return RingTensor(self.words & self._coerce(other), self.cfg)
-
     def lshift(self, bits: int) -> "RingTensor":
         return RingTensor(self.words << np.uint64(bits), self.cfg)
 
@@ -206,7 +209,8 @@ class RingTensor:
         """Decode a wire payload (any bytes-like object).
 
         With 8-byte words the result is a view into `buf`, read-only when
-        `buf` is; ring ops never write in place, so it need not be copied.
+        `buf` is; ring ops never write into a wire buffer, so it need not be
+        copied.
         """
         if len(buf) < 4:
             raise FormatError("ring tensor payload shorter than rank field")

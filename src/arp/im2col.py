@@ -52,7 +52,7 @@ def col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: in
 
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """NCHW conv via im2col + matmul; exact for integer dtypes (wraps like numpy)."""
+    """NCHW conv via im2col + a contraction; exact for integer dtypes (wraps like numpy)."""
     b, c, h, w = x.shape
     oc, ic, kh, kw = weight.shape
     if ic != c:
@@ -60,5 +60,8 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int)
     oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
     w_col = weight.reshape(oc, -1)
-    out = w_col @ cols
+    # numpy's integer matmul has no BLAS and reduces along the long, strided
+    # axis of `cols`; einsum's plain loop is exact too and took half the time
+    # for smallcnn's (16x72) @ (72x4096) uint64 product
+    out = np.einsum("ok,kn->on", w_col, cols)
     return out.reshape(oc, oh, ow, b).transpose(3, 0, 1, 2)

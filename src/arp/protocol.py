@@ -179,6 +179,28 @@ class Session:
         return self.reveal_many([x.payload], mode="xor")[0]
 
 
+def _open_masked(sess: Session, pairs, mode: str = "add"):
+    """Open share - mask ("add") or share ^ mask ("xor") for each (share,
+    mask) pair in one message.
+
+    The masked words are written into the rows of one fresh buffer, which
+    are returned with the opened tensors; once the message is sent the rows
+    belong to the calling op, which may reuse them for its output.
+    """
+    share, _ = pairs[0]
+    combine = np.subtract if mode == "add" else np.bitwise_xor
+    buf = np.empty((len(pairs), *share.shape), dtype=np.uint64)
+    rows = [buf[i, ...] for i in range(len(pairs))]  # arrays, even for 0-d shares
+    for row, (v, m) in zip(rows, pairs):
+        combine(v.words, m.words, out=row)
+    return rows, sess.reveal_many([RingTensor(row, share.cfg) for row in rows], mode)
+
+
+def _zeros(shape, cfg: FixedConfig) -> RingTensor:
+    """Read-only all-zero words that take no memory."""
+    return RingTensor(np.broadcast_to(np.uint64(0), shape), cfg)
+
+
 def _consume(record):
     if record.used:
         raise TripleReuseError(f"{type(record).__name__} consumed twice")
@@ -244,31 +266,42 @@ def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor) -> ShareTensor:
     if x.shape != y.shape:
         raise ValueError(f"mul_beaver needs equal shapes, got {x.shape} and {y.shape}")
     triple = _consume(sess.tape.take(dl.BeaverRequest(x.shape)))
-    e, f_ = sess.reveal_many([x.payload - triple.a, y.payload - triple.b])
-    r = x.payload * f_ + e * y.payload + triple.z
+    (r, t), (e, f_) = _open_masked(sess, [(x.payload, triple.a), (y.payload, triple.b)])
+    np.multiply(x.payload.words, f_.words, out=r)
+    np.multiply(e.words, y.payload.words, out=t)
+    r += t
+    r += triple.z.words
     if sess.party == 1:
-        r = r - e * f_
-    return _rescale(ShareTensor(sess.party, r, 0), x.scale + y.scale)
+        np.multiply(e.words, f_.words, out=t)
+        r -= t
+    return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), x.scale + y.scale)
 
 
 def square(sess: Session, x: ShareTensor) -> ShareTensor:
     """Elementwise secure square; one round, opens |X| words (half a multiply)."""
     pair = _consume(sess.tape.take(dl.SquareRequest(x.shape)))
-    (e,) = sess.reveal_many([x.payload - pair.a])
-    r = pair.z + e * pair.a * np.uint64(2)
+    (r,), (e,) = _open_masked(sess, [(x.payload, pair.a)])
+    np.multiply(e.words, pair.a.words, out=r)
+    r *= np.uint64(2)
+    r += pair.z.words
     if sess.party == 0:
-        r = r + e * e
-    return _rescale(ShareTensor(sess.party, r, 0), 2 * x.scale)
+        r += np.square(e.words)
+    return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), 2 * x.scale)
 
 
 def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
     """Bitwise AND of XOR-shared words via one AND triple; one round."""
     triple = _consume(sess.tape.take(dl.AndRequest(x.shape)))
-    e, f_ = sess.reveal_many([x ^ triple.a, y ^ triple.b], mode="xor")
-    z = triple.c ^ (e & triple.b) ^ (triple.a & f_)
+    (z, t), (e, f_) = _open_masked(sess, [(x, triple.a), (y, triple.b)], "xor")
+    # z = c ^ (e & b) ^ (a & f) [^ (e & f) on party 0]
+    np.bitwise_and(e.words, triple.b.words, out=z)
+    z ^= triple.c.words
+    np.bitwise_and(triple.a.words, f_.words, out=t)
+    z ^= t
     if sess.party == 0:
-        z = z ^ (e & f_)
-    return z
+        np.bitwise_and(e.words, f_.words, out=t)
+        z ^= t
+    return RingTensor(z, x.cfg)
 
 
 def a2b(sess: Session, x: ShareTensor) -> BinaryShareTensor:
@@ -279,22 +312,24 @@ def a2b(sess: Session, x: ShareTensor) -> BinaryShareTensor:
     rounds, one batched AND per level.
     """
     cfg = x.payload.cfg
-    zero = RingTensor.zeros(x.shape, cfg)
-    a = x.payload if sess.party == 0 else zero
-    b = x.payload if sess.party == 1 else zero
+    own, zero = x.payload, _zeros(x.shape, cfg)
+    a, b = (own, zero) if sess.party == 0 else (zero, own)
 
-    g = and_shares(sess, a, b)
-    p = a ^ b
-    p0 = p
+    g = and_shares(sess, a, b).words  # a fresh buffer, updated in place below
+    # p = a ^ b is the party's own share, since the other summand is zero
+    p = own
+    shifted = np.empty((2, *x.shape), dtype=np.uint64)
     for level in range(math.ceil(math.log2(cfg.total_bits))):
-        k = 1 << level
-        lhs = RingTensor(np.stack([p.words, p.words]), cfg)
-        rhs = RingTensor(np.stack([g.lshift(k).words, p.lshift(k).words]), cfg)
-        both = and_shares(sess, lhs, rhs)
-        g = g ^ RingTensor(both.words[0], cfg)
+        k = np.uint64(1 << level)
+        np.left_shift(g, k, out=shifted[0, ...])
+        np.left_shift(p.words, k, out=shifted[1, ...])
+        lhs = RingTensor(np.broadcast_to(p.words, shifted.shape), cfg)
+        both = and_shares(sess, lhs, RingTensor(shifted, cfg))
+        g ^= both.words[0]
         p = RingTensor(both.words[1], cfg)
-    carries = g.lshift(1)
-    return BinaryShareTensor(sess.party, p0 ^ carries)
+    out = np.left_shift(g, np.uint64(1))  # the carries
+    out ^= own.words
+    return BinaryShareTensor(sess.party, RingTensor(out, cfg))
 
 
 def msb(x: BinaryShareTensor) -> BinaryShareTensor:
@@ -309,7 +344,7 @@ def b2a(sess: Session, bit: BinaryShareTensor) -> ShareTensor:
     b0 XOR b1 = b0 + b1 - 2*b0*b1; the cross term costs one Beaver multiply.
     """
     cfg = bit.payload.cfg
-    zero = RingTensor.zeros(bit.shape, cfg)
+    zero = _zeros(bit.shape, cfg)
     own = bit.payload
     x0 = ShareTensor(sess.party, own if sess.party == 0 else zero, 0)
     x1 = ShareTensor(sess.party, own if sess.party == 1 else zero, 0)
@@ -349,16 +384,24 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTen
     f = cfg.frac_bits
     if x.scale != f:
         raise ValueError(f"polynomial evaluation expects scale {f}, got {x.scale}")
-    c0b = np.broadcast_to(np.asarray(c0, dtype=np.float64), x.shape)
-    c1b = np.broadcast_to(np.asarray(c1, dtype=np.float64), x.shape)
 
-    acc = x.payload * encode(c1b, cfg)  # scale 2f
-    if c2 is not None:
-        c2b = np.broadcast_to(np.asarray(c2, dtype=np.float64), x.shape)
+    def enc(c) -> RingTensor:
+        # encoded at its own (say per-channel) shape; the ring products
+        # broadcast it over the batch
+        c = np.asarray(c, dtype=np.float64)
+        if np.broadcast_shapes(c.shape, x.shape) != x.shape:
+            raise ValueError(f"coefficient shape {c.shape} does not broadcast to {x.shape}")
+        return encode(c, cfg)
+
+    e0, e1 = enc(c0), enc(c1)
+    e2 = enc(c2) if c2 is not None else None
+
+    acc = x.payload * e1  # scale 2f
+    if e2 is not None:
         sq = square(sess, x)  # scale f, one rescale inside
-        acc = acc + sq.payload * encode(c2b, cfg)
+        acc = acc + sq.payload * e2
     if sess.party == 0:
-        acc = acc + encode(c0b, cfg).lshift(f)
+        acc = acc + e0.lshift(f)
     return _rescale(ShareTensor(sess.party, acc, 0), 2 * f)
 
 

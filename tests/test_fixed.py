@@ -63,6 +63,19 @@ class TestDecode:
         assert np.max(np.abs(back - x)) <= 2.0 ** -(cfg.frac_bits + 1)
 
 
+class TestScalarShape:
+    @pytest.mark.parametrize("bits", [8, 32, 64])
+    def test_scalar_tensor_stays_scalar(self, bits):
+        """signed, decode and truncate of a 0-d tensor keep its shape ()."""
+        cfg = FixedConfig(bits, 4)
+        r = encode(-3.0, cfg)
+        assert np.shape(r.signed()) == ()
+        assert np.shape(decode(r)) == ()
+        assert truncate(r, bits=1).shape == ()
+        assert decode(r) == -3.0
+        assert decode(truncate(r, bits=1)) == -1.5
+
+
 class TestTruncate:
     def test_exact_product(self):
         cfg = FixedConfig(64, 16)
@@ -104,6 +117,32 @@ class TestRingArithmetic:
         b = RingTensor(np.full((2, 2), 4, dtype=np.uint64), cfg)
         # 2 * (2^62 * 4) = 2^65 = 0 mod 2^64
         assert np.all(a.matmul(b).words == 0)
+
+    @pytest.mark.parametrize("bits", [8, 24, 64])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_conv2d_matches_big_integer_arithmetic(self, bits, batch, stride, padding):
+        """conv2d of full-range words agrees with a Python big-int conv mod 2^L."""
+        cfg = FixedConfig(bits, 4)
+        rng = np.random.default_rng(bits + 10 * batch + stride + padding)
+        x = rng.integers(0, 2**64 - 1, size=(batch, 2, 5, 6), endpoint=True, dtype=np.uint64)
+        w = rng.integers(0, 2**64 - 1, size=(3, 2, 3, 3), endpoint=True, dtype=np.uint64)
+        rx, rw = RingTensor(x, cfg), RingTensor(w, cfg)
+        got = rx.conv2d(rw, stride=stride, padding=padding)
+
+        mod = 1 << bits
+        xi = np.zeros((batch, 2, 5 + 2 * padding, 6 + 2 * padding), dtype=object)  # Python int zeros
+        xi[:, :, padding : padding + 5, padding : padding + 6] = rx.words.astype(object)
+        wi = rw.words.astype(object)
+        oh = (5 + 2 * padding - 3) // stride + 1
+        ow = (6 + 2 * padding - 3) // stride + 1
+        want = np.empty((batch, 3, oh, ow), dtype=object)
+        for i in range(oh):
+            for j in range(ow):
+                patch = xi[:, :, i * stride : i * stride + 3, j * stride : j * stride + 3]
+                want[:, :, i, j] = np.tensordot(patch, wi, axes=([1, 2, 3], [1, 2, 3]))
+        assert got.shape == want.shape
+        assert got.words.tolist() == (want % mod).tolist()
 
     def test_signed_view_all_bit_widths(self):
         for bits in (8, 13, 32, 63, 64):

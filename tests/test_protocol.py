@@ -7,6 +7,7 @@ mul_beaver/square, exact for comparison/b2a, 2 ULP for the polynomial,
 4 ULP for the hybrid layer.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -411,6 +412,19 @@ class TestDapaEvalSecure:
         r, _ = self._eval(x, c0, c1, c2)
         assert np.max(np.abs(r - ref_poly(x, c0, c1, c2))) <= 2 * ULP
 
+    def test_coefficients_must_broadcast_to_the_input(self):
+        xs = share_reals(np.zeros((2, 6)))
+
+        def fn(sess):
+            xt = as_share(sess, xs)
+            with pytest.raises(ValueError):
+                dapa_eval_secure(sess, xt, np.zeros(5), 0.5, 0.1)
+            with pytest.raises(ValueError):  # broadcasts, but only to a larger shape
+                dapa_eval_secure(sess, xt, 0.0, 0.5, np.zeros((3, 2, 6)))
+            return sess.channel.rounds
+
+        assert two_party(fn) == (0, 0)
+
 
 class TestHybridSecure:
     COEFFS = (0.28, 0.5, 0.14)
@@ -458,6 +472,55 @@ class TestHybridSecure:
             return sess.channel.rounds
 
         assert two_party(fn) == (0, 0)
+
+
+def _per_column(x, lo, hi):
+    """Coefficients that differ along x's last axis, or one for a scalar share."""
+    return np.linspace(lo, hi, x.shape[-1]) if x.shape else lo
+
+
+class TestInputsStayUnwritten:
+    """Online ops never write into their input shares or their tape records,
+    and return a share of their input's shape."""
+
+    OPS = {
+        "a2b": (lambda sess, x, y: a2b(sess, x), a2b_requests),
+        "relu_secure": (lambda sess, x, y: relu_secure(sess, x), relu_requests),
+        "mul_beaver": (mul_beaver, lambda shape, cfg: [BeaverRequest(shape)]),
+        "square": (lambda sess, x, y: square(sess, x), lambda shape, cfg: [SquareRequest(shape)]),
+        "dapa_eval_secure": (
+            lambda sess, x, y: dapa_eval_secure(sess, x, _per_column(x, 0.2, -0.3), _per_column(x, 0.5, -1.0),
+                                                _per_column(x, 0.1, 0.4)),
+            lambda shape, cfg: dapa_requests(shape, 2),
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", [(3, 4), ()])
+    @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_read_only_inputs(self, op, cfg, shape):
+        fn_op, requests = self.OPS[op]
+        rng = np.random.default_rng(21)
+        xs = share_reals(rng.uniform(-1, 1, size=shape), cfg, seed=1)
+        ys = share_reals(rng.uniform(-1, 1, size=shape), cfg, seed=2)
+        inputs = [t.words for t in (*xs, *ys)]
+        for w in inputs:
+            w.setflags(write=False)
+        before = [w.copy() for w in inputs]
+
+        def fn(sess):
+            records = [getattr(rec, f.name) for rec in sess.tape.tape.records
+                       for f in dataclasses.fields(rec) if f.name != "used"]
+            for r in records:
+                r.words.setflags(write=False)
+            kept = [r.words.copy() for r in records]
+            out = fn_op(sess, as_share(sess, xs), as_share(sess, ys))
+            return out.shape, all(np.array_equal(r.words, k) for r, k in zip(records, kept))
+
+        for got_shape, records_unchanged in two_party(fn, requests(shape, cfg), cfg=cfg):
+            assert got_shape == shape
+            assert records_unchanged
+        assert all(np.array_equal(w, b) for w, b in zip(inputs, before))
 
 
 class TestAccounting:

@@ -193,6 +193,13 @@ class TestTranscriptPin:
             phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (1589976, 18),
                     "polynomial": (45336, 2)},
         ),
+        "smallcnn-single-path": dict(
+            hashes=("8821bca011215db44fa1033b03470c63f4ad27f90383dd7570b7e0c5634d1c51",
+                    "490932af83bb73212577000bc510b5bf3b805a6c704cb7f59c43bfb1eaf40d27"),
+            bytes_sent=1999492, rounds=11,
+            phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (1966188, 9),
+                    "polynomial": (32780, 1)},
+        ),
     }
 
     @staticmethod
@@ -208,13 +215,20 @@ class TestTranscriptPin:
             model = build_model("smallcnn", seed=0, num_classes=4)
             inputs, _ = toy_images(16, seed=3)
         rng = np.random.default_rng(5)
-        for act in model.hybrid_layers():
-            act.indicator.m = (rng.random(act.feat_shape) < 0.5).astype(np.float64)
+        for i, act in enumerate(model.hybrid_layers()):
             channels = act.feat_shape[act.channel_axis]
-            act.coeffs = PolyCoeffs(np.tile([0.28, 0.5, 0.14], (channels, 1)))
+            if arch == "smallcnn-single-path":
+                # the first activation layer all ReLU, the second all
+                # polynomial with per-channel coefficients, so a misrouted
+                # broadcast shows
+                act.indicator.m = np.full(act.feat_shape, float(i == 0))
+                act.coeffs = PolyCoeffs([0.28, 0.5, 0.14] + 0.01 * np.arange(channels)[:, None])
+            else:
+                act.indicator.m = (rng.random(act.feat_shape) < 0.5).astype(np.float64)
+                act.coeffs = PolyCoeffs(np.tile([0.28, 0.5, 0.14], (channels, 1)))
         return fold_batchnorm(model), inputs
 
-    @pytest.mark.parametrize("arch", ["mlp", "smallcnn"])
+    @pytest.mark.parametrize("arch", ["mlp", "smallcnn", "smallcnn-single-path"])
     def test_transcripts_and_phases_are_pinned(self, arch):
         model, inputs = self._model_and_inputs(arch)
         reports = private_inference_memory(model, CFG, inputs, dealer_seed=7, input_seed=11)
