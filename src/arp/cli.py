@@ -122,7 +122,7 @@ def cmd_train_replace(args) -> int:
     print(f"wrote model to {args.out}")
     if args.history:
         with open(args.history, "w") as fh:
-            fh.write(history.to_csv())
+            json.dump(history.to_json(), fh)
         print(f"wrote history to {args.history}")
     return 0
 
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="csv or .arim input file")
     p.add_argument("--arch", choices=["mlp", "smallcnn"], default="mlp")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--history", help="per-epoch csv to write")
+    p.add_argument("--history", help="per-epoch JSON history to write")
     p.set_defaults(fn=cmd_train_replace)
 
     p = sub.add_parser("dapa-fit", help="fit polynomial coefficients to ReLU")

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import DegenerateDistributionError
+from .nn import mean_var
 
 __all__ = [
     "GaussianStats",
@@ -211,8 +212,7 @@ class ChannelStats:
         """Fold one batch in; reduces over every axis except the channel one."""
         z = np.asarray(z, dtype=np.float64)
         axes = tuple(i for i in range(z.ndim) if i != channel_axis)
-        bm = z.mean(axis=axes)
-        bv = z.var(axis=axes)
+        bm, bv = mean_var(z, axes)
         if bm.shape != (self.channels,):
             raise ValueError(f"expected {self.channels} channels, got {bm.shape}")
         if not self.warmed_up:

@@ -74,7 +74,7 @@ class FixedConfig:
 def _mask_words(words: np.ndarray, cfg: FixedConfig) -> np.ndarray:
     words = np.asarray(words, dtype=np.uint64)
     if cfg.total_bits < 64:
-        words = words & cfg.mask
+        words = np.asarray(words & cfg.mask)  # a 0-d operand would give a scalar
     return words
 
 

@@ -4,7 +4,10 @@ Dense, conv (im2col), average pooling, flatten, and batch norm, plus the
 Adam optimizer and the loss used by both baseline training and
 replacement training.
 Layers cache what their backward pass needs; one forward/backward pair per
-step, gradients are overwritten rather than accumulated.
+step, gradients are overwritten rather than accumulated.  Each step does
+its arithmetic once: one Adam update covers every parameter, and batch
+statistics take the variance around the mean they already hold.  Both give
+the same bits as one AdamArray per parameter and np.mean/np.var.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "Sequential",
     "AdamArray",
     "Adam",
+    "mean_var",
     "cosine_lr",
     "loss_cross_entropy",
     "fold_batchnorm",
@@ -105,8 +109,7 @@ class BatchNorm2d:
 
     def forward(self, x, training=False):
         if training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            mean, var = mean_var(x, (0, 2, 3))
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
@@ -211,29 +214,47 @@ class AdamArray:
         return x - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-class Adam:
+class Adam(AdamArray):
+    """Adam over a list of parameters, as one AdamArray over their concatenation.
+
+    Adam is elementwise, so one update of the joined values and gradients
+    gives each parameter the same bits as an AdamArray of its own; each
+    parameter's value then becomes its slice of the updated array.
+    """
+
     def __init__(self, params: list[Parameter], lr: float = 1e-3, **kw):
+        super().__init__(lr=lr, **kw)
         self.params = params
-        self._opts = [AdamArray(lr=lr, **kw) for _ in params]
-
-    @property
-    def lr(self):
-        return self._opts[0].lr if self._opts else 0.0
-
-    @lr.setter
-    def lr(self, value):
-        for o in self._opts:
-            o.lr = value
 
     def step(self):
-        for p, o in zip(self.params, self._opts):
-            p.value = o.update(p.value, p.grad)
+        if not self.params:
+            return
+        value = self.update(np.concatenate([p.value.ravel() for p in self.params]),
+                            np.concatenate([p.grad.ravel() for p in self.params]))
+        start = 0
+        for p in self.params:
+            p.value = value[start : start + p.value.size].reshape(p.value.shape)
+            start += p.value.size
 
 
 def cosine_lr(base: float, step: int, total: int) -> float:
     if total <= 0:
         return base
     return base * 0.5 * (1 + np.cos(np.pi * min(step, total) / total))
+
+
+def mean_var(x: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and (biased) variance over `axes`, both with those axes dropped.
+
+    Bit for bit x.mean(axes) and x.var(axes), but the variance is taken
+    around the mean already in hand instead of summing x a second time.
+    """
+    total = x.sum(axis=axes, keepdims=True)
+    n = x.size // total.size
+    mean = total / n
+    dev = x - mean
+    np.square(dev, out=dev)
+    return mean.squeeze(axis=axes), dev.sum(axis=axes) / n
 
 
 def loss_cross_entropy(logits: np.ndarray, labels: np.ndarray):

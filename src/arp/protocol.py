@@ -327,9 +327,9 @@ def a2b(sess: Session, x: ShareTensor) -> BinaryShareTensor:
         both = and_shares(sess, lhs, RingTensor(shifted, cfg))
         g ^= both.words[0]
         p = RingTensor(both.words[1], cfg)
-    out = np.left_shift(g, np.uint64(1))  # the carries
-    out ^= own.words
-    return BinaryShareTensor(sess.party, RingTensor(out, cfg))
+    np.left_shift(g, np.uint64(1), out=g)  # the carries
+    g ^= own.words
+    return BinaryShareTensor(sess.party, RingTensor(g, cfg))
 
 
 def msb(x: BinaryShareTensor) -> BinaryShareTensor:

@@ -93,7 +93,9 @@ def acc_grad_aux(dl_dx: np.ndarray, z: np.ndarray, act: "HybridActivation") -> n
     """
     if dl_dx.shape != z.shape:
         raise ValueError("dL/dX and Z shapes differ")
-    gap = np.maximum(z, 0.0) - act.poly(z)
+    # a named gap is not a temporary numpy may write the product into; the
+    # product then takes its own layout, which fixes the caller's summation order
+    gap = act.relu_poly_gap(z)
     return dl_dx * gap * ste_softplus_grad(act.indicator.m_w)
 
 
@@ -107,8 +109,15 @@ def penalty_grad_aux(state: IndicatorState, mu_effective: float, over_budget: bo
 class HybridActivation:
     """Activation layer mixing ReLU and a fitted polynomial per element.
 
+    Computes m * relu(z) + (1 - m) * poly(z) and its derivative.  When the
+    mask sends every element down one branch, the other branch is not
+    evaluated; the result has the same bits and memory layout as the full
+    expression.  The mask is read on every call, since callers rebind and
+    rewrite it between passes.
+
     Tracks channel-wise running statistics of its pre-activations and caches
-    what the backward pass and the indicator gradients need.
+    what the backward pass and the indicator gradients need, including the
+    forward pass's poly(z) when it computed one.
     """
 
     def __init__(self, feat_shape, channel_axis: int = 0, degree: int = 2,
@@ -124,6 +133,7 @@ class HybridActivation:
         eye[:, 1] = 1.0
         self.coeffs = PolyCoeffs(eye)
         self._z = None
+        self._poly = None
         self.last_dldx = None
 
     def params(self):
@@ -147,22 +157,52 @@ class HybridActivation:
             out = out * z + i * self.term(i)
         return out
 
+    def _single_branch(self) -> str | None:
+        """"relu" or "poly" when every element takes that branch, else None."""
+        m = self.indicator.m
+        if np.count_nonzero(m == 1) == m.size:
+            return "relu"
+        if not np.count_nonzero(m):
+            return "poly"
+        return None
+
+    def relu_poly_gap(self, z: np.ndarray) -> np.ndarray:
+        """relu(z) - poly(z), reusing the last forward pass's poly(z) when z is its input."""
+        poly = self._poly if z is self._z and self._poly is not None else self.poly(z)
+        return np.maximum(z, 0.0) - poly
+
     def forward(self, z: np.ndarray, training: bool = False) -> np.ndarray:
         if z.shape[1:] != self.feat_shape:
             raise ValueError(f"activation expects {self.feat_shape}, got {z.shape[1:]}")
         if training:
             self.stats.update(z, channel_axis=1 + self.channel_axis)
-        self._z = z
+        branch = self._single_branch()
+        poly = None if branch == "relu" else self.poly(z)
+        # the cache is written, never read, here: both parties' threads run
+        # the plaintext forward pass of one shared model at once
+        self._z, self._poly = z, poly
+        if branch == "relu":
+            return np.maximum(z, 0.0)
+        if branch == "poly":
+            return poly
         m = self.indicator.m
-        return m * np.maximum(z, 0.0) + (1.0 - m) * self.poly(z)
+        return m * np.maximum(z, 0.0) + (1.0 - m) * poly
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self.last_dldx = dy
+        z = self._z
+        branch = self._single_branch()
+        # each product keeps the full expression's operand types: a float64
+        # temporary with z's layout, so numpy lays the result out the same way
+        if branch == "relu":
+            return dy * (z > 0).astype(np.float64)
+        if branch == "poly":
+            return dy * self.poly_deriv(z)
         m = self.indicator.m
-        return dy * (m * (self._z > 0) + (1.0 - m) * self.poly_deriv(self._z))
+        return dy * (m * (z > 0) + (1.0 - m) * self.poly_deriv(z))
 
     def indicator_grad(self) -> np.ndarray:
-        """Batch-reduced task gradient for m_w from the cached backward pass."""
+        """Batch-reduced task gradient for m_w from the cached forward and backward passes."""
         return acc_grad_aux(self.last_dldx, self._z, self).sum(axis=0)
 
 
@@ -214,14 +254,21 @@ class ReplacementPlan:
 
 @dataclass
 class TrainHistory:
-    epochs: list = field(default_factory=list)  # dicts: epoch, accuracy, relu_count, flips
-    transitions: list = field(default_factory=list)  # (m_before, m_w_after, m_after) per step
+    """Per-epoch rows of a replacement run, plus the optional transition log.
 
-    def to_csv(self) -> str:
-        lines = ["epoch,accuracy,relu_count,flips"]
-        for row in self.epochs:
-            lines.append(f"{row['epoch']},{row['accuracy']:.6f},{row['relu_count']},{row['flips']}")
-        return "\n".join(lines) + "\n"
+    Each row holds: epoch; accuracy on the evaluation set; relu_count and
+    relu_per_layer after the epoch; flips, the indicators that changed during
+    it; loss, the mean training loss of its steps; penalty_active, whether any
+    step was over budget; tail, whether it ran after the schedule to meet the
+    budget.
+    """
+
+    epochs: list = field(default_factory=list)  # one dict per epoch, as above
+    transitions: list = field(default_factory=list)  # (m_before, m_w_after, m_after, t_h) per step
+
+    def to_json(self) -> dict:
+        """The epoch rows as plain JSON types."""
+        return {"epochs": [dict(row) for row in self.epochs]}
 
 
 def evaluate(model: Sequential, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
@@ -293,17 +340,19 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
     def count() -> int:
         return sum(count_relu(a.indicator) for a in acts)
 
-    def one_epoch(epoch: int, w_lr: float, i_lr: float, boost: float, stop_when_met: bool) -> int:
+    def one_epoch(epoch: int, w_lr: float, i_lr: float, boost: float, tail: bool) -> None:
         nonlocal step
-        flips = 0
+        flips, losses, penalty_active = 0, [], False
         for idx in _batches(len(x), cfg.batch_size, rng):
             logits = model.forward(x[idx], training=True)
-            _, dlog = loss_cross_entropy(logits, y[idx])
+            loss, dlog = loss_cross_entropy(logits, y[idx])
+            losses.append(loss)
             model.backward(dlog)
             w_opt.lr = w_lr if boost > 1 else cosine_lr(cfg.lr_weights, step, total_steps)
             w_opt.step()
 
             over = count() > cfg.relu_budget
+            penalty_active |= over
             for a, opt in zip(acts, i_opts):
                 opt.lr = i_lr if boost > 1 else cosine_lr(cfg.lr_indicator, step, total_steps)
                 grad = a.indicator_grad() + penalty_grad_aux(a.indicator, mu_eff * boost, over)
@@ -315,27 +364,31 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
                         (before.copy(), a.indicator.m_w.copy(), a.indicator.m.copy(), cfg.t_h)
                     )
             step += 1
-            if stop_when_met and count() <= cfg.relu_budget:
+            if tail and count() <= cfg.relu_budget:
                 break
         for a in acts:
             refresh_coeffs(a)
+        per_layer = [count_relu(a.indicator) for a in acts]
         history.epochs.append({
             "epoch": epoch,
             "accuracy": evaluate(model, ex, ey),
-            "relu_count": count(),
+            "relu_count": sum(per_layer),
             "flips": flips,
+            "loss": sum(losses) / len(losses),
+            "relu_per_layer": per_layer,
+            "penalty_active": penalty_active,
+            "tail": tail,
         })
-        return flips
 
     for epoch in range(cfg.epochs):
-        one_epoch(epoch, cfg.lr_weights, cfg.lr_indicator, boost=1.0, stop_when_met=False)
+        one_epoch(epoch, cfg.lr_weights, cfg.lr_indicator, boost=1.0, tail=False)
 
     boost = cfg.tail_escalation
     for extra in range(cfg.tail_epochs):
         if count() <= cfg.relu_budget:
             break
         one_epoch(cfg.epochs + extra, 0.1 * cfg.lr_weights, cfg.lr_indicator,
-                  boost=boost, stop_when_met=True)
+                  boost=boost, tail=True)
         boost = min(boost * cfg.tail_escalation, 1e9)
     if count() > cfg.relu_budget:
         raise RuntimeError(

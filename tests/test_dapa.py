@@ -185,6 +185,27 @@ class TestChannelStats:
         with pytest.raises(ValueError):
             channelwise_coeffs(ChannelStats(2))
 
+    @pytest.mark.parametrize("layout", ["conv", "dense"])
+    def test_matches_numpy_mean_var(self, layout):
+        """Both updates equal z.mean/z.var's statistics bit for bit."""
+        rng = np.random.default_rng(11)
+        if layout == "conv":  # (batch, channel, h, w), batch-minor like Conv2d's output
+            make, axes, channels = lambda: rng.normal(1.0, 2.0, (8, 6, 6, 64)).transpose(3, 0, 1, 2), (0, 2, 3), 8
+        else:
+            make, axes, channels = lambda: rng.normal(1.0, 2.0, (64, 16)), (0,), 16
+        st = ChannelStats(channels, momentum=0.1)
+        z = make()
+        st.update(z, channel_axis=1)
+        mean, var = z.mean(axis=axes), z.var(axis=axes)
+        assert np.array_equal(st.mean.view(np.uint64), mean.view(np.uint64))
+        assert np.array_equal(st.var.view(np.uint64), var.view(np.uint64))
+        z = make()
+        st.update(z, channel_axis=1)
+        mean = 0.9 * mean + 0.1 * z.mean(axis=axes)
+        var = 0.9 * var + 0.1 * z.var(axis=axes)
+        assert np.array_equal(st.mean.view(np.uint64), mean.view(np.uint64))
+        assert np.array_equal(st.var.view(np.uint64), var.view(np.uint64))
+
 
 class TestChannelwiseCoeffs:
     def _stats(self, means, variances):

@@ -1,6 +1,7 @@
 """The narrative demos run to completion against the current API.
 
-Demos 04 and 05 are left out: 05 trains a model for several seconds.
+Demo 05 is left out: it runs one pretraining and six replacement
+trainings, several seconds in all.
 """
 
 import os
@@ -17,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "01_fixed_point_ring.py",
     "02_shares_and_beaver.py",
     "03_secure_comparison.py",
+    "04_distribution_aware_fit.py",
     "06_private_inference.py",
 ])
 def test_demo_runs(script):

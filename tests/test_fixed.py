@@ -75,6 +75,15 @@ class TestScalarShape:
         assert decode(r) == -3.0
         assert decode(truncate(r, bits=1)) == -1.5
 
+    @pytest.mark.parametrize("bits", [8, 32, 64])
+    def test_scalar_words_are_an_array(self, bits):
+        """A 0-d tensor's words are a 0-d ndarray that ufuncs can write into."""
+        t = RingTensor(np.array(5, np.uint64), FixedConfig(bits, 4))
+        assert isinstance(t.words, np.ndarray) and t.words.shape == ()
+        np.add(t.words, np.uint64(1), out=t.words)
+        assert int(t.words) == 6
+        assert isinstance((t + 1).words, np.ndarray)
+
 
 class TestTruncate:
     def test_exact_product(self):

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from arp.nn import (
+    Adam,
+    AdamArray,
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dense,
     Flatten,
+    Parameter,
     Sequential,
     build_model,
     fold_batchnorm,
     loss_cross_entropy,
+    mean_var,
 )
 from arp.replace import HybridActivation
 
@@ -146,8 +150,6 @@ class TestBatchNormFolding:
         x = rng.normal(size=(16, 1, 8, 8))
         y = rng.integers(0, 4, size=16)
         # a few training steps so BN stats and affine params are non-trivial
-        from arp.nn import Adam
-
         opt = Adam(model.params(), lr=1e-2)
         for _ in range(5):
             logits = model.forward(x, training=True)
@@ -163,3 +165,45 @@ class TestBatchNormFolding:
     def test_fold_requires_preceding_conv(self):
         with pytest.raises(ValueError):
             fold_batchnorm(Sequential([BatchNorm2d(4)]))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestOneStepArithmetic:
+    """The joined Adam step and one-pass statistics equal their per-array forms bit for bit."""
+
+    def test_adam_equals_one_adamarray_per_parameter(self):
+        rng = np.random.default_rng(12)
+        shapes = [(2, 64), (64,), (8, 1, 3, 3), (1,)]
+        params = [Parameter(rng.normal(size=s)) for s in shapes]
+        opt = Adam(params, lr=1e-2)
+        ref_values = [p.value.copy() for p in params]
+        ref_opts = [AdamArray(lr=1e-2) for _ in params]
+        for step in range(5):
+            lr = 1e-2 / (step + 1)
+            opt.lr = lr
+            for p, ref, ref_opt in zip(params, ref_values, ref_opts):
+                p.grad = rng.normal(size=p.value.shape)
+                ref_opt.lr = lr
+            opt.step()
+            for i, (p, ref_opt) in enumerate(zip(params, ref_opts)):
+                ref_values[i] = ref_opt.update(ref_values[i], p.grad)
+                assert same_bits(p.value, ref_values[i])
+
+    def test_adam_without_parameters(self):
+        opt = Adam([], lr=0.5)
+        opt.step()
+        assert opt.lr == 0.5
+
+    @pytest.mark.parametrize("layout", ["conv", "dense"])
+    def test_mean_var_equals_numpy(self, layout):
+        rng = np.random.default_rng(13)
+        if layout == "conv":  # batch-minor, as Conv2d.forward returns it
+            x, axes = rng.normal(size=(8, 6, 6, 64)).transpose(3, 0, 1, 2), (0, 2, 3)
+        else:
+            x, axes = rng.normal(size=(64, 16)), (0,)
+        mean, var = mean_var(x, axes)
+        assert same_bits(mean, x.mean(axis=axes))
+        assert same_bits(var, x.var(axis=axes))

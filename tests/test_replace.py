@@ -1,12 +1,15 @@
 """Indicator gradients, hysteresis rule, and replacement training behavior."""
 
 import copy
+import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from arp.dapa import GaussianStats, fit_closed_form
+from arp.dapa import GaussianStats, PolyCoeffs, fit_closed_form
 from arp.data import two_spirals
 from arp.nn import build_model
 from arp.replace import (
@@ -201,6 +204,90 @@ class TestHybridForwardAndRefresh:
         assert act.stats.warmed_up
 
 
+class TestSinglePath:
+    """forward/backward/indicator_grad equal the full two-branch expressions.
+
+    The expected arrays are built here with the full expressions, so the
+    comparison holds on any BLAS build; strides must match too, because a
+    different layout reorders numpy's later reductions.
+    """
+
+    @staticmethod
+    def _full(act, z, dy):
+        m = act.indicator.m
+        out = m * np.maximum(z, 0.0) + (1.0 - m) * act.poly(z)
+        dz = dy * (m * (z > 0) + (1.0 - m) * act.poly_deriv(z))
+        gap = np.maximum(z, 0.0) - act.poly(z)
+        grad = (dy * gap * expit(act.indicator.m_w)).sum(axis=0)
+        return out, dz, grad
+
+    @staticmethod
+    def _assert_same(got, expect):
+        assert got.shape == expect.shape and got.strides == expect.strides
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("batch", [3, 64, 256])
+    @pytest.mark.parametrize("layout", ["conv", "dense"])
+    def test_matches_full_expression(self, layout, batch):
+        rng = np.random.default_rng(batch)
+        if layout == "conv":  # batch-minor, as Conv2d.forward returns it
+            feat = (8, 8, 8)
+            z = rng.normal(size=(*feat, batch)).transpose(3, 0, 1, 2)
+        else:
+            feat = (64,)
+            z = rng.normal(size=(batch, *feat))
+        dy = rng.normal(size=z.shape)  # C-contiguous, as AvgPool2d/Dense backward return it
+        act = HybridActivation(feat)
+        act.coeffs = PolyCoeffs(rng.normal(size=(feat[0], 3)))
+        act.indicator.m_w[:] = rng.normal(size=feat)
+        mixed = (rng.random(feat) < 0.5).astype(np.float64)
+        for mask in (np.ones(feat), np.zeros(feat), mixed, np.ones(feat)):
+            act.indicator.m[:] = mask  # in place: the layer must not cache its branch
+            expect = self._full(act, z, dy)
+            out = act.forward(z, training=True)
+            dz = act.backward(dy)
+            grad = act.indicator_grad()
+            for got, want in zip((out, dz, grad), expect):
+                self._assert_same(got, want)
+
+    def test_shared_layer_forward_in_two_threads(self):
+        """Both parties' threads run the plaintext forward pass of one model at once."""
+        rng = np.random.default_rng(10)
+        act = HybridActivation((64,))
+        act.indicator.m[:] = (rng.random(64) < 0.5).astype(np.float64)
+        inputs = [rng.normal(size=(16, 64)) for _ in range(2)]
+        expect = [self._full(act, z, z)[0] for z in inputs]
+        failures = []
+
+        def work(i):
+            try:
+                for _ in range(300):
+                    if not np.array_equal(act.forward(inputs[i]), expect[i]):
+                        failures.append(i)
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[:3]
+
+    def test_rebound_mask(self):
+        act = HybridActivation((4,))
+        z = np.random.default_rng(9).normal(size=(5, 4))
+        act.forward(z)
+        act.indicator.m = np.zeros(4)  # rebound, as model_io does
+        np.testing.assert_array_equal(act.forward(z), z)  # identity start coeffs
+
+
 @pytest.fixture(scope="module")
 def spiral_setup():
     x, y = two_spirals(512, noise=0.15, seed=3)
@@ -252,13 +339,21 @@ class TestTrainReplace:
             assert np.all(m_w[flipped_off] <= -t_h)
             assert np.all(m_w[flipped_on] > t_h)
 
-    def test_history_csv(self, spiral_setup):
+    def test_history_json(self, spiral_setup):
         model, train, test = spiral_setup
         cfg = ReplacementConfig(relu_budget=64, epochs=3, seed=1)
-        _, _, hist = train_replace(copy.deepcopy(model), train, cfg, eval_data=test)
-        lines = hist.to_csv().strip().splitlines()
-        assert lines[0] == "epoch,accuracy,relu_count,flips"
-        assert len(lines) >= 4
+        _, plan, hist = train_replace(copy.deepcopy(model), train, cfg, eval_data=test)
+        rows = json.loads(json.dumps(hist.to_json()))["epochs"]
+        assert len(rows) >= 3
+        assert set(rows[0]) == {"epoch", "accuracy", "relu_count", "flips", "loss",
+                                "relu_per_layer", "penalty_active", "tail"}
+        assert [r["epoch"] for r in rows] == list(range(len(rows)))
+        for row in rows:
+            assert row["relu_count"] == sum(row["relu_per_layer"])
+            assert len(row["relu_per_layer"]) == 2 and row["loss"] > 0
+        assert rows[0]["penalty_active"] and not rows[0]["tail"]
+        assert rows[-1]["relu_count"] == plan.relu_count
+        assert all(r["tail"] for r in rows[3:])
 
     def test_invalid_configs(self, spiral_setup):
         model, train, _ = spiral_setup
@@ -269,3 +364,37 @@ class TestTrainReplace:
         with pytest.raises(ValueError):
             train_replace(copy.deepcopy(model), (np.zeros((0, 2)), np.zeros(0)),
                           ReplacementConfig(relu_budget=4))
+
+
+class TestDapaBeatsFixedFit:
+    """The paper's ablation: per-channel DaPa fits beat one fixed N(0,1) fit.
+
+    mlp on two-spiral (2,048 points, the first 1,600 for training), 60
+    pretrain epochs, then 20 replacement epochs to 16 kept ReLUs.  The
+    fixed variant swaps the trainer's channel-wise refit for the closed-form
+    fit to N(0, 1) in every channel; both start from the same pretrained
+    weights.
+    """
+
+    BUDGET = 16
+
+    @staticmethod
+    def _fixed_coeffs(stats, degree=2):
+        return PolyCoeffs(np.tile(fit_closed_form(GaussianStats(0.0, 1.0)), (stats.channels, 1)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dapa_margin_at_budget_16(self, seed, monkeypatch):
+        x, y = two_spirals(2048, seed=seed)
+        train, test = (x[:1600], y[:1600]), (x[1600:], y[1600:])
+        base = build_model("mlp", seed=seed)
+        train_supervised(base, *train, epochs=60, lr=1e-3, batch_size=64, seed=seed)
+        cfg = ReplacementConfig(relu_budget=self.BUDGET, epochs=20, seed=seed)
+
+        dapa, plan, _ = train_replace(copy.deepcopy(base), train, cfg, eval_data=test)
+        assert plan.relu_count <= self.BUDGET
+        monkeypatch.setattr("arp.replace.channelwise_coeffs", self._fixed_coeffs)
+        fixed, plan, _ = train_replace(copy.deepcopy(base), train, cfg, eval_data=test)
+        assert plan.relu_count <= self.BUDGET
+
+        acc_dapa, acc_fixed = evaluate(dapa, *test), evaluate(fixed, *test)
+        assert acc_dapa >= acc_fixed + 0.05, (acc_dapa, acc_fixed)
