@@ -5,17 +5,19 @@ Shared flags, accepted only by the commands that read them: --seed
 --fixed-bits/--frac-bits (train-replace, export).  infer-private takes
 --party with --listen/--connect for the TCP roles.  Exit codes: 0 success,
 2 protocol desync or a usage error (such as a flag the command does not
-take, a malformed HOST:PORT or a --limit below 1), 3 tape exhaustion, 4 I/O
-or format error, 5 peer or transport error (no peer within --timeout,
-connection refused or lost, a listen port in use), 6 private logits
-outside the declared error budget (the run completed; its summary and
---report are still written).
+take, a malformed HOST:PORT, a count, rate, threshold or MU,VAR pair out of
+range, or a --budget above the model's activation count, refused before
+any training), 3 tape exhaustion, 4 I/O or format error, 5 peer or
+transport error (no peer within --timeout, connection refused or lost, a
+listen port in use), 6 private logits outside the declared error budget
+(the run completed; its summary and --report are still written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -59,10 +61,35 @@ def _hostport(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _positive_int(text: str) -> int:
-    if not (text.isdecimal() and int(text) > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _number(cast, ok, expected: str):
+    """An argparse type: `cast` of the text, refused unless ok(value)."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _number(float, lambda v: 0 < v < math.inf, "a positive number")
+_non_negative_float = _number(float, lambda v: 0 <= v < math.inf, "a non-negative number")
+
+
+def _gaussian_stats(text: str) -> GaussianStats:
+    try:
+        mu, var = (float(v) for v in text.split(","))
+        if math.isfinite(mu) and 0 < var < math.inf:
+            return GaussianStats(mu, var)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected MU,VAR with a positive VAR, got {text!r}")
 
 
 def _load_inputs(path: str, limit: int | None):
@@ -102,16 +129,20 @@ def cmd_train_replace(args) -> int:
         model = build_model("smallcnn", seed, num_classes, image_hw=x.shape[-1], t_h=args.th)
     else:
         model = build_model("mlp", seed, num_classes, t_h=args.th)
+    cfg = ReplacementConfig(
+        relu_budget=args.budget, mu=args.mu, epochs=args.epochs, t_h=args.th,
+        batch_size=args.batch_size, seed=seed,
+    )
+    try:
+        cfg.validate(model.activation_elements())
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
     train_supervised(model, xtr, ytr, epochs=args.pretrain_epochs, lr=1e-3,
                      batch_size=args.batch_size, seed=seed)
     base_acc = evaluate(model, xte, yte)
     print(f"baseline test accuracy: {base_acc:.4f}")
 
-    cfg = ReplacementConfig(
-        relu_budget=args.budget, mu=args.mu, epochs=args.epochs, t_h=args.th,
-        batch_size=args.batch_size, seed=seed,
-    )
     model, plan, history = train_replace(model, (xtr, ytr), cfg, eval_data=(xte, yte))
     final = history.epochs[-1]
     print(f"final test accuracy: {final['accuracy']:.4f} "
@@ -130,9 +161,8 @@ def cmd_train_replace(args) -> int:
 def cmd_dapa_fit(args) -> int:
     rows = ["source,mu,var,degree," + ",".join(f"c{i}" for i in range(args.degree + 1)) + ",loss"]
     if args.stats:
-        for pair in args.stats:
-            mu, var = (float(v) for v in pair.split(","))
-            g = GaussianStats(mu, var)
+        for g in args.stats:
+            mu, var = g.mean, g.var
             if args.degree == 2:
                 c = fit_closed_form(g)
                 loss = min_approx_loss(g)
@@ -210,24 +240,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-replace", help="baseline-train then learn a replacement plan")
     _add_seed(p)
     _add_ring(p)
-    p.add_argument("--budget", type=int, required=True, help="target surviving ReLU count")
-    p.add_argument("--mu", type=float, default=1.0, help="normalized count penalty")
-    p.add_argument("--th", type=float, default=0.003, help="hysteresis threshold")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--pretrain-epochs", type=int, default=150)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--budget", type=_non_negative_int, required=True,
+                   help="target surviving ReLU count")
+    p.add_argument("--mu", type=_positive_float, default=1.0, help="normalized count penalty")
+    p.add_argument("--th", type=_non_negative_float, default=0.003, help="hysteresis threshold")
+    p.add_argument("--epochs", type=_positive_int, default=40)
+    p.add_argument("--pretrain-epochs", type=_non_negative_int, default=150)
+    p.add_argument("--batch-size", type=_positive_int, default=64)
     p.add_argument("--dataset", required=True, help="csv or .arim input file")
     p.add_argument("--arch", choices=["mlp", "smallcnn"], default="mlp")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--history", help="per-epoch JSON history to write")
-    p.set_defaults(fn=cmd_train_replace)
+    p.set_defaults(fn=cmd_train_replace, usage_error=p.error)
 
     p = sub.add_parser("dapa-fit", help="fit polynomial coefficients to ReLU")
     _add_seed(p)
-    p.add_argument("--stats", action="append", metavar="MU,VAR",
+    p.add_argument("--stats", action="append", type=_gaussian_stats, metavar="MU,VAR",
                    help="Gaussian stats pair; repeatable")
     p.add_argument("--samples", help="text file of raw samples, one per line")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_positive_int, default=2)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_dapa_fit)
 

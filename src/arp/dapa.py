@@ -25,6 +25,7 @@ __all__ = [
     "fit_closed_form_linear",
     "min_approx_loss",
     "fit_monte_carlo",
+    "horner",
     "channelwise_coeffs",
     "MU_GRID",
     "VAR_GRID",
@@ -56,6 +57,14 @@ class GaussianStats:
             raise ValueError(f"variance must be positive, got {self.var}")
 
 
+def horner(terms, z: np.ndarray) -> np.ndarray:
+    """sum_i terms[i] * z**i by Horner's rule, started from the leading term."""
+    out = terms[-1]
+    for t in terms[-2::-1]:
+        out = out * z + t
+    return out
+
+
 @dataclass
 class PolyCoeffs:
     """Coefficients c[..., i] of sum_i c_i * z^i; leading axes are channels."""
@@ -76,36 +85,31 @@ class PolyCoeffs:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Evaluate with channel axes broadcasting against z's trailing axes."""
-        z = np.asarray(z, dtype=np.float64)
-        out = np.zeros(np.broadcast_shapes(z.shape, self.term(0).shape), dtype=np.float64)
-        for i in range(self.degree, -1, -1):
-            out = out * z + self.term(i)
-        return out
+        return horner([self.term(i) for i in range(self.degree + 1)], z)
+
+
+def _gaussian_args(stats, var):
+    """(mean, var, pack) for the closed-form fits: a GaussianStats packs scalars
+    (c0, c1, ...); (mean, var) arrays, every variance checked positive, pack an
+    array with a trailing coefficient axis, for vectorized per-channel use.
+    """
+    if isinstance(stats, GaussianStats):
+        return stats.mean, stats.var, lambda cs: tuple(float(c) for c in cs)
+    mu, v = np.asarray(stats, dtype=np.float64), np.asarray(var, dtype=np.float64)
+    if np.any(v <= 0):
+        raise ValueError("variance must be positive")
+    return mu, v, lambda cs: np.stack(cs, axis=-1)
 
 
 def fit_closed_form(stats, var=None) -> tuple[float, float, float] | np.ndarray:
-    """Optimal quadratic fit to ReLU for N(mean, var) inputs, in closed form.
-
-    Accepts a GaussianStats, or (mean, var) arrays for vectorized per-channel
-    use.  Returns (c0, c1, c2) scalars for the scalar case, else an array
-    with a trailing coefficient axis.
-    """
-    if isinstance(stats, GaussianStats):
-        mu, v = stats.mean, stats.var
-        scalar = True
-    else:
-        mu, v = np.asarray(stats, dtype=np.float64), np.asarray(var, dtype=np.float64)
-        if np.any(v <= 0):
-            raise ValueError("variance must be positive")
-        scalar = False
+    """Optimal quadratic fit (c0, c1, c2) to ReLU for N(mean, var) inputs, in closed form."""
+    mu, v, pack = _gaussian_args(stats, var)
     sigma = np.sqrt(v)
     e = np.exp(-(mu**2) / (2 * v))
     c2 = _SQRT2 * e / (4 * _SQRT_PI * sigma)
     c1 = -_SQRT2 * mu * e / (2 * _SQRT_PI * sigma) - erfc(_SQRT2 * mu / (2 * sigma)) / 2 + 1
     c0 = _SQRT2 * mu**2 * e / (4 * _SQRT_PI * sigma) + _SQRT2 * sigma * e / (4 * _SQRT_PI)
-    if scalar:
-        return float(c0), float(c1), float(c2)
-    return np.stack([c0, c1, c2], axis=-1)
+    return pack((c0, c1, c2))
 
 
 def fit_closed_form_linear(stats, var=None):
@@ -114,19 +118,12 @@ def fit_closed_form_linear(stats, var=None):
     c1 = Phi(mu/sigma), c0 = sigma * phi(mu/sigma): the covariance of ReLU(Z)
     with Z over a Gaussian is sigma^2 * Phi(mu/sigma).
     """
-    if isinstance(stats, GaussianStats):
-        mu, v = stats.mean, stats.var
-        scalar = True
-    else:
-        mu, v = np.asarray(stats, dtype=np.float64), np.asarray(var, dtype=np.float64)
-        scalar = False
+    mu, v, pack = _gaussian_args(stats, var)
     sigma = np.sqrt(v)
     alpha = mu / sigma
     c1 = 0.5 * erfc(-alpha / _SQRT2)  # standard normal CDF
     c0 = sigma * np.exp(-(alpha**2) / 2) / np.sqrt(2 * np.pi)
-    if scalar:
-        return float(c0), float(c1)
-    return np.stack([c0, c1], axis=-1)
+    return pack((c0, c1))
 
 
 def min_approx_loss(stats: GaussianStats, *, uncorrected: bool = False) -> float:
@@ -184,10 +181,7 @@ def empirical_loss(samples: np.ndarray, coeffs) -> float:
     """Mean squared error of a polynomial against ReLU over samples."""
     z = np.asarray(samples, dtype=np.float64).reshape(-1)
     c = coeffs.coeffs if isinstance(coeffs, PolyCoeffs) else np.asarray(coeffs, dtype=np.float64)
-    pred = np.zeros_like(z)
-    for ci in c[::-1]:
-        pred = pred * z + ci
-    return float(np.mean((np.maximum(z, 0.0) - pred) ** 2))
+    return float(np.mean((np.maximum(z, 0.0) - horner(c, z)) ** 2))
 
 
 @dataclass

@@ -4,13 +4,14 @@ Dense, conv (im2col), average pooling, flatten, and batch norm, plus the
 Adam optimizer and the loss used by both baseline training and
 replacement training.
 Layers cache what their backward pass needs; one forward/backward pair per
-step, gradients are overwritten rather than accumulated.  Each step does
-its arithmetic once: one Adam update covers every parameter, and batch
-statistics take the variance around the mean they already hold.  Both give
-the same bits as one AdamArray per parameter and np.mean/np.var.
+step, gradients are overwritten rather than accumulated.  Every batch
+reduction goes through batch_sum, so trained bits depend on values, never
+on the memory layouts numpy happens to pick.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "Sequential",
     "AdamArray",
     "Adam",
+    "batch_sum",
     "mean_var",
     "cosine_lr",
     "loss_cross_entropy",
@@ -51,12 +53,13 @@ class Dense:
         return [self.w, self.b]
 
     def forward(self, x, training=False):
-        self._x = x
-        return x @ self.w.value + self.b.value
+        self._x = np.ascontiguousarray(x)  # matmuls, like sums, follow the operand layout
+        return self._x @ self.w.value + self.b.value
 
     def backward(self, dy):
+        dy = np.ascontiguousarray(dy)
         self.w.grad = self._x.T @ dy
-        self.b.grad = dy.sum(axis=0)
+        self.b.grad = batch_sum(dy, 0)
         return dy @ self.w.value.T
 
 
@@ -85,9 +88,9 @@ class Conv2d:
 
     def backward(self, dy):
         oc, _, kh, kw = self.w.value.shape
-        dy_mat = dy.transpose(1, 2, 3, 0).reshape(oc, -1)
+        dy_mat = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).reshape(oc, -1)
         self.w.grad = (dy_mat @ self._cols.T).reshape(self.w.value.shape)
-        self.b.grad = dy.sum(axis=(0, 2, 3))
+        self.b.grad = batch_sum(dy, (0, 2, 3))
         dcols = self.w.value.reshape(oc, -1).T @ dy_mat
         return col2im(dcols, self._x_shape, kh, kw, self.stride, self.padding)
 
@@ -121,20 +124,18 @@ class BatchNorm2d:
 
     def backward(self, dy):
         xhat, inv, shape = self._cache
-        n = shape[0] * shape[2] * shape[3]
-        self.gamma.grad = (dy * xhat).sum(axis=(0, 2, 3))
-        self.beta.grad = dy.sum(axis=(0, 2, 3))
-        g = self.gamma.value[:, None, None]
-        dxhat = dy * g
-        mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-        mean_dxhat_x = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+        axes, n = (0, 2, 3), shape[0] * shape[2] * shape[3]
+        self.gamma.grad = batch_sum(dy * xhat, axes)
+        self.beta.grad = batch_sum(dy, axes)
+        dxhat = dy * self.gamma.value[:, None, None]
+        mean_dxhat = batch_sum(dxhat, axes, keepdims=True) / n
+        mean_dxhat_x = batch_sum(dxhat * xhat, axes, keepdims=True) / n
         return inv[:, None, None] * (dxhat - mean_dxhat - xhat * mean_dxhat_x)
 
 
 class AvgPool2d:
     def __init__(self, k: int = 2):
         self.k = k
-        self._x_shape = None
 
     def params(self):
         return []
@@ -144,7 +145,6 @@ class AvgPool2d:
         b, c, h, w = x.shape
         if h % k or w % k:
             raise ValueError(f"pooling {k} does not divide {h}x{w}")
-        self._x_shape = x.shape
         return x.reshape(b, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
     def backward(self, dy):
@@ -188,24 +188,27 @@ class Sequential:
     def hybrid_layers(self):
         return [l for l in self.layers if hasattr(l, "indicator")]
 
+    def activation_elements(self) -> int:
+        return sum(l.indicator.m.size for l in self.hybrid_layers())
+
 
 # ---- optimizers ---------------------------------------------------------------
 
 
 class AdamArray:
-    """Adam over a single array; update() returns the descended value."""
+    """Adam over one array: update() returns the descended value.
+
+    update_joined() descends several arrays in one update of their
+    concatenation; Adam is elementwise, so each gets the same bits as alone.
+    """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = None
-        self.v = None
+        self.m = self.v = 0.0  # zero moments; the first update makes them arrays
         self.t = 0
 
     def update(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        if self.m is None:
-            self.m = np.zeros_like(x)
-            self.v = np.zeros_like(x)
         self.t += 1
         self.m = self.beta1 * self.m + (1 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1 - self.beta2) * grad**2
@@ -213,48 +216,54 @@ class AdamArray:
         vhat = self.v / (1 - self.beta2**self.t)
         return x - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
+    def update_joined(self, xs: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
+        """The descended arrays, each a view of one update over all of them joined."""
+        if not xs:
+            return []
+        joined = self.update(np.concatenate([x.ravel() for x in xs]),
+                             np.concatenate([g.ravel() for g in grads]))
+        ends = itertools.accumulate(x.size for x in xs)
+        return [joined[end - x.size : end].reshape(x.shape) for x, end in zip(xs, ends)]
+
 
 class Adam(AdamArray):
-    """Adam over a list of parameters, as one AdamArray over their concatenation.
-
-    Adam is elementwise, so one update of the joined values and gradients
-    gives each parameter the same bits as an AdamArray of its own; each
-    parameter's value then becomes its slice of the updated array.
-    """
+    """Adam over a list of parameters, as one update_joined per step."""
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3, **kw):
         super().__init__(lr=lr, **kw)
         self.params = params
 
     def step(self):
-        if not self.params:
-            return
-        value = self.update(np.concatenate([p.value.ravel() for p in self.params]),
-                            np.concatenate([p.grad.ravel() for p in self.params]))
-        start = 0
-        for p in self.params:
-            p.value = value[start : start + p.value.size].reshape(p.value.shape)
-            start += p.value.size
+        values = self.update_joined([p.value for p in self.params], [p.grad for p in self.params])
+        for p, value in zip(self.params, values):
+            p.value = value
 
 
 def cosine_lr(base: float, step: int, total: int) -> float:
-    if total <= 0:
-        return base
     return base * 0.5 * (1 + np.cos(np.pi * min(step, total) / total))
+
+
+def batch_sum(a: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
+    """a.sum(axis) over a C-ordered copy of `a` (no copy if it is C-ordered already).
+
+    numpy's summation order follows the operand's memory layout; summing one
+    fixed layout makes the bits depend on the values alone.
+    """
+    return np.ascontiguousarray(a).sum(axis=axis, keepdims=keepdims)
 
 
 def mean_var(x: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Mean and (biased) variance over `axes`, both with those axes dropped.
 
-    Bit for bit x.mean(axes) and x.var(axes), but the variance is taken
-    around the mean already in hand instead of summing x a second time.
+    Bit for bit the C-ordered copy's x.mean(axes) and x.var(axes), but the
+    variance is taken around the mean already in hand.
     """
-    total = x.sum(axis=axes, keepdims=True)
+    total = batch_sum(x, axes, keepdims=True)
     n = x.size // total.size
     mean = total / n
     dev = x - mean
     np.square(dev, out=dev)
-    return mean.squeeze(axis=axes), dev.sum(axis=axes) / n
+    return mean.squeeze(axis=axes), batch_sum(dev, axes) / n
 
 
 def loss_cross_entropy(logits: np.ndarray, labels: np.ndarray):

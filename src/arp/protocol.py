@@ -244,10 +244,15 @@ def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *,
 
 
 def add_public(x: ShareTensor, c: RingTensor) -> ShareTensor:
-    """Add a public constant: only party 0 contributes it."""
+    """Add a public constant: only party 0 contributes it; party 1's share is returned as is.
+
+    Both parties refuse a constant that does not broadcast to the share's shape.
+    """
+    if np.broadcast_shapes(x.shape, c.shape) != x.shape:  # numpy raises for clashing shapes
+        raise ValueError(f"public constant of shape {c.shape} does not broadcast to {x.shape}")
     if x.party == 0:
         return ShareTensor(0, x.payload + c, x.scale)
-    return ShareTensor(1, x.payload + RingTensor.zeros(c.shape, c.cfg), x.scale)
+    return x
 
 
 def public_complement(x: ShareTensor) -> ShareTensor:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .dapa import ChannelStats, PolyCoeffs, channelwise_coeffs
-from .nn import Adam, AdamArray, Sequential, cosine_lr, loss_cross_entropy
+from .dapa import ChannelStats, PolyCoeffs, channelwise_coeffs, horner
+from .nn import Adam, AdamArray, Sequential, batch_sum, cosine_lr, loss_cross_entropy
 
 __all__ = [
     "IndicatorState",
@@ -76,34 +76,31 @@ def apply_hysteresis(m: np.ndarray, m_w: np.ndarray, t_h: float) -> np.ndarray:
     return np.where(m == 1, m_w > -t_h, m_w > t_h).astype(np.float64)
 
 
-def hysteresis_step(state: IndicatorState, grad: np.ndarray,
-                    opt: AdamArray | None = None, lr: float = 1e-3) -> IndicatorState:
-    """Descend m_w on the surrogate gradient, then re-derive m."""
-    if grad.shape != state.m_w.shape:
-        raise ValueError(f"gradient shape {grad.shape} does not match {state.m_w.shape}")
-    m_w = opt.update(state.m_w, grad) if opt is not None else state.m_w - lr * grad
+def hysteresis_step(state: IndicatorState, m_w: np.ndarray) -> IndicatorState:
+    """Take the descended m_w and re-derive m from the indicators before the step."""
+    if m_w.shape != state.m_w.shape:
+        raise ValueError(f"m_w shape {m_w.shape} does not match {state.m_w.shape}")
     return IndicatorState(apply_hysteresis(state.m, m_w, state.t_h), m_w, state.t_h)
 
 
-def acc_grad_aux(dl_dx: np.ndarray, z: np.ndarray, act: "HybridActivation") -> np.ndarray:
-    """Task-loss gradient piece for m_w: dL/dX * (relu(Z) - poly(Z)) * sigmoid(m_w).
+def acc_grad_aux(dl_dx: np.ndarray, z: np.ndarray, act: "HybridActivation",
+                 sig: np.ndarray) -> np.ndarray:
+    """Task-loss gradient piece for m_w: dL/dX * (relu(Z) - poly(Z)) * sig.
 
-    Elementwise over the batch; either sign is reachable, which is what makes
-    replaced elements recoverable.  The caller reduces over the batch axis.
+    `sig` is ste_softplus_grad(m_w), shared with penalty_grad_aux.  Elementwise
+    over the batch; either sign is reachable, which is what makes replaced
+    elements recoverable.  The caller reduces over the batch axis.
     """
     if dl_dx.shape != z.shape:
         raise ValueError("dL/dX and Z shapes differ")
-    # a named gap is not a temporary numpy may write the product into; the
-    # product then takes its own layout, which fixes the caller's summation order
-    gap = act.relu_poly_gap(z)
-    return dl_dx * gap * ste_softplus_grad(act.indicator.m_w)
+    return dl_dx * act.relu_poly_gap(z) * sig
 
 
-def penalty_grad_aux(state: IndicatorState, mu_effective: float, over_budget: bool) -> np.ndarray:
-    """Count-penalty gradient: mu * sigmoid(m_w) while over budget, else exactly zero."""
+def penalty_grad_aux(sig: np.ndarray, mu_effective: float, over_budget: bool) -> np.ndarray:
+    """Count-penalty gradient: mu * sig while over budget, else exactly zero."""
     if not over_budget:
-        return np.zeros_like(state.m_w)
-    return mu_effective * ste_softplus_grad(state.m_w)
+        return np.zeros_like(sig)
+    return mu_effective * sig
 
 
 class HybridActivation:
@@ -111,9 +108,9 @@ class HybridActivation:
 
     Computes m * relu(z) + (1 - m) * poly(z) and its derivative.  When the
     mask sends every element down one branch, the other branch is not
-    evaluated; the result has the same bits and memory layout as the full
-    expression.  The mask is read on every call, since callers rebind and
-    rewrite it between passes.
+    evaluated; the result has the same bits as the full expression.  The
+    mask is read on every call, since callers rebind and rewrite it between
+    passes.
 
     Tracks channel-wise running statistics of its pre-activations and caches
     what the backward pass and the indicator gradients need, including the
@@ -146,16 +143,10 @@ class HybridActivation:
         return self.coeffs.term(i).reshape(shape)
 
     def poly(self, z: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(z)
-        for i in range(self.degree, -1, -1):
-            out = out * z + self.term(i)
-        return out
+        return horner([self.term(i) for i in range(self.degree + 1)], z)
 
     def poly_deriv(self, z: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(z)
-        for i in range(self.degree, 0, -1):
-            out = out * z + i * self.term(i)
-        return out
+        return horner([i * self.term(i) for i in range(1, self.degree + 1)], z)
 
     def _single_branch(self) -> str | None:
         """"relu" or "poly" when every element takes that branch, else None."""
@@ -192,18 +183,16 @@ class HybridActivation:
         self.last_dldx = dy
         z = self._z
         branch = self._single_branch()
-        # each product keeps the full expression's operand types: a float64
-        # temporary with z's layout, so numpy lays the result out the same way
         if branch == "relu":
-            return dy * (z > 0).astype(np.float64)
+            return dy * (z > 0)
         if branch == "poly":
             return dy * self.poly_deriv(z)
         m = self.indicator.m
         return dy * (m * (z > 0) + (1.0 - m) * self.poly_deriv(z))
 
-    def indicator_grad(self) -> np.ndarray:
+    def indicator_grad(self, sig: np.ndarray) -> np.ndarray:
         """Batch-reduced task gradient for m_w from the cached forward and backward passes."""
-        return acc_grad_aux(self.last_dldx, self._z, self).sum(axis=0)
+        return batch_sum(acc_grad_aux(self.last_dldx, self._z, self, sig), 0)
 
 
 def refresh_coeffs(act: HybridActivation) -> HybridActivation:
@@ -238,6 +227,8 @@ class ReplacementConfig:
             raise ValueError(
                 f"budget {self.relu_budget} exceeds {total_elements} activation elements"
             )
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch size must be at least 1")
         if self.lr_indicator <= 0 or self.lr_weights <= 0:
             raise ValueError("learning rates must be positive")
         if self.mu <= 0:
@@ -323,7 +314,7 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
         raise ValueError("empty dataset")
     ex, ey = eval_data if eval_data is not None else (x, y)
     acts = model.hybrid_layers()
-    total_elements = sum(int(np.prod(a.feat_shape)) for a in acts)
+    total_elements = model.activation_elements()
     cfg.validate(total_elements)
     for a in acts:
         a.indicator = IndicatorState(a.indicator.m, a.indicator.m_w, cfg.t_h)
@@ -331,7 +322,7 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
 
     rng = np.random.default_rng(cfg.seed)
     w_opt = Adam(model.params(), lr=cfg.lr_weights)
-    i_opts = [AdamArray(lr=cfg.lr_indicator) for _ in acts]
+    i_opt = AdamArray(lr=cfg.lr_indicator)
     history = TrainHistory()
     steps_per_epoch = max(1, (len(x) + cfg.batch_size - 1) // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -340,7 +331,7 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
     def count() -> int:
         return sum(count_relu(a.indicator) for a in acts)
 
-    def one_epoch(epoch: int, w_lr: float, i_lr: float, boost: float, tail: bool) -> None:
+    def one_epoch(epoch: int, boost: float, tail: bool) -> None:
         nonlocal step
         flips, losses, penalty_active = 0, [], False
         for idx in _batches(len(x), cfg.batch_size, rng):
@@ -348,16 +339,20 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
             loss, dlog = loss_cross_entropy(logits, y[idx])
             losses.append(loss)
             model.backward(dlog)
-            w_opt.lr = w_lr if boost > 1 else cosine_lr(cfg.lr_weights, step, total_steps)
+            w_opt.lr = 0.1 * cfg.lr_weights if tail else cosine_lr(cfg.lr_weights, step, total_steps)
             w_opt.step()
 
             over = count() > cfg.relu_budget
             penalty_active |= over
-            for a, opt in zip(acts, i_opts):
-                opt.lr = i_lr if boost > 1 else cosine_lr(cfg.lr_indicator, step, total_steps)
-                grad = a.indicator_grad() + penalty_grad_aux(a.indicator, mu_eff * boost, over)
+            grads = []
+            for a in acts:
+                sig = ste_softplus_grad(a.indicator.m_w)
+                grads.append(a.indicator_grad(sig) + penalty_grad_aux(sig, mu_eff * boost, over))
+            i_opt.lr = cfg.lr_indicator if tail else cosine_lr(cfg.lr_indicator, step, total_steps)
+            m_ws = i_opt.update_joined([a.indicator.m_w for a in acts], grads)
+            for a, m_w in zip(acts, m_ws):
                 before = a.indicator.m
-                a.indicator = hysteresis_step(a.indicator, grad, opt)
+                a.indicator = hysteresis_step(a.indicator, m_w)
                 flips += int(np.sum(a.indicator.m != before))
                 if cfg.log_transitions:
                     history.transitions.append(
@@ -381,14 +376,13 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
         })
 
     for epoch in range(cfg.epochs):
-        one_epoch(epoch, cfg.lr_weights, cfg.lr_indicator, boost=1.0, tail=False)
+        one_epoch(epoch, boost=1.0, tail=False)
 
     boost = cfg.tail_escalation
     for extra in range(cfg.tail_epochs):
         if count() <= cfg.relu_budget:
             break
-        one_epoch(cfg.epochs + extra, 0.1 * cfg.lr_weights, cfg.lr_indicator,
-                  boost=boost, tail=True)
+        one_epoch(cfg.epochs + extra, boost=boost, tail=True)
         boost = min(boost * cfg.tail_escalation, 1e9)
     if count() > cfg.relu_budget:
         raise RuntimeError(

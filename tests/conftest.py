@@ -22,6 +22,11 @@ def two_party(fn, requests=(), cfg=CFG64, seed=99, timeout=20.0):
     return run_both(lambda: fn(s0), lambda: fn(s1))
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and bit-identical float64 values, whatever the memory layouts."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def share_reals(x, cfg=CFG64, seed=1):
     """Additive shares of encoded reals; returns (share_party0, share_party1)."""
     return Dealer(seed, cfg).gen_shares(encode(np.asarray(x, dtype=np.float64), cfg))

@@ -53,6 +53,7 @@ from arp.replace import (
     count_relu,
     evaluate,
     penalty_grad_aux,
+    ste_softplus_grad,
     train_replace,
     train_supervised,
 )
@@ -404,8 +405,9 @@ def test_criterion_08_gradient_checks(baseline):
     grad_ok = worst <= 1e-4
 
     st = IndicatorState.all_relu((10,))
-    pen_at = penalty_grad_aux(st, 0.5, over_budget=False)
-    pen_over = penalty_grad_aux(st, 0.5, over_budget=True)
+    sig = ste_softplus_grad(st.m_w)
+    pen_at = penalty_grad_aux(sig, 0.5, over_budget=False)
+    pen_over = penalty_grad_aux(sig, 0.5, over_budget=True)
     pen_ok = np.all(pen_at == 0.0) and np.all(pen_over > 0)
     check(8, grad_ok and pen_ok,
           f"backprop vs central differences: max rel err {worst:.2e} <= 1e-4; "

@@ -97,7 +97,8 @@ class TestIgnoredFlags:
 
 
 class TestBadValues:
-    """A malformed address or input limit ends in a usage error, not a traceback."""
+    """A malformed address, limit, training setting or fit input ends in a usage
+    error, not a traceback."""
 
     @pytest.mark.parametrize("flag,value", [
         ("--listen", "127.0.0.1:abc"),
@@ -114,6 +115,43 @@ class TestBadValues:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: expected" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch-size", "0"),
+        ("--epochs", "0"),
+        ("--pretrain-epochs", "-1"),
+        ("--mu", "0"),
+        ("--mu", "nan"),
+        ("--budget", "-1"),
+        ("--th", "-0.1"),
+    ])
+    def test_training_setting_usage_exit(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["train-replace", "--dataset", "d.csv", "--out", "m.arpm", "--budget", 8,
+                 flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected" in err and "Traceback" not in err
+
+    def test_budget_above_activation_count_refused_before_training(self, tmp_path, capsys):
+        data = tmp_path / "spiral.csv"
+        run(["gen-data", "--n", 64, "--out", data])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["train-replace", "--dataset", data, "--out", tmp_path / "m.arpm", "--budget", 129])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "budget 129 exceeds 128 activation elements" in err and "Traceback" not in err
+        assert "baseline" not in out  # refused before pretraining
+        assert not (tmp_path / "m.arpm").exists()
+
+    @pytest.mark.parametrize("value", ["0,0", "1", "1,-2", "a,1", "0,nan", "1,2,3"])
+    def test_dapa_stats_usage_exit(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["dapa-fit", "--stats", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --stats: expected MU,VAR" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

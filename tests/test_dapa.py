@@ -17,6 +17,8 @@ from arp.dapa import (
 )
 from arp.errors import DegenerateDistributionError
 
+from conftest import same_bits
+
 
 class TestClosedForm:
     def test_standard_point(self):
@@ -83,6 +85,24 @@ class TestLinearClosedForm:
         mc = fit_monte_carlo(z, 1).coeffs
         cf = np.array(fit_closed_form_linear(GaussianStats(0.5, 1.5**2)))
         np.testing.assert_allclose(mc, cf, atol=5e-3)
+
+
+class TestFitArguments:
+    """Both closed-form fits share one argument rule."""
+
+    @pytest.mark.parametrize("fit", [fit_closed_form, fit_closed_form_linear])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_arrays_with_nonpositive_variance_refused(self, fit, bad):
+        with pytest.raises(ValueError, match="variance must be positive"):
+            fit(np.array([0.0, 1.0]), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("fit,degree", [(fit_closed_form, 2), (fit_closed_form_linear, 1)])
+    def test_scalar_and_array_forms_agree(self, fit, degree):
+        scalar = fit(GaussianStats(0.5, 2.0))
+        assert isinstance(scalar, tuple) and len(scalar) == degree + 1
+        assert all(isinstance(c, float) for c in scalar)
+        rows = fit(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
+        assert rows.shape == (2, degree + 1) and np.all(rows == np.array(scalar))
 
 
 class TestMinApproxLoss:
@@ -187,7 +207,7 @@ class TestChannelStats:
 
     @pytest.mark.parametrize("layout", ["conv", "dense"])
     def test_matches_numpy_mean_var(self, layout):
-        """Both updates equal z.mean/z.var's statistics bit for bit."""
+        """Both updates equal the statistics of z.mean/z.var over C-ordered z bit for bit."""
         rng = np.random.default_rng(11)
         if layout == "conv":  # (batch, channel, h, w), batch-minor like Conv2d's output
             make, axes, channels = lambda: rng.normal(1.0, 2.0, (8, 6, 6, 64)).transpose(3, 0, 1, 2), (0, 2, 3), 8
@@ -196,15 +216,15 @@ class TestChannelStats:
         st = ChannelStats(channels, momentum=0.1)
         z = make()
         st.update(z, channel_axis=1)
+        z = np.ascontiguousarray(z)
         mean, var = z.mean(axis=axes), z.var(axis=axes)
-        assert np.array_equal(st.mean.view(np.uint64), mean.view(np.uint64))
-        assert np.array_equal(st.var.view(np.uint64), var.view(np.uint64))
+        assert same_bits(st.mean, mean) and same_bits(st.var, var)
         z = make()
         st.update(z, channel_axis=1)
+        z = np.ascontiguousarray(z)
         mean = 0.9 * mean + 0.1 * z.mean(axis=axes)
         var = 0.9 * var + 0.1 * z.var(axis=axes)
-        assert np.array_equal(st.mean.view(np.uint64), mean.view(np.uint64))
-        assert np.array_equal(st.var.view(np.uint64), var.view(np.uint64))
+        assert same_bits(st.mean, mean) and same_bits(st.var, var)
 
 
 class TestChannelwiseCoeffs:

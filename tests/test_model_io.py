@@ -90,5 +90,6 @@ class TestGoldenHash:
         )
 
 
-# frozen from the first build of the seeded reference model
-GOLDEN_SHA256 = "a80cd136a051f3c8f43147d0bd7cb9036f8645f3eb663288356f3a0f5d28c67a"
+# re-frozen once, on purpose, when every batch reduction began to sum a
+# C-ordered copy: that changed the trained bits of the smallcnn's conv layers
+GOLDEN_SHA256 = "c022cc608a294cf85df9139309e16a22735c309ca3964f8f0eeaf989503219ca"

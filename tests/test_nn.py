@@ -20,7 +20,10 @@ from arp.nn import (
     loss_cross_entropy,
     mean_var,
 )
-from arp.replace import HybridActivation
+from arp.dapa import ChannelStats, PolyCoeffs
+from arp.replace import HybridActivation, ste_softplus_grad
+
+from conftest import same_bits
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -167,10 +170,6 @@ class TestBatchNormFolding:
             fold_batchnorm(Sequential([BatchNorm2d(4)]))
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class TestOneStepArithmetic:
     """The joined Adam step and one-pass statistics equal their per-array forms bit for bit."""
 
@@ -205,5 +204,98 @@ class TestOneStepArithmetic:
         else:
             x, axes = rng.normal(size=(64, 16)), (0,)
         mean, var = mean_var(x, axes)
+        x = np.ascontiguousarray(x)  # the layout every batch reduction sums over
         assert same_bits(mean, x.mean(axis=axes))
         assert same_bits(var, x.var(axis=axes))
+
+
+
+def both_layouts(shape, seed):
+    """One activation, C-ordered and batch-minor (batch axis varying fastest).
+
+    Batch-minor is the layout Conv2d.forward returns; the two arrays hold the
+    same values in different memory orders.
+    """
+    c_order = np.random.default_rng(seed).normal(size=shape)
+    batch_minor = np.moveaxis(np.ascontiguousarray(np.moveaxis(c_order, 0, -1)), -1, 0)
+    assert batch_minor.strides != c_order.strides and np.array_equal(batch_minor, c_order)
+    return c_order, batch_minor
+
+
+class TestLayoutIndependence:
+    """Trained bits depend on values alone: both layouts of one activation give the same bits."""
+
+    SHAPE = (8, 8, 8)
+
+    @staticmethod
+    def _same_for_both_layouts(fn, x_shape, dy_shape=None):
+        xs = both_layouts(x_shape, seed=x_shape[0])
+        dys = both_layouts(dy_shape or x_shape, seed=x_shape[0] + 1)
+        c_order, batch_minor = fn(xs[0], dys[0]), fn(xs[1], dys[1])
+        for got, want in zip(batch_minor, c_order):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("batch", [3, 64, 256])
+    def test_mean_var(self, batch):
+        self._same_for_both_layouts(lambda x, dy: mean_var(x, (0, 2, 3)), (batch, *self.SHAPE))
+
+    @pytest.mark.parametrize("batch", [3, 64, 256])
+    def test_channel_stats(self, batch):
+        def fn(x, dy):
+            st = ChannelStats(self.SHAPE[0])
+            st.update(x, channel_axis=1)
+            st.update(dy, channel_axis=1)
+            return st.mean, st.var
+
+        self._same_for_both_layouts(fn, (batch, *self.SHAPE))
+
+    @pytest.mark.parametrize("batch", [3, 64, 256])
+    def test_hybrid_activation(self, batch):
+        rng = np.random.default_rng(0)
+        act = HybridActivation(self.SHAPE)
+        act.coeffs = PolyCoeffs(rng.normal(size=(self.SHAPE[0], 3)))
+        act.indicator.m_w[:] = rng.normal(size=self.SHAPE)
+        act.indicator.m[:] = (rng.random(self.SHAPE) < 0.5).astype(np.float64)
+
+        def fn(z, dy):
+            act.stats = ChannelStats(self.SHAPE[0])
+            out = act.forward(z, training=True)
+            dz = act.backward(dy)
+            grad = act.indicator_grad(ste_softplus_grad(act.indicator.m_w))
+            return out, dz, grad, act.stats.mean, act.stats.var
+
+        self._same_for_both_layouts(fn, (batch, *self.SHAPE))
+
+    @pytest.mark.parametrize("batch", [3, 64, 256])
+    def test_conv2d(self, batch):
+        conv = Conv2d(self.SHAPE[0], self.SHAPE[0], 3, np.random.default_rng(1))
+
+        def fn(x, dy):
+            out = conv.forward(x, training=True)
+            return out, conv.backward(dy), conv.w.grad, conv.b.grad
+
+        self._same_for_both_layouts(fn, (batch, *self.SHAPE))
+
+    @pytest.mark.parametrize("batch", [3, 64, 256])
+    def test_batchnorm2d(self, batch):
+        bn = BatchNorm2d(self.SHAPE[0])
+        bn.gamma.value = np.random.default_rng(2).normal(size=self.SHAPE[0])
+
+        def fn(x, dy):
+            bn.running_mean, bn.running_var = np.zeros(self.SHAPE[0]), np.ones(self.SHAPE[0])
+            out = bn.forward(x, training=True)
+            dx = bn.backward(dy)
+            return out, dx, bn.gamma.grad, bn.beta.grad, bn.running_mean, bn.running_var
+
+        self._same_for_both_layouts(fn, (batch, *self.SHAPE))
+
+    @pytest.mark.parametrize("batch", [3, 64, 256])
+    def test_dense(self, batch):
+        n_in = int(np.prod(self.SHAPE))
+        dense = Dense(n_in, 10, np.random.default_rng(3))
+
+        def fn(x, dy):
+            out = dense.forward(x, training=True)
+            return out, dense.backward(dy), dense.w.grad, dense.b.grad
+
+        self._same_for_both_layouts(fn, (batch, n_in), (batch, 10))

@@ -148,6 +148,29 @@ class TestMulPublic:
             mul_public(ShareTensor(0, x0, CFG64.frac_bits), encode(np.ones((4, 2)), CFG64), "matmul")
 
 
+class TestAddPublic:
+    def test_adds_broadcast_constant(self):
+        x = np.array([[1.5, -2.25, 0.5], [0.5, 3.0, -1.0]])
+        c = np.array([0.25, -1.0, 2.0])
+        xs = share_reals(x)
+
+        def fn(sess):
+            xt = as_share(sess, xs)
+            out = add_public(xt, encode(c, CFG64))
+            return decode(sess.reveal(out)), out is xt
+
+        (r0, same0), (r1, same1) = two_party(fn)
+        assert np.max(np.abs(r0 - (x + c))) <= ULP and np.array_equal(r0, r1)
+        assert not same0 and same1  # party 1 contributes nothing and allocates nothing
+
+    @pytest.mark.parametrize("c_shape", [(2, 3, 4), (3,), (2, 4)])
+    @pytest.mark.parametrize("party", [0, 1])
+    def test_constant_that_does_not_broadcast_is_refused(self, party, c_shape):
+        share = share_reals(np.ones((3, 4)))[party]
+        with pytest.raises(ValueError, match="broadcast"):
+            add_public(ShareTensor(party, share, CFG64.frac_bits), RingTensor.zeros(c_shape, CFG64))
+
+
 class TestMulBeaver:
     def test_values(self):
         xs = share_reals(np.array([2.0]))
