@@ -2,15 +2,15 @@
 
 Shared flags, accepted only by the commands that read them: --seed
 (gen-data, train-replace, dapa-fit; the ARP_SEED env var wins) and
---fixed-bits/--frac-bits (train-replace, export).  infer-private takes
---party with --listen/--connect for the TCP roles.  Exit codes: 0 success,
-2 protocol desync or a usage error (such as a flag the command does not
-take, a malformed HOST:PORT, a count, rate, threshold or MU,VAR pair out of
-range, or a --budget above the model's activation count, refused before
-any training), 3 tape exhaustion, 4 I/O or format error, 5 peer or
-transport error (no peer within --timeout, connection refused or lost, a
-listen port in use), 6 private logits outside the declared error budget
-(the run completed; its summary and --report are still written).
+--fixed-bits/--frac-bits (train-replace, export).  infer-private's tcp mode
+takes --party 0 --listen or --party 1 --connect, its memory mode neither.
+Exit codes: 0 success, 2 a usage error (a flag the command does not take or
+would ignore, or a value it cannot use, such as a malformed HOST:PORT, a
+--budget above the activation count or images smallcnn cannot pool; all
+refused before any training), 3 tape exhaustion, 4 I/O or format error, 5
+peer or transport error (no peer in --timeout, a refused or lost connection,
+a listen port in use), 6 private logits outside the declared error budget
+(the run still writes its summary and --report), 7 protocol desync.
 """
 
 from __future__ import annotations
@@ -26,18 +26,20 @@ import numpy as np
 from . import data as datamod
 from .dapa import GaussianStats, PolyCoeffs, empirical_loss, fit_closed_form, \
     fit_closed_form_linear, fit_monte_carlo, min_approx_loss
-from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError, TransportError
+from .errors import DegenerateDistributionError, FormatError, ProtocolDesyncError, \
+    TapeExhaustedError, TransportError
 from .fixed import FixedConfig
 from .model_io import load_model, save_model
 from .nn import build_model
 from .replace import ReplacementConfig, train_replace, train_supervised, evaluate
 from .runtime import private_inference_memory, private_inference_tcp
 
-EXIT_DESYNC = 2
 EXIT_TAPE = 3
 EXIT_FORMAT = 4
 EXIT_TRANSPORT = 5
 EXIT_BUDGET = 6
+EXIT_DESYNC = 7
+ROLE_FLAG = {0: "listen", 1: "connect"}  # the tcp address flag each --party takes
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -125,15 +127,12 @@ def cmd_train_replace(args) -> int:
     n_train = int(0.8 * len(x))
     xtr, ytr, xte, yte = x[:n_train], y[:n_train], x[n_train:], y[n_train:]
     num_classes = int(y.max()) + 1
-    if args.arch == "smallcnn":
-        model = build_model("smallcnn", seed, num_classes, image_hw=x.shape[-1], t_h=args.th)
-    else:
-        model = build_model("mlp", seed, num_classes, t_h=args.th)
     cfg = ReplacementConfig(
         relu_budget=args.budget, mu=args.mu, epochs=args.epochs, t_h=args.th,
         batch_size=args.batch_size, seed=seed,
     )
     try:
+        model = build_model(args.arch, seed, num_classes, image_hw=x.shape[-1])
         cfg.validate(model.activation_elements())
     except ValueError as exc:
         args.usage_error(str(exc))
@@ -175,8 +174,11 @@ def cmd_dapa_fit(args) -> int:
             coeffs = ",".join(f"{ci:.10g}" for ci in c)
             rows.append(f"closed-form,{mu},{var},{args.degree},{coeffs},{loss:.10g}")
     if args.samples:
-        z = np.loadtxt(args.samples).reshape(-1)
-        fit = fit_monte_carlo(z, args.degree)
+        try:
+            z = np.loadtxt(args.samples).reshape(-1)
+            fit = fit_monte_carlo(z, args.degree)
+        except (ValueError, DegenerateDistributionError) as exc:
+            raise FormatError(f"{args.samples}: {exc}") from None
         loss = empirical_loss(z, fit)
         coeffs = ",".join(f"{ci:.10g}" for ci in fit.coeffs)
         rows.append(f"samples,{z.mean():.6g},{z.var():.6g},{args.degree},{coeffs},{loss:.10g}")
@@ -200,15 +202,20 @@ def cmd_export(args) -> int:
 
 
 def cmd_infer_private(args) -> int:
+    given = [f for f in ("party", "listen", "connect") if getattr(args, f) is not None]
+    if args.mode == "memory" and given:
+        args.usage_error(f"--{given[0]} applies to tcp mode; memory mode runs both parties")
+    if args.mode == "tcp" and given != ["party", ROLE_FLAG.get(args.party)]:
+        args.usage_error("tcp mode takes --party 0 with --listen HOST:PORT, "
+                         "or --party 1 with --connect HOST:PORT")
     model, cfg, _ = load_model(args.model)
     x, _ = _load_inputs(args.inputs, args.limit)
     if args.mode == "memory":
-        rep, rep1 = private_inference_memory(model, cfg, x, args.dealer_seed, args.input_seed)
+        rep, rep1 = private_inference_memory(model, cfg, x, args.dealer_seed, args.input_seed,
+                                             timeout=args.timeout)
         extra = f" (party1 transcript {rep1.transcript_hash[:16]})"
     else:
-        if args.party is None or not (args.listen or args.connect):
-            raise FormatError("tcp mode needs --party and --listen or --connect")
-        host, port = args.listen or args.connect
+        host, port = getattr(args, ROLE_FLAG[args.party])
         rep = private_inference_tcp(model, cfg, x, args.party, host, port,
                                     args.dealer_seed, args.input_seed, timeout=args.timeout)
         extra = ""
@@ -278,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_positive_int, help="use only the first N inputs")
     p.add_argument("--dealer-seed", type=int, default=7)
     p.add_argument("--input-seed", type=int, default=11)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=_positive_float, default=30.0)
     p.add_argument("--report", help="JSON run report to write")
-    p.set_defaults(fn=cmd_infer_private)
+    p.set_defaults(fn=cmd_infer_private, usage_error=p.error)
 
     return ap
 

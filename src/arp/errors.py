@@ -1,8 +1,8 @@
 """Shared exception types.
 
-Exit-code mapping used by the CLI: ProtocolDesyncError -> 2,
-TapeExhaustedError -> 3, FormatError (and OSError) -> 4, TransportError -> 5.
-A completed run whose logits break the declared error budget exits 6.
+Exit-code mapping used by the CLI: TapeExhaustedError -> 3, FormatError
+(and OSError) -> 4, TransportError -> 5, ProtocolDesyncError -> 7.  A
+completed run whose logits break the declared error budget exits 6.
 """
 
 

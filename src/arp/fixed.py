@@ -78,11 +78,6 @@ def _mask_words(words: np.ndarray, cfg: FixedConfig) -> np.ndarray:
     return words
 
 
-def _wrap():
-    # ring arithmetic wraps by design; silence numpy's scalar-overflow warnings
-    return np.errstate(over="ignore")
-
-
 class RingTensor:
     """Dense tensor of L-bit ring elements.
 
@@ -151,24 +146,19 @@ class RingTensor:
         return _mask_words(np.asarray(other, dtype=np.uint64), self.cfg)
 
     def __add__(self, other) -> "RingTensor":
-        with _wrap():
-            return RingTensor(self.words + self._coerce(other), self.cfg)
+        return RingTensor(self.words + self._coerce(other), self.cfg)
 
     def __sub__(self, other) -> "RingTensor":
-        with _wrap():
-            return RingTensor(self.words - self._coerce(other), self.cfg)
+        return RingTensor(self.words - self._coerce(other), self.cfg)
 
     def __mul__(self, other) -> "RingTensor":
-        with _wrap():
-            return RingTensor(self.words * self._coerce(other), self.cfg)
+        return RingTensor(self.words * self._coerce(other), self.cfg)
 
     def __neg__(self) -> "RingTensor":
-        with _wrap():
-            return RingTensor(np.uint64(0) - self.words, self.cfg)
+        return RingTensor(np.uint64(0) - self.words, self.cfg)
 
     def matmul(self, other: "RingTensor") -> "RingTensor":
-        with _wrap():
-            return RingTensor(self.words @ self._coerce(other), self.cfg)
+        return RingTensor(self.words @ self._coerce(other), self.cfg)
 
     def conv2d(self, kernel: "RingTensor", stride: int = 1, padding: int = 0) -> "RingTensor":
         """Exact ring conv: NCHW input, (out_c, in_c, kh, kw) kernel."""

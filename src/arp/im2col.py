@@ -1,4 +1,4 @@
-"""Dtype-generic im2col/col2im helpers shared by the float layers and the ring conv."""
+"""Dtype-generic im2col/col2im and pooling helpers shared by the float layers and the ring ops."""
 
 from __future__ import annotations
 
@@ -65,3 +65,19 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int)
     # for smallcnn's (16x72) @ (72x4096) uint64 product
     out = np.einsum("ok,kn->on", w_col, cols)
     return out.reshape(oc, oh, ow, b).transpose(3, 0, 1, 2)
+
+
+def window_sum(x: np.ndarray, k: int) -> np.ndarray:
+    """Sums of the non-overlapping k x k windows of an NCHW array; any dtype.
+
+    The k*k strided slices are added in one fixed order, so the bits follow
+    the values, not x's layout; on batch-minor floats they equal numpy's sum.
+    """
+    b, c, h, w = x.shape
+    if h % k or w % k:
+        raise ValueError(f"pooling {k} does not divide {h}x{w}")
+    windows = x.reshape(b, c, h // k, k, w // k, k)
+    out = windows[:, :, :, 0, :, 0].copy(order="K")
+    for i, j in list(np.ndindex(k, k))[1:]:
+        out += windows[:, :, :, i, :, j]
+    return out

@@ -25,7 +25,7 @@ from .dealer import _Cursor, _pack_shape
 from .errors import FormatError
 from .fixed import FixedConfig
 from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential, fold_batchnorm
-from .replace import HybridActivation
+from .replace import M_W_INIT, HybridActivation
 
 __all__ = ["serialize_model", "deserialize_model", "save_model", "load_model"]
 
@@ -153,7 +153,7 @@ def deserialize_model(buf: bytes):
             if coeffs.shape != (channels, entry["degree"] + 1):
                 raise FormatError("hybrid coefficient shape inconsistent with descriptor")
             layer.indicator.m = mask
-            layer.indicator.m_w = np.where(mask == 1, 0.1, -0.1)
+            layer.indicator.m_w = np.where(mask == 1, M_W_INIT, -M_W_INIT)
             layer.coeffs.coeffs = coeffs
         else:
             raise FormatError(f"unknown layer kind {kind!r}")

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .im2col import col2im, conv_out_hw, im2col
+from .im2col import col2im, conv_out_hw, im2col, window_sum
 
 __all__ = [
     "Parameter",
@@ -141,11 +141,7 @@ class AvgPool2d:
         return []
 
     def forward(self, x, training=False):
-        k = self.k
-        b, c, h, w = x.shape
-        if h % k or w % k:
-            raise ValueError(f"pooling {k} does not divide {h}x{w}")
-        return x.reshape(b, c, h // k, k, w // k, k).mean(axis=(3, 5))
+        return window_sum(x, self.k) / (self.k * self.k)
 
     def backward(self, dy):
         k = self.k
@@ -300,11 +296,12 @@ def fold_batchnorm(model: Sequential) -> Sequential:
     return Sequential(out)
 
 
-def build_model(arch: str, seed: int, num_classes: int = 2, image_hw: int = 8, t_h: float = 0.003):
+def build_model(arch: str, seed: int, num_classes: int = 2, image_hw: int = 8):
     """The two built-in architectures, with all-ReLU hybrid activations.
 
     mlp:      2 -> 64 -> 64 -> num_classes, for the two-spiral task
-    smallcnn: conv(1->8, 3x3)-BN-act-pool-conv(8->16, 3x3)-BN-act-pool-dense
+    smallcnn: conv(1->8, 3x3)-BN-act-pool-conv(8->16, 3x3)-BN-act-pool-dense,
+              for image_hw x image_hw images (a positive multiple of 4)
     """
     from .replace import HybridActivation
 
@@ -312,21 +309,23 @@ def build_model(arch: str, seed: int, num_classes: int = 2, image_hw: int = 8, t
     if arch == "mlp":
         return Sequential([
             Dense(2, 64, rng),
-            HybridActivation((64,), t_h=t_h),
+            HybridActivation((64,)),
             Dense(64, 64, rng),
-            HybridActivation((64,), t_h=t_h),
+            HybridActivation((64,)),
             Dense(64, num_classes, rng),
         ])
     if arch == "smallcnn":
+        if image_hw <= 0 or image_hw % 4:
+            raise ValueError(f"smallcnn needs a side that is a positive multiple of 4, got {image_hw}")
         hw2, hw4 = image_hw // 2, image_hw // 4
         return Sequential([
             Conv2d(1, 8, 3, rng, padding=1),
             BatchNorm2d(8),
-            HybridActivation((8, image_hw, image_hw), channel_axis=0, t_h=t_h),
+            HybridActivation((8, image_hw, image_hw), channel_axis=0),
             AvgPool2d(2),
             Conv2d(8, 16, 3, rng, padding=1),
             BatchNorm2d(16),
-            HybridActivation((16, hw2, hw2), channel_axis=0, t_h=t_h),
+            HybridActivation((16, hw2, hw2), channel_axis=0),
             AvgPool2d(2),
             Flatten(),
             Dense(16 * hw4 * hw4, num_classes, rng),

@@ -222,11 +222,7 @@ def _rescale(x: ShareTensor, raw_scale: int) -> ShareTensor:
 
 def lin_combine(a: float, x: ShareTensor, y: ShareTensor) -> ShareTensor:
     """Public-scalar combination a*X + Y; zero rounds, zero bytes."""
-    x._check(y)
-    cfg = x.payload.cfg
-    a_enc = encode(a, cfg)
-    scaled = _rescale(ShareTensor(x.party, x.payload * a_enc, x.scale), x.scale + cfg.frac_bits)
-    return scaled + y
+    return mul_public(x, encode(a, x.payload.cfg)) + y
 
 
 def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *,

@@ -43,25 +43,25 @@ def ste_softplus_grad(m_w: np.ndarray) -> np.ndarray:
     return expit(np.asarray(m_w, dtype=np.float64))
 
 
+M_W_INIT = 0.1  # |m_w| of a fresh or reloaded indicator; its sign is m's
+
+
 @dataclass
 class IndicatorState:
-    """Per-element indicator m, auxiliary parameter m_w, hysteresis threshold."""
+    """Per-element indicator m and auxiliary parameter m_w."""
 
     m: np.ndarray
     m_w: np.ndarray
-    t_h: float
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.float64)
         self.m_w = np.asarray(self.m_w, dtype=np.float64)
         if self.m.shape != self.m_w.shape:
             raise ValueError("m and m_w must share one shape")
-        if self.t_h < 0:
-            raise ValueError("hysteresis threshold must be >= 0")
 
     @classmethod
-    def all_relu(cls, shape, t_h: float = 0.003, m_w_init: float = 0.1) -> "IndicatorState":
-        return cls(np.ones(shape), np.full(shape, m_w_init), t_h)
+    def all_relu(cls, shape) -> "IndicatorState":
+        return cls(np.ones(shape), np.full(shape, M_W_INIT))
 
 
 def count_relu(state: IndicatorState) -> int:
@@ -76,11 +76,11 @@ def apply_hysteresis(m: np.ndarray, m_w: np.ndarray, t_h: float) -> np.ndarray:
     return np.where(m == 1, m_w > -t_h, m_w > t_h).astype(np.float64)
 
 
-def hysteresis_step(state: IndicatorState, m_w: np.ndarray) -> IndicatorState:
+def hysteresis_step(state: IndicatorState, m_w: np.ndarray, t_h: float) -> IndicatorState:
     """Take the descended m_w and re-derive m from the indicators before the step."""
     if m_w.shape != state.m_w.shape:
         raise ValueError(f"m_w shape {m_w.shape} does not match {state.m_w.shape}")
-    return IndicatorState(apply_hysteresis(state.m, m_w, state.t_h), m_w, state.t_h)
+    return IndicatorState(apply_hysteresis(state.m, m_w, t_h), m_w)
 
 
 def acc_grad_aux(dl_dx: np.ndarray, z: np.ndarray, act: "HybridActivation",
@@ -117,13 +117,12 @@ class HybridActivation:
     forward pass's poly(z) when it computed one.
     """
 
-    def __init__(self, feat_shape, channel_axis: int = 0, degree: int = 2,
-                 t_h: float = 0.003, m_w_init: float = 0.1):
+    def __init__(self, feat_shape, channel_axis: int = 0, degree: int = 2):
         self.feat_shape = tuple(feat_shape)
         self.channel_axis = channel_axis
         self.degree = degree
         channels = self.feat_shape[channel_axis]
-        self.indicator = IndicatorState.all_relu(self.feat_shape, t_h, m_w_init)
+        self.indicator = IndicatorState.all_relu(self.feat_shape)
         self.stats = ChannelStats(channels)
         # identity polynomial until the first refresh
         eye = np.zeros((channels, degree + 1))
@@ -203,6 +202,9 @@ def refresh_coeffs(act: HybridActivation) -> HybridActivation:
 
 # ---- training loops -------------------------------------------------------------
 
+TAIL_EPOCHS = 60  # the most epochs train_replace adds to meet the budget
+TAIL_ESCALATION = 2.0  # the penalty's growth per added epoch
+
 
 @dataclass
 class ReplacementConfig:
@@ -215,10 +217,6 @@ class ReplacementConfig:
     batch_size: int = 64
     seed: int = 0
     log_transitions: bool = False
-    # convergence tail: if the budget is unmet when the schedule ends, keep
-    # training with a geometrically escalating penalty until it is
-    tail_epochs: int = 60
-    tail_escalation: float = 2.0
 
     def validate(self, total_elements: int) -> None:
         if self.relu_budget < 0:
@@ -233,6 +231,8 @@ class ReplacementConfig:
             raise ValueError("learning rates must be positive")
         if self.mu <= 0:
             raise ValueError("penalty must be positive")
+        if self.t_h < 0:
+            raise ValueError("hysteresis threshold must be >= 0")
 
 
 @dataclass
@@ -316,8 +316,6 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
     acts = model.hybrid_layers()
     total_elements = model.activation_elements()
     cfg.validate(total_elements)
-    for a in acts:
-        a.indicator = IndicatorState(a.indicator.m, a.indicator.m_w, cfg.t_h)
     mu_eff = cfg.mu / total_elements
 
     rng = np.random.default_rng(cfg.seed)
@@ -352,7 +350,7 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
             m_ws = i_opt.update_joined([a.indicator.m_w for a in acts], grads)
             for a, m_w in zip(acts, m_ws):
                 before = a.indicator.m
-                a.indicator = hysteresis_step(a.indicator, m_w)
+                a.indicator = hysteresis_step(a.indicator, m_w, cfg.t_h)
                 flips += int(np.sum(a.indicator.m != before))
                 if cfg.log_transitions:
                     history.transitions.append(
@@ -378,16 +376,16 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
     for epoch in range(cfg.epochs):
         one_epoch(epoch, boost=1.0, tail=False)
 
-    boost = cfg.tail_escalation
-    for extra in range(cfg.tail_epochs):
+    boost = TAIL_ESCALATION
+    for extra in range(TAIL_EPOCHS):
         if count() <= cfg.relu_budget:
             break
         one_epoch(cfg.epochs + extra, boost=boost, tail=True)
-        boost = min(boost * cfg.tail_escalation, 1e9)
+        boost = min(boost * TAIL_ESCALATION, 1e9)
     if count() > cfg.relu_budget:
         raise RuntimeError(
             f"replacement did not reach the budget: {count()} > {cfg.relu_budget} "
-            f"after {cfg.tail_epochs} tail epochs"
+            f"after {TAIL_EPOCHS} tail epochs"
         )
 
     plan = ReplacementPlan(

@@ -27,7 +27,8 @@ import numpy as np
 
 from .dealer import Dealer, tape_from_bytes, tape_to_bytes
 from .errors import ArpError
-from .fixed import FixedConfig, RingTensor, decode, encode
+from .fixed import FixedConfig, decode, encode
+from .im2col import window_sum
 from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential
 from .protocol import (
     Session,
@@ -138,17 +139,8 @@ class SecureEvaluator:
                     x = add_public(x, encode(layer.b.value.reshape(-1, 1, 1), cfg))
             elif isinstance(layer, AvgPool2d):
                 with sess.measure("linear"):
-                    k = layer.k
-                    b, c, h, w = x.shape
-                    windows = x.payload.words.reshape(b, c, h // k, k, w // k, k)
-                    # adding the k*k strided views took a sixth of the time of
-                    # numpy's sum over the two inner axes (smallcnn, batch 256)
-                    summed = windows[:, :, :, 0, :, 0].copy()
-                    for i, j in np.ndindex(k, k):
-                        if i or j:
-                            summed += windows[:, :, :, i, :, j]
-                    x = ShareTensor(sess.party, RingTensor(summed, cfg), x.scale)
-                    x = mul_public(x, encode(1.0 / (k * k), cfg))
+                    x = sess.share_of(window_sum(x.payload.words, layer.k), x.scale)
+                    x = mul_public(x, encode(1.0 / (layer.k * layer.k), cfg))
             elif isinstance(layer, Flatten):
                 x = x.reshape(x.shape[0], -1)
             elif isinstance(layer, HybridActivation):

@@ -7,6 +7,7 @@ import pytest
 
 from arp.cli import main
 from arp.data import load_csv
+from arp.runtime import private_inference_memory
 
 from conftest import free_port
 
@@ -66,6 +67,18 @@ class TestDapaFit:
     def test_nothing_to_fit_is_format_error(self):
         assert run(["dapa-fit"]) == 4
 
+    @pytest.mark.parametrize("samples,reason", [
+        (np.random.default_rng(4).normal(size=50), "need at least 300 samples, got 50"),
+        (np.full(1000, 0.5), "constant samples"),
+    ], ids=["50-samples", "constant"])
+    def test_unfittable_samples_are_format_errors(self, tmp_path, capsys, samples, reason):
+        path = tmp_path / "z.txt"
+        np.savetxt(path, samples)
+        assert run(["dapa-fit", "--samples", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o or format error: ") and reason in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestIgnoredFlags:
     """A flag that a command would silently ignore ends in a usage error."""
@@ -107,6 +120,8 @@ class TestBadValues:
         ("--connect", "localhost"),
         ("--limit", "-1"),
         ("--limit", "0"),
+        ("--timeout", "-1"),
+        ("--timeout", "0"),
     ])
     def test_usage_exit(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -145,6 +160,19 @@ class TestBadValues:
         assert "baseline" not in out  # refused before pretraining
         assert not (tmp_path / "m.arpm").exists()
 
+    def test_smallcnn_on_points_refused_before_training(self, tmp_path, capsys):
+        data = tmp_path / "spiral.csv"
+        run(["gen-data", "--n", 64, "--out", data])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["train-replace", "--dataset", data, "--out", tmp_path / "m.arpm", "--budget", 8,
+                 "--arch", "smallcnn"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "positive multiple of 4, got 2" in err and "Traceback" not in err
+        assert "baseline" not in out
+        assert not (tmp_path / "m.arpm").exists()
+
     @pytest.mark.parametrize("value", ["0,0", "1", "1,-2", "a,1", "0,nan", "1,2,3"])
     def test_dapa_stats_usage_exit(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -152,6 +180,33 @@ class TestBadValues:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --stats: expected MU,VAR" in err and "Traceback" not in err
+
+
+class TestRoleFlags:
+    """infer-private refuses a role flag that contradicts --party or that the
+    mode would ignore, before it reads any file."""
+
+    TCP = "tcp mode takes --party 0 with --listen HOST:PORT, or --party 1 with --connect HOST:PORT"
+
+    @pytest.mark.parametrize("flags,reason", [
+        (["--party", 0], "--party applies to tcp mode"),
+        (["--listen", "127.0.0.1:9"], "--listen applies to tcp mode"),
+        (["--connect", "127.0.0.1:9"], "--connect applies to tcp mode"),
+        (["--mode", "tcp", "--listen", "127.0.0.1:9"], TCP),
+        (["--mode", "tcp", "--party", 0], TCP),
+        (["--mode", "tcp", "--party", 1], TCP),
+        (["--mode", "tcp", "--party", 0, "--connect", "127.0.0.1:9"], TCP),
+        (["--mode", "tcp", "--party", 1, "--listen", "127.0.0.1:9"], TCP),
+        (["--mode", "tcp", "--party", 0, "--listen", "127.0.0.1:9", "--connect", "127.0.0.1:9"],
+         TCP),
+    ], ids=["memory-party", "memory-listen", "memory-connect", "no-party", "party0-alone",
+            "party1-alone", "party0-connect", "party1-listen", "both-addresses"])
+    def test_usage_exit(self, flags, reason, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["infer-private", "--model", "m.arpm", "--inputs", "d.csv", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +291,46 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert code == 5
         assert err.startswith("peer/transport error: ") and "Traceback" not in err
+
+    def test_memory_run_takes_the_timeout(self, artifacts, monkeypatch):
+        import arp.cli
+
+        _, data, model = artifacts
+        seen = []
+
+        def recording(*args, timeout):
+            seen.append(timeout)
+            return private_inference_memory(*args, timeout=timeout)
+
+        monkeypatch.setattr(arp.cli, "private_inference_memory", recording)
+        assert run(["infer-private", "--model", model, "--inputs", data, "--limit", 4,
+                    "--timeout", 2.5]) == 0
+        assert seen == [2.5]
+
+    def test_desync_exit_code(self, artifacts, capsys):
+        """Parties with different batch sizes desync at the first opening: a party
+        that sees it exits 7, and its peer exits 7 too or loses the connection (5)."""
+        from threading import Thread
+
+        _, data, model = artifacts
+        address = f"127.0.0.1:{free_port()}"
+        codes = [None, None]
+
+        def party(i, limit, role):
+            codes[i] = run(["infer-private", "--model", model, "--inputs", data,
+                            "--limit", limit, "--mode", "tcp", "--party", i, role, address,
+                            "--timeout", 10])
+
+        threads = [Thread(target=party, args=(0, 8, "--listen"), daemon=True),
+                   Thread(target=party, args=(1, 7, "--connect"), daemon=True)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        err = capsys.readouterr().err
+        assert 7 in codes and set(codes) <= {5, 7}, codes
+        assert "protocol desync: peer sent shape" in err and "Traceback" not in err
 
     def test_port_in_use_exit_code(self, artifacts, capsys):
         import socket

@@ -1,5 +1,7 @@
 """Fixed-point encoding and exact two's-complement ring arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,28 @@ class TestRingArithmetic:
         assert (ra + rb).words.tolist() == [(x + y) % mod for x, y in zip(ai, bi)]
         assert (ra - rb).words.tolist() == [(x - y) % mod for x, y in zip(ai, bi)]
         assert (ra * rb).words.tolist() == [(x * y) % mod for x, y in zip(ai, bi)]
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    @pytest.mark.parametrize("bits", [8, 64])
+    def test_ops_wrap_without_overflow_warnings(self, bits, shape):
+        """Every arithmetic op wraps mod 2^L silently, on 0-d operands too:
+        the words are always arrays, and numpy warns only in scalar math."""
+        cfg = FixedConfig(bits, 4)
+        mod = 1 << bits
+
+        def ring(v):
+            return RingTensor(np.full(shape, v % mod, dtype=np.uint64), cfg)
+
+        top, one = ring(-1), ring(1)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "overflow encountered", RuntimeWarning)
+            assert top + one == ring(0) and top + 2 == ring(1)
+            assert one - top == ring(2) and ring(0) - 3 == ring(-3)
+            assert top * top == one and top * 3 == ring(-3)
+            assert -one == top and -ring(0) == ring(0)
+            assert top.lshift(1) == ring(-2)
+            if shape:  # matmul needs at least one axis
+                assert top.matmul(top) == RingTensor(np.uint64(3), cfg)
 
     def test_matmul_wraps(self):
         cfg = FixedConfig(64, 16)

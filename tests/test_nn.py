@@ -69,6 +69,11 @@ class TestForward:
         out = AvgPool2d(2).forward(x)
         np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
+    @pytest.mark.parametrize("image_hw", [0, 2, 6, -4])
+    def test_smallcnn_needs_a_side_it_can_pool_twice(self, image_hw):
+        with pytest.raises(ValueError, match="positive multiple of 4"):
+            build_model("smallcnn", seed=0, image_hw=image_hw)
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
@@ -288,6 +293,10 @@ class TestLayoutIndependence:
             return out, dx, bn.gamma.grad, bn.beta.grad, bn.running_mean, bn.running_var
 
         self._same_for_both_layouts(fn, (batch, *self.SHAPE))
+
+    @pytest.mark.parametrize("batch", [3, 64, 256])
+    def test_avgpool2d(self, batch):
+        self._same_for_both_layouts(lambda x, dy: [AvgPool2d(2).forward(x)], (batch, *self.SHAPE))
 
     @pytest.mark.parametrize("batch", [3, 64, 256])
     def test_dense(self, batch):

@@ -127,28 +127,28 @@ class TestHysteresis:
         np.testing.assert_array_equal(apply_hysteresis(m, m_w, 0.0), (m_w > 0).astype(np.float64))
 
     def test_step_takes_descended_m_w(self):
-        st = IndicatorState.all_relu((3,), t_h=0.003, m_w_init=0.1)
+        st = IndicatorState.all_relu((3,))
         m_w = np.array([0.05, 0.2, 0.1])
-        new = hysteresis_step(st, m_w)
-        assert new.m_w is m_w and new.t_h == st.t_h
+        new = hysteresis_step(st, m_w, 0.003)
+        assert new.m_w is m_w
         with pytest.raises(ValueError):
-            hysteresis_step(st, np.zeros(4))
+            hysteresis_step(st, np.zeros(4), 0.003)
 
     def test_step_rederives_m(self):
-        st = IndicatorState(np.array([1.0, 1.0, 0.0]), np.array([-0.002, 0.1, 0.002]), 0.003)
-        new = hysteresis_step(st, np.array([-0.007, -0.002, 0.004]))
+        st = IndicatorState(np.array([1.0, 1.0, 0.0]), np.array([-0.002, 0.1, 0.002]))
+        new = hysteresis_step(st, np.array([-0.007, -0.002, 0.004]), 0.003)
         assert new.m.tolist() == [0.0, 1.0, 1.0]
 
 
 class TestCountRelu:
     def test_limits(self):
-        assert count_relu(IndicatorState(np.zeros((4, 4)), np.zeros((4, 4)), 0.0)) == 0
-        assert count_relu(IndicatorState(np.ones((4, 4)), np.zeros((4, 4)), 0.0)) == 16
+        assert count_relu(IndicatorState(np.zeros((4, 4)), np.zeros((4, 4)))) == 0
+        assert count_relu(IndicatorState(np.ones((4, 4)), np.zeros((4, 4)))) == 16
 
     def test_popcount_oracle(self):
         rng = np.random.default_rng(4)
         m = (rng.random(997) < 0.3).astype(np.float64)
-        st = IndicatorState(m, np.zeros(997), 0.0)
+        st = IndicatorState(m, np.zeros(997))
         assert count_relu(st) == int(sum(int(v) for v in m))
 
 
@@ -367,6 +367,8 @@ class TestTrainReplace:
         for bad in ({"epochs": 0}, {"batch_size": 0}):
             with pytest.raises(ValueError, match="at least 1"):
                 train_replace(copy.deepcopy(model), train, ReplacementConfig(relu_budget=4, **bad))
+        with pytest.raises(ValueError, match="hysteresis threshold"):
+            train_replace(copy.deepcopy(model), train, ReplacementConfig(relu_budget=4, t_h=-0.1))
 
 
 class TestDapaBeatsFixedFit:
