@@ -17,6 +17,13 @@ is its value (a secret, or the product a*b, a*a or a&b) minus party 0's
 share, or XOR it for AND triples.  Each `gen_shares` call draws one word per
 element of its input, at its turn in the stream.  Words are reduced mod 2^L.
 
+Party 1's tape needs every word of the draw, and party 0's comes with it.
+Party 0's tape alone needs only its share words: dealing it by itself,
+`build_tapes` moves the stream past each record's secret words with
+`Philox.advance` and draws the share words where the full draw has them.
+The draw order, the tape's bytes and the stream position afterwards are
+those of the full draw.
+
 Tape file layout (little-endian throughout):
   magic "ARPT", version u16, L u16, f u16, party u8, record count u32,
   then per record: tag u8 (1 beaver / 2 square / 3 and), descriptor, shapes
@@ -140,16 +147,20 @@ class Dealer:
         r = RingTensor(self._bits.random_raw(x.size).reshape(x.shape), self.cfg)
         return r, x - r
 
-    def build_tapes(self, requests) -> tuple["Tape", "Tape"]:
+    def build_tapes(self, requests, party: int | None = None) -> tuple["Tape", "Tape | None"]:
         """Serve a request list in order; returns one tape per party.
 
-        One draw covers the whole list.  Each record's slice holds its
-        secrets, then party 0's fields, which stay views of the draw; party
-        1's shares overwrite the secrets and the derived field in place.
+        With `party=0` only party 0's tape is dealt, and the second entry is
+        None.  Otherwise one draw covers the whole list.  Each record's slice
+        holds its secrets, then party 0's fields, which stay views of the
+        draw; party 1's shares overwrite the secrets and the derived field in
+        place.
         """
         for req in requests:
             if type(req) not in _CORRELATION:
                 raise TypeError(f"unknown request {req!r}")
+        if party == 0:
+            return Tape(0, self.cfg, [self._party0_record(req) for req in requests]), None
         draw = self._bits.random_raw(sum(map(_draw_size, requests)))
         recs0, recs1 = [], []
         at = 0
@@ -161,9 +172,34 @@ class Dealer:
             last = c.derive(*secret)
             c.split(last, share0[-1], out=last)
             c.split(secret, share0[:-1], out=secret)
-            recs0.append(c.record(*(RingTensor(w.reshape(req.shape), self.cfg) for w in share0)))
-            recs1.append(c.record(*(RingTensor(w.reshape(req.shape), self.cfg) for w in (*secret, last))))
+            recs0.append(self._record(req, share0))
+            recs1.append(self._record(req, (*secret, last)))
         return Tape(0, self.cfg, recs0), Tape(1, self.cfg, recs1)
+
+    def _party0_record(self, req):
+        """Party 0's record for `req`: skip the secret words, draw the share words."""
+        secrets = _CORRELATION[type(req)].secrets
+        n = math.prod(req.shape)
+        self._skip(secrets * n)
+        return self._record(req, self._bits.random_raw((secrets + 1) * n).reshape(secrets + 1, -1))
+
+    def _skip(self, n: int) -> None:
+        """Move the stream n words on, as drawing them would.
+
+        `Philox.advance` skips whole blocks of four words and drops any
+        words still buffered, even when told to skip none; so the buffered
+        words are drawn first, then whole blocks skipped, then the tail drawn.
+        """
+        head = min(n, 4 - self._bits.state["buffer_pos"])  # words still buffered
+        self._bits.random_raw(head)
+        if (n - head) // 4:
+            self._bits.advance((n - head) // 4)
+        self._bits.random_raw((n - head) % 4)
+
+    def _record(self, req, rows):
+        """The record for `req` whose fields hold `rows`' words, in field order."""
+        kind = _CORRELATION[type(req)].record
+        return kind(*(RingTensor(w.reshape(req.shape), self.cfg) for w in rows))
 
 
 # ---- tapes -----------------------------------------------------------------

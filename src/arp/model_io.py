@@ -139,7 +139,10 @@ def deserialize_model(buf: bytes):
             if layer.w.value.shape != (entry["out"], entry["in"], entry["kernel"], entry["kernel"]):
                 raise FormatError("conv weight shape inconsistent with descriptor")
         elif kind == "avgpool":
-            layer = AvgPool2d(entry["k"])
+            k = entry["k"]
+            if type(k) is not int or k < 1:
+                raise FormatError(f"avgpool factor {k!r} is not a positive integer")
+            layer = AvgPool2d(k)
         elif kind == "flatten":
             layer = Flatten()
         elif kind == "hybrid":

@@ -168,8 +168,8 @@ class HybridActivation:
             self.stats.update(z, channel_axis=1 + self.channel_axis)
         branch = self._single_branch()
         poly = None if branch == "relu" else self.poly(z)
-        # the cache is written, never read, here: both parties' threads run
-        # the plaintext forward pass of one shared model at once
+        # the cache is written, never read, here: two TCP parties in one
+        # process may each run the plaintext oracle on one shared model at once
         self._z, self._poly = z, poly
         if branch == "relu":
             return np.maximum(z, 0.0)

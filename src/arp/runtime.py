@@ -6,6 +6,21 @@ another seed, so in-memory and TCP runs of the same seeds produce
 byte-identical transcripts.  Per-phase cost accounting lives on the
 protocol `Session` (see its docstring).
 
+Offline, then online.  A party's offline phase plans the batch, deals its
+tape, round-trips the tape through the tape file format and splits its
+input share; its seconds are the party's "dealer" row.  The online phase
+starts only when both offline phases are done:
+- over TCP each party deals only its own tape (party 0's deal skips the
+  draws that only party 1's tape needs; see `dealer`).  Party 0 listens
+  before it deals and accepts after; party 1 connects after it deals.  A
+  wait for the slower dealer so falls in connection setup, never in the
+  first exchange;
+- in memory, `private_inference_memory` runs both offline phases before
+  it starts the party threads.  It deals the pair once and adds that deal's
+  seconds to both dealer rows; each party's row also counts its own tape
+  codec and input share, and each thread gets only its own tape.  It
+  computes the plaintext oracle once for both reports.
+
 The declared logit error budget is a worst-case ULP propagation: encode
 contributes half an ULP, each truncating op up to two ULPs, linear layers
 amplify by their max absolute input-weight sum, and the polynomial path by
@@ -22,12 +37,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from threading import Thread
+from typing import NamedTuple
 
 import numpy as np
 
-from .dealer import Dealer, tape_from_bytes, tape_to_bytes
+from .dealer import Dealer, Tape, tape_from_bytes, tape_to_bytes
 from .errors import ArpError
-from .fixed import FixedConfig, decode, encode
+from .fixed import FixedConfig, RingTensor, decode, encode
 from .im2col import window_sum
 from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential
 from .protocol import (
@@ -40,7 +56,7 @@ from .protocol import (
     relu_secure,
 )
 from .replace import HybridActivation
-from .transport import memory_channel_pair, tcp_connect, tcp_listen
+from .transport import memory_channel_pair, tcp_bind, tcp_connect, tcp_listen
 
 __all__ = [
     "InferenceReport",
@@ -227,27 +243,47 @@ class InferenceReport:
         }
 
 
-def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, inputs: np.ndarray,
-               dealer_seed: int, input_seed: int) -> InferenceReport:
-    evaluator = SecureEvaluator(model, cfg)
-    t0 = time.perf_counter()
-    requests = evaluator.plan(len(inputs))
-    # exercise the on-disk format even for in-process runs; keep no reference
-    # to the dealt pair, so the other party's tape is freed before the online phase
-    tape = tape_from_bytes(tape_to_bytes(Dealer(dealer_seed, cfg).build_tapes(requests)[party]))
-    my_input_share = Dealer(input_seed, cfg).gen_shares(encode(inputs, cfg))[party]
-    setup_seconds = time.perf_counter() - t0
+class _Setup(NamedTuple):
+    """One party's offline phase: its decoded tape, its input share, and the
+    seconds spent on them, the deal included."""
 
-    sess = Session(party, cfg, channel, tape.reader())
-    sess.phases["dealer"]["seconds"] += setup_seconds
-    x = ShareTensor(party, my_input_share, cfg.frac_bits)
-    logits_share = evaluator.run(sess, x)
+    tape: Tape
+    input_share: RingTensor
+    seconds: float
+
+
+def _deal(model: Sequential, cfg: FixedConfig, batch: int, dealer_seed: int,
+          party: int | None = None) -> tuple[tuple, float]:
+    """Plan the batch and deal its tapes (party 0's alone for `party=0`);
+    returns the tapes and the seconds taken."""
+    t0 = time.perf_counter()
+    tapes = Dealer(dealer_seed, cfg).build_tapes(SecureEvaluator(model, cfg).plan(batch), party)
+    return tapes, time.perf_counter() - t0
+
+
+def _setup(party: int, tape: Tape, dealt_s: float, cfg: FixedConfig, inputs: np.ndarray,
+           input_seed: int) -> _Setup:
+    """The rest of the offline phase after `tape` was dealt in `dealt_s` seconds."""
+    t0 = time.perf_counter()
+    # exercise the on-disk format even for in-process runs
+    tape = tape_from_bytes(tape_to_bytes(tape))
+    share = Dealer(input_seed, cfg).gen_shares(encode(inputs, cfg))[party]
+    return _Setup(tape, share, dealt_s + time.perf_counter() - t0)
+
+
+def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, setup: _Setup,
+               plain: np.ndarray, dealer_seed: int, input_seed: int) -> InferenceReport:
+    """The online phase on a connected channel, and its report against the
+    plaintext logits `plain`."""
+    sess = Session(party, cfg, channel, setup.tape.reader())
+    sess.phases["dealer"]["seconds"] += setup.seconds
+    x = ShareTensor(party, setup.input_share, cfg.frac_bits)
+    logits_share = SecureEvaluator(model, cfg).run(sess, x)
     with sess.measure("linear"):
         logits = decode(sess.reveal(logits_share), cfg)
     if sess.tape.remaining():
         raise ArpError(f"{sess.tape.remaining()} unused tape records after evaluation")
 
-    plain = model.forward(inputs, training=False)
     report = InferenceReport(
         party=party,
         cfg=cfg,
@@ -291,19 +327,34 @@ def run_both(fn0, fn1):
 def private_inference_memory(model: Sequential, cfg: FixedConfig, inputs: np.ndarray,
                              dealer_seed: int = 7, input_seed: int = 11,
                              timeout: float = 30.0) -> tuple[InferenceReport, InferenceReport]:
-    ch0, ch1 = memory_channel_pair(timeout)
-    return run_both(
-        lambda: _run_party(0, ch0, model, cfg, inputs, dealer_seed, input_seed),
-        lambda: _run_party(1, ch1, model, cfg, inputs, dealer_seed, input_seed),
-    )
+    tapes, dealt_s = _deal(model, cfg, len(inputs), dealer_seed)
+    setups = [_setup(p, tape, dealt_s, cfg, inputs, input_seed) for p, tape in enumerate(tapes)]
+    del tapes  # each party keeps only its decoded tape through the online phase
+    plain = model.forward(inputs, training=False)
+    channels = memory_channel_pair(timeout)
+
+    def online(p: int) -> InferenceReport:
+        return _run_party(p, channels[p], model, cfg, setups[p], plain, dealer_seed, input_seed)
+
+    return run_both(lambda: online(0), lambda: online(1))
 
 
 def private_inference_tcp(model: Sequential, cfg: FixedConfig, inputs: np.ndarray, party: int,
                           host: str, port: int, dealer_seed: int = 7, input_seed: int = 11,
                           timeout: float = 30.0) -> InferenceReport:
-    channel = tcp_listen(host, port, timeout) if party == 0 else tcp_connect(host, port, timeout)
+    def offline() -> _Setup:
+        tapes, dealt_s = _deal(model, cfg, len(inputs), dealer_seed, party)
+        return _setup(party, tapes[party], dealt_s, cfg, inputs, input_seed)
+
+    plain = model.forward(inputs, training=False)
+    if party == 0:
+        with tcp_bind(host, port) as server:  # closed on every path
+            setup = offline()
+            channel = tcp_listen(server, timeout)
+    else:
+        setup = offline()
+        channel = tcp_connect(host, port, timeout)
     try:
-        return _run_party(party, channel, model, cfg, inputs, dealer_seed, input_seed)
+        return _run_party(party, channel, model, cfg, setup, plain, dealer_seed, input_seed)
     finally:
         channel.close()
-

@@ -30,6 +30,7 @@ __all__ = [
     "InMemoryChannel",
     "TcpChannel",
     "memory_channel_pair",
+    "tcp_bind",
     "tcp_listen",
     "tcp_connect",
 ]
@@ -183,18 +184,28 @@ class TcpChannel(Channel):
         return n
 
 
-def tcp_listen(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+def tcp_bind(host: str, port: int) -> socket.socket:
+    """A socket listening on host:port for one peer; `tcp_listen` accepts
+    the peer later, so a peer may connect before this party is ready."""
+    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        srv.bind((host, port))
+    except OSError as e:  # the port is taken, or the host is not local
+        srv.close()
+        raise TransportError(f"cannot listen on {host}:{port}: {e}") from None
+    srv.listen(1)
+    return srv
+
+
+def tcp_listen(server: socket.socket, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
+    """Accept one peer on a socket from `tcp_bind`, then close that socket."""
+    with server:
+        server.settimeout(timeout)
         try:
-            srv.bind((host, port))
-        except OSError as e:  # the port is taken, or the host is not local
-            raise TransportError(f"cannot listen on {host}:{port}: {e}") from None
-        srv.listen(1)
-        srv.settimeout(timeout)
-        try:
-            conn, _ = srv.accept()
+            conn, _ = server.accept()
         except socket.timeout:
+            host, port = server.getsockname()
             raise TransportError(f"no peer connected to {host}:{port} within {timeout}s") from None
     return TcpChannel(conn, timeout)
 

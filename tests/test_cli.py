@@ -7,6 +7,7 @@ import pytest
 
 from arp.cli import main
 from arp.data import load_csv
+from arp.fixed import FixedConfig
 from arp.runtime import private_inference_memory
 
 from conftest import free_port
@@ -281,6 +282,19 @@ class TestPipeline:
         raw[-1] ^= 0xFF
         bad.write_bytes(bytes(raw))
         assert run(["infer-private", "--model", bad, "--inputs", data]) == 4
+
+    def test_zero_pooling_factor_exit_code(self, tmp_path, capsys):
+        from arp.model_io import save_model
+        from arp.nn import AvgPool2d, build_model
+
+        images = tmp_path / "imgs.arim"
+        assert run(["gen-data", "--dataset", "toy-images", "--n", 8, "--out", images]) == 0
+        model = build_model("smallcnn", seed=0, num_classes=4)
+        next(layer for layer in model.layers if isinstance(layer, AvgPool2d)).k = 0
+        save_model(tmp_path / "pool0.arpm", model, FixedConfig(64, 16))
+        assert run(["infer-private", "--model", tmp_path / "pool0.arpm", "--inputs", images]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o or format error: avgpool factor 0") and "Traceback" not in err
 
     @pytest.mark.parametrize("role", ["--listen", "--connect"])
     def test_missing_peer_exit_code(self, artifacts, capsys, role):

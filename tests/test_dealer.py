@@ -151,6 +151,30 @@ class TestTriples:
         assert np.array_equal(c, a & b)
 
 
+PINNED_STREAM = [
+    (64, 16, ("adf833e62ebc9cfcf320ad586a70ac7e5e6ecd1762035362f5d576f1d671a048",
+              "82516b3c0fa826784b1022beb56c54014e5d4cbd566bd195ec4a6b7828e60ed9",
+              "d95280570408ada2350202c9715911280a0b8ba4e1d18acb3ee4b6926eecf187")),
+    (32, 12, ("caeea14270c7cb372d9201271030e68aa5e1ddb4ff55f77a2e908059f7ea059d",
+              "7614b6de04acf74a10341aad79984dc24e6771efa1537f79d9581c3c2042778e",
+              "3fd9aa6cec44e366b92767dd9145b841e17fccf7b774bf2d3dac3fe865550131")),
+]
+
+
+def pinned_stream_digests(bits, frac, party):
+    """SHA-256 of the tapes `build_tapes(reqs, party)` deals from seed 2024
+    (None for a tape not dealt), then of the input shares dealt after them."""
+    cfg = FixedConfig(bits, frac)
+    reqs = [BeaverRequest((3,)), SquareRequest((2, 5)), AndRequest((1, 1, 4, 4)),
+            BeaverRequest((2, 5)), AndRequest((3,)), SquareRequest((1, 1, 4, 4))]
+    d = Dealer(2024, cfg)
+    tapes = d.build_tapes(reqs, party)
+    s0, s1 = d.gen_shares(RingTensor(np.arange(7, dtype=np.uint64), cfg))
+    blobs = [tape_to_bytes(t) if t is not None else None for t in tapes]
+    blobs.append(bytes(pack_words(s0)) + bytes(pack_words(s1)))
+    return tuple(hashlib.sha256(b).hexdigest() if b is not None else None for b in blobs)
+
+
 class TestTapes:
     def _requests(self):
         return [
@@ -212,25 +236,64 @@ class TestTapes:
         with pytest.raises(FormatError, match="shapes"):
             tape_from_bytes(unequal)
 
-    @pytest.mark.parametrize("bits, frac, digests", [
-        (64, 16, ("adf833e62ebc9cfcf320ad586a70ac7e5e6ecd1762035362f5d576f1d671a048",
-                  "82516b3c0fa826784b1022beb56c54014e5d4cbd566bd195ec4a6b7828e60ed9",
-                  "d95280570408ada2350202c9715911280a0b8ba4e1d18acb3ee4b6926eecf187")),
-        (32, 12, ("caeea14270c7cb372d9201271030e68aa5e1ddb4ff55f77a2e908059f7ea059d",
-                  "7614b6de04acf74a10341aad79984dc24e6771efa1537f79d9581c3c2042778e",
-                  "3fd9aa6cec44e366b92767dd9145b841e17fccf7b774bf2d3dac3fe865550131")),
-    ])
+    @pytest.mark.parametrize("bits, frac, digests", PINNED_STREAM)
     def test_dealer_stream_is_pinned(self, bits, frac, digests):
         """SHA-256 of both tapes and of input shares dealt after them: any
         change to the draw order or the share arithmetic moves these."""
-        cfg = FixedConfig(bits, frac)
-        reqs = [BeaverRequest((3,)), SquareRequest((2, 5)), AndRequest((1, 1, 4, 4)),
-                BeaverRequest((2, 5)), AndRequest((3,)), SquareRequest((1, 1, 4, 4))]
-        d = Dealer(2024, cfg)
-        t0, t1 = d.build_tapes(reqs)
-        s0, s1 = d.gen_shares(RingTensor(np.arange(7, dtype=np.uint64), cfg))
-        blobs = (tape_to_bytes(t0), tape_to_bytes(t1), bytes(pack_words(s0)) + bytes(pack_words(s1)))
-        assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == digests
+        assert pinned_stream_digests(bits, frac, party=None) == digests
+
+    @pytest.mark.parametrize("party", [0, 1])
+    @pytest.mark.parametrize("bits, frac, digests", PINNED_STREAM)
+    def test_one_party_deal_keeps_the_pinned_stream(self, bits, frac, digests, party):
+        """A one-party deal gives that party's pinned tape, and the input
+        shares dealt after it are the pinned ones too."""
+        got = pinned_stream_digests(bits, frac, party)
+        assert (got[party], got[2]) == (digests[party], digests[2])
+
+
+class TestPartyZeroDeal:
+    """Party 0 deals its tape alone by skipping the secret words of the
+    stream; its tape and the stream position after it equal the full deal's."""
+
+    KINDS = (BeaverRequest, SquareRequest, AndRequest)
+
+    def random_requests(self, rng):
+        """Up to 8 requests of rank 0 to 3; dims 0 to 6, so element counts
+        are often not multiples of 4 and some shapes are empty."""
+        return [self.KINDS[rng.integers(3)](tuple(int(d) for d in rng.integers(0, 7, rng.integers(0, 4))))
+                for _ in range(rng.integers(0, 9))]
+
+    @pytest.mark.parametrize("bits", [8, 24, 32, 64])
+    def test_random_request_lists(self, bits):
+        cfg = FixedConfig(bits, bits // 4)
+        rng = np.random.default_rng(bits)
+        for trial in range(60):
+            reqs = self.random_requests(rng)
+            full, alone = Dealer(trial, cfg), Dealer(trial, cfg)
+            lead = int(rng.integers(0, 6))  # start the deal off a 4-word block boundary
+            full.gen_shares(RingTensor.zeros((lead,), cfg))
+            alone.gen_shares(RingTensor.zeros((lead,), cfg))
+            tape0, _ = full.build_tapes(reqs)
+            only0, none = alone.build_tapes(reqs, 0)
+            assert none is None and only0.party == 0
+            assert tape_to_bytes(only0) == tape_to_bytes(tape0), reqs
+            for n in (1, 3, 5):  # same stream position: the next words agree
+                assert full.gen_shares(RingTensor.zeros((n,), cfg))[0] == \
+                    alone.gen_shares(RingTensor.zeros((n,), cfg))[0]
+
+    def test_zero_size_and_scalar_records(self):
+        reqs = [AndRequest((0,)), BeaverRequest(()), SquareRequest((3, 0)), AndRequest((1,)),
+                BeaverRequest((0, 2))]
+        tape0, _ = Dealer(1, CFG).build_tapes(reqs)
+        only0, _ = Dealer(1, CFG).build_tapes(reqs, 0)
+        assert [r.a.shape for r in only0.records] == [(0,), (), (3, 0), (1,), (0, 2)]
+        assert tape_to_bytes(only0) == tape_to_bytes(tape0)
+
+    def test_party_one_deals_the_pair(self):
+        reqs = [BeaverRequest((5,)), AndRequest((2, 3))]
+        pair = Dealer(4, CFG).build_tapes(reqs, 1)
+        assert [tape_to_bytes(t) for t in pair] == \
+            [tape_to_bytes(t) for t in Dealer(4, CFG).build_tapes(reqs)]
 
 
 class TestTapeBuffers:

@@ -9,7 +9,7 @@ from arp.data import toy_images
 from arp.errors import FormatError
 from arp.fixed import FixedConfig
 from arp.model_io import deserialize_model, load_model, save_model, serialize_model
-from arp.nn import build_model
+from arp.nn import AvgPool2d, build_model
 from arp.replace import train_supervised
 
 CFG = FixedConfig(64, 16)
@@ -78,6 +78,15 @@ class TestIntegrity:
         blob[4] = 99
         with pytest.raises(FormatError):
             deserialize_model(bytes(blob))
+
+
+    @pytest.mark.parametrize("k", [0, -2, 2.0, True, "2"])
+    def test_pooling_factor_must_be_a_positive_integer(self, k):
+        model = build_model("smallcnn", seed=3)
+        pool = next(layer for layer in model.layers if isinstance(layer, AvgPool2d))
+        pool.k = k
+        with pytest.raises(FormatError, match="avgpool factor"):
+            deserialize_model(serialize_model(model, CFG))
 
 
 class TestGoldenHash:

@@ -2,11 +2,14 @@
 
 import copy
 import json
+import socket
+from threading import Thread
 
 import numpy as np
 import pytest
 
 from arp.data import two_spirals
+from arp.errors import EncodeOverflowError, TransportError
 from arp.fixed import FixedConfig
 from arp.model_io import deserialize_model, serialize_model
 from arp.nn import build_model
@@ -116,6 +119,62 @@ class TestTcpInference:
         assert t0.transcript_hash == mem0.transcript_hash
         assert t1.transcript_hash == mem1.transcript_hash
         assert t0.totals["bytes_sent"] == mem0.totals["bytes_sent"]
+
+    def test_party0_listens_before_it_deals(self, trained, monkeypatch):
+        """The port is taken while party 0 deals, so a peer that is ready
+        first waits in connection setup; it is free again after a missing peer."""
+        import arp.runtime as runtime
+
+        _, model, x = trained
+        port = free_port()
+        taken = []
+        deal = runtime._deal
+
+        def probing_deal(*args, **kwargs):
+            taken.append(port_is_taken(port))
+            return deal(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, "_deal", probing_deal)
+        with pytest.raises(TransportError, match="no peer connected"):
+            private_inference_tcp(model, CFG, x[:4], 0, "127.0.0.1", port, 7, 11, 0.2)
+        assert taken == [True]
+        assert not port_is_taken(port)
+
+    def test_failed_setup_frees_the_port(self, trained):
+        """When party 0's setup fails, it closes its port, and party 1 ends
+        with a TransportError within its timeout instead of hanging."""
+        _, model, x = trained
+        port = free_port()
+        unencodable = np.full_like(x[:8], 1e16)  # beyond 2^47, the largest encodable real
+        errors = [None, None]
+
+        def party(p, inputs):
+            try:
+                private_inference_tcp(model, CFG, inputs, p, "127.0.0.1", port, 7, 11, 1.0)
+            except Exception as exc:
+                errors[p] = exc
+
+        threads = [Thread(target=party, args=(0, unencodable), daemon=True),
+                   Thread(target=party, args=(1, x[:8]), daemon=True)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert isinstance(errors[0], EncodeOverflowError)
+        assert isinstance(errors[1], TransportError)
+        assert not port_is_taken(port)
+
+
+def port_is_taken(port: int) -> bool:
+    """Whether a socket listens on the port; TIME_WAIT leftovers do not count."""
+    with socket.socket() as probe:
+        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            probe.bind(("127.0.0.1", port))
+        except OSError:
+            return True
+    return False
 
 
 class TestAccountingShape:

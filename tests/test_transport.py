@@ -12,7 +12,7 @@ import pytest
 from arp.errors import ProtocolDesyncError, TransportError
 from arp.fixed import FixedConfig, RingTensor
 from arp.runtime import run_both
-from arp.transport import TcpChannel, memory_channel_pair, tcp_connect, tcp_listen
+from arp.transport import TcpChannel, memory_channel_pair, tcp_bind, tcp_connect, tcp_listen
 
 from conftest import free_port
 
@@ -106,7 +106,7 @@ class TestTcpBackend:
         holder = {}
 
         def p0():
-            ch = tcp_listen("127.0.0.1", port, timeout=10)
+            ch = tcp_listen(tcp_bind("127.0.0.1", port), timeout=10)
             holder[0] = ch
             return self._run_script(ch, script0)
 
@@ -129,7 +129,7 @@ class TestTcpBackend:
         big = np.arange(300_000, dtype=np.uint64)
 
         def p0():
-            ch = tcp_listen("127.0.0.1", port, timeout=15)
+            ch = tcp_listen(tcp_bind("127.0.0.1", port), timeout=15)
             got = ch.exchange([RingTensor(big, CFG)])
             ch.close()
             return got
@@ -242,7 +242,7 @@ class TestTcpLoop:
 
         def late_listener():
             time.sleep(0.1)
-            return tcp_listen("127.0.0.1", port, timeout=5)
+            return tcp_listen(tcp_bind("127.0.0.1", port), timeout=5)
 
         ch1, ch0 = run_both(lambda: tcp_connect("127.0.0.1", port, timeout=5), late_listener)
         try:
