@@ -289,12 +289,6 @@ class TestPartyZeroDeal:
         assert [r.a.shape for r in only0.records] == [(0,), (), (3, 0), (1,), (0, 2)]
         assert tape_to_bytes(only0) == tape_to_bytes(tape0)
 
-    def test_party_one_deals_the_pair(self):
-        reqs = [BeaverRequest((5,)), AndRequest((2, 3))]
-        pair = Dealer(4, CFG).build_tapes(reqs, 1)
-        assert [tape_to_bytes(t) for t in pair] == \
-            [tape_to_bytes(t) for t in Dealer(4, CFG).build_tapes(reqs)]
-
 
 class TestTapeBuffers:
     """The tape codec reads records as views into the tape bytes."""
