@@ -24,6 +24,8 @@ Party 0's tape alone needs only its share words: dealing it by itself,
 The draw order, the tape's bytes and the stream position afterwards are
 those of the full draw.
 
+One table, `_KIND`, describes each request type: its record, draw and tape layout.
+
 Tape file layout (little-endian throughout):
   magic "ARPT", version u16, L u16, f u16, party u8, record count u32,
   then per record: tag u8 (1 beaver / 2 square / 3 and), descriptor, shapes
@@ -112,24 +114,36 @@ class AndTriple:
     used: bool = field(default=False, compare=False)
 
 
-class _Correlation(NamedTuple):
+class _Kind(NamedTuple):
+    """How one request type is dealt and laid out on tape."""
+
     record: type  # the record dealt for the request
     secrets: int  # secret words drawn per element
     derive: np.ufunc  # the record's last field from the secrets
     split: np.ufunc  # party 1's share from a value and party 0's share
+    tag: int  # the record's tape tag
+    head: bytes  # its fixed tape descriptor
+    copies: int  # copies of its shape on tape
+    names: tuple  # the record's share fields, in tape order
 
 
-_CORRELATION = {
-    BeaverRequest: _Correlation(BeaverTriple, 2, np.multiply, np.subtract),
-    SquareRequest: _Correlation(SquarePair, 1, np.square, np.subtract),
-    AndRequest: _Correlation(AndTriple, 2, np.bitwise_and, np.bitwise_xor),
+# A Beaver record's descriptor is op code 0 (elementwise), stride 1, padding 0.
+_KIND = {
+    req: _Kind(record, *row, tuple(f.name for f in fields(record) if f.name != "used"))
+    for req, record, *row in [
+        (BeaverRequest, BeaverTriple, 2, np.multiply, np.subtract, 1, b"\x00\x01\x00", 2),
+        (SquareRequest, SquarePair, 1, np.square, np.subtract, 2, b"", 1),
+        (AndRequest, AndTriple, 2, np.bitwise_and, np.bitwise_xor, 3, b"", 1),
+    ]
 }
+_BY_RECORD = {k.record: k for k in _KIND.values()}
+_BY_TAG = {k.tag: k for k in _KIND.values()}
 
 
 def _draw_size(req) -> int:
     """Words one request draws: its secrets, then party 0's share of each
     secret and of the derived field."""
-    return (2 * _CORRELATION[type(req)].secrets + 1) * math.prod(req.shape)
+    return (2 * _KIND[type(req)].secrets + 1) * math.prod(req.shape)
 
 
 # ---- dealer ----------------------------------------------------------------
@@ -157,7 +171,7 @@ class Dealer:
         place.
         """
         for req in requests:
-            if type(req) not in _CORRELATION:
+            if type(req) not in _KIND:
                 raise TypeError(f"unknown request {req!r}")
         if party == 0:
             return Tape(0, self.cfg, [self._party0_record(req) for req in requests]), None
@@ -165,7 +179,7 @@ class Dealer:
         recs0, recs1 = [], []
         at = 0
         for req in requests:
-            c = _CORRELATION[type(req)]
+            c = _KIND[type(req)]
             rows = draw[at : at + _draw_size(req)].reshape(2 * c.secrets + 1, -1)
             at += rows.size
             secret, share0 = rows[: c.secrets], rows[c.secrets :]
@@ -178,7 +192,7 @@ class Dealer:
 
     def _party0_record(self, req):
         """Party 0's record for `req`: skip the secret words, draw the share words."""
-        secrets = _CORRELATION[type(req)].secrets
+        secrets = _KIND[type(req)].secrets
         n = math.prod(req.shape)
         self._skip(secrets * n)
         return self._record(req, self._bits.random_raw((secrets + 1) * n).reshape(secrets + 1, -1))
@@ -198,7 +212,7 @@ class Dealer:
 
     def _record(self, req, rows):
         """The record for `req` whose fields hold `rows`' words, in field order."""
-        kind = _CORRELATION[type(req)].record
+        kind = _KIND[type(req)].record
         return kind(*(RingTensor(w.reshape(req.shape), self.cfg) for w in rows))
 
 
@@ -227,7 +241,7 @@ class TapeReader:
 
     def take(self, request):
         """The next record, which must be `request`'s kind and shape."""
-        kind = _CORRELATION[type(request)].record
+        kind = _KIND[type(request)].record
         if self.pos >= len(self.tape.records):
             raise TapeExhaustedError(f"tape exhausted after {self.pos} records wanting {kind.__name__}")
         rec = self.tape.records[self.pos]
@@ -245,20 +259,6 @@ class TapeReader:
 
 
 # ---- tape serialization -----------------------------------------------------
-
-# per record type: tag, fixed descriptor bytes, copies of the shape, and the
-# share tensors in tape order.  A Beaver record's descriptor is op code 0
-# (elementwise), stride 1, padding 0.
-_LAYOUT = {
-    kind: (tag, head, copies, tuple(f.name for f in fields(kind) if f.name != "used"))
-    for kind, tag, head, copies in [
-        (BeaverTriple, 1, b"\x00\x01\x00", 2),
-        (SquarePair, 2, b"", 1),
-        (AndTriple, 3, b"", 1),
-    ]
-}
-_BY_TAG = {tag: (kind, head, copies, names) for kind, (tag, head, copies, names) in _LAYOUT.items()}
-
 
 def _pack_shape(shape) -> bytes:
     return struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
@@ -309,11 +309,11 @@ def tape_to_bytes(tape: Tape) -> bytes | memoryview:
         struct.pack("<HHHBI", TAPE_VERSION, cfg.total_bits, cfg.frac_bits, tape.party, len(tape.records)),
     ]
     for rec in tape.records:
-        if type(rec) not in _LAYOUT:
+        if type(rec) not in _BY_RECORD:
             raise TypeError(f"unknown record {rec!r}")
-        tag, head, copies, names = _LAYOUT[type(rec)]
-        out += [struct.pack("<B", tag), head, _pack_shape(rec.a.shape) * copies]
-        out += [pack_words(getattr(rec, name)) for name in names]
+        k = _BY_RECORD[type(rec)]
+        out += [struct.pack("<B", k.tag), k.head, _pack_shape(rec.a.shape) * k.copies]
+        out += [pack_words(getattr(rec, name)) for name in k.names]
     if sum(map(len, out)) < _HUGE_PAGE_JOIN:
         return b"".join(out)
     return memoryview(np.concatenate([np.frombuffer(part, np.uint8) for part in out])).toreadonly()
@@ -339,13 +339,13 @@ def tape_from_bytes(buf) -> Tape:
         (tag,) = cur.unpack("<B")
         if tag not in _BY_TAG:
             raise FormatError(f"unknown tape record tag {tag}")
-        kind, head, copies, names = _BY_TAG[tag]
-        if cur.take(len(head)) != head:
-            raise FormatError(f"bad {kind.__name__} descriptor: only elementwise records are served")
-        shapes = [cur.shape() for _ in range(copies)]
+        k = _BY_TAG[tag]
+        if cur.take(len(k.head)) != k.head:
+            raise FormatError(f"bad {k.record.__name__} descriptor: only elementwise records are served")
+        shapes = [cur.shape() for _ in range(k.copies)]
         if len(set(shapes)) > 1:
-            raise FormatError(f"bad {kind.__name__} shapes: {shapes} are not equal")
-        records.append(kind(*[words(shapes[0]) for _ in names]))
+            raise FormatError(f"bad {k.record.__name__} shapes: {shapes} are not equal")
+        records.append(k.record(*[words(shapes[0]) for _ in k.names]))
     if cur.pos != len(buf):
         raise FormatError("trailing bytes after last tape record")
     return Tape(party, cfg, records)

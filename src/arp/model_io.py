@@ -146,14 +146,17 @@ def deserialize_model(buf: bytes):
         elif kind == "flatten":
             layer = Flatten()
         elif kind == "hybrid":
-            feat = tuple(entry["feat_shape"])
-            layer = HybridActivation(feat, entry["channel_axis"], entry["degree"])
+            feat, axis, degree = tuple(entry["feat_shape"]), entry["channel_axis"], entry["degree"]
+            if type(degree) is not int or degree not in (1, 2):  # the secure path has no other
+                raise FormatError(f"hybrid degree {degree!r} is not 1 or 2")
+            if type(axis) is not int or not 0 <= axis < len(feat):
+                raise FormatError(f"hybrid channel axis {axis!r} is not an axis of {feat}")
+            layer = HybridActivation(feat, axis, degree)
             mask = _read_array(cur).astype(np.float64)
             coeffs = _read_array(cur)
             if mask.shape != feat:
                 raise FormatError("hybrid mask shape inconsistent with descriptor")
-            channels = feat[entry["channel_axis"]]
-            if coeffs.shape != (channels, entry["degree"] + 1):
+            if coeffs.shape != (feat[axis], degree + 1):
                 raise FormatError("hybrid coefficient shape inconsistent with descriptor")
             layer.indicator.m = mask
             layer.indicator.m_w = np.where(mask == 1, M_W_INIT, -M_W_INIT)

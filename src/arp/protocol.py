@@ -56,7 +56,6 @@ __all__ = [
     "ltz_requests",
     "relu_requests",
     "dapa_requests",
-    "hybrid_requests",
 ]
 
 
@@ -305,6 +304,11 @@ def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
     return RingTensor(z, x.cfg)
 
 
+def _adder_levels(cfg: FixedConfig) -> int:
+    """Prefix-adder levels of an L-bit a2b: ceil(log2 L), one batched AND each."""
+    return math.ceil(math.log2(cfg.total_bits))
+
+
 def a2b(sess: Session, x: ShareTensor) -> BinaryShareTensor:
     """Arithmetic to binary sharing via a Kogge-Stone adder over XOR shares.
 
@@ -320,7 +324,7 @@ def a2b(sess: Session, x: ShareTensor) -> BinaryShareTensor:
     # p = a ^ b is the party's own share, since the other summand is zero
     p = own
     shifted = np.empty((2, *x.shape), dtype=np.uint64)
-    for level in range(math.ceil(math.log2(cfg.total_bits))):
+    for level in range(_adder_levels(cfg)):
         k = np.uint64(1 << level)
         np.left_shift(g, k, out=shifted[0, ...])
         np.left_shift(p.words, k, out=shifted[1, ...])
@@ -407,13 +411,14 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTen
 
 
 # ---- tape request planning ---------------------------------------------------
-# These mirror the consumption order of the operations above and of
-# runtime.hybrid_activation_secure; the runtime builds its dealer tapes from
-# them and tests assert that running an op leaves exactly zero unused records.
+# These mirror the consumption order of the operations above, as
+# runtime.hybrid_requests does for runtime.hybrid_activation_secure; the
+# runtime builds its dealer tapes from them and tests assert that running an
+# op leaves exactly zero unused records.
 
 
 def a2b_requests(shape, cfg: FixedConfig) -> list:
-    levels = math.ceil(math.log2(cfg.total_bits))
+    levels = _adder_levels(cfg)
     return [dl.AndRequest(tuple(shape))] + [dl.AndRequest((2, *shape)) for _ in range(levels)]
 
 
@@ -427,15 +432,3 @@ def relu_requests(shape, cfg: FixedConfig) -> list:
 
 def dapa_requests(shape, degree: int = 2) -> list:
     return [dl.SquareRequest(tuple(shape))] if degree >= 2 else []
-
-
-def hybrid_requests(batch: int, mask: np.ndarray, cfg: FixedConfig, degree: int = 2) -> list:
-    flat_m = np.asarray(mask).reshape(-1).astype(bool)
-    n_relu = int(flat_m.sum())
-    n_poly = flat_m.size - n_relu
-    reqs: list = []
-    if n_relu:
-        reqs += relu_requests((batch, n_relu), cfg)
-    if n_poly:
-        reqs += dapa_requests((batch, n_poly), degree)
-    return reqs

@@ -6,19 +6,19 @@ another seed, so in-memory and TCP runs of the same seeds produce
 byte-identical transcripts.  Per-phase cost accounting lives on the
 protocol `Session` (see its docstring).
 
-Offline, then online.  A party's offline phase plans the batch, deals its
-tape, round-trips the tape through the tape file format and splits its
-input share; its seconds are the party's "dealer" row.  The online phase
-starts only when both offline phases are done:
+Offline, then online.  The offline phase (`_offline`) plans the batch,
+deals its tapes, splits the input shares and round-trips each tape through
+the tape file format; its seconds are the party's "dealer" row.  The online
+phase starts only when both offline phases are done:
 - over TCP each party deals only its own tape (party 0's deal skips the
   draws that only party 1's tape needs; see `dealer`).  Party 0 listens
   before it deals and accepts after; party 1 connects after it deals.  A
   wait for the slower dealer so falls in connection setup, never in the
   first exchange;
-- in memory, `private_inference_memory` runs both offline phases before
-  it starts the party threads.  It deals the pair once and adds that deal's
-  seconds to both dealer rows; each party's row also counts its own tape
-  codec and input share, and each thread gets only its own tape.  It
+- in memory, `private_inference_memory` runs one offline phase for both
+  parties before it starts the party threads.  It deals the pair and shares
+  the input batch once, and both dealer rows count those seconds; each also
+  counts its own tape codec, and each thread gets only its own tape.  It
   computes the plaintext oracle once for both reports.
 
 The declared logit error budget is a worst-case ULP propagation: encode
@@ -37,13 +37,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from threading import Thread
-from typing import NamedTuple
 
 import numpy as np
 
-from .dealer import Dealer, Tape, tape_from_bytes, tape_to_bytes
+from .dealer import Dealer, tape_from_bytes, tape_to_bytes
 from .errors import ArpError
-from .fixed import FixedConfig, RingTensor, decode, encode
+from .fixed import FixedConfig, decode, encode
 from .im2col import window_sum
 from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential
 from .protocol import (
@@ -51,8 +50,9 @@ from .protocol import (
     ShareTensor,
     add_public,
     dapa_eval_secure,
-    hybrid_requests,
+    dapa_requests,
     mul_public,
+    relu_requests,
     relu_secure,
 )
 from .replace import HybridActivation
@@ -62,6 +62,7 @@ __all__ = [
     "InferenceReport",
     "SecureEvaluator",
     "hybrid_activation_secure",
+    "hybrid_requests",
     "error_budget_ulp",
     "run_both",
     "private_inference_memory",
@@ -114,6 +115,20 @@ def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0
         for idx, part in parts:
             out[:, idx] = part
     return sess.share_of(out.reshape(x.shape), x.scale)
+
+
+def hybrid_requests(batch: int, mask: np.ndarray, cfg: FixedConfig, degree: int = 2) -> list:
+    """The dealer requests of `hybrid_activation_secure`, in its order: the
+    batched ReLU's, then the polynomial's."""
+    flat_m = np.asarray(mask).reshape(-1).astype(bool)
+    n_relu = int(flat_m.sum())
+    n_poly = flat_m.size - n_relu
+    reqs: list = []
+    if n_relu:
+        reqs += relu_requests((batch, n_relu), cfg)
+    if n_poly:
+        reqs += dapa_requests((batch, n_poly), degree)
+    return reqs
 
 
 class SecureEvaluator:
@@ -243,41 +258,32 @@ class InferenceReport:
         }
 
 
-class _Setup(NamedTuple):
-    """One party's offline phase: its decoded tape, its input share, and the
-    seconds spent on them, the deal included."""
-
-    tape: Tape
-    input_share: RingTensor
-    seconds: float
-
-
-def _deal(model: Sequential, cfg: FixedConfig, batch: int, dealer_seed: int,
-          party: int | None = None) -> tuple[tuple, float]:
-    """Plan the batch and deal its tapes (party 0's alone for `party=0`);
-    returns the tapes and the seconds taken."""
+def _offline(model: Sequential, cfg: FixedConfig, inputs: np.ndarray, dealer_seed: int,
+             input_seed: int, party: int | None = None) -> list:
+    """Plan and deal the tapes (`party`'s alone if given), share the input
+    batch once, and round-trip each wanted tape through the tape file format.
+    Returns each wanted party's (tape, input share, dealer seconds)."""
     t0 = time.perf_counter()
-    tapes = Dealer(dealer_seed, cfg).build_tapes(SecureEvaluator(model, cfg).plan(batch), party)
-    return tapes, time.perf_counter() - t0
+    tapes = Dealer(dealer_seed, cfg).build_tapes(SecureEvaluator(model, cfg).plan(len(inputs)), party)
+    shares = Dealer(input_seed, cfg).gen_shares(encode(inputs, cfg))
+    shared_s = time.perf_counter() - t0
+    setups = []
+    for p in (0, 1) if party is None else (party,):
+        t0 = time.perf_counter()
+        # exercise the on-disk format even for in-process runs
+        tape = tape_from_bytes(tape_to_bytes(tapes[p]))
+        setups.append((tape, shares[p], shared_s + time.perf_counter() - t0))
+    return setups
 
 
-def _setup(party: int, tape: Tape, dealt_s: float, cfg: FixedConfig, inputs: np.ndarray,
-           input_seed: int) -> _Setup:
-    """The rest of the offline phase after `tape` was dealt in `dealt_s` seconds."""
-    t0 = time.perf_counter()
-    # exercise the on-disk format even for in-process runs
-    tape = tape_from_bytes(tape_to_bytes(tape))
-    share = Dealer(input_seed, cfg).gen_shares(encode(inputs, cfg))[party]
-    return _Setup(tape, share, dealt_s + time.perf_counter() - t0)
-
-
-def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, setup: _Setup,
+def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, setup: tuple,
                plain: np.ndarray, dealer_seed: int, input_seed: int) -> InferenceReport:
-    """The online phase on a connected channel, and its report against the
-    plaintext logits `plain`."""
-    sess = Session(party, cfg, channel, setup.tape.reader())
-    sess.phases["dealer"]["seconds"] += setup.seconds
-    x = ShareTensor(party, setup.input_share, cfg.frac_bits)
+    """The online phase on a connected channel, after the offline phase
+    `setup` (see `_offline`), and its report against the plaintext logits `plain`."""
+    tape, input_share, offline_s = setup
+    sess = Session(party, cfg, channel, tape.reader())
+    sess.phases["dealer"]["seconds"] += offline_s
+    x = ShareTensor(party, input_share, cfg.frac_bits)
     logits_share = SecureEvaluator(model, cfg).run(sess, x)
     with sess.measure("linear"):
         logits = decode(sess.reveal(logits_share), cfg)
@@ -327,9 +333,7 @@ def run_both(fn0, fn1):
 def private_inference_memory(model: Sequential, cfg: FixedConfig, inputs: np.ndarray,
                              dealer_seed: int = 7, input_seed: int = 11,
                              timeout: float = 30.0) -> tuple[InferenceReport, InferenceReport]:
-    tapes, dealt_s = _deal(model, cfg, len(inputs), dealer_seed)
-    setups = [_setup(p, tape, dealt_s, cfg, inputs, input_seed) for p, tape in enumerate(tapes)]
-    del tapes  # each party keeps only its decoded tape through the online phase
+    setups = _offline(model, cfg, inputs, dealer_seed, input_seed)
     plain = model.forward(inputs, training=False)
     channels = memory_channel_pair(timeout)
 
@@ -342,17 +346,13 @@ def private_inference_memory(model: Sequential, cfg: FixedConfig, inputs: np.nda
 def private_inference_tcp(model: Sequential, cfg: FixedConfig, inputs: np.ndarray, party: int,
                           host: str, port: int, dealer_seed: int = 7, input_seed: int = 11,
                           timeout: float = 30.0) -> InferenceReport:
-    def offline() -> _Setup:
-        tapes, dealt_s = _deal(model, cfg, len(inputs), dealer_seed, party)
-        return _setup(party, tapes[party], dealt_s, cfg, inputs, input_seed)
-
     plain = model.forward(inputs, training=False)
     if party == 0:
         with tcp_bind(host, port) as server:  # closed on every path
-            setup = offline()
+            (setup,) = _offline(model, cfg, inputs, dealer_seed, input_seed, party)
             channel = tcp_listen(server, timeout)
     else:
-        setup = offline()
+        (setup,) = _offline(model, cfg, inputs, dealer_seed, input_seed, party)
         channel = tcp_connect(host, port, timeout)
     try:
         return _run_party(party, channel, model, cfg, setup, plain, dealer_seed, input_seed)

@@ -35,7 +35,6 @@ from arp.protocol import (
     b2a,
     dapa_eval_secure,
     dapa_requests,
-    hybrid_requests,
     lin_combine,
     ltz,
     ltz_requests,
@@ -57,7 +56,7 @@ from arp.replace import (
     train_replace,
     train_supervised,
 )
-from arp.runtime import hybrid_activation_secure, private_inference_memory
+from arp.runtime import hybrid_activation_secure, hybrid_requests, private_inference_memory
 
 from conftest import CFG8, CFG64, as_share, share_reals, share_ring, two_party
 

@@ -74,7 +74,9 @@ def test_traced_request_deals_each_party_its_own_tape(monkeypatch, transport):
     tapes = Dealer(7, cfg).build_tapes(SecureEvaluator(model, cfg).plan(len(x)))
     assert sorted(s.count for s in encodes) == sorted(len(tape_to_bytes(t)) for t in tapes)
     assert len(spans("dealer.tape_codec")) == 4
-    # memory runs deal the pair and the plaintext oracle once; each TCP party deals its own
+    # memory runs deal the pair, share the input and run the plaintext oracle
+    # once; each TCP party does each for itself
     once = 1 if transport == "memory" else 2
     assert len(spans("dealer.build_tapes")) == len(spans("nn.forward")) == once
+    assert len(spans("dealer.gen_shares")) == once
     assert {s.count for s in spans("dealer.build_tapes")} == {len(tapes[0].records)}

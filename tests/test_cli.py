@@ -296,6 +296,21 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("i/o or format error: avgpool factor 0") and "Traceback" not in err
 
+    def test_cubic_model_exit_code(self, artifacts, tmp_path, capsys):
+        """A degree-3 layer is refused on load, not run with its cubic term dropped."""
+        from arp.model_io import save_model
+        from arp.nn import build_model
+
+        _, data, _ = artifacts
+        model = build_model("mlp", seed=0)
+        act = model.hybrid_layers()[0]
+        act.degree, act.coeffs.coeffs = 3, np.zeros((act.feat_shape[0], 4))
+        cubic = tmp_path / "cubic.arpm"
+        save_model(cubic, model, FixedConfig(64, 16))
+        assert run(["infer-private", "--model", cubic, "--inputs", data]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o or format error: hybrid degree 3") and "Traceback" not in err
+
     @pytest.mark.parametrize("role", ["--listen", "--connect"])
     def test_missing_peer_exit_code(self, artifacts, capsys, role):
         _, data, model = artifacts

@@ -29,6 +29,16 @@ def reference_model():
     return model
 
 
+def hybrid_file(degree=2, channel_axis=0) -> bytes:
+    """An mlp file whose first hybrid layer declares `degree` and
+    `channel_axis`, with coefficients of the shape that degree implies."""
+    model = build_model("mlp", seed=3)
+    act = model.hybrid_layers()[0]
+    act.degree, act.channel_axis = degree, channel_axis
+    act.coeffs.coeffs = np.zeros((act.feat_shape[0], int(degree) + 1))
+    return serialize_model(model, CFG)
+
+
 class TestRoundTrip:
     def test_bytes_idempotent(self):
         model = build_model("mlp", seed=1)
@@ -87,6 +97,17 @@ class TestIntegrity:
         pool.k = k
         with pytest.raises(FormatError, match="avgpool factor"):
             deserialize_model(serialize_model(model, CFG))
+
+    @pytest.mark.parametrize("degree", [0, 3, 2.0, True])
+    def test_hybrid_degree_must_be_one_or_two(self, degree):
+        """The secure path evaluates degrees 1 and 2 only; a cubic term would be dropped."""
+        with pytest.raises(FormatError, match="hybrid degree"):
+            deserialize_model(hybrid_file(degree=degree))
+
+    @pytest.mark.parametrize("axis", [1, 5, -1, 0.0])
+    def test_hybrid_channel_axis_must_be_an_axis(self, axis):
+        with pytest.raises(FormatError, match="hybrid channel axis"):
+            deserialize_model(hybrid_file(channel_axis=axis))
 
 
 class TestGoldenHash:

@@ -26,7 +26,6 @@ from arp.protocol import (
     b2a,
     dapa_eval_secure,
     dapa_requests,
-    hybrid_requests,
     lin_combine,
     ltz,
     ltz_requests,
@@ -37,7 +36,7 @@ from arp.protocol import (
     relu_secure,
     square,
 )
-from arp.runtime import hybrid_activation_secure
+from arp.runtime import hybrid_activation_secure, hybrid_requests
 
 from conftest import CFG8, CFG64, as_share, share_reals, share_ring, two_party
 

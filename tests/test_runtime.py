@@ -128,13 +128,13 @@ class TestTcpInference:
         _, model, x = trained
         port = free_port()
         taken = []
-        deal = runtime._deal
+        offline = runtime._offline
 
-        def probing_deal(*args, **kwargs):
+        def probing_offline(*args, **kwargs):
             taken.append(port_is_taken(port))
-            return deal(*args, **kwargs)
+            return offline(*args, **kwargs)
 
-        monkeypatch.setattr(runtime, "_deal", probing_deal)
+        monkeypatch.setattr(runtime, "_offline", probing_offline)
         with pytest.raises(TransportError, match="no peer connected"):
             private_inference_tcp(model, CFG, x[:4], 0, "127.0.0.1", port, 7, 11, 0.2)
         assert taken == [True]
