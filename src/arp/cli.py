@@ -283,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", type=_hostport, metavar="HOST:PORT")
     p.add_argument("--connect", type=_hostport, metavar="HOST:PORT")
     p.add_argument("--limit", type=_positive_int, help="use only the first N inputs")
-    p.add_argument("--dealer-seed", type=int, default=7)
-    p.add_argument("--input-seed", type=int, default=11)
+    p.add_argument("--dealer-seed", type=_non_negative_int, default=7)
+    p.add_argument("--input-seed", type=_non_negative_int, default=11)
     p.add_argument("--timeout", type=_positive_float, default=30.0)
     p.add_argument("--report", help="JSON run report to write")
     p.set_defaults(fn=cmd_infer_private, usage_error=p.error)

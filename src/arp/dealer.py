@@ -8,21 +8,21 @@ randomness.  Tapes are consumed strictly in order by the online protocol,
 which reads each record with the request that planned it; a replay with the
 same seed and request sequence uses identical randomness.
 
-Draw order.  The dealer's Philox generator is the one source of the tapes'
-randomness, read as raw 64-bit words.  `build_tapes` draws the words for
-its whole request list at once; per record, in request order, come the
-secret words (a and b per element, or a alone for a square pair), then
-party 0's share of each field in record order.  Party 1's share of a field
-is its value (a secret, or the product a*b, a*a or a&b) minus party 0's
-share, or XOR it for AND triples.  Each `gen_shares` call draws one word per
-element of its input, at its turn in the stream.  Words are reduced mod 2^L.
+Draw order.  Each `Dealer` reads one AES-128-CTR keystream as little-endian
+64-bit words; words are reduced mod 2^L.  The key is the first 16 bytes of
+SHA-256(`KEY_TAG` + the seed's decimal digits), and the counter is the whole
+128-bit block, big-endian, starting at block 0: words 2i and 2i+1 are the
+block AES_key(i) read as two words.  `build_tapes` draws the words of each
+record in request order (consecutive records into one buffer of up to
+48 MiB): the secret words (a and b per element, or a alone for a square
+pair), then party 0's share of each field in record order.  Party 1's share
+of a field is its value (a secret, or the product a*b, a*a or a&b) minus
+party 0's share, or XOR it for AND triples.  Each `gen_shares` call draws one
+word per element of its input, at its turn in the stream.
 
-Party 1's tape needs every word of the draw, and party 0's comes with it.
-Party 0's tape alone needs only its share words: dealing it by itself,
-`build_tapes` moves the stream past each record's secret words with
-`Philox.advance` and draws the share words where the full draw has them.
-The draw order, the tape's bytes and the stream position afterwards are
-those of the full draw.
+Party 0's tape alone draws every word too, keeps its share words and drops
+the secret words; it derives and splits nothing.  So a one-party deal gives
+the same tape bytes and leaves the stream where the full deal does.
 
 One table, `_KIND`, describes each request type: its record, draw and tape layout.
 
@@ -36,12 +36,15 @@ Tape file layout (little-endian throughout):
 
 from __future__ import annotations
 
+import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError
 from .fixed import FixedConfig, RingTensor, pack_words, unpack_words
@@ -62,6 +65,19 @@ __all__ = [
 
 TAPE_MAGIC = b"ARPT"
 TAPE_VERSION = 1
+KEY_TAG = b"arp.dealer.aes128ctr.v1:"  # domain tag of the stream key
+
+# plaintext of every draw, fed in slices: the keystream is its ciphertext
+_ZEROS = memoryview(bytes(1 << 18))
+
+# Consecutive records share one draw buffer of up to 48 MiB.  The sizes steer
+# glibc malloc: freeing a mapped buffer under 32 MiB raises its mmap threshold
+# to that size, and buffers under the threshold come from the heap.  On the
+# bench plans, one buffer per record (up to 10 MiB) raised peak RSS on the
+# all-ReLU smallcnn from about 0.45 to 0.6-0.7 GB, and records of 3 and 1.5 MiB
+# (the replaced smallcnn) left about 1,000 page faults in each online phase;
+# one 118 MB buffer for a whole request list left several thousand.
+_DRAW_WORDS = 6 << 20
 
 
 # ---- requests --------------------------------------------------------------
@@ -149,66 +165,73 @@ def _draw_size(req) -> int:
 # ---- dealer ----------------------------------------------------------------
 
 
+def _stream_key(seed: int) -> bytes:
+    """The AES-128 key of `seed`'s stream: SHA-256(KEY_TAG + decimal seed)[:16]."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"dealer seed {seed} is negative; seeds are non-negative integers")
+    return hashlib.sha256(KEY_TAG + str(seed).encode()).digest()[:16]
+
+
 class Dealer:
-    """Counter-based seeded generator of shares and correlated randomness."""
+    """Seeded generator of shares and correlated randomness from one keystream."""
 
     def __init__(self, seed: int, cfg: FixedConfig):
         self.cfg = cfg
-        self._bits = np.random.Philox(seed)
+        self._ctr = Cipher(algorithms.AES(_stream_key(seed)), modes.CTR(bytes(16))).encryptor()
+
+    def _raw(self, n: int) -> np.ndarray:
+        """The stream's next n words."""
+        out = np.empty(n + 2, "<u8")  # update_into documents a block of room past its input
+        buf = memoryview(out).cast("B")
+        for at in range(0, 8 * n, len(_ZEROS)):
+            m = min(len(_ZEROS), 8 * n - at)
+            self._ctr.update_into(_ZEROS[:m], buf[at : at + m + 16])
+        return out[:n]
+
+    def _draws(self, sizes):
+        """The stream's next words for each size in turn.  Consecutive sizes
+        share one buffer of up to _DRAW_WORDS words; a larger size has its own."""
+        buf = np.empty(0, np.uint64)
+        for i, n in enumerate(sizes):
+            if n > len(buf):
+                total = n
+                for m in sizes[i + 1 :]:
+                    if total + m > _DRAW_WORDS:
+                        break
+                    total += m
+                buf = self._raw(total)
+            words, buf = buf[:n], buf[n:]
+            yield words
 
     def gen_shares(self, x: RingTensor) -> tuple[RingTensor, RingTensor]:
         """Split x into (r, x - r) with r uniform over the ring."""
-        r = RingTensor(self._bits.random_raw(x.size).reshape(x.shape), self.cfg)
+        r = RingTensor(self._raw(x.size).reshape(x.shape), self.cfg)
         return r, x - r
 
     def build_tapes(self, requests, party: int | None = None) -> tuple["Tape", "Tape | None"]:
         """Serve a request list in order; returns one tape per party.
 
         With `party=0` only party 0's tape is dealt, and the second entry is
-        None.  Otherwise one draw covers the whole list.  Each record's slice
-        holds its secrets, then party 0's fields, which stay views of the
-        draw; party 1's shares overwrite the secrets and the derived field in
-        place.
+        None.  Each record's words are its secrets, then party 0's fields,
+        which stay views of the draw; party 1's shares overwrite the secrets
+        and the derived field in place.
         """
         for req in requests:
             if type(req) not in _KIND:
                 raise TypeError(f"unknown request {req!r}")
-        if party == 0:
-            return Tape(0, self.cfg, [self._party0_record(req) for req in requests]), None
-        draw = self._bits.random_raw(sum(map(_draw_size, requests)))
         recs0, recs1 = [], []
-        at = 0
-        for req in requests:
+        for req, words in zip(requests, self._draws([_draw_size(r) for r in requests])):
             c = _KIND[type(req)]
-            rows = draw[at : at + _draw_size(req)].reshape(2 * c.secrets + 1, -1)
-            at += rows.size
+            rows = words.reshape(2 * c.secrets + 1, -1)
             secret, share0 = rows[: c.secrets], rows[c.secrets :]
-            last = c.derive(*secret)
-            c.split(last, share0[-1], out=last)
-            c.split(secret, share0[:-1], out=secret)
             recs0.append(self._record(req, share0))
-            recs1.append(self._record(req, (*secret, last)))
-        return Tape(0, self.cfg, recs0), Tape(1, self.cfg, recs1)
-
-    def _party0_record(self, req):
-        """Party 0's record for `req`: skip the secret words, draw the share words."""
-        secrets = _KIND[type(req)].secrets
-        n = math.prod(req.shape)
-        self._skip(secrets * n)
-        return self._record(req, self._bits.random_raw((secrets + 1) * n).reshape(secrets + 1, -1))
-
-    def _skip(self, n: int) -> None:
-        """Move the stream n words on, as drawing them would.
-
-        `Philox.advance` skips whole blocks of four words and drops any
-        words still buffered, even when told to skip none; so the buffered
-        words are drawn first, then whole blocks skipped, then the tail drawn.
-        """
-        head = min(n, 4 - self._bits.state["buffer_pos"])  # words still buffered
-        self._bits.random_raw(head)
-        if (n - head) // 4:
-            self._bits.advance((n - head) // 4)
-        self._bits.random_raw((n - head) % 4)
+            if party != 0:
+                last = c.derive(*secret)
+                c.split(last, share0[-1], out=last)
+                c.split(secret, share0[:-1], out=secret)
+                recs1.append(self._record(req, (*secret, last)))
+        return Tape(0, self.cfg, recs0), None if party == 0 else Tape(1, self.cfg, recs1)
 
     def _record(self, req, rows):
         """The record for `req` whose fields hold `rows`' words, in field order."""

@@ -131,6 +131,8 @@ def deserialize_model(buf: bytes):
             layer.b.value = _read_array(cur)
             if layer.w.value.shape != (entry["in"], entry["out"]):
                 raise FormatError("dense weight shape inconsistent with descriptor")
+            if layer.b.value.shape != (entry["out"],):
+                raise FormatError("dense bias shape inconsistent with descriptor")
         elif kind == "conv2d":
             layer = Conv2d(entry["in"], entry["out"], entry["kernel"], rng,
                            stride=entry["stride"], padding=entry["padding"])
@@ -138,6 +140,8 @@ def deserialize_model(buf: bytes):
             layer.b.value = _read_array(cur)
             if layer.w.value.shape != (entry["out"], entry["in"], entry["kernel"], entry["kernel"]):
                 raise FormatError("conv weight shape inconsistent with descriptor")
+            if layer.b.value.shape != (entry["out"],):
+                raise FormatError("conv bias shape inconsistent with descriptor")
         elif kind == "avgpool":
             k = entry["k"]
             if type(k) is not int or k < 1:

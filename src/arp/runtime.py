@@ -10,9 +10,8 @@ Offline, then online.  The offline phase (`_offline`) plans the batch,
 deals its tapes, splits the input shares and round-trips each tape through
 the tape file format; its seconds are the party's "dealer" row.  The online
 phase starts only when both offline phases are done:
-- over TCP each party deals only its own tape (party 0's deal skips the
-  draws that only party 1's tape needs; see `dealer`).  Party 0 listens
-  before it deals and accepts after; party 1 connects after it deals.  A
+- over TCP each party deals only its own tape (see `dealer`).  Party 0
+  listens before it deals and accepts after; party 1 connects after it deals.  A
   wait for the slower dealer so falls in connection setup, never in the
   first exchange;
 - in memory, `private_inference_memory` runs one offline phase for both

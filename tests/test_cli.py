@@ -123,6 +123,8 @@ class TestBadValues:
         ("--limit", "0"),
         ("--timeout", "-1"),
         ("--timeout", "0"),
+        ("--dealer-seed", "-1"),
+        ("--input-seed", "-3"),
     ])
     def test_usage_exit(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -310,6 +312,21 @@ class TestPipeline:
         assert run(["infer-private", "--model", cubic, "--inputs", data]) == 4
         err = capsys.readouterr().err
         assert err.startswith("i/o or format error: hybrid degree 3") and "Traceback" not in err
+
+    def test_misshapen_bias_exit_code(self, artifacts, tmp_path, capsys):
+        """A first Dense bias of 3 values for 64 outputs is a format error on
+        load, not a broadcast error in the first forward pass."""
+        from arp.model_io import save_model
+        from arp.nn import build_model
+
+        _, data, _ = artifacts
+        model = build_model("mlp", seed=0)
+        model.layers[0].b.value = np.zeros(3)
+        bad = tmp_path / "bias3.arpm"
+        save_model(bad, model, FixedConfig(64, 16))
+        assert run(["infer-private", "--model", bad, "--inputs", data]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o or format error: dense bias shape") and "Traceback" not in err
 
     @pytest.mark.parametrize("role", ["--listen", "--connect"])
     def test_missing_peer_exit_code(self, artifacts, capsys, role):

@@ -8,6 +8,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from scipy import stats
 
 from arp.dealer import (
@@ -90,6 +91,44 @@ class TestShares:
             assert stats.chisquare(counts).pvalue > 1e-3
 
 
+class TestStream:
+    """The dealer's words are the AES-128-CTR keystream of the documented key."""
+
+    def test_known_answer(self):
+        """The first words from seed 2024 are AES-128-ECB of counter blocks
+        0, 1, 2, ... (128-bit big-endian) under SHA-256(tag + "2024")[:16],
+        read as little-endian 64-bit words."""
+        key = hashlib.sha256(b"arp.dealer.aes128ctr.v1:2024").digest()[:16]
+        ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        blocks = ecb.update(b"".join(i.to_bytes(16, "big") for i in range(9))) + ecb.finalize()
+        s0, _ = Dealer(2024, CFG).gen_shares(RingTensor.zeros((17,), CFG))
+        assert np.array_equal(s0.words, np.frombuffer(blocks, "<u8")[:17])
+
+    def test_split_draws_equal_one_draw(self):
+        """Odd counts, empty draws and a draw longer than one keystream
+        slice, split across calls, continue the stream of one draw."""
+        sizes = [1, 3, 0, 5, (1 << 15) + 3, 7]
+        whole = Dealer(5, CFG)._raw(sum(sizes))
+        split = Dealer(5, CFG)
+        assert np.array_equal(np.concatenate([split._raw(n) for n in sizes]), whole)
+
+    @pytest.mark.parametrize("cap", [1, 40, 50])
+    def test_draw_buffers_do_not_move_the_stream(self, cap, monkeypatch):
+        """Records drawn one per buffer, several to a buffer, or larger than
+        a buffer deal the same tapes."""
+        import arp.dealer as dealer
+
+        reqs = TestTapes()._requests()
+        want = [tape_to_bytes(t) for t in Dealer(3, CFG).build_tapes(reqs)]
+        monkeypatch.setattr(dealer, "_DRAW_WORDS", cap)
+        assert [tape_to_bytes(t) for t in Dealer(3, CFG).build_tapes(reqs)] == want
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_is_refused(self, seed):
+        with pytest.raises(ValueError, match="negative"):
+            Dealer(seed, CFG)
+
+
 class TestTriples:
     def test_elementwise_identity(self):
         d = Dealer(1, CFG8)
@@ -152,12 +191,12 @@ class TestTriples:
 
 
 PINNED_STREAM = [
-    (64, 16, ("adf833e62ebc9cfcf320ad586a70ac7e5e6ecd1762035362f5d576f1d671a048",
-              "82516b3c0fa826784b1022beb56c54014e5d4cbd566bd195ec4a6b7828e60ed9",
-              "d95280570408ada2350202c9715911280a0b8ba4e1d18acb3ee4b6926eecf187")),
-    (32, 12, ("caeea14270c7cb372d9201271030e68aa5e1ddb4ff55f77a2e908059f7ea059d",
-              "7614b6de04acf74a10341aad79984dc24e6771efa1537f79d9581c3c2042778e",
-              "3fd9aa6cec44e366b92767dd9145b841e17fccf7b774bf2d3dac3fe865550131")),
+    (64, 16, ("3ee7bbad486c5c7b9254a3fb292d1794c382b47629b7738e7ea755a9fa2e12c0",
+              "4dd37dd6b0863e41443672a73fb759efa4ed9f827ab9ca3931465ffea168c85a",
+              "07b1697319f5815e3897a5a709d90743b56acb8d7f2b6918dc1812edcbc2d968")),
+    (32, 12, ("64e7a309e49e17e53012f1e80e8c327c9a118ad168ea9200c4baa6e45b29d0a2",
+              "49bd24f05ec707f51388d269794fa29cd5ad6764f91193546d99dee27992c592",
+              "a8f82ed4863451742bd4b6e8639ad3198debf0f498959c3e227c9ddae7189191")),
 ]
 
 
@@ -252,14 +291,15 @@ class TestTapes:
 
 
 class TestPartyZeroDeal:
-    """Party 0 deals its tape alone by skipping the secret words of the
-    stream; its tape and the stream position after it equal the full deal's."""
+    """Party 0 deals its tape alone by drawing every word of the stream and
+    keeping only its share words; its tape and the stream position after it
+    equal the full deal's."""
 
     KINDS = (BeaverRequest, SquareRequest, AndRequest)
 
     def random_requests(self, rng):
         """Up to 8 requests of rank 0 to 3; dims 0 to 6, so element counts
-        are often not multiples of 4 and some shapes are empty."""
+        are often odd and some shapes are empty."""
         return [self.KINDS[rng.integers(3)](tuple(int(d) for d in rng.integers(0, 7, rng.integers(0, 4))))
                 for _ in range(rng.integers(0, 9))]
 
@@ -270,7 +310,7 @@ class TestPartyZeroDeal:
         for trial in range(60):
             reqs = self.random_requests(rng)
             full, alone = Dealer(trial, cfg), Dealer(trial, cfg)
-            lead = int(rng.integers(0, 6))  # start the deal off a 4-word block boundary
+            lead = int(rng.integers(0, 6))  # start the deal off a 2-word block boundary
             full.gen_shares(RingTensor.zeros((lead,), cfg))
             alone.gen_shares(RingTensor.zeros((lead,), cfg))
             tape0, _ = full.build_tapes(reqs)

@@ -9,7 +9,7 @@ from arp.data import toy_images
 from arp.errors import FormatError
 from arp.fixed import FixedConfig
 from arp.model_io import deserialize_model, load_model, save_model, serialize_model
-from arp.nn import AvgPool2d, build_model
+from arp.nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential, build_model
 from arp.replace import train_supervised
 
 CFG = FixedConfig(64, 16)
@@ -108,6 +108,18 @@ class TestIntegrity:
     def test_hybrid_channel_axis_must_be_an_axis(self, axis):
         with pytest.raises(FormatError, match="hybrid channel axis"):
             deserialize_model(hybrid_file(channel_axis=axis))
+
+    @pytest.mark.parametrize("kind, shape", [("dense", (3,)), ("dense", (1, 64)), ("conv", (3,))])
+    def test_bias_shape_must_match_the_descriptor(self, kind, shape):
+        """A bias that is not one value per output is refused on load, not at
+        the first forward pass."""
+        if kind == "dense":
+            model = build_model("mlp", seed=3)
+        else:
+            model = Sequential([Conv2d(1, 4, 3, np.random.default_rng(0), padding=1), Flatten()])
+        next(layer for layer in model.layers if isinstance(layer, (Dense, Conv2d))).b.value = np.zeros(shape)
+        with pytest.raises(FormatError, match=f"{kind} bias shape"):
+            deserialize_model(serialize_model(model, CFG))
 
 
 class TestGoldenHash:

@@ -239,22 +239,22 @@ class TestTranscriptPin:
 
     PINNED = {
         "mlp": dict(
-            hashes=("2fe489bc66582a3616dedf7c2fa5edef2744f9a39d12aa1835a5dc797b5c8182",
-                    "51d98a6afb65896179e0fee2a7cbc3d96339bfc7e0c26b72ea5d685ce1b6677b"),
+            hashes=("e13ca7b3cb8037a7bf9e675bd85215e9c94e37c3de05dfb762ebe23d15cac8ec",
+                    "514c0c24239893243f9800d5210e17e4e8e3fee973b57de4f339a2d697814227"),
             bytes_sent=1002236, rounds=21,
             phases={"dealer": (0, 0), "linear": (1036, 1), "comparison": (967896, 18),
                     "polynomial": (33304, 2)},
         ),
         "smallcnn": dict(
-            hashes=("a736d649b36a538238cdb81baec2e6d0f9b469b999c4a52dc5db2b320c5f933c",
-                    "b13f72d3f29d3c8d120fb594ee51a0b064c89d228f1e4cc1ff1e36e6b64ceaa7"),
+            hashes=("e8a164d3efc67161cd6cdccf3ee8fb11a9974b04fb4f89dcafa56bcab0adbdad",
+                    "1fa63e6b85eae9f857991635fabc41d209c75dd238134b20f44cbd87cfc70d03"),
             bytes_sent=1635836, rounds=21,
             phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (1589976, 18),
                     "polynomial": (45336, 2)},
         ),
         "smallcnn-single-path": dict(
-            hashes=("8821bca011215db44fa1033b03470c63f4ad27f90383dd7570b7e0c5634d1c51",
-                    "490932af83bb73212577000bc510b5bf3b805a6c704cb7f59c43bfb1eaf40d27"),
+            hashes=("f765894311145e19ef44c812dbccfd36dac31e837db911b84a63763d223548cc",
+                    "4838b2eacca307a1f0b4b909c5690d00cc163745b5cb434f66a20cda7099f0d7"),
             bytes_sent=1999492, rounds=11,
             phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (1966188, 9),
                     "polynomial": (32780, 1)},
