@@ -2,9 +2,9 @@
 
 The dealer runs as an offline setup phase.  It answers a list of typed
 requests for elementwise correlations (Beaver triples, square pairs,
-boolean AND triples) and emits one tape per party.  The compute servers
-hold the model weights in the clear, so no other product consumes dealer
-randomness.  Tapes are consumed strictly in order by the online protocol,
+boolean AND triples, truncation masks) and emits one tape per party.  The
+compute servers hold the model weights in the clear, so no other product
+consumes dealer randomness.  Tapes are consumed strictly in order by the online protocol,
 which reads each record with the request that planned it; a replay with the
 same seed and request sequence uses identical randomness.
 
@@ -15,9 +15,10 @@ SHA-256(`KEY_TAG` + the seed's decimal digits), and the counter is the whole
 block AES_key(i) read as two words.  `build_tapes` draws the words of each
 record in request order (consecutive records into one buffer of up to
 48 MiB): the secret words (a and b per element, or a alone for a square
-pair), then party 0's share of each field in record order.  Party 1's share
-of a field is its value (a secret, or the product a*b, a*a or a&b) minus
-party 0's share, or XOR it for AND triples.  Each `gen_shares` call draws one
+pair, or r alone for a truncation mask), then party 0's share of each field
+in record order.  Party 1's share of a field is its value (a secret, the
+product a*b, a*a or a&b, or a truncation mask's derived fields) minus party
+0's share, or XOR it for AND triples.  Each `gen_shares` call draws one
 word per element of its input, at its turn in the stream.
 
 Party 0's tape alone draws every word too, keeps its share words and drops
@@ -28,7 +29,7 @@ One table, `_KIND`, describes each request type: its record, draw and tape layou
 
 Tape file layout (little-endian throughout):
   magic "ARPT", version u16, L u16, f u16, party u8, record count u32,
-  then per record: tag u8 (1 beaver / 2 square / 3 and), descriptor, shapes
+  then per record: tag u8 (1 beaver / 2 square / 3 and / 4 trunc), descriptor, shapes
   (rank u8 + dims u32 each) and this party's share words packed to
   ceil(L/8) bytes.  A Beaver record keeps version 1's fixed op code 0
   (elementwise), stride 1 and padding 0 bytes and writes its shape twice.
@@ -53,9 +54,11 @@ __all__ = [
     "BeaverRequest",
     "SquareRequest",
     "AndRequest",
+    "TruncRequest",
     "BeaverTriple",
     "SquarePair",
     "AndTriple",
+    "TruncMask",
     "Dealer",
     "Tape",
     "TapeReader",
@@ -98,6 +101,11 @@ class AndRequest:
     shape: tuple
 
 
+@dataclass(frozen=True)
+class TruncRequest:
+    shape: tuple
+
+
 # ---- issued records --------------------------------------------------------
 
 
@@ -130,12 +138,30 @@ class AndTriple:
     used: bool = field(default=False, compare=False)
 
 
+@dataclass
+class TruncMask:
+    """One party's additive shares of a mask r and, for s = -r mod 2^L, of
+    s >> f and msb(s) * 2^(L-f); single use (see protocol's exact truncation)."""
+
+    r: RingTensor
+    hi: RingTensor
+    w: RingTensor
+    used: bool = field(default=False, compare=False)
+
+
+def _trunc_fields(cfg: FixedConfig, r: np.ndarray) -> tuple:
+    """A truncation mask's derived fields: s >> f and msb(s) * 2^(L-f), s = -r mod 2^L."""
+    L, f = cfg.total_bits, cfg.frac_bits
+    s = (np.uint64(0) - r) & cfg.mask
+    return s >> np.uint64(f), (s >> np.uint64(L - 1)) * np.uint64((1 << (L - f)) % (1 << 64))
+
+
 class _Kind(NamedTuple):
     """How one request type is dealt and laid out on tape."""
 
     record: type  # the record dealt for the request
     secrets: int  # secret words drawn per element
-    derive: np.ufunc  # the record's last field from the secrets
+    derive: object  # (cfg, *secrets) -> the record's other fields, fresh arrays
     split: np.ufunc  # party 1's share from a value and party 0's share
     tag: int  # the record's tape tag
     head: bytes  # its fixed tape descriptor
@@ -147,9 +173,10 @@ class _Kind(NamedTuple):
 _KIND = {
     req: _Kind(record, *row, tuple(f.name for f in fields(record) if f.name != "used"))
     for req, record, *row in [
-        (BeaverRequest, BeaverTriple, 2, np.multiply, np.subtract, 1, b"\x00\x01\x00", 2),
-        (SquareRequest, SquarePair, 1, np.square, np.subtract, 2, b"", 1),
-        (AndRequest, AndTriple, 2, np.bitwise_and, np.bitwise_xor, 3, b"", 1),
+        (BeaverRequest, BeaverTriple, 2, lambda cfg, a, b: (a * b,), np.subtract, 1, b"\x00\x01\x00", 2),
+        (SquareRequest, SquarePair, 1, lambda cfg, a: (a * a,), np.subtract, 2, b"", 1),
+        (AndRequest, AndTriple, 2, lambda cfg, a, b: (a & b,), np.bitwise_xor, 3, b"", 1),
+        (TruncRequest, TruncMask, 1, _trunc_fields, np.subtract, 4, b"", 1),
     ]
 }
 _BY_RECORD = {k.record: k for k in _KIND.values()}
@@ -158,8 +185,9 @@ _BY_TAG = {k.tag: k for k in _KIND.values()}
 
 def _draw_size(req) -> int:
     """Words one request draws: its secrets, then party 0's share of each
-    secret and of the derived field."""
-    return (2 * _KIND[type(req)].secrets + 1) * math.prod(req.shape)
+    field of its record."""
+    c = _KIND[type(req)]
+    return (c.secrets + len(c.names)) * math.prod(req.shape)
 
 
 # ---- dealer ----------------------------------------------------------------
@@ -215,7 +243,7 @@ class Dealer:
         With `party=0` only party 0's tape is dealt, and the second entry is
         None.  Each record's words are its secrets, then party 0's fields,
         which stay views of the draw; party 1's shares overwrite the secrets
-        and the derived field in place.
+        and the derived fields in place.
         """
         for req in requests:
             if type(req) not in _KIND:
@@ -223,14 +251,15 @@ class Dealer:
         recs0, recs1 = [], []
         for req, words in zip(requests, self._draws([_draw_size(r) for r in requests])):
             c = _KIND[type(req)]
-            rows = words.reshape(2 * c.secrets + 1, -1)
+            rows = words.reshape(c.secrets + len(c.names), -1)
             secret, share0 = rows[: c.secrets], rows[c.secrets :]
             recs0.append(self._record(req, share0))
             if party != 0:
-                last = c.derive(*secret)
-                c.split(last, share0[-1], out=last)
-                c.split(secret, share0[:-1], out=secret)
-                recs1.append(self._record(req, (*secret, last)))
+                derived = c.derive(self.cfg, *secret)
+                for value, own in zip(derived, share0[c.secrets :]):
+                    c.split(value, own, out=value)
+                c.split(secret, share0[: c.secrets], out=secret)
+                recs1.append(self._record(req, (*secret, *derived)))
         return Tape(0, self.cfg, recs0), None if party == 0 else Tape(1, self.cfg, recs1)
 
     def _record(self, req, rows):
@@ -240,6 +269,11 @@ class Dealer:
 
 
 # ---- tapes -----------------------------------------------------------------
+
+
+def _shape(rec) -> tuple:
+    """A record's shape: that of its first field."""
+    return getattr(rec, _BY_RECORD[type(rec)].names[0]).shape
 
 
 @dataclass
@@ -272,9 +306,9 @@ class TapeReader:
             raise ProtocolDesyncError(
                 f"tape record {self.pos} is {type(rec).__name__}, expected {kind.__name__}"
             )
-        if rec.a.shape != tuple(request.shape):
+        if _shape(rec) != tuple(request.shape):
             raise ProtocolDesyncError(
-                f"tape record {self.pos} {kind.__name__} has shape {rec.a.shape}, "
+                f"tape record {self.pos} {kind.__name__} has shape {_shape(rec)}, "
                 f"request was {tuple(request.shape)}"
             )
         self.pos += 1
@@ -335,7 +369,7 @@ def tape_to_bytes(tape: Tape) -> bytes | memoryview:
         if type(rec) not in _BY_RECORD:
             raise TypeError(f"unknown record {rec!r}")
         k = _BY_RECORD[type(rec)]
-        out += [struct.pack("<B", k.tag), k.head, _pack_shape(rec.a.shape) * k.copies]
+        out += [struct.pack("<B", k.tag), k.head, _pack_shape(_shape(rec)) * k.copies]
         out += [pack_words(getattr(rec, name)) for name in k.names]
     if sum(map(len, out)) < _HUGE_PAGE_JOIN:
         return b"".join(out)

@@ -7,6 +7,7 @@ Round and opening accounting (asserted by tests):
   b2a                              1 round (one Beaver multiply)
   a2b                              1 + ceil(log2 L) rounds (initial AND plus
                                    one batched AND per prefix-adder level)
+  exact truncation                 1 round, opens |X| words, per rescale
 
 Model weights and polynomial coefficients are public to both compute
 servers; only activations are secret shared.  So every interactive op is
@@ -15,10 +16,17 @@ AND triple) from the session's tape with the same kind of request that the
 planners below hand the dealer.
 
 Truncation after a product is a local arithmetic shift of each party's
-share, which costs nothing in communication but can leave the reconstruction
-one ULP below the value-level shift.  It also wraps, giving a wildly wrong
-result, with probability about |v| * 2^(2f-L) per element for a product of
-decoded magnitude |v| held at scale 2f (e.g. 1.2% at L=32, f=12, |v|=3).
+share by default, which costs nothing in communication but can leave the
+reconstruction one ULP below the value-level shift.  It also wraps, giving a
+wildly wrong result, with probability about |v| * 2^(2f-L) per element for a
+product of decoded magnitude |v| held at scale 2f (e.g. 1.2% at L=32, f=12,
+|v|=3).  A session with `exact_truncation` set instead opens the value plus
+a dealer mask r and corrects for the mask's wrap with dealt shares of
+(-r) >> f and of its top bit, as in CrypTen's trusted-third-party
+truncation (Knott et al., NeurIPS 2021).  That costs one round and |X|
+opened words per rescale, and the result is the floor of the shifted value
+or one ULP above it, for any |value| < 2^(L-2) at scale 2f.
+`exact_truncation(cfg)` says which rings the runtime truncates exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .transport import Channel
 
 __all__ = [
     "PHASES",
+    "exact_truncation",
     "ShareTensor",
     "BinaryShareTensor",
     "Session",
@@ -56,7 +65,19 @@ __all__ = [
     "ltz_requests",
     "relu_requests",
     "dapa_requests",
+    "trunc_requests",
 ]
+
+
+def exact_truncation(cfg: FixedConfig) -> bool:
+    """Whether inference at `cfg` truncates exactly rather than locally.
+
+    Local truncation wraps at about |v| * 2^(2f-L) per element; it is kept
+    where that rate is at most |v| * 2^-32 (L=64 with f <= 16, the default
+    ring), since exact truncation costs a round per rescale.  A ring with
+    f = 0 never rescales.
+    """
+    return cfg.frac_bits > 0 and 2 * cfg.frac_bits - cfg.total_bits > -32
 
 
 @dataclass
@@ -119,13 +140,19 @@ class Session:
     generation (setup), "linear" covers public-weight layers, pooling and
     the final logit opening, "comparison" covers secure ReLU (including its
     multiply), "polynomial" covers the secure polynomial path.
+
+    With `exact_truncation` set, every rescale of a share takes a truncation
+    mask from the tape and one round (see the module docstring); otherwise
+    shares are shifted locally.
     """
 
-    def __init__(self, party: int, cfg: FixedConfig, channel: Channel, tape: dl.TapeReader | None = None):
+    def __init__(self, party: int, cfg: FixedConfig, channel: Channel, tape: dl.TapeReader | None = None,
+                 exact_truncation: bool = False):
         if party not in (0, 1):
             raise ValueError("party must be 0 or 1")
         self.party = party
         self.cfg = cfg
+        self.exact_truncation = exact_truncation
         self.channel = channel
         self.tape = tape
         self.opened_words = 0
@@ -207,13 +234,43 @@ def _consume(record):
     return record
 
 
-def _rescale(x: ShareTensor, raw_scale: int) -> ShareTensor:
-    """Shift a product share back down to at most f fractional bits."""
+def _rescale(x: ShareTensor, raw_scale: int, sess: Session | None = None) -> ShareTensor:
+    """Shift a product share back down to at most f fractional bits: exactly
+    if `sess` truncates exactly, else locally."""
     f = x.payload.cfg.frac_bits
     out_scale = min(f, raw_scale)
     shift = raw_scale - out_scale
-    payload = truncate(x.payload, bits=shift) if shift else x.payload
-    return ShareTensor(x.party, payload, out_scale)
+    if not shift:
+        return ShareTensor(x.party, x.payload, out_scale)
+    if sess is not None and sess.exact_truncation:
+        if shift != f:
+            raise ValueError(f"exact truncation shifts by f={f} bits, not {shift}")
+        return _truncate_exact(sess, x.payload)
+    return ShareTensor(x.party, truncate(x.payload, bits=shift), out_scale)
+
+
+def _truncate_exact(sess: Session, x: RingTensor) -> ShareTensor:
+    """Shift a share at scale 2f down by f bits with one truncation mask.
+
+    For y = x + 2^(L-2), which lies in [0, 2^(L-1)) when |x| < 2^(L-2), the
+    parties open c = y + s with s = -r.  y + s wraps past 2^L exactly when
+    msb(s) is set and msb(c) is not, so y >> f is (c >> f) - (s >> f) +
+    wrap * 2^(L-f), less the borrow from the low f bits, which the result
+    keeps: it is y >> f or one more.  Subtracting 2^(L-2-f) gives x's.
+    """
+    cfg = x.cfg
+    L, f = cfg.total_bits, cfg.frac_bits
+    mask = _consume(sess.tape.take(dl.TruncRequest(x.shape)))
+    y = x + np.uint64(1 << (L - 2)) if sess.party == 0 else x
+    (out,), (c,) = _open_masked(sess, [(y, mask.r)])
+    np.right_shift(c.words, np.uint64(L - 1), out=out)
+    np.subtract(np.uint64(1), out, out=out)  # 1 where c's top bit is clear
+    out *= mask.w.words
+    out -= mask.hi.words
+    if sess.party == 0:
+        out += c.words >> np.uint64(f)
+        out -= np.uint64(1 << (L - 2 - f))
+    return ShareTensor(sess.party, RingTensor(out, cfg), f)
 
 
 # ---- local (round-free) operations -----------------------------------------
@@ -225,8 +282,9 @@ def lin_combine(a: float, x: ShareTensor, y: ShareTensor) -> ShareTensor:
 
 
 def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *,
-               stride: int = 1, padding: int = 0) -> ShareTensor:
-    """Multiply a share by a public ring tensor at scale f; local, zero rounds."""
+               stride: int = 1, padding: int = 0, sess: Session | None = None) -> ShareTensor:
+    """Multiply a share by a public ring tensor at scale f; local, zero rounds,
+    unless `sess` is given and truncates exactly (one round)."""
     if op == "elementwise":
         raw = x.payload * w
     elif op == "matmul":
@@ -235,7 +293,7 @@ def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *,
         raw = x.payload.conv2d(w, stride=stride, padding=padding)
     else:
         raise ValueError(f"unknown product op {op!r}")
-    return _rescale(ShareTensor(x.party, raw, x.scale), x.scale + x.payload.cfg.frac_bits)
+    return _rescale(ShareTensor(x.party, raw, x.scale), x.scale + x.payload.cfg.frac_bits, sess)
 
 
 def add_public(x: ShareTensor, c: RingTensor) -> ShareTensor:
@@ -274,7 +332,7 @@ def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor) -> ShareTensor:
     if sess.party == 1:
         np.multiply(e.words, f_.words, out=t)
         r -= t
-    return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), x.scale + y.scale)
+    return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), x.scale + y.scale, sess)
 
 
 def square(sess: Session, x: ShareTensor) -> ShareTensor:
@@ -286,7 +344,7 @@ def square(sess: Session, x: ShareTensor) -> ShareTensor:
     r += pair.z.words
     if sess.party == 0:
         r += np.square(e.words)
-    return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), 2 * x.scale)
+    return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), 2 * x.scale, sess)
 
 
 def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
@@ -377,7 +435,8 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTen
 
     Coefficients are numpy arrays broadcastable to x's shape (per channel or
     per element).  Degree 2 (c2 given, even if all zero) costs one square
-    (one round); c2 None is communication free.
+    (one round); c2 None is communication free.  Exact truncation adds a
+    round to each of the square's and the final rescale.
 
     All terms are combined at double scale and shifted down once, so the
     result sits within 2 ULP of the fixed-point reference: one possible ULP
@@ -407,7 +466,7 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTen
         acc = acc + sq.payload * e2
     if sess.party == 0:
         acc = acc + e0.lshift(f)
-    return _rescale(ShareTensor(sess.party, acc, 0), 2 * f)
+    return _rescale(ShareTensor(sess.party, acc, 0), 2 * f, sess)
 
 
 # ---- tape request planning ---------------------------------------------------
@@ -430,5 +489,11 @@ def relu_requests(shape, cfg: FixedConfig) -> list:
     return ltz_requests(shape, cfg) + [dl.BeaverRequest(tuple(shape))]
 
 
-def dapa_requests(shape, degree: int = 2) -> list:
-    return [dl.SquareRequest(tuple(shape))] if degree >= 2 else []
+def trunc_requests(shape, exact: bool) -> list:
+    """The truncation mask of one rescale of a `shape` share, if exact."""
+    return [dl.TruncRequest(tuple(shape))] if exact else []
+
+
+def dapa_requests(shape, degree: int = 2, exact: bool = False) -> list:
+    square = [dl.SquareRequest(tuple(shape)), *trunc_requests(shape, exact)] if degree >= 2 else []
+    return square + trunc_requests(shape, exact)

@@ -27,8 +27,10 @@ amplify by their max absolute input-weight sum, and the polynomial path by
 At L=64, f=16 observed deviations sit far below it (the bound multiplies
 worst cases that cannot align); private logits are asserted against it in
 the acceptance suite alongside the much tighter classification-agreement
-check.  Smaller rings can break it through truncation wrap faults (see
-`protocol`); the CLI flags such a run and exits non-zero.
+check.  Rings where local truncation wraps often (see
+`protocol.exact_truncation`) truncate exactly at one round per rescale; a
+ring too small for the values still breaks the budget, and the CLI flags
+such a run and exits non-zero.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from .dealer import Dealer, tape_from_bytes, tape_to_bytes
 from .errors import ArpError
 from .fixed import FixedConfig, decode, encode
-from .im2col import window_sum
+from .im2col import conv_out_hw, window_sum
 from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential
 from .protocol import (
     Session,
@@ -50,9 +52,11 @@ from .protocol import (
     add_public,
     dapa_eval_secure,
     dapa_requests,
+    exact_truncation,
     mul_public,
     relu_requests,
     relu_secure,
+    trunc_requests,
 )
 from .replace import HybridActivation
 from .transport import memory_channel_pair, tcp_bind, tcp_connect, tcp_listen
@@ -116,9 +120,10 @@ def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0
     return sess.share_of(out.reshape(x.shape), x.scale)
 
 
-def hybrid_requests(batch: int, mask: np.ndarray, cfg: FixedConfig, degree: int = 2) -> list:
+def hybrid_requests(batch: int, mask: np.ndarray, cfg: FixedConfig, degree: int = 2,
+                    exact: bool = False) -> list:
     """The dealer requests of `hybrid_activation_secure`, in its order: the
-    batched ReLU's, then the polynomial's."""
+    batched ReLU's, then the polynomial's (with truncation masks if `exact`)."""
     flat_m = np.asarray(mask).reshape(-1).astype(bool)
     n_relu = int(flat_m.sum())
     n_poly = flat_m.size - n_relu
@@ -126,7 +131,7 @@ def hybrid_requests(batch: int, mask: np.ndarray, cfg: FixedConfig, degree: int 
     if n_relu:
         reqs += relu_requests((batch, n_relu), cfg)
     if n_poly:
-        reqs += dapa_requests((batch, n_poly), degree)
+        reqs += dapa_requests((batch, n_poly), degree, exact)
     return reqs
 
 
@@ -134,43 +139,58 @@ class SecureEvaluator:
     """Layer-by-layer secure forward pass plus its dealer-tape plan.
 
     plan() and run() walk the model in the same order; a run consumes its
-    plan's tape exactly (tests assert zero leftover records).
+    plan's tape exactly (tests assert zero leftover records).  Where
+    `exact_truncation(cfg)` holds, each linear layer's and polynomial's
+    rescale takes a truncation mask, and run() wants a session that
+    truncates exactly.
     """
 
     def __init__(self, model: Sequential, cfg: FixedConfig):
         self.model = model
         self.cfg = cfg
+        self.exact = exact_truncation(cfg)
         for layer in model.layers:
             if not isinstance(layer, (Dense, Conv2d, AvgPool2d, Flatten, HybridActivation)):
                 raise ArpError(f"layer {type(layer).__name__} has no secure evaluation")
 
     # -- planning -----------------------------------------------------------
 
-    def plan(self, batch: int) -> list:
+    def plan(self, batch: int, feat_shape: tuple = ()) -> list:
+        """The dealer requests of a run on a (batch, *feat_shape) input; the
+        feature shape is needed only to plan exact truncation of a conv or
+        pooling layer's output."""
         reqs: list = []
+        shape = (batch, *feat_shape)
         for layer in self.model.layers:
             if isinstance(layer, HybridActivation):
-                reqs += hybrid_requests(batch, layer.indicator.m, self.cfg, layer.degree)
+                reqs += hybrid_requests(batch, layer.indicator.m, self.cfg, layer.degree, self.exact)
+            elif self.exact:
+                shape = _out_shape(layer, shape)
+                if not isinstance(layer, Flatten):
+                    reqs += trunc_requests(shape, True)
         return reqs
 
     # -- evaluation ----------------------------------------------------------
 
     def run(self, sess: Session, x: ShareTensor) -> ShareTensor:
         cfg = self.cfg
+        if sess.exact_truncation != self.exact:
+            raise ArpError(f"the plan at L={cfg.total_bits}, f={cfg.frac_bits} wants "
+                           f"exact_truncation={self.exact} sessions")
         for layer in self.model.layers:
             if isinstance(layer, Dense):
                 with sess.measure("linear"):
-                    x = mul_public(x, encode(layer.w.value, cfg), "matmul")
+                    x = mul_public(x, encode(layer.w.value, cfg), "matmul", sess=sess)
                     x = add_public(x, encode(layer.b.value, cfg))
             elif isinstance(layer, Conv2d):
                 with sess.measure("linear"):
                     x = mul_public(x, encode(layer.w.value, cfg), "conv2d",
-                                   stride=layer.stride, padding=layer.padding)
+                                   stride=layer.stride, padding=layer.padding, sess=sess)
                     x = add_public(x, encode(layer.b.value.reshape(-1, 1, 1), cfg))
             elif isinstance(layer, AvgPool2d):
                 with sess.measure("linear"):
                     x = sess.share_of(window_sum(x.payload.words, layer.k), x.scale)
-                    x = mul_public(x, encode(1.0 / (layer.k * layer.k), cfg))
+                    x = mul_public(x, encode(1.0 / (layer.k * layer.k), cfg), sess=sess)
             elif isinstance(layer, Flatten):
                 x = x.reshape(x.shape[0], -1)
             elif isinstance(layer, HybridActivation):
@@ -178,6 +198,19 @@ class SecureEvaluator:
                 x = hybrid_activation_secure(sess, x, layer.indicator.m, layer.term(0),
                                              layer.term(1), c2)
         return x
+
+
+def _out_shape(layer, shape: tuple) -> tuple:
+    """The shape of a linear, pooling or flatten layer's secure output."""
+    if isinstance(layer, Dense):
+        return (shape[0], layer.w.value.shape[1])
+    if isinstance(layer, Conv2d):
+        oc, _, kh, kw = layer.w.value.shape
+        return (shape[0], oc, *conv_out_hw(*shape[2:], kh, kw, layer.stride, layer.padding))
+    if isinstance(layer, AvgPool2d):
+        b, c, h, w = shape
+        return (b, c, h // layer.k, w // layer.k)
+    return (shape[0], int(np.prod(shape[1:])))
 
 
 def error_budget_ulp(model: Sequential) -> int:
@@ -263,7 +296,8 @@ def _offline(model: Sequential, cfg: FixedConfig, inputs: np.ndarray, dealer_see
     batch once, and round-trip each wanted tape through the tape file format.
     Returns each wanted party's (tape, input share, dealer seconds)."""
     t0 = time.perf_counter()
-    tapes = Dealer(dealer_seed, cfg).build_tapes(SecureEvaluator(model, cfg).plan(len(inputs)), party)
+    plan = SecureEvaluator(model, cfg).plan(len(inputs), inputs.shape[1:])
+    tapes = Dealer(dealer_seed, cfg).build_tapes(plan, party)
     shares = Dealer(input_seed, cfg).gen_shares(encode(inputs, cfg))
     shared_s = time.perf_counter() - t0
     setups = []
@@ -280,7 +314,7 @@ def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, setup: 
     """The online phase on a connected channel, after the offline phase
     `setup` (see `_offline`), and its report against the plaintext logits `plain`."""
     tape, input_share, offline_s = setup
-    sess = Session(party, cfg, channel, tape.reader())
+    sess = Session(party, cfg, channel, tape.reader(), exact_truncation=exact_truncation(cfg))
     sess.phases["dealer"]["seconds"] += offline_s
     x = ShareTensor(party, input_share, cfg.frac_bits)
     logits_share = SecureEvaluator(model, cfg).run(sess, x)

@@ -256,10 +256,11 @@ class TestPipeline:
         _, cfg, _ = load_model(out)
         assert (cfg.total_bits, cfg.frac_bits) == (32, 12)
 
-    @pytest.mark.parametrize("frac_bits,code", [(12, 6), (8, 0)])
+    @pytest.mark.parametrize("frac_bits,code", [(20, 6), (8, 0)])
     def test_budget_breach_exit_code(self, artifacts, capsys, frac_bits, code):
-        """At L=32, f=12 truncation wrap faults push the logits past the declared
-        budget; the run still writes its report, then exits 6."""
+        """At L=32 truncation is exact, so f=8 meets the declared budget; at
+        f=20 a product at scale 2f does not fit the ring and the logits miss
+        it.  The run still writes its report, then exits 6."""
         root, data, model = artifacts
         ring = root / f"model32f{frac_bits}.arpm"
         report = root / f"report32f{frac_bits}.json"

@@ -16,6 +16,7 @@ from arp.dealer import (
     BeaverRequest,
     Dealer,
     SquareRequest,
+    TruncRequest,
     read_tape,
     tape_from_bytes,
     tape_to_bytes,
@@ -189,6 +190,18 @@ class TestTriples:
         c = (t0.c ^ t1.c).words
         assert np.array_equal(c, a & b)
 
+    @pytest.mark.parametrize("bits,frac", [(8, 4), (32, 8), (64, 16), (64, 0)])
+    def test_trunc_mask_fields(self, bits, frac):
+        """hi and w reconstruct to s >> f and msb(s) * 2^(L-f) for s = -r,
+        checked on Python ints."""
+        cfg = FixedConfig(bits, frac)
+        m0, m1 = (t.records[0] for t in Dealer(8, cfg).build_tapes([TruncRequest((20_000,))]))
+        size = 1 << bits
+        s = [(-int(r)) % size for r in (m0.r + m1.r).words]
+        assert [int(v) for v in (m0.hi + m1.hi).words] == [v >> frac for v in s]
+        assert [int(v) for v in (m0.w + m1.w).words] == [((v >> (bits - 1)) << (bits - frac)) % size for v in s]
+        assert {v >> (bits - 1) for v in s} == {0, 1}
+
 
 PINNED_STREAM = [
     (64, 16, ("3ee7bbad486c5c7b9254a3fb292d1794c382b47629b7738e7ea755a9fa2e12c0",
@@ -222,6 +235,7 @@ class TestTapes:
             BeaverRequest((1, 1, 4, 4)),
             SquareRequest((2, 2)),
             AndRequest((5,)),
+            TruncRequest((2, 3)),
         ]
 
     def test_serialization_bit_identical(self, tmp_path):
@@ -295,12 +309,12 @@ class TestPartyZeroDeal:
     keeping only its share words; its tape and the stream position after it
     equal the full deal's."""
 
-    KINDS = (BeaverRequest, SquareRequest, AndRequest)
+    KINDS = (BeaverRequest, SquareRequest, AndRequest, TruncRequest)
 
     def random_requests(self, rng):
         """Up to 8 requests of rank 0 to 3; dims 0 to 6, so element counts
         are often odd and some shapes are empty."""
-        return [self.KINDS[rng.integers(3)](tuple(int(d) for d in rng.integers(0, 7, rng.integers(0, 4))))
+        return [self.KINDS[rng.integers(len(self.KINDS))](tuple(int(d) for d in rng.integers(0, 7, rng.integers(0, 4))))
                 for _ in range(rng.integers(0, 9))]
 
     @pytest.mark.parametrize("bits", [8, 24, 32, 64])
@@ -336,7 +350,7 @@ class TestTapeBuffers:
     @pytest.mark.parametrize("bits", [24, 32])
     def test_narrow_ring_tapes_round_trip(self, bits):
         cfg = FixedConfig(bits, 8)
-        reqs = [BeaverRequest((2, 3)), SquareRequest((4,)), AndRequest((5,))]
+        reqs = [BeaverRequest((2, 3)), SquareRequest((4,)), AndRequest((5,)), TruncRequest((3,))]
         for tape in Dealer(5, cfg).build_tapes(reqs):
             raw = tape_to_bytes(tape)
             loaded = tape_from_bytes(raw)

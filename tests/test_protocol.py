@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from arp.dealer import AndRequest, BeaverRequest, Dealer, SquareRequest
+from arp.dealer import AndRequest, BeaverRequest, Dealer, SquareRequest, TruncRequest
 from arp.errors import ProtocolDesyncError, TripleReuseError
 from arp.fixed import FixedConfig, RingTensor, decode, encode, truncate
 from arp.protocol import (
@@ -26,6 +26,7 @@ from arp.protocol import (
     b2a,
     dapa_eval_secure,
     dapa_requests,
+    exact_truncation,
     lin_combine,
     ltz,
     ltz_requests,
@@ -276,6 +277,80 @@ class TestSquare:
         (mul_words, sq_words), _ = two_party(fn, reqs)
         assert mul_words == 2 * n
         assert sq_words == n
+
+
+class TestExactTruncation:
+    """Sessions that truncate exactly: each rescale takes one truncation mask
+    and one round, opens |X| words, and lands on the value-level floor or one
+    ULP above it for any |product| < 2^(L-2), where local truncation wraps."""
+
+    def test_rings_that_truncate_exactly(self):
+        assert [exact_truncation(FixedConfig(*c)) for c in [(64, 16), (64, 8), (32, 0)]] == [False] * 3
+        assert [exact_truncation(FixedConfig(*c)) for c in [(64, 17), (48, 16), (32, 8), (8, 4)]] == [True] * 4
+
+    @pytest.mark.parametrize("cfg", [FixedConfig(32, 8), FixedConfig(16, 4), CFG8], ids=["L32", "L16", "L8"])
+    def test_products_against_floor(self, cfg):
+        L, f = cfg.total_bits, cfg.frac_bits
+        top = 2 ** (L - 2 - f)  # |x| < top and |y| <= 2^f keep |x * y| < 2^(L-2)
+        rng = np.random.default_rng(L)
+        xi = np.concatenate([[top - 1, 1 - top, 0, -1], rng.integers(1 - top, top, 4000)])
+        yi = np.concatenate([[2**f, -(2**f), 3, 2**f], rng.integers(-(2**f), 2**f, 4000, endpoint=True)])
+        n = len(xi)
+        xs = share_ring(RingTensor.from_signed(xi, cfg), seed=5)
+        y = RingTensor.from_signed(yi, cfg)
+
+        def fn(sess):
+            xt = as_share(sess, xs, f)
+            local = sess.reveal(mul_public(xt, y)).signed()
+            r0, w0 = sess.channel.rounds, sess.opened_words
+            out = mul_public(xt, y, sess=sess)
+            cost = (sess.channel.rounds - r0, sess.opened_words - w0, sess.tape.remaining())
+            return local, sess.reveal(out).signed(), out.scale, cost
+
+        (local, exact, scale, cost), _ = two_party(fn, [TruncRequest((n,))], cfg=cfg, exact=True)
+        floor = np.array([(int(a) * int(b)) >> f for a, b in zip(xi, yi)])
+        assert scale == f and cost == (1, n, 0)
+        assert set(np.unique(exact - floor)) <= {0, 1}
+        assert np.count_nonzero(np.abs(local - floor) > 1) > 0  # the same shares wrap when shifted locally
+
+    def test_shift_other_than_f_is_refused(self):
+        xs = share_reals(np.ones(3), CFG8)
+
+        def fn(sess):
+            mul_public(ShareTensor(sess.party, xs[sess.party], 2), encode(np.ones(3), CFG8), sess=sess)
+
+        with pytest.raises(ValueError, match="exact truncation shifts by f=4 bits, not 2"):
+            two_party(fn, [TruncRequest((3,))], cfg=CFG8, exact=True)
+
+    @pytest.mark.parametrize("case", ["square", "dapa", "hybrid"])
+    def test_plans_are_consumed_exactly(self, case):
+        cfg = FixedConfig(32, 8)
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-4, 4, size=(3, 5))
+        mask = np.array([1, 0, 1, 1, 0], dtype=np.float64)
+        xs = share_reals(x, cfg)
+        reqs = {
+            "square": [SquareRequest((3, 5)), TruncRequest((3, 5))],
+            "dapa": dapa_requests((3, 5), 2, exact=True),
+            "hybrid": hybrid_requests(3, mask, cfg, 2, exact=True),
+        }[case]
+
+        def fn(sess):
+            xt = as_share(sess, xs)
+            if case == "square":
+                out = square(sess, xt)
+            elif case == "dapa":
+                out = dapa_eval_secure(sess, xt, 0.28, 0.5, 0.14)
+            else:
+                out = hybrid_activation_secure(sess, xt, mask, 0.28, 0.5, 0.14)
+            return sess.tape.remaining(), decode(sess.reveal(out))
+
+        (left, got), _ = two_party(fn, reqs, cfg=cfg, exact=True)
+        poly = ref_poly(x, 0.28, 0.5, 0.14, cfg)
+        want = {"square": ref_square(x, cfg), "dapa": poly,
+                "hybrid": np.where(mask.astype(bool), np.maximum(decode(encode(x, cfg)), 0), poly)}[case]
+        assert left == 0
+        assert np.max(np.abs(got - want)) <= 2 * cfg.resolution
 
 
 class TestA2B:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import socket
 from threading import Thread
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from arp.data import two_spirals
+from arp.dealer import TruncRequest
 from arp.errors import EncodeOverflowError, TransportError
 from arp.fixed import FixedConfig
 from arp.model_io import deserialize_model, serialize_model
@@ -228,6 +230,54 @@ class TestPlanning:
 
         with pytest.raises(ArpError):
             SecureEvaluator(Sequential([Weird()]), CFG)
+
+
+class TestExactTruncationRuns:
+    """Rings where local truncation wraps often plan and run exact truncation."""
+
+    CFG32 = FixedConfig(32, 8)
+
+    def test_narrow_ring_meets_the_budget_at_every_seed(self, trained):
+        """Before exact truncation about one L=32, f=8 run in four broke the
+        budget on one wrap; each truncation mask costs a round and opens its size."""
+        _, model, x = trained
+        model32, cfg, _ = deserialize_model(serialize_model(model, self.CFG32, 0))
+        masks = [r for r in SecureEvaluator(model32, cfg).plan(len(x)) if isinstance(r, TruncRequest)]
+        assert len(masks) == 7  # three dense layers, two hybrid layers' square and final rescale
+        rep64, _ = private_inference_memory(model, CFG, x, 7, 11)
+        for seed in range(10):
+            rep, _ = private_inference_memory(model32, cfg, x, seed, 11)
+            assert rep.max_dev_ulp <= rep.budget_ulp, seed
+            assert rep.agreement >= 0.99
+        # the comparison phase differs too: an L=32 a2b has one adder level less
+        extra = {p: (rep.phases[p]["rounds"] - rep64.phases[p]["rounds"],
+                     rep.phases[p]["opened_words"] - rep64.phases[p]["opened_words"])
+                 for p in ("linear", "polynomial")}
+        assert extra == {"linear": (3, sum(math.prod(m.shape) for m in masks[::3])),
+                         "polynomial": (4, sum(math.prod(m.shape) for i, m in enumerate(masks) if i % 3))}
+
+    def test_smallcnn_plans_conv_and_pool_masks(self):
+        """Conv and pooling outputs get masks of their shapes; _run_party
+        raises if a record is left over, so a report proves the plan fits."""
+        from arp.data import toy_images
+
+        imgs, _ = toy_images(8, hw=8, classes=4, seed=1)
+        built = build_model("smallcnn", seed=0, num_classes=4, image_hw=8)
+        model, _, _ = deserialize_model(serialize_model(built, self.CFG32, 0))  # folds batch norm
+        plan = SecureEvaluator(model, self.CFG32).plan(len(imgs), imgs.shape[1:])
+        assert [r.shape for r in plan if isinstance(r, TruncRequest)][:2] == [(8, 8, 8, 8), (8, 8, 4, 4)]
+        rep, _ = private_inference_memory(model, self.CFG32, imgs, 7, 11)
+        assert rep.max_dev_ulp <= rep.budget_ulp
+
+    def test_session_must_match_the_plan(self, trained):
+        from arp.errors import ArpError
+        from arp.protocol import Session, ShareTensor
+        from arp.transport import memory_channel_pair
+
+        _, model, _ = trained
+        sess = Session(0, self.CFG32, memory_channel_pair()[0])
+        with pytest.raises(ArpError, match="wants exact_truncation=True sessions"):
+            SecureEvaluator(model, self.CFG32).run(sess, ShareTensor(0, None, 8))
 
 
 class TestTranscriptPin:
