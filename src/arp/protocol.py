@@ -20,13 +20,13 @@ share by default, which costs nothing in communication but can leave the
 reconstruction one ULP below the value-level shift.  It also wraps, giving a
 wildly wrong result, with probability about |v| * 2^(2f-L) per element for a
 product of decoded magnitude |v| held at scale 2f (e.g. 1.2% at L=32, f=12,
-|v|=3).  A session with `exact_truncation` set instead opens the value plus
-a dealer mask r and corrects for the mask's wrap with dealt shares of
-(-r) >> f and of its top bit, as in CrypTen's trusted-third-party
-truncation (Knott et al., NeurIPS 2021).  That costs one round and |X|
-opened words per rescale, and the result is the floor of the shifted value
-or one ULP above it, for any |value| < 2^(L-2) at scale 2f.
-`exact_truncation(cfg)` says which rings the runtime truncates exactly.
+|v|=3).  On rings where that rate is high (`exact_truncation(cfg)`) a
+session instead opens the value plus a dealer mask r and corrects for the
+mask's wrap with dealt shares of (-r) >> f and of its top bit, as in
+CrypTen's trusted-third-party truncation (Knott et al., NeurIPS 2021).
+That costs one round and |X| opened words per rescale, and the result is
+the floor of the shifted value or one ULP above it, for any |value| <
+2^(L-2) at scale 2f.
 """
 
 from __future__ import annotations
@@ -140,19 +140,13 @@ class Session:
     generation (setup), "linear" covers public-weight layers, pooling and
     the final logit opening, "comparison" covers secure ReLU (including its
     multiply), "polynomial" covers the secure polynomial path.
-
-    With `exact_truncation` set, every rescale of a share takes a truncation
-    mask from the tape and one round (see the module docstring); otherwise
-    shares are shifted locally.
     """
 
-    def __init__(self, party: int, cfg: FixedConfig, channel: Channel, tape: dl.TapeReader | None = None,
-                 exact_truncation: bool = False):
+    def __init__(self, party: int, cfg: FixedConfig, channel: Channel, tape: dl.TapeReader | None = None):
         if party not in (0, 1):
             raise ValueError("party must be 0 or 1")
         self.party = party
         self.cfg = cfg
-        self.exact_truncation = exact_truncation
         self.channel = channel
         self.tape = tape
         self.opened_words = 0
@@ -236,13 +230,13 @@ def _consume(record):
 
 def _rescale(x: ShareTensor, raw_scale: int, sess: Session | None = None) -> ShareTensor:
     """Shift a product share back down to at most f fractional bits: exactly
-    if `sess` truncates exactly, else locally."""
+    if `sess` is given and its ring truncates exactly, else locally."""
     f = x.payload.cfg.frac_bits
     out_scale = min(f, raw_scale)
     shift = raw_scale - out_scale
     if not shift:
         return ShareTensor(x.party, x.payload, out_scale)
-    if sess is not None and sess.exact_truncation:
+    if sess is not None and exact_truncation(x.payload.cfg):
         if shift != f:
             raise ValueError(f"exact truncation shifts by f={f} bits, not {shift}")
         return _truncate_exact(sess, x.payload)
@@ -284,7 +278,7 @@ def lin_combine(a: float, x: ShareTensor, y: ShareTensor) -> ShareTensor:
 def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *,
                stride: int = 1, padding: int = 0, sess: Session | None = None) -> ShareTensor:
     """Multiply a share by a public ring tensor at scale f; local, zero rounds,
-    unless `sess` is given and truncates exactly (one round)."""
+    unless `sess` is given and its ring truncates exactly (one round)."""
     if op == "elementwise":
         raw = x.payload * w
     elif op == "matmul":
@@ -489,11 +483,12 @@ def relu_requests(shape, cfg: FixedConfig) -> list:
     return ltz_requests(shape, cfg) + [dl.BeaverRequest(tuple(shape))]
 
 
-def trunc_requests(shape, exact: bool) -> list:
-    """The truncation mask of one rescale of a `shape` share, if exact."""
-    return [dl.TruncRequest(tuple(shape))] if exact else []
+def trunc_requests(shape, cfg: FixedConfig) -> list:
+    """The truncation mask of one rescale of a `shape` share, if `cfg`'s ring
+    truncates exactly."""
+    return [dl.TruncRequest(tuple(shape))] if exact_truncation(cfg) else []
 
 
-def dapa_requests(shape, degree: int = 2, exact: bool = False) -> list:
-    square = [dl.SquareRequest(tuple(shape)), *trunc_requests(shape, exact)] if degree >= 2 else []
-    return square + trunc_requests(shape, exact)
+def dapa_requests(shape, cfg: FixedConfig, degree: int = 2) -> list:
+    square = [dl.SquareRequest(tuple(shape)), *trunc_requests(shape, cfg)] if degree >= 2 else []
+    return square + trunc_requests(shape, cfg)

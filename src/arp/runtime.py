@@ -52,7 +52,6 @@ from .protocol import (
     add_public,
     dapa_eval_secure,
     dapa_requests,
-    exact_truncation,
     mul_public,
     relu_requests,
     relu_secure,
@@ -120,10 +119,9 @@ def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0
     return sess.share_of(out.reshape(x.shape), x.scale)
 
 
-def hybrid_requests(batch: int, mask: np.ndarray, cfg: FixedConfig, degree: int = 2,
-                    exact: bool = False) -> list:
+def hybrid_requests(batch: int, mask: np.ndarray, cfg: FixedConfig, degree: int = 2) -> list:
     """The dealer requests of `hybrid_activation_secure`, in its order: the
-    batched ReLU's, then the polynomial's (with truncation masks if `exact`)."""
+    batched ReLU's, then the polynomial's."""
     flat_m = np.asarray(mask).reshape(-1).astype(bool)
     n_relu = int(flat_m.sum())
     n_poly = flat_m.size - n_relu
@@ -131,7 +129,7 @@ def hybrid_requests(batch: int, mask: np.ndarray, cfg: FixedConfig, degree: int 
     if n_relu:
         reqs += relu_requests((batch, n_relu), cfg)
     if n_poly:
-        reqs += dapa_requests((batch, n_poly), degree, exact)
+        reqs += dapa_requests((batch, n_poly), cfg, degree)
     return reqs
 
 
@@ -141,42 +139,36 @@ class SecureEvaluator:
     plan() and run() walk the model in the same order; a run consumes its
     plan's tape exactly (tests assert zero leftover records).  Where
     `exact_truncation(cfg)` holds, each linear layer's and polynomial's
-    rescale takes a truncation mask, and run() wants a session that
-    truncates exactly.
+    rescale takes a truncation mask.
     """
 
     def __init__(self, model: Sequential, cfg: FixedConfig):
         self.model = model
         self.cfg = cfg
-        self.exact = exact_truncation(cfg)
         for layer in model.layers:
             if not isinstance(layer, (Dense, Conv2d, AvgPool2d, Flatten, HybridActivation)):
                 raise ArpError(f"layer {type(layer).__name__} has no secure evaluation")
 
     # -- planning -----------------------------------------------------------
 
-    def plan(self, batch: int, feat_shape: tuple = ()) -> list:
-        """The dealer requests of a run on a (batch, *feat_shape) input; the
-        feature shape is needed only to plan exact truncation of a conv or
-        pooling layer's output."""
+    def plan(self, in_shape: tuple) -> list:
+        """The dealer requests of a run on an input of shape `in_shape`
+        (batch first)."""
         reqs: list = []
-        shape = (batch, *feat_shape)
+        shape = tuple(in_shape)
         for layer in self.model.layers:
             if isinstance(layer, HybridActivation):
-                reqs += hybrid_requests(batch, layer.indicator.m, self.cfg, layer.degree, self.exact)
-            elif self.exact:
+                reqs += hybrid_requests(shape[0], layer.indicator.m, self.cfg, layer.degree)
+            else:
                 shape = _out_shape(layer, shape)
                 if not isinstance(layer, Flatten):
-                    reqs += trunc_requests(shape, True)
+                    reqs += trunc_requests(shape, self.cfg)
         return reqs
 
     # -- evaluation ----------------------------------------------------------
 
     def run(self, sess: Session, x: ShareTensor) -> ShareTensor:
         cfg = self.cfg
-        if sess.exact_truncation != self.exact:
-            raise ArpError(f"the plan at L={cfg.total_bits}, f={cfg.frac_bits} wants "
-                           f"exact_truncation={self.exact} sessions")
         for layer in self.model.layers:
             if isinstance(layer, Dense):
                 with sess.measure("linear"):
@@ -296,8 +288,7 @@ def _offline(model: Sequential, cfg: FixedConfig, inputs: np.ndarray, dealer_see
     batch once, and round-trip each wanted tape through the tape file format.
     Returns each wanted party's (tape, input share, dealer seconds)."""
     t0 = time.perf_counter()
-    plan = SecureEvaluator(model, cfg).plan(len(inputs), inputs.shape[1:])
-    tapes = Dealer(dealer_seed, cfg).build_tapes(plan, party)
+    tapes = Dealer(dealer_seed, cfg).build_tapes(SecureEvaluator(model, cfg).plan(inputs.shape), party)
     shares = Dealer(input_seed, cfg).gen_shares(encode(inputs, cfg))
     shared_s = time.perf_counter() - t0
     setups = []
@@ -314,7 +305,7 @@ def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, setup: 
     """The online phase on a connected channel, after the offline phase
     `setup` (see `_offline`), and its report against the plaintext logits `plain`."""
     tape, input_share, offline_s = setup
-    sess = Session(party, cfg, channel, tape.reader(), exact_truncation=exact_truncation(cfg))
+    sess = Session(party, cfg, channel, tape.reader())
     sess.phases["dealer"]["seconds"] += offline_s
     x = ShareTensor(party, input_share, cfg.frac_bits)
     logits_share = SecureEvaluator(model, cfg).run(sess, x)

@@ -13,13 +13,12 @@ CFG64 = FixedConfig(64, 16)
 CFG8 = FixedConfig(8, 4)
 
 
-def two_party(fn, requests=(), cfg=CFG64, seed=99, timeout=20.0, exact=False):
-    """Run fn(session) concurrently for both parties over an in-memory pair;
-    with `exact`, the sessions truncate exactly."""
+def two_party(fn, requests=(), cfg=CFG64, seed=99, timeout=20.0):
+    """Run fn(session) concurrently for both parties over an in-memory pair."""
     tapes = Dealer(seed, cfg).build_tapes(list(requests))
     ch0, ch1 = memory_channel_pair(timeout)
-    s0 = Session(0, cfg, ch0, tapes[0].reader(), exact_truncation=exact)
-    s1 = Session(1, cfg, ch1, tapes[1].reader(), exact_truncation=exact)
+    s0 = Session(0, cfg, ch0, tapes[0].reader())
+    s1 = Session(1, cfg, ch1, tapes[1].reader())
     return run_both(lambda: fn(s0), lambda: fn(s1))
 
 

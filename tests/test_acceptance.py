@@ -242,7 +242,7 @@ def test_criterion_05_plaintext_ciphertext_equivalence():
     reqs = (
         [BeaverRequest((n,)), SquareRequest((n,)), BeaverRequest((n,))]
         + relu_requests((n,), CFG64)
-        + dapa_requests((n,), 2)
+        + dapa_requests((n,), CFG64, 2)
         + hybrid_requests(100, mask, CFG64, 2)
     )
     (results, _) = two_party(fn, reqs)

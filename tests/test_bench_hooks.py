@@ -71,7 +71,7 @@ def test_traced_request_deals_each_party_its_own_tape(monkeypatch, transport):
 
     # tape_to_bytes spans count the bytes returned; tape_from_bytes spans count nothing
     encodes = [s for s in spans("dealer.tape_codec") if s.count]
-    tapes = Dealer(7, cfg).build_tapes(SecureEvaluator(model, cfg).plan(len(x)))
+    tapes = Dealer(7, cfg).build_tapes(SecureEvaluator(model, cfg).plan(x.shape))
     assert sorted(s.count for s in encodes) == sorted(len(tape_to_bytes(t)) for t in tapes)
     assert len(spans("dealer.tape_codec")) == 4
     # memory runs deal the pair, share the input and run the plaintext oracle

@@ -36,6 +36,7 @@ from arp.protocol import (
     relu_requests,
     relu_secure,
     square,
+    trunc_requests,
 )
 from arp.runtime import hybrid_activation_secure, hybrid_requests
 
@@ -307,7 +308,7 @@ class TestExactTruncation:
             cost = (sess.channel.rounds - r0, sess.opened_words - w0, sess.tape.remaining())
             return local, sess.reveal(out).signed(), out.scale, cost
 
-        (local, exact, scale, cost), _ = two_party(fn, [TruncRequest((n,))], cfg=cfg, exact=True)
+        (local, exact, scale, cost), _ = two_party(fn, [TruncRequest((n,))], cfg=cfg)
         floor = np.array([(int(a) * int(b)) >> f for a, b in zip(xi, yi)])
         assert scale == f and cost == (1, n, 0)
         assert set(np.unique(exact - floor)) <= {0, 1}
@@ -320,7 +321,7 @@ class TestExactTruncation:
             mul_public(ShareTensor(sess.party, xs[sess.party], 2), encode(np.ones(3), CFG8), sess=sess)
 
         with pytest.raises(ValueError, match="exact truncation shifts by f=4 bits, not 2"):
-            two_party(fn, [TruncRequest((3,))], cfg=CFG8, exact=True)
+            two_party(fn, [TruncRequest((3,))], cfg=CFG8)
 
     @pytest.mark.parametrize("case", ["square", "dapa", "hybrid"])
     def test_plans_are_consumed_exactly(self, case):
@@ -331,8 +332,8 @@ class TestExactTruncation:
         xs = share_reals(x, cfg)
         reqs = {
             "square": [SquareRequest((3, 5)), TruncRequest((3, 5))],
-            "dapa": dapa_requests((3, 5), 2, exact=True),
-            "hybrid": hybrid_requests(3, mask, cfg, 2, exact=True),
+            "dapa": dapa_requests((3, 5), cfg, 2),
+            "hybrid": hybrid_requests(3, mask, cfg, 2),
         }[case]
 
         def fn(sess):
@@ -345,7 +346,7 @@ class TestExactTruncation:
                 out = hybrid_activation_secure(sess, xt, mask, 0.28, 0.5, 0.14)
             return sess.tape.remaining(), decode(sess.reveal(out))
 
-        (left, got), _ = two_party(fn, reqs, cfg=cfg, exact=True)
+        (left, got), _ = two_party(fn, reqs, cfg=cfg)
         poly = ref_poly(x, 0.28, 0.5, 0.14, cfg)
         want = {"square": ref_square(x, cfg), "dapa": poly,
                 "hybrid": np.where(mask.astype(bool), np.maximum(decode(encode(x, cfg)), 0), poly)}[case]
@@ -481,7 +482,7 @@ class TestDapaEvalSecure:
             rounds = sess.channel.rounds
             return decode(sess.reveal(out)), rounds
 
-        (r, rounds), _ = two_party(fn, dapa_requests(x.shape, degree))
+        (r, rounds), _ = two_party(fn, dapa_requests(x.shape, CFG64, degree))
         return r, rounds
 
     def test_constant_at_zero(self):
@@ -583,12 +584,12 @@ class TestInputsStayUnwritten:
     OPS = {
         "a2b": (lambda sess, x, y: a2b(sess, x), a2b_requests),
         "relu_secure": (lambda sess, x, y: relu_secure(sess, x), relu_requests),
-        "mul_beaver": (mul_beaver, lambda shape, cfg: [BeaverRequest(shape)]),
-        "square": (lambda sess, x, y: square(sess, x), lambda shape, cfg: [SquareRequest(shape)]),
+        "mul_beaver": (mul_beaver, lambda shape, cfg: [BeaverRequest(shape), *trunc_requests(shape, cfg)]),
+        "square": (lambda sess, x, y: square(sess, x), lambda shape, cfg: [SquareRequest(shape), *trunc_requests(shape, cfg)]),
         "dapa_eval_secure": (
             lambda sess, x, y: dapa_eval_secure(sess, x, _per_column(x, 0.2, -0.3), _per_column(x, 0.5, -1.0),
                                                 _per_column(x, 0.1, 0.4)),
-            lambda shape, cfg: dapa_requests(shape, 2),
+            lambda shape, cfg: dapa_requests(shape, cfg, 2),
         ),
     }
 
@@ -707,7 +708,7 @@ class TestTapePlanConsistency:
             "ltz": ltz_requests((3, 5), CFG64),
             "relu": relu_requests((3, 5), CFG64),
             "a2b": a2b_requests((3, 5), CFG64),
-            "dapa": dapa_requests((3, 5), 2),
+            "dapa": dapa_requests((3, 5), CFG64, 2),
             "hybrid": hybrid_requests(3, mask, CFG64, 2),
         }[case]
 

@@ -242,7 +242,7 @@ class TestExactTruncationRuns:
         budget on one wrap; each truncation mask costs a round and opens its size."""
         _, model, x = trained
         model32, cfg, _ = deserialize_model(serialize_model(model, self.CFG32, 0))
-        masks = [r for r in SecureEvaluator(model32, cfg).plan(len(x)) if isinstance(r, TruncRequest)]
+        masks = [r for r in SecureEvaluator(model32, cfg).plan(x.shape) if isinstance(r, TruncRequest)]
         assert len(masks) == 7  # three dense layers, two hybrid layers' square and final rescale
         rep64, _ = private_inference_memory(model, CFG, x, 7, 11)
         for seed in range(10):
@@ -264,20 +264,10 @@ class TestExactTruncationRuns:
         imgs, _ = toy_images(8, hw=8, classes=4, seed=1)
         built = build_model("smallcnn", seed=0, num_classes=4, image_hw=8)
         model, _, _ = deserialize_model(serialize_model(built, self.CFG32, 0))  # folds batch norm
-        plan = SecureEvaluator(model, self.CFG32).plan(len(imgs), imgs.shape[1:])
+        plan = SecureEvaluator(model, self.CFG32).plan(imgs.shape)
         assert [r.shape for r in plan if isinstance(r, TruncRequest)][:2] == [(8, 8, 8, 8), (8, 8, 4, 4)]
         rep, _ = private_inference_memory(model, self.CFG32, imgs, 7, 11)
         assert rep.max_dev_ulp <= rep.budget_ulp
-
-    def test_session_must_match_the_plan(self, trained):
-        from arp.errors import ArpError
-        from arp.protocol import Session, ShareTensor
-        from arp.transport import memory_channel_pair
-
-        _, model, _ = trained
-        sess = Session(0, self.CFG32, memory_channel_pair()[0])
-        with pytest.raises(ArpError, match="wants exact_truncation=True sessions"):
-            SecureEvaluator(model, self.CFG32).run(sess, ShareTensor(0, None, 8))
 
 
 class TestTranscriptPin:
