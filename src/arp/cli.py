@@ -10,7 +10,9 @@ would ignore, or a value it cannot use, such as a malformed HOST:PORT, a
 refused before any training), 3 tape exhaustion, 4 I/O or format error, 5
 peer or transport error (no peer in --timeout, a refused or lost connection,
 a listen port in use), 6 private logits outside the declared error budget
-(the run still writes its summary and --report), 7 protocol desync.
+(the run still writes its summary and --report), 7 protocol desync, 8
+train-replace still over its --budget after the tail epochs (no model file
+is written).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import data as datamod
 from .dapa import GaussianStats, PolyCoeffs, empirical_loss, fit_closed_form, \
     fit_closed_form_linear, fit_monte_carlo, min_approx_loss
 from .errors import DegenerateDistributionError, FormatError, ProtocolDesyncError, \
-    TapeExhaustedError, TransportError
+    ReluBudgetError, TapeExhaustedError, TransportError
 from .fixed import FixedConfig
 from .model_io import load_model, save_model
 from .nn import build_model
@@ -39,6 +41,7 @@ EXIT_FORMAT = 4
 EXIT_TRANSPORT = 5
 EXIT_BUDGET = 6
 EXIT_DESYNC = 7
+EXIT_RELU_BUDGET = 8
 ROLE_FLAG = {0: "listen", 1: "connect"}  # the tcp address flag each --party takes
 
 
@@ -308,6 +311,9 @@ def main(argv=None) -> int:
     except TransportError as exc:
         print(f"peer/transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except ReluBudgetError as exc:
+        print(f"relu budget not met: {exc}", file=sys.stderr)
+        return EXIT_RELU_BUDGET
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Shared exception types.
 
 Exit-code mapping used by the CLI: TapeExhaustedError -> 3, FormatError
-(and OSError) -> 4, TransportError -> 5, ProtocolDesyncError -> 7.  A
-completed run whose logits break the declared error budget exits 6.
+(and OSError) -> 4, TransportError -> 5, ProtocolDesyncError -> 7,
+ReluBudgetError -> 8.  A completed run whose logits break the declared
+error budget exits 6.
 """
 
 
@@ -40,6 +41,10 @@ class TripleReuseError(ArpError):
 
 class FormatError(ArpError):
     """A serialized artifact (tape, model file, report) is malformed."""
+
+
+class ReluBudgetError(ArpError):
+    """Replacement training ended with more ReLUs kept than its budget."""
 
 
 class DegenerateDistributionError(ArpError):

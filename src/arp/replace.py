@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dapa import ChannelStats, PolyCoeffs, channelwise_coeffs, horner
+from .errors import ReluBudgetError
 from .nn import Adam, AdamArray, Sequential, batch_sum, cosine_lr, loss_cross_entropy
 
 __all__ = [
@@ -308,6 +309,7 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
     penalty can stall against persistently useful ReLUs), a bounded tail
     keeps training with the penalty doubled each extra epoch until the count
     drops to the budget; the tail stops at the first feasible iteration.
+    A count still over budget after the tail raises `ReluBudgetError`.
     """
     x, y = train_data
     if len(x) == 0:
@@ -383,7 +385,7 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
         one_epoch(cfg.epochs + extra, boost=boost, tail=True)
         boost = min(boost * TAIL_ESCALATION, 1e9)
     if count() > cfg.relu_budget:
-        raise RuntimeError(
+        raise ReluBudgetError(
             f"replacement did not reach the budget: {count()} > {cfg.relu_budget} "
             f"after {TAIL_EPOCHS} tail epochs"
         )

@@ -2,8 +2,17 @@
 
 Framing is a 4-byte little-endian payload length followed by the payload
 (rank u32, dims u32 each, ring words).  Counters track bytes in each
-direction and protocol rounds; a running digest of the sent frames lets
-tests compare transcripts across backends.
+direction and protocol rounds; a fingerprint of the sent frames lets tests
+compare transcripts across backends.
+
+The fingerprint is a running SHA-256 over each frame's length prefix and
+the 16-byte Poly1305 tag of its payload under one fixed public key,
+`_FRAME_KEY`, so the bulk of the bytes pass through the faster universal
+hash only.  It catches accidental divergence: for a random key, two
+different payloads of at most l 16-byte blocks get the same tag with
+probability at most 8l/2^106, and SHA-256 chains the prefixes and tags in
+order.  It is not authentication: the key is public, so a peer could craft
+payloads whose tags collide.
 
 A frame travels as two buffers, the length prefix and the payload, so the
 payload is never copied to prepend its prefix.  The in-memory channel hands
@@ -22,6 +31,8 @@ import socket
 import struct
 import time
 
+from cryptography.hazmat.primitives.poly1305 import Poly1305
+
 from .errors import ProtocolDesyncError, TransportError
 from .fixed import RingTensor, flat_to_bytes
 
@@ -36,6 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_TIMEOUT = 30.0
+_FRAME_KEY = hashlib.sha256(b"arp.transport.frame.v1").digest()  # public Poly1305 key
 
 
 class Channel:
@@ -62,14 +74,19 @@ class Channel:
 
     @property
     def transcript_hash(self) -> str:
-        """Hex digest over every frame sent so far."""
+        """SHA-256 hex digest over every frame sent so far: each frame's
+        length prefix, then its payload's Poly1305 tag under `_FRAME_KEY`.
+
+        It tells transcripts apart by accident, not by adversary: the key
+        is public, so colliding payloads can be crafted.
+        """
         return self._sent_digest.hexdigest()
 
     def exchange_bytes(self, payload: bytes):
         """Send one framed payload and receive the peer's; one round."""
         prefix = struct.pack("<I", len(payload))
         self._sent_digest.update(prefix)
-        self._sent_digest.update(payload)
+        self._sent_digest.update(Poly1305.generate_tag(_FRAME_KEY, payload))
         self.bytes_sent += len(prefix) + len(payload)
         inbound = self._swap(prefix, payload)
         self.bytes_received += len(inbound) + 4

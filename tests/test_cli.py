@@ -185,6 +185,19 @@ class TestBadValues:
         assert "argument --stats: expected MU,VAR" in err and "Traceback" not in err
 
 
+def test_missed_relu_budget_exit_code(tmp_path, capsys):
+    """A replacement run that cannot reach its budget exits 8 with one line."""
+    data = tmp_path / "spiral.csv"
+    run(["gen-data", "--n", 64, "--out", data])
+    capsys.readouterr()
+    code = run(["train-replace", "--dataset", data, "--out", tmp_path / "m.arpm", "--budget", 8,
+                "--epochs", 1, "--pretrain-epochs", 1])
+    assert code == 8
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "did not reach the budget: 128 > 8" in err
+    assert not (tmp_path / "m.arpm").exists()
+
+
 class TestRoleFlags:
     """infer-private refuses a role flag that contradicts --party or that the
     mode would ignore, before it reads any file."""

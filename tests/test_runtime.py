@@ -1,14 +1,18 @@
 """Secure evaluation orchestration: reports, phases, planning."""
 
 import copy
+import hashlib
 import json
 import math
+import queue
 import socket
 from threading import Thread
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.poly1305 import Poly1305
 
+from arp import runtime
 from arp.data import two_spirals
 from arp.dealer import TruncRequest
 from arp.errors import EncodeOverflowError, TransportError
@@ -24,6 +28,7 @@ from arp.runtime import (
     private_inference_tcp,
     run_both,
 )
+from arp.transport import _FRAME_KEY, InMemoryChannel
 
 from conftest import free_port
 
@@ -279,22 +284,22 @@ class TestTranscriptPin:
 
     PINNED = {
         "mlp": dict(
-            hashes=("e13ca7b3cb8037a7bf9e675bd85215e9c94e37c3de05dfb762ebe23d15cac8ec",
-                    "514c0c24239893243f9800d5210e17e4e8e3fee973b57de4f339a2d697814227"),
+            hashes=("9b28d6dfd5c867be21744567e6541733c4c3061f5f76ed8213dca1f7a7339973",
+                    "96c89198bf1fbe0d3d61163255d8e8ba4d6720babe6300950fb428fb4d0b6eee"),
             bytes_sent=1002236, rounds=21,
             phases={"dealer": (0, 0), "linear": (1036, 1), "comparison": (967896, 18),
                     "polynomial": (33304, 2)},
         ),
         "smallcnn": dict(
-            hashes=("e8a164d3efc67161cd6cdccf3ee8fb11a9974b04fb4f89dcafa56bcab0adbdad",
-                    "1fa63e6b85eae9f857991635fabc41d209c75dd238134b20f44cbd87cfc70d03"),
+            hashes=("a7b3a6f738b94928feb6bd09955e2c1d235b621c2ae65f1cc795378b202374bb",
+                    "6646cf18e5940166c5b59e3f1be228340ac325dbc35dac82f3b5fde2eb13a4b6"),
             bytes_sent=1635836, rounds=21,
             phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (1589976, 18),
                     "polynomial": (45336, 2)},
         ),
         "smallcnn-single-path": dict(
-            hashes=("f765894311145e19ef44c812dbccfd36dac31e837db911b84a63763d223548cc",
-                    "4838b2eacca307a1f0b4b909c5690d00cc163745b5cb434f66a20cda7099f0d7"),
+            hashes=("291f80d0b632e4d4d275ae40928e93006c30f6a99651bc0c5ee56dbcd3a7ed8d",
+                    "b9597282ab3df6287ed0952fb8f93514313b90282486ea604e24685c74dcdd38"),
             bytes_sent=1999492, rounds=11,
             phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (1966188, 9),
                     "polynomial": (32780, 1)},
@@ -326,6 +331,47 @@ class TestTranscriptPin:
                 act.indicator.m = (rng.random(act.feat_shape) < 0.5).astype(np.float64)
                 act.coeffs = PolyCoeffs(np.tile([0.28, 0.5, 0.14], (channels, 1)))
         return fold_batchnorm(model), inputs
+
+    # SHA-256 over every sent frame, prefix then payload: the fingerprint
+    # before frame tags, kept to show that the wire bytes did not change
+    WIRE_SHA256 = {
+        "mlp": ("e13ca7b3cb8037a7bf9e675bd85215e9c94e37c3de05dfb762ebe23d15cac8ec",
+                "514c0c24239893243f9800d5210e17e4e8e3fee973b57de4f339a2d697814227"),
+        "smallcnn": ("e8a164d3efc67161cd6cdccf3ee8fb11a9974b04fb4f89dcafa56bcab0adbdad",
+                     "1fa63e6b85eae9f857991635fabc41d209c75dd238134b20f44cbd87cfc70d03"),
+        "smallcnn-single-path": ("f765894311145e19ef44c812dbccfd36dac31e837db911b84a63763d223548cc",
+                                 "4838b2eacca307a1f0b4b909c5690d00cc163745b5cb434f66a20cda7099f0d7"),
+    }
+
+    @pytest.mark.parametrize("arch", ["mlp", "smallcnn", "smallcnn-single-path"])
+    def test_wire_bytes_are_pinned(self, arch, monkeypatch):
+        class Recorder(InMemoryChannel):
+            """Keeps each sent frame's prefix and payload."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.frames = []
+
+            def _swap(self, prefix, payload):
+                self.frames += [bytes(prefix), bytes(payload)]
+                return super()._swap(prefix, payload)
+
+        pair = []
+
+        def recording_pair(timeout):
+            q01, q10 = queue.Queue(), queue.Queue()
+            pair.extend([Recorder(q10, q01, timeout), Recorder(q01, q10, timeout)])
+            return tuple(pair)
+
+        monkeypatch.setattr(runtime, "memory_channel_pair", recording_pair)
+        model, inputs = self._model_and_inputs(arch)
+        private_inference_memory(model, CFG, inputs, dealer_seed=7, input_seed=11)
+        got = tuple(hashlib.sha256(b"".join(ch.frames)).hexdigest() for ch in pair)
+        assert got == self.WIRE_SHA256[arch]
+        for ch in pair:  # the fingerprint is the prefixes and tags of these frames
+            tagged = b"".join(part if k % 2 == 0 else Poly1305.generate_tag(_FRAME_KEY, part)
+                              for k, part in enumerate(ch.frames))
+            assert ch.transcript_hash == hashlib.sha256(tagged).hexdigest()
 
     @pytest.mark.parametrize("arch", ["mlp", "smallcnn", "smallcnn-single-path"])
     def test_transcripts_and_phases_are_pinned(self, arch):

@@ -5,6 +5,7 @@ import socket
 import struct
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,16 @@ import pytest
 from arp.errors import ProtocolDesyncError, TransportError
 from arp.fixed import FixedConfig, RingTensor
 from arp.runtime import run_both
-from arp.transport import TcpChannel, memory_channel_pair, tcp_bind, tcp_connect, tcp_listen
+from arp import transport
+from arp.transport import (
+    _FRAME_KEY,
+    Channel,
+    TcpChannel,
+    memory_channel_pair,
+    tcp_bind,
+    tcp_connect,
+    tcp_listen,
+)
 
 from conftest import free_port
 
@@ -83,6 +93,65 @@ class TestExchange:
         assert ch0.rounds == ch1.rounds == 5
 
 
+class Echo(Channel):
+    """A channel whose peer sends back each frame; no thread needed."""
+
+    def _swap(self, prefix, payload):
+        return payload
+
+
+def fingerprint(*payloads) -> str:
+    ch = Echo()
+    for p in payloads:
+        ch.exchange_bytes(p)
+    return ch.transcript_hash
+
+
+def flip(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+class TestFingerprint:
+    """The transcript hash covers every frame's prefix and payload, in order."""
+
+    PAYLOAD = bytes(range(256)) * 40 + b"tail"
+
+    @pytest.mark.parametrize("bit", [0, 7, 8 * len(PAYLOAD) - 1], ids=["first", "first-msb", "last"])
+    def test_payload_bit_flip_changes_it(self, bit):
+        assert fingerprint(b"x", flip(self.PAYLOAD, bit)) != fingerprint(b"x", self.PAYLOAD)
+
+    @pytest.mark.parametrize("bit", [0, 31])
+    def test_prefix_bit_flip_changes_it(self, bit, monkeypatch):
+        base = fingerprint(self.PAYLOAD)
+        real = struct.pack
+        monkeypatch.setattr(transport, "struct", types.SimpleNamespace(
+            pack=lambda fmt, n: flip(real(fmt, n), bit), unpack=struct.unpack))
+        assert fingerprint(self.PAYLOAD) != base
+
+    def test_frame_order_changes_it(self):
+        a, b = b"frame-a", b"frame-b"
+        assert fingerprint(a, b) != fingerprint(b, a)
+
+    def test_memoryview_payload_matches_bytes(self):
+        words = np.arange(1000, dtype="<u8")
+        assert fingerprint(memoryview(words).cast("B")) == fingerprint(words.tobytes())
+
+    def test_reading_mid_run_keeps_counting(self):
+        ch = Echo()
+        ch.exchange_bytes(b"one")
+        mid = ch.transcript_hash
+        ch.exchange_bytes(b"two")
+        assert ch.transcript_hash != mid
+        assert ch.transcript_hash == fingerprint(b"one", b"two")
+        assert mid == fingerprint(b"one")
+
+    def test_frame_key_is_not_zero(self):
+        # an all-zero Poly1305 key tags every payload with 16 zero bytes
+        assert len(_FRAME_KEY) == 32 and any(_FRAME_KEY)
+
+
 class TestTcpBackend:
     def _run_script(self, ch, values):
         out = []
@@ -90,38 +159,45 @@ class TestTcpBackend:
             out.append(ch.exchange([tensor(v)]).words.tolist())
         return out, ch.transcript_hash, ch.bytes_sent
 
-    def test_transcript_matches_memory(self):
-        """Same seeded exchange sequence gives byte-identical transcripts."""
-        rng = np.random.default_rng(17)
-        script0 = [rng.integers(0, 2**63, size=7).tolist() for _ in range(4)]
-        script1 = [rng.integers(0, 2**63, size=7).tolist() for _ in range(4)]
-
+    def _assert_backends_agree(self, script0, script1):
+        """Both backends return the same words, transcripts and byte counts."""
         m0, m1 = memory_channel_pair()
-        (mr0, mh0, mb0), (mr1, mh1, mb1) = run_both(
-            lambda: self._run_script(m0, script0),
-            lambda: self._run_script(m1, script1),
-        )
+        memory = run_both(lambda: self._run_script(m0, script0),
+                          lambda: self._run_script(m1, script1))
 
         port = free_port()
         holder = {}
 
         def p0():
-            ch = tcp_listen(tcp_bind("127.0.0.1", port), timeout=10)
-            holder[0] = ch
+            ch = holder[0] = tcp_listen(tcp_bind("127.0.0.1", port), timeout=10)
             return self._run_script(ch, script0)
 
         def p1():
-            ch = tcp_connect("127.0.0.1", port, timeout=10)
-            holder[1] = ch
+            ch = holder[1] = tcp_connect("127.0.0.1", port, timeout=10)
             return self._run_script(ch, script1)
 
-        (tr0, th0, tb0), (tr1, th1, tb1) = run_both(p0, p1)
-        holder[0].close()
-        holder[1].close()
+        try:
+            tcp = run_both(p0, p1)
+        finally:
+            for ch in holder.values():
+                ch.close()
+        assert tcp == memory
 
-        assert tr0 == mr0 and tr1 == mr1
-        assert th0 == mh0 and th1 == mh1
-        assert tb0 == mb0 and tb1 == mb1
+    def test_transcript_matches_memory(self):
+        """Same seeded exchange sequence gives byte-identical transcripts."""
+        rng = np.random.default_rng(17)
+        script0 = [rng.integers(0, 2**63, size=7).tolist() for _ in range(4)]
+        script1 = [rng.integers(0, 2**63, size=7).tolist() for _ in range(4)]
+        self._assert_backends_agree(script0, script1)
+
+    def test_large_frame_transcript_matches_memory(self):
+        """A frame past the socket buffers is sent in parts over TCP and
+        fingerprinted as one frame, as in memory."""
+        rng = np.random.default_rng(18)
+        big = 600_000  # 4.8 MB of words
+        script0 = [rng.integers(0, 2**63, size=n).tolist() for n in (3, big, 5)]
+        script1 = [rng.integers(0, 2**63, size=n).tolist() for n in (3, big, 5)]
+        self._assert_backends_agree(script0, script1)
 
     def test_large_symmetric_exchange(self):
         """A payload well past socket buffers must not deadlock."""
