@@ -13,17 +13,24 @@ Draw order.  Each `Dealer` reads one AES-128-CTR keystream as little-endian
 SHA-256(`KEY_TAG` + the seed's decimal digits), and the counter is the whole
 128-bit block, big-endian, starting at block 0: words 2i and 2i+1 are the
 block AES_key(i) read as two words.  `build_tapes` draws the words of each
-record in request order (consecutive records into one buffer of up to
-48 MiB): the secret words (a and b per element, or a alone for a square
-pair, or r alone for a truncation mask), then party 0's share of each field
-in record order.  Party 1's share of a field is its value (a secret, the
-product a*b, a*a or a&b, or a truncation mask's derived fields) minus party
-0's share, or XOR it for AND triples.  Each `gen_shares` call draws one
-word per element of its input, at its turn in the stream.
+record in request order: the secret words (a and b per element, or a alone
+for a square pair, or r alone for a truncation mask), then party 0's share
+of each field in record order.  Party 1's share of a field is its value (a
+secret, the product a*b, a*a or a&b, or a truncation mask's derived fields)
+minus party 0's share, or XOR it for AND triples.  Each `gen_shares` call
+draws one word per element of its input, at its turn in the stream.
 
 Party 0's tape alone draws every word too, keeps its share words and drops
-the secret words; it derives and splits nothing.  So a one-party deal gives
-the same tape bytes and leaves the stream where the full deal does.
+the secret words (or seeks the stream past them); it derives and splits
+nothing.  So a one-party deal gives the same tape bytes and leaves the
+stream where the full deal does.
+
+Tapes are dealt as files.  `build_tapes` lays out each tape's file bytes up
+front and writes every word once, into its slot: the keystream goes straight
+into party 0's share slots and party 1's secret slots, and party 1's fields
+are derived and split in place.  A tape's records are read-only views of its
+file bytes (unpacked copies on rings of under 64 bits), and `tape_to_bytes`
+returns those bytes without a copy.
 
 One table, `_KIND`, describes each request type: its record, draw and tape layout.
 
@@ -48,7 +55,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError
-from .fixed import FixedConfig, RingTensor, pack_words, unpack_words
+from .fixed import FixedConfig, RingTensor, unpack_words
 
 __all__ = [
     "BeaverRequest",
@@ -73,14 +80,23 @@ KEY_TAG = b"arp.dealer.aes128ctr.v1:"  # domain tag of the stream key
 # plaintext of every draw, fed in slices: the keystream is its ciphertext
 _ZEROS = memoryview(bytes(1 << 18))
 
-# Consecutive records share one draw buffer of up to 48 MiB.  The sizes steer
-# glibc malloc: freeing a mapped buffer under 32 MiB raises its mmap threshold
-# to that size, and buffers under the threshold come from the heap.  On the
-# bench plans, one buffer per record (up to 10 MiB) raised peak RSS on the
-# all-ReLU smallcnn from about 0.45 to 0.6-0.7 GB, and records of 3 and 1.5 MiB
-# (the replaced smallcnn) left about 1,000 page faults in each online phase;
-# one 118 MB buffer for a whole request list left several thousand.
-_DRAW_WORDS = 6 << 20
+# magic, version, L, f, party, record count
+_HEADER = struct.Struct("<4sHHHBI")
+
+# Party 0 drops each record's secret words.  Fewer bytes than this run through
+# one small reused buffer; more are skipped by seeking the stream, since a new
+# encryptor costs about as much as 100 KiB of keystream.  On the bench plans
+# every `mlp` record runs through the buffer and every `smallcnn` record seeks.
+_SEEK_BYTES = 1 << 18
+
+# glibc serves a block from fresh mapped pages when it is at or above its mmap
+# threshold, which rises to the size of each mapped block freed (up to 32 MiB).
+# The deal frees no block of that size, so it frees one of 16 MiB before it
+# returns.  Without it the online phase took a median of 3,400 minor faults
+# per party and request on `cnn-relu-b256-tcp` (3 with it) and 264 on
+# `cnn-plan-b256-mem` (3), and `online_p50_ms` rose by 12 and 21 %.
+# Plan-owned online buffers would end this coupling.
+_THRESHOLD_BLOCK = 16 << 20
 
 
 # ---- requests --------------------------------------------------------------
@@ -149,11 +165,16 @@ class TruncMask:
     used: bool = field(default=False, compare=False)
 
 
-def _trunc_fields(cfg: FixedConfig, r: np.ndarray) -> tuple:
-    """A truncation mask's derived fields: s >> f and msb(s) * 2^(L-f), s = -r mod 2^L."""
+def _trunc_fields(cfg: FixedConfig, v) -> None:
+    """Fill a truncation mask's derived fields v[1], v[2] from v[0] = r:
+    s >> f and msb(s) * 2^(L-f), for s = -r mod 2^L."""
     L, f = cfg.total_bits, cfg.frac_bits
-    s = (np.uint64(0) - r) & cfg.mask
-    return s >> np.uint64(f), (s >> np.uint64(L - 1)) * np.uint64((1 << (L - f)) % (1 << 64))
+    r, hi, w = v
+    np.subtract(np.uint64(0), r, out=w)
+    w &= cfg.mask
+    np.right_shift(w, np.uint64(f), out=hi)
+    np.right_shift(w, np.uint64(L - 1), out=w)
+    w *= np.uint64((1 << (L - f)) % (1 << 64))
 
 
 class _Kind(NamedTuple):
@@ -161,7 +182,7 @@ class _Kind(NamedTuple):
 
     record: type  # the record dealt for the request
     secrets: int  # secret words drawn per element
-    derive: object  # (cfg, *secrets) -> the record's other fields, fresh arrays
+    derive: object  # (cfg, v) fills the record's other fields v[secrets:] from its secrets
     split: np.ufunc  # party 1's share from a value and party 0's share
     tag: int  # the record's tape tag
     head: bytes  # its fixed tape descriptor
@@ -173,21 +194,17 @@ class _Kind(NamedTuple):
 _KIND = {
     req: _Kind(record, *row, tuple(f.name for f in fields(record) if f.name != "used"))
     for req, record, *row in [
-        (BeaverRequest, BeaverTriple, 2, lambda cfg, a, b: (a * b,), np.subtract, 1, b"\x00\x01\x00", 2),
-        (SquareRequest, SquarePair, 1, lambda cfg, a: (a * a,), np.subtract, 2, b"", 1),
-        (AndRequest, AndTriple, 2, lambda cfg, a, b: (a & b,), np.bitwise_xor, 3, b"", 1),
+        (BeaverRequest, BeaverTriple, 2, lambda cfg, v: np.multiply(v[0], v[1], out=v[2]),
+         np.subtract, 1, b"\x00\x01\x00", 2),
+        (SquareRequest, SquarePair, 1, lambda cfg, v: np.multiply(v[0], v[0], out=v[1]),
+         np.subtract, 2, b"", 1),
+        (AndRequest, AndTriple, 2, lambda cfg, v: np.bitwise_and(v[0], v[1], out=v[2]),
+         np.bitwise_xor, 3, b"", 1),
         (TruncRequest, TruncMask, 1, _trunc_fields, np.subtract, 4, b"", 1),
     ]
 }
 _BY_RECORD = {k.record: k for k in _KIND.values()}
 _BY_TAG = {k.tag: k for k in _KIND.values()}
-
-
-def _draw_size(req) -> int:
-    """Words one request draws: its secrets, then party 0's share of each
-    field of its record."""
-    c = _KIND[type(req)]
-    return (c.secrets + len(c.names)) * math.prod(req.shape)
 
 
 # ---- dealer ----------------------------------------------------------------
@@ -206,31 +223,34 @@ class Dealer:
 
     def __init__(self, seed: int, cfg: FixedConfig):
         self.cfg = cfg
-        self._ctr = Cipher(algorithms.AES(_stream_key(seed)), modes.CTR(bytes(16))).encryptor()
+        self._key = algorithms.AES(_stream_key(seed))
+        self._ctr = Cipher(self._key, modes.CTR(bytes(16))).encryptor()
+        self._drawn = 0  # words drawn so far
+
+    def _fill(self, out, nbytes: int) -> None:
+        """Write the stream's next nbytes // 8 words to out[:nbytes]; `out`
+        reaches 16 bytes past that, the room update_into asks for."""
+        for at in range(0, nbytes, len(_ZEROS)):
+            m = min(len(_ZEROS), nbytes - at)
+            self._ctr.update_into(_ZEROS[:m], out[at : at + m + 16])
+        self._drawn += nbytes >> 3
+
+    def _skip(self, n: int, scratch) -> None:
+        """Move the stream n words on: through `scratch` below _SEEK_BYTES,
+        else by starting a new encryptor at the block they end in."""
+        if 8 * n < _SEEK_BYTES:
+            self._fill(scratch, 8 * n)
+        else:
+            self._drawn += n
+            block, odd = divmod(self._drawn, 2)
+            self._ctr = Cipher(self._key, modes.CTR(block.to_bytes(16, "big"))).encryptor()
+            self._ctr.update(bytes(8 * odd))
 
     def _raw(self, n: int) -> np.ndarray:
         """The stream's next n words."""
-        out = np.empty(n + 2, "<u8")  # update_into documents a block of room past its input
-        buf = memoryview(out).cast("B")
-        for at in range(0, 8 * n, len(_ZEROS)):
-            m = min(len(_ZEROS), 8 * n - at)
-            self._ctr.update_into(_ZEROS[:m], buf[at : at + m + 16])
+        out = np.empty(n + 2, "<u8")
+        self._fill(memoryview(out).cast("B"), 8 * n)
         return out[:n]
-
-    def _draws(self, sizes):
-        """The stream's next words for each size in turn.  Consecutive sizes
-        share one buffer of up to _DRAW_WORDS words; a larger size has its own."""
-        buf = np.empty(0, np.uint64)
-        for i, n in enumerate(sizes):
-            if n > len(buf):
-                total = n
-                for m in sizes[i + 1 :]:
-                    if total + m > _DRAW_WORDS:
-                        break
-                    total += m
-                buf = self._raw(total)
-            words, buf = buf[:n], buf[n:]
-            yield words
 
     def gen_shares(self, x: RingTensor) -> tuple[RingTensor, RingTensor]:
         """Split x into (r, x - r) with r uniform over the ring."""
@@ -241,31 +261,56 @@ class Dealer:
         """Serve a request list in order; returns one tape per party.
 
         With `party=0` only party 0's tape is dealt, and the second entry is
-        None.  Each record's words are its secrets, then party 0's fields,
-        which stay views of the draw; party 1's shares overwrite the secrets
-        and the derived fields in place.
+        None.  Each tape is laid out as its file up front, and each word is
+        written once: party 0's share words are keystream, and party 1's
+        fields are derived from the secrets drawn into its own slots, then
+        split there.  On rings of under 64 bits the words pass through a
+        reused scratch buffer and are packed into the slots.
         """
+        cfg, nb = self.cfg, self.cfg.word_bytes
+        layout, size, widest, dropped = [], _HEADER.size, 0, 0
         for req in requests:
             if type(req) not in _KIND:
                 raise TypeError(f"unknown request {req!r}")
-        recs0, recs1 = [], []
-        for req, words in zip(requests, self._draws([_draw_size(r) for r in requests])):
             c = _KIND[type(req)]
-            rows = words.reshape(c.secrets + len(c.names), -1)
-            secret, share0 = rows[: c.secrets], rows[c.secrets :]
-            recs0.append(self._record(req, share0))
+            n = math.prod(req.shape)
+            head = bytes((c.tag,)) + c.head + _pack_shape(req.shape) * c.copies
+            layout.append((c, n, size, head))
+            size += len(head) + len(c.names) * n * nb
+            widest = max(widest, len(c.names) * n)
+            if 8 * c.secrets * n < _SEEK_BYTES:
+                dropped = max(dropped, c.secrets * n)
+        files = [np.empty(size + 16, np.uint8) for _ in range(1 if party == 0 else 2)]
+        for p, file in enumerate(files):
+            view = memoryview(file)
+            view[: _HEADER.size] = _HEADER.pack(TAPE_MAGIC, TAPE_VERSION, cfg.total_bits,
+                                                cfg.frac_bits, p, len(layout))
+            for c, n, at, head in layout:
+                view[at : at + len(head)] = head
+        drop = np.empty(8 * dropped + 16, np.uint8) if party == 0 else None
+        scratch = None if nb == 8 else np.empty((len(files), 8 * widest + 16), np.uint8)
+        for c, n, at, head in layout:
+            at += len(head)
+            k, m = c.secrets * n, len(c.names) * n
+            # each party's words, with update_into's room after them
+            room = [f[at : at + 8 * m + 16] for f in files] if scratch is None else scratch[:, : 8 * m + 16]
+            if party == 0:
+                self._skip(k, drop)
+            else:
+                self._fill(room[1], 8 * k)
+            self._fill(room[0], 8 * m)
+            words = [r[: 8 * m].view("<u8") for r in room]
             if party != 0:
-                derived = c.derive(self.cfg, *secret)
-                for value, own in zip(derived, share0[c.secrets :]):
-                    c.split(value, own, out=value)
-                c.split(secret, share0[: c.secrets], out=secret)
-                recs1.append(self._record(req, (*secret, *derived)))
-        return Tape(0, self.cfg, recs0), None if party == 0 else Tape(1, self.cfg, recs1)
-
-    def _record(self, req, rows):
-        """The record for `req` whose fields hold `rows`' words, in field order."""
-        kind = _KIND[type(req)].record
-        return kind(*(RingTensor(w.reshape(req.shape), self.cfg) for w in rows))
+                c.derive(cfg, words[1].reshape(len(c.names), n))
+                c.split(words[1], words[0], out=words[1])
+            for file, w in zip(files, words):
+                if cfg.total_bits < 64:
+                    w &= cfg.mask
+                if scratch is not None:
+                    file[at : at + nb * m].reshape(m, nb)[...] = w.view(np.uint8).reshape(m, 8)[:, :nb]
+        np.empty(_THRESHOLD_BLOCK, np.uint8)  # freed at once; see _THRESHOLD_BLOCK
+        tapes = [Tape(p, cfg, memoryview(file)[:size].toreadonly()) for p, file in enumerate(files)]
+        return tapes[0], tapes[1] if party != 0 else None
 
 
 # ---- tapes -----------------------------------------------------------------
@@ -276,11 +321,22 @@ def _shape(rec) -> tuple:
     return getattr(rec, _BY_RECORD[type(rec)].names[0]).shape
 
 
-@dataclass
 class Tape:
-    party: int
-    cfg: FixedConfig
-    records: list
+    """One party's tape: the tape file's bytes, read-only and of exactly the
+    file's length, and its records in draw order, which are read-only views
+    of those bytes (copies on rings of under 64 bits) read on first use."""
+
+    def __init__(self, party: int, cfg: FixedConfig, buf: memoryview, records: list | None = None):
+        self.party = party
+        self.cfg = cfg
+        self.buf = buf
+        self._records = records
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            self._records = tape_from_bytes(self.buf).records
+        return self._records
 
     def reader(self) -> "TapeReader":
         return TapeReader(self)
@@ -347,50 +403,23 @@ class _Cursor:
         return tuple(self.unpack(f"<{rank}I")) if rank else ()
 
 
-# numpy asks the kernel for huge pages from this allocation size on, which
-# saves most of a large join's page faults; below it a bytes join is cheaper
-# (a numpy join added about 0.2 ms to the setup of a 24 KB tape)
-_HUGE_PAGE_JOIN = 4 << 20
-
-
-def tape_to_bytes(tape: Tape) -> bytes | memoryview:
-    """The tape file's bytes, as a bytes-like object.
-
-    A tape of 4 MiB or more is joined into one numpy buffer, which is backed
-    by huge pages, and returned as a read-only memoryview; a smaller one is
-    `bytes`.
-    """
-    cfg = tape.cfg
-    out = [
-        TAPE_MAGIC,
-        struct.pack("<HHHBI", TAPE_VERSION, cfg.total_bits, cfg.frac_bits, tape.party, len(tape.records)),
-    ]
-    for rec in tape.records:
-        if type(rec) not in _BY_RECORD:
-            raise TypeError(f"unknown record {rec!r}")
-        k = _BY_RECORD[type(rec)]
-        out += [struct.pack("<B", k.tag), k.head, _pack_shape(_shape(rec)) * k.copies]
-        out += [pack_words(getattr(rec, name)) for name in k.names]
-    if sum(map(len, out)) < _HUGE_PAGE_JOIN:
-        return b"".join(out)
-    return memoryview(np.concatenate([np.frombuffer(part, np.uint8) for part in out])).toreadonly()
+def tape_to_bytes(tape: Tape) -> memoryview:
+    """The tape file's bytes: the tape's own read-only buffer, not a copy."""
+    return tape.buf
 
 
 def tape_from_bytes(buf) -> Tape:
     """Decode a tape; record arrays are read-only views into `buf`, which
-    must not change while the tape is in use."""
+    must not change while the tape is in use, and the tape keeps `buf`."""
     cur = _Cursor(buf, "tape")
     if cur.take(4) != TAPE_MAGIC:
         raise FormatError("not a tape file (bad magic)")
     version, bits, frac, party, count = cur.unpack("<HHHBI")
     if version != TAPE_VERSION:
         raise FormatError(f"unsupported tape version {version}")
-    cfg = FixedConfig(bits, frac)
-    nb = cfg.word_bytes
-
-    def words(shape) -> RingTensor:
-        return unpack_words(cur.take(math.prod(shape) * nb), shape, cfg)
-
+    if party not in (0, 1):
+        raise FormatError(f"bad tape party {party}: a tape is party 0's or party 1's")
+    cfg = FixedConfig.from_header(bits, frac, "tape")
     records = []
     for _ in range(count):
         (tag,) = cur.unpack("<B")
@@ -402,10 +431,12 @@ def tape_from_bytes(buf) -> Tape:
         shapes = [cur.shape() for _ in range(k.copies)]
         if len(set(shapes)) > 1:
             raise FormatError(f"bad {k.record.__name__} shapes: {shapes} are not equal")
-        records.append(k.record(*[words(shapes[0]) for _ in k.names]))
-    if cur.pos != len(buf):
+        packed = cur.take(len(k.names) * math.prod(shapes[0]) * cfg.word_bytes)
+        words = unpack_words(packed, (len(k.names), *shapes[0]), cfg).words
+        records.append(k.record(*(RingTensor(w, cfg) for w in words)))
+    if cur.pos != len(cur.buf):
         raise FormatError("trailing bytes after last tape record")
-    return Tape(party, cfg, records)
+    return Tape(party, cfg, cur.buf, records)
 
 
 def write_tape(tape: Tape, path) -> None:

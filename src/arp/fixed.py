@@ -43,6 +43,14 @@ class FixedConfig:
                 f"frac_bits must be in [0, {self.total_bits - 2}], got {self.frac_bits}"
             )
 
+    @classmethod
+    def from_header(cls, bits: int, frac: int, kind: str) -> "FixedConfig":
+        """The ring a `kind` file's header names; an impossible one is a format error."""
+        try:
+            return cls(bits, frac)
+        except ValueError as exc:
+            raise FormatError(f"bad ring in {kind} file header: {exc}") from None
+
     @property
     def mask(self) -> np.uint64:
         if self.total_bits == 64:

@@ -113,7 +113,7 @@ def deserialize_model(buf: bytes):
     body = buf[50:]
     if hashlib.sha256(body).digest() != digest:
         raise FormatError("model file digest mismatch (corrupted or truncated)")
-    cfg = FixedConfig(bits, frac)
+    cfg = FixedConfig.from_header(bits, frac, "model")
     cur = _Cursor(body, "model")
     (desc_len,) = cur.unpack("<I")
     try:

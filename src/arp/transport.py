@@ -19,7 +19,9 @@ payload is never copied to prepend its prefix.  The in-memory channel hands
 the payload object itself to the peer.  The TCP channel sends both buffers
 with one `sendmsg` per writable turn, reads the 4-byte prefix, then reads
 the payload with `recv_into` a buffer of exactly the announced size, so it
-never reads past the frame it is waiting for.
+never reads past the frame it is waiting for.  A ring exchange is
+symmetric, so it refuses a peer frame of another length than its own as soon
+as the length is known, before any buffer is allocated for it.
 """
 
 from __future__ import annotations
@@ -62,9 +64,11 @@ class Channel:
 
     # backend hooks ------------------------------------------------------
 
-    def _swap(self, prefix: bytes, payload: bytes):
+    def _swap(self, prefix: bytes, payload: bytes, want: int | None = None):
         """Send one frame (its length prefix, then its payload); return the
-        peer's payload, without its prefix, as a bytes-like object."""
+        peer's payload, without its prefix, as a bytes-like object.  A peer
+        payload whose length is not `want` (when given) is refused by
+        `_check_length` as soon as its length is known."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -82,13 +86,14 @@ class Channel:
         """
         return self._sent_digest.hexdigest()
 
-    def exchange_bytes(self, payload: bytes):
-        """Send one framed payload and receive the peer's; one round."""
+    def exchange_bytes(self, payload: bytes, symmetric: bool = False):
+        """Send one framed payload and receive the peer's; one round.  With
+        `symmetric`, the peer's payload must be as long as this one."""
         prefix = struct.pack("<I", len(payload))
         self._sent_digest.update(prefix)
         self._sent_digest.update(Poly1305.generate_tag(_FRAME_KEY, payload))
         self.bytes_sent += len(prefix) + len(payload)
-        inbound = self._swap(prefix, payload)
+        inbound = self._swap(prefix, payload, len(payload) if symmetric else None)
         self.bytes_received += len(inbound) + 4
         self.rounds += 1
         return inbound
@@ -96,11 +101,17 @@ class Channel:
     def exchange(self, outbound: list[RingTensor]) -> RingTensor:
         """Send the tensors' words as one rank-1 tensor and return the peer's
         words, a rank-1 tensor that must be as long."""
-        got = RingTensor.from_bytes(self.exchange_bytes(flat_to_bytes(outbound)), outbound[0].cfg)
+        got = RingTensor.from_bytes(self.exchange_bytes(flat_to_bytes(outbound), symmetric=True),
+                                    outbound[0].cfg)
         sent = (sum(t.size for t in outbound),)
         if got.shape != sent:
             raise ProtocolDesyncError(f"peer sent shape {got.shape}, this party sent {sent}")
         return got
+
+
+def _check_length(length: int, want: int | None) -> None:
+    if want is not None and length != want:
+        raise ProtocolDesyncError(f"peer sent a {length}-byte payload, this party sent {want} bytes")
 
 
 class InMemoryChannel(Channel):
@@ -111,12 +122,14 @@ class InMemoryChannel(Channel):
         self._inbox = inbox
         self._outbox = outbox
 
-    def _swap(self, prefix: bytes, payload: bytes):
+    def _swap(self, prefix: bytes, payload: bytes, want: int | None = None):
         self._outbox.put(payload)
         try:
-            return self._inbox.get(timeout=self.timeout)
+            inbound = self._inbox.get(timeout=self.timeout)
         except queue.Empty:
             raise TransportError(f"no message from peer within {self.timeout}s") from None
+        _check_length(len(inbound), want)
+        return inbound
 
 
 def memory_channel_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[InMemoryChannel, InMemoryChannel]:
@@ -150,7 +163,7 @@ class TcpChannel(Channel):
         if not self._sel.select(timeout=max(0.0, deadline - time.monotonic())):
             raise TransportError(f"peer exchange timed out after {self.timeout}s")
 
-    def _swap(self, prefix: bytes, payload: bytes):
+    def _swap(self, prefix: bytes, payload: bytes, want: int | None = None):
         """Drive the socket until the frame is fully sent and the peer's
         whole frame has been received; each side is tried before blocking."""
         deadline = time.monotonic() + self.timeout
@@ -165,6 +178,7 @@ class TcpChannel(Channel):
                 view = view[n:] if n < len(view) else None
                 if view is None and body is None:
                     (length,) = struct.unpack("<I", head)
+                    _check_length(length, want)
                     body = bytearray(length)
                     view = memoryview(body) if length else None
             if not moved:

@@ -342,6 +342,20 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("i/o or format error: dense bias shape") and "Traceback" not in err
 
+    def test_impossible_ring_exit_code(self, artifacts, tmp_path, capsys):
+        """The model digest does not cover the header, so a header ring of
+        L=70 is refused on load as a format error, not a ValueError traceback."""
+        _, data, model = artifacts
+        raw = bytearray(model.read_bytes())
+        raw[6:8] = (70).to_bytes(2, "little")  # L, after the magic and version
+        bad = tmp_path / "ring70.arpm"
+        bad.write_bytes(bytes(raw))
+        assert run(["infer-private", "--model", bad, "--inputs", data]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o or format error: bad ring in model file header: "
+                              "total_bits must be in [8, 64], got 70")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("role", ["--listen", "--connect"])
     def test_missing_peer_exit_code(self, artifacts, capsys, role):
         _, data, model = artifacts
@@ -390,7 +404,7 @@ class TestPipeline:
         assert not any(t.is_alive() for t in threads)
         err = capsys.readouterr().err
         assert 7 in codes and set(codes) <= {5, 7}, codes
-        assert "protocol desync: peer sent shape" in err and "Traceback" not in err
+        assert "protocol desync: peer sent a " in err and "Traceback" not in err
 
     def test_port_in_use_exit_code(self, artifacts, capsys):
         import socket

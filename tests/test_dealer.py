@@ -5,6 +5,7 @@ against big-integer oracles.
 """
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -13,9 +14,13 @@ from scipy import stats
 
 from arp.dealer import (
     AndRequest,
+    AndTriple,
     BeaverRequest,
+    BeaverTriple,
     Dealer,
+    SquarePair,
     SquareRequest,
+    TruncMask,
     TruncRequest,
     read_tape,
     tape_from_bytes,
@@ -115,14 +120,21 @@ class TestStream:
 
     @pytest.mark.parametrize("cap", [1, 40, 50])
     def test_draw_buffers_do_not_move_the_stream(self, cap, monkeypatch):
-        """Records drawn one per buffer, several to a buffer, or larger than
-        a buffer deal the same tapes."""
+        """Party 0 drops a record's secret words through its reused buffer
+        below `_SEEK_BYTES` and seeks the stream past them from there on; a
+        cap of 1 byte seeks past every record, and 40 or 50 bytes mix the
+        two, from odd and even word positions.  Either way it deals the
+        full deal's tape 0 and leaves the stream at the same word."""
         import arp.dealer as dealer
 
         reqs = TestTapes()._requests()
-        want = [tape_to_bytes(t) for t in Dealer(3, CFG).build_tapes(reqs)]
-        monkeypatch.setattr(dealer, "_DRAW_WORDS", cap)
-        assert [tape_to_bytes(t) for t in Dealer(3, CFG).build_tapes(reqs)] == want
+        full = Dealer(3, CFG)
+        want = bytes(tape_to_bytes(full.build_tapes(reqs)[0]))
+        monkeypatch.setattr(dealer, "_SEEK_BYTES", cap)
+        alone = Dealer(3, CFG)
+        assert bytes(tape_to_bytes(alone.build_tapes(reqs, 0)[0])) == want
+        nxt = RingTensor.zeros((3,), CFG)
+        assert alone.gen_shares(nxt)[0] == full.gen_shares(nxt)[0]
 
     @pytest.mark.parametrize("seed", [-1, -(2**70)])
     def test_negative_seed_is_refused(self, seed):
@@ -210,7 +222,30 @@ PINNED_STREAM = [
     (32, 12, ("64e7a309e49e17e53012f1e80e8c327c9a118ad168ea9200c4baa6e45b29d0a2",
               "49bd24f05ec707f51388d269794fa29cd5ad6764f91193546d99dee27992c592",
               "a8f82ed4863451742bd4b6e8639ad3198debf0f498959c3e227c9ddae7189191")),
+    # 3-byte words: packing clears the top 4 bits of each word's last byte
+    (20, 5, ("4f0856274c662bbe9c92871ae139e33d9d23f24a50589a8e6ef80161cecb5463",
+             "f72da7bcc7ec34d1b16968aa9c793f5f57e9719c34c9e754ca33b8a8d14a6f1c",
+             "8f9122c514bae9275fe0a2903f2a81373a61eff1fa504a76ee95fc10ff3d1309")),
 ]
+
+# tag, descriptor and shape copies of each record on tape, in tape format version 1
+RECORD_LAYOUT = {BeaverTriple: (1, b"\x00\x01\x00", 2), SquarePair: (2, b"", 1),
+                 AndTriple: (3, b"", 1), TruncMask: (4, b"", 1)}
+
+
+def packed_tape(tape) -> bytes:
+    """The tape file packed record by record from `tape.records`, as the codec
+    once joined it: header, then each record's tag, descriptor, shapes and
+    share words packed with `pack_words`."""
+    cfg = tape.cfg
+    out = [b"ARPT", struct.pack("<HHHBI", 1, cfg.total_bits, cfg.frac_bits, tape.party, len(tape.records))]
+    for rec in tape.records:
+        tag, head, copies = RECORD_LAYOUT[type(rec)]
+        fields = [v for v in vars(rec).values() if isinstance(v, RingTensor)]
+        shape = fields[0].shape
+        out += [bytes([tag]), head, struct.pack(f"<B{len(shape)}I", len(shape), *shape) * copies]
+        out += [bytes(pack_words(v)) for v in fields]
+    return b"".join(out)
 
 
 def pinned_stream_digests(bits, frac, party):
@@ -242,6 +277,7 @@ class TestTapes:
         tapes = Dealer(11, CFG).build_tapes(self._requests())
         for tape in tapes:
             raw = tape_to_bytes(tape)
+            assert bytes(raw) == packed_tape(tape)
             again = tape_to_bytes(tape_from_bytes(raw))
             assert raw == again
             path = tmp_path / f"tape{tape.party}.arpt"
@@ -278,7 +314,7 @@ class TestTapes:
     def test_misfit_beaver_shapes_are_format_errors(self):
         """Beaver records keep the version-1 head (op 0, stride 1, padding 0)
         and two equal shapes; any other head or unequal shapes are refused."""
-        raw = tape_to_bytes(Dealer(14, CFG).build_tapes([BeaverRequest((2,))])[0])
+        raw = bytes(tape_to_bytes(Dealer(14, CFG).build_tapes([BeaverRequest((2,))])[0]))
         at = 4 + 11  # magic, then the header fields
         dim2 = (2).to_bytes(4, "little")
         assert raw[at : at + 14] == bytes([1, 0, 1, 0, 1]) + dim2 + bytes([1]) + dim2
@@ -288,6 +324,18 @@ class TestTapes:
         unequal = raw[: at + 9] + bytes([1]) + (3).to_bytes(4, "little") + raw[at + 14 :]
         with pytest.raises(FormatError, match="shapes"):
             tape_from_bytes(unequal)
+
+    @pytest.mark.parametrize("at, value, reason", [
+        (6, struct.pack("<H", 70), "total_bits must be in"),
+        (8, struct.pack("<H", 63), "frac_bits must be in"),
+        (10, bytes([2]), "bad tape party 2")])
+    def test_impossible_header_is_a_format_error(self, at, value, reason):
+        """A tape carries no digest, so its ring (L at byte 6, f at byte 8)
+        and its party byte (10) are checked on read."""
+        raw = bytearray(tape_to_bytes(Dealer(15, CFG).build_tapes([AndRequest((2,))])[0]))
+        raw[at : at + len(value)] = value
+        with pytest.raises(FormatError, match=reason):
+            tape_from_bytes(bytes(raw))
 
     @pytest.mark.parametrize("bits, frac, digests", PINNED_STREAM)
     def test_dealer_stream_is_pinned(self, bits, frac, digests):
@@ -317,7 +365,7 @@ class TestPartyZeroDeal:
         return [self.KINDS[rng.integers(len(self.KINDS))](tuple(int(d) for d in rng.integers(0, 7, rng.integers(0, 4))))
                 for _ in range(rng.integers(0, 9))]
 
-    @pytest.mark.parametrize("bits", [8, 24, 32, 64])
+    @pytest.mark.parametrize("bits", [8, 20, 24, 32, 48, 64])
     def test_random_request_lists(self, bits):
         cfg = FixedConfig(bits, bits // 4)
         rng = np.random.default_rng(bits)
@@ -331,6 +379,7 @@ class TestPartyZeroDeal:
             only0, none = alone.build_tapes(reqs, 0)
             assert none is None and only0.party == 0
             assert tape_to_bytes(only0) == tape_to_bytes(tape0), reqs
+            assert bytes(tape_to_bytes(only0)) == packed_tape(only0), reqs
             for n in (1, 3, 5):  # same stream position: the next words agree
                 assert full.gen_shares(RingTensor.zeros((n,), cfg))[0] == \
                     alone.gen_shares(RingTensor.zeros((n,), cfg))[0]
@@ -388,20 +437,17 @@ class TestTapeBuffers:
         assert all(not r.a.words.flags.writeable for t in loaded for r in t.records)
 
     @pytest.mark.parametrize("bits, n", [(64, 200_000), (24, 500_000)])
-    def test_large_tape_joins_into_a_read_only_buffer(self, bits, n, tmp_path, monkeypatch):
-        """A tape of 4 MiB or more comes back as a read-only memoryview whose
-        bytes equal the plain join of the same parts, and round-trips."""
-        import arp.dealer as dealer
-
+    def test_large_tape_joins_into_a_read_only_buffer(self, bits, n, tmp_path):
+        """A large tape is one read-only buffer whose bytes equal the tape
+        packed record by record, and it round-trips through the codec and a
+        file."""
         cfg = FixedConfig(bits, 8)
         tape = Dealer(8, cfg).build_tapes([AndRequest((n,)), BeaverRequest((3,))])[1]
         raw = tape_to_bytes(tape)
         assert isinstance(raw, memoryview) and raw.readonly
         assert len(raw) >= 4 << 20
-        with monkeypatch.context() as m:
-            m.setattr(dealer, "_HUGE_PAGE_JOIN", 1 << 62)
-            joined = tape_to_bytes(tape)
-        assert type(joined) is bytes and bytes(raw) == joined
+        joined = packed_tape(tape)
+        assert bytes(raw) == joined
         assert bytes(tape_to_bytes(tape_from_bytes(raw))) == joined
         path = tmp_path / "large.arpt"
         write_tape(tape, path)
@@ -409,6 +455,27 @@ class TestTapeBuffers:
         assert bytes(tape_to_bytes(read_tape(path))) == joined
 
     def test_small_tape_is_bytes(self):
+        """A tape under 4 MiB is its file bytes too: a read-only buffer equal
+        to the tape packed record by record."""
         tape = Dealer(9, CFG).build_tapes([AndRequest((100_000,))])[0]
         raw = tape_to_bytes(tape)
-        assert type(raw) is bytes and 2 << 20 < len(raw) < 4 << 20
+        assert raw.readonly and 2 << 20 < len(raw) < 4 << 20
+        assert bytes(raw) == packed_tape(tape)
+
+    @pytest.mark.parametrize("party", [None, 0])
+    def test_dealt_tape_bytes_are_not_copied(self, party):
+        """`tape_to_bytes` of a dealt L=64 tape is the buffer the deal wrote:
+        read-only, exactly the file's length, and the memory its records
+        view; a tape read back keeps the buffer it was read from."""
+        reqs = [AndRequest((1000,)), BeaverRequest((3, 2)), SquareRequest((5,)), TruncRequest((4,))]
+        for tape in filter(None, Dealer(10, CFG).build_tapes(reqs, party)):
+            raw = tape_to_bytes(tape)
+            assert raw.readonly and len(raw) == len(packed_tape(tape)) == raw.nbytes
+            assert tape_to_bytes(tape) is raw
+            whole = np.frombuffer(raw, np.uint8)
+            fields = [v.words for rec in tape.records for v in vars(rec).values()
+                      if isinstance(v, RingTensor)]
+            assert len(fields) == 3 + 3 + 2 + 3
+            assert all(np.shares_memory(whole, w) and not w.flags.writeable for w in fields)
+            assert tape_to_bytes(tape_from_bytes(raw)) == raw
+            assert np.shares_memory(whole, tape_from_bytes(raw).records[0].c.words)

@@ -352,9 +352,9 @@ class TestTranscriptPin:
                 super().__init__(*args)
                 self.frames = []
 
-            def _swap(self, prefix, payload):
+            def _swap(self, prefix, payload, want=None):
                 self.frames += [bytes(prefix), bytes(payload)]
-                return super()._swap(prefix, payload)
+                return super()._swap(prefix, payload, want)
 
         pair = []
 

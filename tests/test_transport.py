@@ -96,7 +96,7 @@ class TestExchange:
 class Echo(Channel):
     """A channel whose peer sends back each frame; no thread needed."""
 
-    def _swap(self, prefix, payload):
+    def _swap(self, prefix, payload, want=None):
         return payload
 
 
@@ -268,6 +268,31 @@ class TestTcpLoop:
         finally:
             t.join(timeout=5)
             ch.close()
+        assert not t.is_alive()
+
+    def test_missized_ring_frame_is_refused_at_its_prefix(self):
+        """A peer that announces a longer ring frame than this party's, then
+        sends nothing more, desyncs the exchange at once: no buffer is sized
+        by its length and no timeout is waited out."""
+        a, b = loopback_pair()
+        ch = TcpChannel(a, timeout=5)
+        sent = len(tensor([1, 2, 3]).to_bytes())
+
+        def peer():
+            recv_exactly(b, 4 + sent)
+            b.sendall(struct.pack("<I", sent + 8))
+
+        t = threading.Thread(target=peer)
+        t.start()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolDesyncError, match=f"peer sent a {sent + 8}-byte payload"):
+                ch.exchange([tensor([1, 2, 3])])
+            assert time.monotonic() - t0 < 1.0
+        finally:
+            t.join(timeout=5)
+            ch.close()
+            b.close()
         assert not t.is_alive()
 
     def test_silent_peer_times_out(self):
