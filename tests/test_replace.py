@@ -412,3 +412,49 @@ class TestDapaBeatsFixedFit:
         acc_identity = accuracy(self._identity_coeffs)
         assert acc_dapa >= acc_fixed + 0.05, (acc_dapa, acc_fixed)
         assert acc_dapa >= acc_identity + 0.1, (acc_dapa, acc_identity)
+
+
+class TestReplaceGoldenHash:
+    """A seeded replacement run's model file and history must never drift.
+
+    Each run pretrains then replaces for 3 epochs; the digests cover the
+    model file at L=64, f=16 and the sorted-key history JSON.
+    """
+
+    @staticmethod
+    def _run(arch):
+        from arp.data import toy_images
+
+        if arch == "mlp":
+            x, y = two_spirals(512, seed=3)
+            model, budget = build_model("mlp", seed=3), 32
+        else:
+            x, y = toy_images(128, seed=3)
+            model, budget = build_model("smallcnn", seed=3, num_classes=4), 400
+        train_supervised(model, x, y, epochs=3, lr=1e-3, batch_size=64, seed=3)
+        cfg = ReplacementConfig(relu_budget=budget, epochs=3, seed=3)
+        model, _, history = train_replace(model, (x, y), cfg)
+        return model, history
+
+    @pytest.mark.parametrize("arch", ["mlp", "smallcnn"])
+    def test_replacement_run_is_stable(self, arch):
+        import hashlib
+
+        from arp.fixed import FixedConfig
+        from arp.model_io import serialize_model
+
+        model, history = self._run(arch)
+        model_digest = hashlib.sha256(serialize_model(model, FixedConfig(64, 16), 0)).hexdigest()
+        history_digest = hashlib.sha256(
+            json.dumps(history.to_json(), sort_keys=True).encode()).hexdigest()
+        assert (model_digest, history_digest) == REPLACE_GOLDEN_SHA256[arch], (
+            "replacement training changed its output bits"
+        )
+
+
+REPLACE_GOLDEN_SHA256 = {
+    "mlp": ("04f5379007297f09751a96ac9c476e883a4029ff72f459eb369034856e47fa73",
+            "5a675ac8df03fb2682736e1f9ffcb973b66d3a747e9a074788640d283b0433d7"),
+    "smallcnn": ("ae621eadc4240c9c10bf4d5f54f73419448454f4bc7f77f2310ce111b35dbcd5",
+                 "8eca8ed43c6b8cb1a2e141bf6399d38ae50af7fb189729778cbd977b1d65392f"),
+}
