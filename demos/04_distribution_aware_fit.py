@@ -24,7 +24,7 @@ z = rng.normal(0.0, np.sqrt(2.0), size=1_000_000)
 print("input distribution: N(0, 2), one million samples\n")
 closed = fit_closed_form(GaussianStats(0.0, 2.0))
 candidates = {
-    "distribution-aware fit": np.array(closed),
+    "distribution-aware fit": closed,
     "identity g(z) = z": np.array([0.0, 1.0, 0.0]),
     "g(z) = z^2 + z": np.array([0.0, 1.0, 1.0]),
     "g(z) = z^2": np.array([0.0, 0.0, 1.0]),
@@ -36,7 +36,7 @@ for name, c in candidates.items():
 
 print(f"\nanalytic minimum loss: {min_approx_loss(GaussianStats(0.0, 2.0)):.5f}")
 mc = fit_monte_carlo(z, 2)
-print(f"monte-carlo fit      : ({mc.coeffs[0]:.4f}, {mc.coeffs[1]:.4f}, {mc.coeffs[2]:.4f})")
+print(f"monte-carlo fit      : ({mc[0]:.4f}, {mc[1]:.4f}, {mc[2]:.4f})")
 
 # the optimum moves with the distribution: wider inputs flatten the parabola
 print("\nhow the optimum tracks the distribution:")
@@ -56,6 +56,6 @@ stats.update(batch)
 per_channel = channelwise_coeffs(stats)
 print("\nper-channel coefficients from running stats:")
 for ch in range(3):
-    c = per_channel.coeffs[ch]
+    c = per_channel[ch]
     print(f"  channel {ch}: mean {stats.mean[ch]:+.2f} var {stats.var[ch]:.2f} "
           f"-> ({c[0]:+.4f}, {c[1]:+.4f}, {c[2]:+.4f})")

@@ -4,7 +4,6 @@ replaces ReLUs by distribution-fitted low-order polynomials."""
 from .dapa import (
     ChannelStats,
     GaussianStats,
-    PolyCoeffs,
     channelwise_coeffs,
     fit_closed_form,
     fit_monte_carlo,

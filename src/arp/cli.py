@@ -26,8 +26,8 @@ import sys
 import numpy as np
 
 from . import data as datamod
-from .dapa import GaussianStats, PolyCoeffs, empirical_loss, fit_closed_form, \
-    fit_closed_form_linear, fit_monte_carlo, min_approx_loss
+from .dapa import GaussianStats, empirical_loss, fit_closed_form, fit_closed_form_linear, \
+    fit_monte_carlo, min_approx_loss
 from .errors import DegenerateDistributionError, FormatError, ProtocolDesyncError, \
     ReluBudgetError, TapeExhaustedError, TransportError
 from .fixed import FixedConfig
@@ -171,7 +171,7 @@ def cmd_dapa_fit(args) -> int:
             elif args.degree == 1:
                 c = fit_closed_form_linear(g)
                 rng = np.random.default_rng(_seed(args))
-                loss = empirical_loss(rng.normal(mu, np.sqrt(var), 200_000), PolyCoeffs(np.asarray(c)))
+                loss = empirical_loss(rng.normal(mu, np.sqrt(var), 200_000), c)
             else:
                 raise FormatError("closed-form fitting covers degrees 1 and 2")
             coeffs = ",".join(f"{ci:.10g}" for ci in c)
@@ -183,7 +183,7 @@ def cmd_dapa_fit(args) -> int:
         except (ValueError, DegenerateDistributionError) as exc:
             raise FormatError(f"{args.samples}: {exc}") from None
         loss = empirical_loss(z, fit)
-        coeffs = ",".join(f"{ci:.10g}" for ci in fit.coeffs)
+        coeffs = ",".join(f"{ci:.10g}" for ci in fit)
         rows.append(f"samples,{z.mean():.6g},{z.var():.6g},{args.degree},{coeffs},{loss:.10g}")
     if len(rows) == 1:
         raise FormatError("nothing to fit: pass --stats and/or --samples")

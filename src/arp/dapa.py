@@ -19,7 +19,6 @@ from .nn import mean_var
 
 __all__ = [
     "GaussianStats",
-    "PolyCoeffs",
     "ChannelStats",
     "fit_closed_form",
     "fit_closed_form_linear",
@@ -65,65 +64,42 @@ def horner(terms, z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class PolyCoeffs:
-    """Coefficients c[..., i] of sum_i c_i * z^i; leading axes are channels."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.shape[-1] < 2:
-            raise ValueError("need at least degree 1 (two coefficients)")
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[-1] - 1
-
-    def term(self, i: int) -> np.ndarray:
-        return self.coeffs[..., i]
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate with channel axes broadcasting against z's trailing axes."""
-        return horner([self.term(i) for i in range(self.degree + 1)], z)
-
-
 def _gaussian_args(stats, var):
-    """(mean, var, pack) for the closed-form fits: a GaussianStats packs scalars
-    (c0, c1, ...); (mean, var) arrays, every variance checked positive, pack an
-    array with a trailing coefficient axis, for vectorized per-channel use.
+    """(mean, var) for the closed-form fits: a GaussianStats's scalars, or
+    (mean, var) arrays, every variance checked positive, for vectorized
+    per-channel use.
     """
     if isinstance(stats, GaussianStats):
-        return stats.mean, stats.var, lambda cs: tuple(float(c) for c in cs)
+        return stats.mean, stats.var
     mu, v = np.asarray(stats, dtype=np.float64), np.asarray(var, dtype=np.float64)
     if np.any(v <= 0):
         raise ValueError("variance must be positive")
-    return mu, v, lambda cs: np.stack(cs, axis=-1)
+    return mu, v
 
 
-def fit_closed_form(stats, var=None) -> tuple[float, float, float] | np.ndarray:
-    """Optimal quadratic fit (c0, c1, c2) to ReLU for N(mean, var) inputs, in closed form."""
-    mu, v, pack = _gaussian_args(stats, var)
+def fit_closed_form(stats, var=None) -> np.ndarray:
+    """Optimal quadratic fit [..., (c0, c1, c2)] to ReLU for N(mean, var) inputs, in closed form."""
+    mu, v = _gaussian_args(stats, var)
     sigma = np.sqrt(v)
     e = np.exp(-(mu**2) / (2 * v))
     c2 = _SQRT2 * e / (4 * _SQRT_PI * sigma)
     c1 = -_SQRT2 * mu * e / (2 * _SQRT_PI * sigma) - erfc(_SQRT2 * mu / (2 * sigma)) / 2 + 1
     c0 = _SQRT2 * mu**2 * e / (4 * _SQRT_PI * sigma) + _SQRT2 * sigma * e / (4 * _SQRT_PI)
-    return pack((c0, c1, c2))
+    return np.stack((c0, c1, c2), axis=-1)
 
 
-def fit_closed_form_linear(stats, var=None):
+def fit_closed_form_linear(stats, var=None) -> np.ndarray:
     """Optimal affine fit c0 + c1*z to ReLU for Gaussian inputs.
 
     c1 = Phi(mu/sigma), c0 = sigma * phi(mu/sigma): the covariance of ReLU(Z)
     with Z over a Gaussian is sigma^2 * Phi(mu/sigma).
     """
-    mu, v, pack = _gaussian_args(stats, var)
+    mu, v = _gaussian_args(stats, var)
     sigma = np.sqrt(v)
     alpha = mu / sigma
     c1 = 0.5 * erfc(-alpha / _SQRT2)  # standard normal CDF
     c0 = sigma * np.exp(-(alpha**2) / 2) / np.sqrt(2 * np.pi)
-    return pack((c0, c1))
+    return np.stack((c0, c1), axis=-1)
 
 
 def min_approx_loss(stats: GaussianStats, *, uncorrected: bool = False) -> float:
@@ -151,7 +127,7 @@ def min_approx_loss(stats: GaussianStats, *, uncorrected: bool = False) -> float
     return float(loss)
 
 
-def fit_monte_carlo(samples: np.ndarray, degree: int) -> PolyCoeffs:
+def fit_monte_carlo(samples: np.ndarray, degree: int) -> np.ndarray:
     """Least-squares fit of ReLU over an empirical sample distribution.
 
     Solves the normal equations with a symmetric positive-definite
@@ -174,14 +150,13 @@ def fit_monte_carlo(samples: np.ndarray, degree: int) -> PolyCoeffs:
         c = solve(gram, rhs, assume_a="pos")
     except np.linalg.LinAlgError as exc:
         raise DegenerateDistributionError(f"normal equations not SPD: {exc}") from exc
-    return PolyCoeffs(c)
+    return c
 
 
-def empirical_loss(samples: np.ndarray, coeffs) -> float:
-    """Mean squared error of a polynomial against ReLU over samples."""
+def empirical_loss(samples: np.ndarray, coeffs: np.ndarray) -> float:
+    """Mean squared error of the polynomial with coefficients (c0, c1, ...) against ReLU over samples."""
     z = np.asarray(samples, dtype=np.float64).reshape(-1)
-    c = coeffs.coeffs if isinstance(coeffs, PolyCoeffs) else np.asarray(coeffs, dtype=np.float64)
-    return float(np.mean((np.maximum(z, 0.0) - horner(c, z)) ** 2))
+    return float(np.mean((np.maximum(z, 0.0) - horner(coeffs, z)) ** 2))
 
 
 @dataclass
@@ -218,8 +193,8 @@ class ChannelStats:
             self.var = (1 - m) * self.var + m * bv
 
 
-def channelwise_coeffs(stats: ChannelStats, degree: int = 2) -> PolyCoeffs:
-    """Closed-form per-channel fit from running statistics.
+def channelwise_coeffs(stats: ChannelStats, degree: int = 2) -> np.ndarray:
+    """Closed-form per-channel fit from running statistics, shaped (channels, degree + 1).
 
     Channel variances below VAR_CLAMP are clamped, never an error: dead
     channels would otherwise blow up the quadratic coefficient.
@@ -228,7 +203,7 @@ def channelwise_coeffs(stats: ChannelStats, degree: int = 2) -> PolyCoeffs:
         raise ValueError("channel statistics not warmed up (no batch observed)")
     var = np.maximum(stats.var, VAR_CLAMP)
     if degree == 2:
-        return PolyCoeffs(fit_closed_form(stats.mean, var))
+        return fit_closed_form(stats.mean, var)
     if degree == 1:
-        return PolyCoeffs(fit_closed_form_linear(stats.mean, var))
+        return fit_closed_form_linear(stats.mean, var)
     raise ValueError(f"channel-wise fitting supports degrees 1 and 2, got {degree}")

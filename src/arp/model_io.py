@@ -25,7 +25,7 @@ from .dealer import _Cursor, _pack_shape
 from .errors import FormatError
 from .fixed import FixedConfig
 from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential, fold_batchnorm
-from .replace import M_W_INIT, HybridActivation
+from .replace import M_W_INIT, HybridActivation, IndicatorState
 
 __all__ = ["serialize_model", "deserialize_model", "save_model", "load_model"]
 
@@ -77,7 +77,7 @@ def _layer_entry(layer):
              "channel_axis": layer.channel_axis, "degree": layer.degree},
             [
                 (layer.indicator.m.astype(np.uint8), _U8),
-                (layer.coeffs.coeffs, _F64),
+                (layer.coeffs, _F64),
             ],
         )
     raise ValueError(f"layer {type(layer).__name__} cannot be serialized")
@@ -162,9 +162,8 @@ def deserialize_model(buf: bytes):
                 raise FormatError("hybrid mask shape inconsistent with descriptor")
             if coeffs.shape != (feat[axis], degree + 1):
                 raise FormatError("hybrid coefficient shape inconsistent with descriptor")
-            layer.indicator.m = mask
-            layer.indicator.m_w = np.where(mask == 1, M_W_INIT, -M_W_INIT)
-            layer.coeffs.coeffs = coeffs
+            layer.indicator = IndicatorState(mask, np.where(mask == 1, M_W_INIT, -M_W_INIT))
+            layer.coeffs = coeffs
         else:
             raise FormatError(f"unknown layer kind {kind!r}")
         layers.append(layer)

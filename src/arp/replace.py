@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .dapa import ChannelStats, PolyCoeffs, channelwise_coeffs, horner
+from .dapa import ChannelStats, channelwise_coeffs, horner
 from .errors import ReluBudgetError
 from .nn import Adam, AdamArray, Sequential, batch_sum, cosine_lr, loss_cross_entropy
 
@@ -113,6 +113,9 @@ class HybridActivation:
     mask is read on every call, since callers rebind and rewrite it between
     passes.
 
+    `coeffs` holds the polynomial, one row (c0, c1, ...) per channel, so its
+    width sets `degree`; the `degree` argument sizes only the identity start.
+
     Tracks channel-wise running statistics of its pre-activations and caches
     what the backward pass and the indicator gradients need, including the
     forward pass's poly(z) when it computed one.
@@ -121,14 +124,12 @@ class HybridActivation:
     def __init__(self, feat_shape, channel_axis: int = 0, degree: int = 2):
         self.feat_shape = tuple(feat_shape)
         self.channel_axis = channel_axis
-        self.degree = degree
         channels = self.feat_shape[channel_axis]
         self.indicator = IndicatorState.all_relu(self.feat_shape)
         self.stats = ChannelStats(channels)
         # identity polynomial until the first refresh
-        eye = np.zeros((channels, degree + 1))
-        eye[:, 1] = 1.0
-        self.coeffs = PolyCoeffs(eye)
+        self.coeffs = np.zeros((channels, degree + 1))
+        self.coeffs[:, 1] = 1.0
         self._z = None
         self._poly = None
         self.last_dldx = None
@@ -136,11 +137,15 @@ class HybridActivation:
     def params(self):
         return []
 
+    @property
+    def degree(self) -> int:
+        return self.coeffs.shape[1] - 1
+
     def term(self, i: int) -> np.ndarray:
         """Per-channel coefficient of z^i, shaped to broadcast over feat_shape."""
         shape = [1] * len(self.feat_shape)
         shape[self.channel_axis] = -1
-        return self.coeffs.term(i).reshape(shape)
+        return self.coeffs[:, i].reshape(shape)
 
     def poly(self, z: np.ndarray) -> np.ndarray:
         return horner([self.term(i) for i in range(self.degree + 1)], z)
@@ -238,8 +243,6 @@ class ReplacementConfig:
 
 @dataclass
 class ReplacementPlan:
-    masks: list
-    coeffs: list
     relu_count: int
     budget: int
 
@@ -390,10 +393,4 @@ def train_replace(model: Sequential, train_data, cfg: ReplacementConfig,
             f"after {TAIL_EPOCHS} tail epochs"
         )
 
-    plan = ReplacementPlan(
-        masks=[a.indicator.m.copy() for a in acts],
-        coeffs=[a.coeffs.coeffs.copy() for a in acts],
-        relu_count=count(),
-        budget=cfg.relu_budget,
-    )
-    return model, plan, history
+    return model, ReplacementPlan(relu_count=count(), budget=cfg.relu_budget), history

@@ -218,8 +218,8 @@ def error_budget_ulp(model: Sequential) -> int:
         elif isinstance(layer, AvgPool2d):
             e = e + 1.0
         elif isinstance(layer, HybridActivation):
-            c1 = float(np.max(np.abs(layer.coeffs.term(1))))
-            c2 = float(np.max(np.abs(layer.coeffs.term(2)))) if layer.degree >= 2 else 0.0
+            c1 = float(np.max(np.abs(layer.term(1))))
+            c2 = float(np.max(np.abs(layer.term(2)))) if layer.degree >= 2 else 0.0
             poly_amp = c1 + 2.0 * c2 * POLY_RANGE
             e = max(poly_amp, 1.0) * e + 2.0
     return int(np.ceil(e))

@@ -136,8 +136,8 @@ def test_criterion_02_grid_optimality():
     for mu in MU_GRID:
         for var in VAR_GRID:
             z = mu + np.sqrt(var) * g
-            closed = np.array(fit_closed_form(GaussianStats(mu, var)))
-            mc = fit_monte_carlo(z, 2).coeffs
+            closed = fit_closed_form(GaussianStats(mu, var))
+            mc = fit_monte_carlo(z, 2)
             worst_coeff = max(worst_coeff, float(np.max(np.abs(mc - closed))))
             base = empirical_loss(z, closed)
             for i in range(3):
@@ -157,7 +157,7 @@ def test_criterion_03_min_loss_value_and_printed_variant():
     rng = np.random.default_rng(31)
     n = 10_000_000
     z = rng.normal(0.0, np.sqrt(2.0), size=n)
-    coeffs = np.array(fit_closed_form(g))
+    coeffs = fit_closed_form(g)
     sq_err = (np.maximum(z, 0.0) - (coeffs[0] + coeffs[1] * z + coeffs[2] * z**2)) ** 2
     mc = float(np.mean(sq_err))
     se = float(np.std(sq_err) / np.sqrt(n))
@@ -376,8 +376,8 @@ def test_criterion_08_gradient_checks(baseline):
         m = np.zeros(act.indicator.m.size)
         m[::2] = 1.0
         act.indicator.m = m.reshape(act.indicator.m.shape)
-        act.coeffs.coeffs[:, 0] = 0.1
-        act.coeffs.coeffs[:, 2] = 0.07
+        act.coeffs[:, 0] = 0.1
+        act.coeffs[:, 2] = 0.07
     x = rng.normal(size=(8, 2))
     y = rng.integers(0, 2, size=8)
 

@@ -320,7 +320,7 @@ class TestPipeline:
         _, data, _ = artifacts
         model = build_model("mlp", seed=0)
         act = model.hybrid_layers()[0]
-        act.degree, act.coeffs.coeffs = 3, np.zeros((act.feat_shape[0], 4))
+        act.coeffs = np.zeros((act.feat_shape[0], 4))
         cubic = tmp_path / "cubic.arpm"
         save_model(cubic, model, FixedConfig(64, 16))
         assert run(["infer-private", "--model", cubic, "--inputs", data]) == 4

@@ -6,13 +6,13 @@ import pytest
 from arp.dapa import (
     ChannelStats,
     GaussianStats,
-    PolyCoeffs,
     VAR_CLAMP,
     channelwise_coeffs,
     empirical_loss,
     fit_closed_form,
     fit_closed_form_linear,
     fit_monte_carlo,
+    horner,
     min_approx_loss,
 )
 from arp.errors import DegenerateDistributionError
@@ -69,7 +69,7 @@ class TestClosedForm:
             gram = np.array([[moment(i + j) for j in range(3)] for i in range(3)])
             rhs = np.array([moment(i, relu=True) for i in range(3)])
             expect = np.linalg.solve(gram, rhs)
-            got = np.array(fit_closed_form(GaussianStats(mu, var)))
+            got = fit_closed_form(GaussianStats(mu, var))
             np.testing.assert_allclose(got, expect, rtol=1e-5, atol=1e-9)
 
 
@@ -82,8 +82,8 @@ class TestLinearClosedForm:
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(1)
         z = rng.normal(0.5, 1.5, size=1_000_000)
-        mc = fit_monte_carlo(z, 1).coeffs
-        cf = np.array(fit_closed_form_linear(GaussianStats(0.5, 1.5**2)))
+        mc = fit_monte_carlo(z, 1)
+        cf = fit_closed_form_linear(GaussianStats(0.5, 1.5**2))
         np.testing.assert_allclose(mc, cf, atol=5e-3)
 
 
@@ -99,10 +99,10 @@ class TestFitArguments:
     @pytest.mark.parametrize("fit,degree", [(fit_closed_form, 2), (fit_closed_form_linear, 1)])
     def test_scalar_and_array_forms_agree(self, fit, degree):
         scalar = fit(GaussianStats(0.5, 2.0))
-        assert isinstance(scalar, tuple) and len(scalar) == degree + 1
-        assert all(isinstance(c, float) for c in scalar)
+        assert isinstance(scalar, np.ndarray) and scalar.dtype == np.float64
+        assert scalar.shape == (degree + 1,)
         rows = fit(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
-        assert rows.shape == (2, degree + 1) and np.all(rows == np.array(scalar))
+        assert rows.shape == (2, degree + 1) and np.all(rows == scalar)
 
 
 class TestMinApproxLoss:
@@ -137,7 +137,7 @@ class TestMinApproxLoss:
         g = rng.standard_normal(2_000_000)
         for mu, var in [(0.0, 2.0), (1.0, 1.0), (-1.5, 3.0)]:
             z = mu + np.sqrt(var) * g
-            mc = empirical_loss(z, np.array(fit_closed_form(GaussianStats(mu, var))))
+            mc = empirical_loss(z, fit_closed_form(GaussianStats(mu, var)))
             formula = min_approx_loss(GaussianStats(mu, var))
             assert abs(mc - formula) < 5e-4
 
@@ -146,20 +146,20 @@ class TestMonteCarloFit:
     def test_identity_on_positives(self):
         rng = np.random.default_rng(3)
         z = rng.uniform(0.5, 5.0, size=5000)
-        c = fit_monte_carlo(z, 1).coeffs
+        c = fit_monte_carlo(z, 1)
         np.testing.assert_allclose(c, [0.0, 1.0], atol=1e-9)
 
     def test_zero_on_negatives(self):
         rng = np.random.default_rng(4)
         z = rng.uniform(-5.0, -0.5, size=5000)
-        c = fit_monte_carlo(z, 1).coeffs
+        c = fit_monte_carlo(z, 1)
         np.testing.assert_allclose(c, [0.0, 0.0], atol=1e-9)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(5)
         z = rng.normal(0.0, np.sqrt(2.0), size=1_000_000)
-        mc = fit_monte_carlo(z, 2).coeffs
-        cf = np.array(fit_closed_form(GaussianStats(0.0, 2.0)))
+        mc = fit_monte_carlo(z, 2)
+        cf = fit_closed_form(GaussianStats(0.0, 2.0))
         assert np.max(np.abs(mc - cf)) < 1e-2
 
     def test_degenerate_samples(self):
@@ -170,11 +170,16 @@ class TestMonteCarloFit:
         with pytest.raises(ValueError):
             fit_monte_carlo(np.arange(100, dtype=float), 2)
 
+    def test_degree_zero_refused(self):
+        z = np.random.default_rng(7).normal(size=1000)
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            fit_monte_carlo(z, 0)
+
     def test_higher_degree_for_analysis(self):
         rng = np.random.default_rng(6)
         z = rng.normal(0, 1, size=20_000)
         fit = fit_monte_carlo(z, 5)
-        assert fit.degree == 5
+        assert fit.shape == (6,)
         assert empirical_loss(z, fit) <= empirical_loss(
             z, fit_monte_carlo(z, 2)
         ) + 1e-12  # more degrees never fit worse
@@ -238,40 +243,36 @@ class TestChannelwiseCoeffs:
     def test_quadratic_coefficient_scales_inverse_sigma(self):
         c = channelwise_coeffs(self._stats([0.0, 0.0], [2.0, 8.0]))
         # sigma doubles, c2 halves
-        np.testing.assert_allclose(c.term(2)[0], 2 * c.term(2)[1], rtol=1e-12)
+        np.testing.assert_allclose(c[0, 2], 2 * c[1, 2], rtol=1e-12)
 
     def test_identical_stats_identical_rows(self):
         c = channelwise_coeffs(self._stats([1.0, 1.0, 1.0], [3.0, 3.0, 3.0]))
-        assert np.all(c.coeffs == c.coeffs[0])
+        assert np.all(c == c[0])
 
     def test_matches_scalar_fit(self):
         c = channelwise_coeffs(self._stats([1.0], [1.0]))
-        np.testing.assert_allclose(c.coeffs[0], fit_closed_form(GaussianStats(1.0, 1.0)), rtol=1e-12)
+        np.testing.assert_allclose(c[0], fit_closed_form(GaussianStats(1.0, 1.0)), rtol=1e-12)
 
     def test_variance_clamp_is_silent(self):
         c = channelwise_coeffs(self._stats([0.0, 0.0], [1e-12, 1.0]))
         clamped = channelwise_coeffs(self._stats([0.0], [VAR_CLAMP]))
-        np.testing.assert_allclose(c.coeffs[0], clamped.coeffs[0], rtol=1e-12)
-        assert np.all(np.isfinite(c.coeffs))
+        np.testing.assert_allclose(c[0], clamped[0], rtol=1e-12)
+        assert np.all(np.isfinite(c))
 
     def test_degree_one(self):
         c = channelwise_coeffs(self._stats([0.0], [1.0]), degree=1)
-        np.testing.assert_allclose(c.coeffs[0], fit_closed_form_linear(GaussianStats(0.0, 1.0)))
+        np.testing.assert_allclose(c[0], fit_closed_form_linear(GaussianStats(0.0, 1.0)))
 
 
-class TestPolyCoeffs:
+class TestHorner:
     def test_evaluation(self):
-        p = PolyCoeffs(np.array([0.28, 0.5, 0.14]))
         z = np.array([0.0, 2.0, -1.0])
-        np.testing.assert_allclose(p(z), 0.14 * z**2 + 0.5 * z + 0.28)
+        np.testing.assert_allclose(horner(np.array([0.28, 0.5, 0.14]), z), 0.14 * z**2 + 0.5 * z + 0.28)
 
     def test_channelwise_broadcast(self):
-        p = PolyCoeffs(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
-        z = np.ones((4, 2))
-        out = p(z)
-        np.testing.assert_allclose(out[:, 0], 1.0)
+        """Per-channel rows (channels, degree + 1) evaluate over the trailing axis once transposed."""
+        c = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        z = np.full((4, 2), 3.0)
+        out = horner(c.T, z)
+        np.testing.assert_allclose(out[:, 0], 3.0)
         np.testing.assert_allclose(out[:, 1], 1.0)
-
-    def test_min_two_coefficients(self):
-        with pytest.raises(ValueError):
-            PolyCoeffs(np.array([1.0]))

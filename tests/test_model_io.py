@@ -1,6 +1,8 @@
 """Model file round trips, integrity checks, and the golden reference hash."""
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -29,13 +31,28 @@ def reference_model():
     return model
 
 
+def edit_descriptor(blob: bytes, edit) -> bytes:
+    """The model file `blob` after edit(descriptor), with its digest recomputed
+    (the digest has no key, so anyone can do this)."""
+    (desc_len,) = struct.unpack_from("<I", blob, 50)
+    desc = json.loads(blob[54 : 54 + desc_len])
+    desc = edit(desc) or desc
+    desc_json = json.dumps(desc, sort_keys=True, separators=(",", ":")).encode()
+    body = struct.pack("<I", len(desc_json)) + desc_json + blob[54 + desc_len :]
+    return blob[:18] + hashlib.sha256(body).digest() + body
+
+
 def hybrid_file(degree=2, channel_axis=0) -> bytes:
     """An mlp file whose first hybrid layer declares `degree` and
-    `channel_axis`, with coefficients of the shape that degree implies."""
+    `channel_axis`: an integer degree as the width of its coefficients, any
+    other value written into the descriptor."""
     model = build_model("mlp", seed=3)
     act = model.hybrid_layers()[0]
-    act.degree, act.channel_axis = degree, channel_axis
-    act.coeffs.coeffs = np.zeros((act.feat_shape[0], int(degree) + 1))
+    act.channel_axis = channel_axis
+    if type(degree) is not int:
+        return edit_descriptor(serialize_model(model, CFG),
+                               lambda d: d["layers"][1].update(degree=degree))
+    act.coeffs = np.zeros((act.feat_shape[0], degree + 1))
     return serialize_model(model, CFG)
 
 

@@ -20,7 +20,7 @@ from arp.nn import (
     loss_cross_entropy,
     mean_var,
 )
-from arp.dapa import ChannelStats, PolyCoeffs
+from arp.dapa import ChannelStats
 from arp.replace import HybridActivation, ste_softplus_grad
 
 from conftest import same_bits
@@ -111,8 +111,8 @@ class TestBackward:
             m = np.zeros(act.indicator.m.size)
             m[::2] = 1.0
             act.indicator.m = m.reshape(act.indicator.m.shape)
-            act.coeffs.coeffs[:, 0] = 0.1
-            act.coeffs.coeffs[:, 2] = 0.07
+            act.coeffs[:, 0] = 0.1
+            act.coeffs[:, 2] = 0.07
 
         def loss_value():
             logits = model.forward(x, training=True)
@@ -258,7 +258,7 @@ class TestLayoutIndependence:
     def test_hybrid_activation(self, batch):
         rng = np.random.default_rng(0)
         act = HybridActivation(self.SHAPE)
-        act.coeffs = PolyCoeffs(rng.normal(size=(self.SHAPE[0], 3)))
+        act.coeffs = rng.normal(size=(self.SHAPE[0], 3))
         act.indicator.m_w[:] = rng.normal(size=self.SHAPE)
         act.indicator.m[:] = (rng.random(self.SHAPE) < 0.5).astype(np.float64)
 

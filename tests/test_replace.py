@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from arp.dapa import GaussianStats, PolyCoeffs, fit_closed_form
+from arp.dapa import GaussianStats, fit_closed_form
 from arp.data import two_spirals
 from arp.nn import build_model
 from arp.replace import (
@@ -51,7 +51,7 @@ class TestSteSoftplusGrad:
 class TestAccGradAux:
     def _act(self, n=4):
         act = HybridActivation((n,), degree=2)
-        act.coeffs.coeffs[:] = [0.28, 0.5, 0.14]
+        act.coeffs[:] = [0.28, 0.5, 0.14]
         return act
 
     def test_zero_when_paths_agree(self):
@@ -167,8 +167,16 @@ class TestHybridForwardAndRefresh:
     def test_poly_value(self):
         act = HybridActivation((1,))
         act.indicator.m[:] = 0.0
-        act.coeffs.coeffs[:] = [0.28, 0.5, 0.14]
+        act.coeffs[:] = [0.28, 0.5, 0.14]
         np.testing.assert_allclose(act.forward(np.array([[2.0]])), [[1.84]])
+
+    def test_degree_is_the_coefficient_width(self):
+        act = HybridActivation((4,), degree=1)
+        assert act.degree == 1 and act.coeffs.shape == (4, 2)
+        with pytest.raises(AttributeError):
+            act.degree = 2
+        act.coeffs = np.zeros((4, 3))
+        assert act.degree == 2
 
     def test_refresh_matches_closed_form(self):
         act = HybridActivation((2,))
@@ -177,7 +185,7 @@ class TestHybridForwardAndRefresh:
         act.stats.warmed_up = True
         refresh_coeffs(act)
         expect = fit_closed_form(GaussianStats(0.0, 2.0))
-        np.testing.assert_allclose(act.coeffs.coeffs[0], expect, rtol=1e-12)
+        np.testing.assert_allclose(act.coeffs[0], expect, rtol=1e-12)
 
     def test_refresh_idempotent(self):
         act = HybridActivation((2,))
@@ -185,9 +193,9 @@ class TestHybridForwardAndRefresh:
         act.stats.var = np.array([1.0, 4.0])
         act.stats.warmed_up = True
         refresh_coeffs(act)
-        first = act.coeffs.coeffs.copy()
+        first = act.coeffs.copy()
         refresh_coeffs(act)
-        assert np.array_equal(act.coeffs.coeffs, first)
+        assert np.array_equal(act.coeffs, first)
 
     def test_refresh_tracks_distribution_shift(self):
         act = HybridActivation((1,))
@@ -195,10 +203,10 @@ class TestHybridForwardAndRefresh:
         act.stats.var = np.array([2.0])
         act.stats.warmed_up = True
         refresh_coeffs(act)
-        c2_before = act.coeffs.coeffs[0, 2]
+        c2_before = act.coeffs[0, 2]
         act.stats.var = np.array([8.0])
         refresh_coeffs(act)
-        np.testing.assert_allclose(act.coeffs.coeffs[0, 2], c2_before / 2, rtol=1e-12)
+        np.testing.assert_allclose(act.coeffs[0, 2], c2_before / 2, rtol=1e-12)
 
     def test_stats_update_in_training_mode_only(self):
         act = HybridActivation((2,))
@@ -238,7 +246,7 @@ class TestSinglePath:
             z = rng.normal(size=(batch, *feat))
         dy = rng.normal(size=z.shape)  # C-contiguous, as AvgPool2d/Dense backward return it
         act = HybridActivation(feat)
-        act.coeffs = PolyCoeffs(rng.normal(size=(feat[0], 3)))
+        act.coeffs = rng.normal(size=(feat[0], 3))
         act.indicator.m_w[:] = rng.normal(size=feat)
         mixed = (rng.random(feat) < 0.5).astype(np.float64)
         for mask in (np.ones(feat), np.zeros(feat), mixed, np.ones(feat)):
@@ -311,7 +319,7 @@ class TestTrainReplace:
         cfg = ReplacementConfig(relu_budget=0, epochs=25, seed=1)
         m, plan, hist = train_replace(copy.deepcopy(model), train, cfg, eval_data=test)
         assert plan.relu_count == 0
-        assert all(np.all(mask == 0) for mask in plan.masks)
+        assert all(np.all(a.indicator.m == 0) for a in m.hybrid_layers())
 
     def test_budget_contract(self, spiral_setup):
         model, train, test = spiral_setup
@@ -386,11 +394,11 @@ class TestDapaBeatsFixedFit:
 
     @staticmethod
     def _fixed_coeffs(stats, degree=2):
-        return PolyCoeffs(np.tile(fit_closed_form(GaussianStats(0.0, 1.0)), (stats.channels, 1)))
+        return np.tile(fit_closed_form(GaussianStats(0.0, 1.0)), (stats.channels, 1))
 
     @staticmethod
     def _identity_coeffs(stats, degree=2):
-        return PolyCoeffs(np.tile([0.0, 1.0, 0.0], (stats.channels, 1)))
+        return np.tile([0.0, 1.0, 0.0], (stats.channels, 1))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_dapa_margin_at_budget_16(self, seed, monkeypatch):

@@ -308,7 +308,6 @@ class TestTranscriptPin:
 
     @staticmethod
     def _model_and_inputs(arch):
-        from arp.dapa import PolyCoeffs
         from arp.data import toy_images
         from arp.nn import fold_batchnorm
 
@@ -326,10 +325,10 @@ class TestTranscriptPin:
                 # polynomial with per-channel coefficients, so a misrouted
                 # broadcast shows
                 act.indicator.m = np.full(act.feat_shape, float(i == 0))
-                act.coeffs = PolyCoeffs([0.28, 0.5, 0.14] + 0.01 * np.arange(channels)[:, None])
+                act.coeffs = [0.28, 0.5, 0.14] + 0.01 * np.arange(channels)[:, None]
             else:
                 act.indicator.m = (rng.random(act.feat_shape) < 0.5).astype(np.float64)
-                act.coeffs = PolyCoeffs(np.tile([0.28, 0.5, 0.14], (channels, 1)))
+                act.coeffs = np.tile([0.28, 0.5, 0.14], (channels, 1))
         return fold_batchnorm(model), inputs
 
     # SHA-256 over every sent frame, prefix then payload: the fingerprint
