@@ -7,12 +7,14 @@ takes --party 0 --listen or --party 1 --connect, its memory mode neither.
 Exit codes: 0 success, 2 a usage error (a flag the command does not take or
 would ignore, or a value it cannot use, such as a malformed HOST:PORT, a
 --budget above the activation count or images smallcnn cannot pool; all
-refused before any training), 3 tape exhaustion, 4 I/O or format error, 5
-peer or transport error (no peer in --timeout, a refused or lost connection,
-a listen port in use), 6 private logits outside the declared error budget
-(the run still writes its summary and --report), 7 protocol desync, 8
-train-replace still over its --budget after the tail epochs (no model file
-is written).
+refused before any training), 3 tape exhaustion, 4 I/O or format error (a
+malformed model file or descriptor field, inputs that do not fit the model,
+a non-numeric CSV, or a value the ring cannot hold; inputs are refused before
+any dealing), 5 peer or transport error (no peer in --timeout, a refused or
+lost connection, a listen port in use), 6 private logits outside the declared
+error budget (the run still writes its summary and --report), 7 protocol
+desync, 8 train-replace still over its --budget after the tail epochs (no
+model file is written).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from . import data as datamod
 from .dapa import GaussianStats, empirical_loss, fit_closed_form, fit_closed_form_linear, \
     fit_monte_carlo, min_approx_loss
-from .errors import DegenerateDistributionError, FormatError, ProtocolDesyncError, \
-    ReluBudgetError, TapeExhaustedError, TransportError
+from .errors import DegenerateDistributionError, EncodeOverflowError, FormatError, \
+    ProtocolDesyncError, ReluBudgetError, TapeExhaustedError, TransportError
 from .fixed import FixedConfig
 from .model_io import load_model, save_model
 from .nn import build_model
@@ -305,7 +307,7 @@ def main(argv=None) -> int:
     except TapeExhaustedError as exc:
         print(f"tape exhausted: {exc}", file=sys.stderr)
         return EXIT_TAPE
-    except (FormatError, OSError) as exc:
+    except (FormatError, EncodeOverflowError, OSError) as exc:
         print(f"i/o or format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except TransportError as exc:

@@ -154,7 +154,7 @@ def fit_monte_carlo(samples: np.ndarray, degree: int) -> np.ndarray:
 
 
 def empirical_loss(samples: np.ndarray, coeffs: np.ndarray) -> float:
-    """Mean squared error of the polynomial with coefficients (c0, c1, ...) against ReLU over samples."""
+    """Mean squared error against ReLU over samples of the polynomial (c0, c1, ...)."""
     z = np.asarray(samples, dtype=np.float64).reshape(-1)
     return float(np.mean((np.maximum(z, 0.0) - horner(coeffs, z)) ** 2))
 

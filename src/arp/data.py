@@ -63,7 +63,10 @@ def save_csv(path, x: np.ndarray, y: np.ndarray) -> None:
 
 
 def load_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, or a ragged row
+        raise FormatError(f"{path}: {exc}") from None
     if data.shape[1] < 2:
         raise FormatError("csv needs at least one feature column and a label column")
     return data[:, :-1], data[:, -1].astype(np.int64)

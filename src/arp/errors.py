@@ -1,9 +1,9 @@
 """Shared exception types.
 
 Exit-code mapping used by the CLI: TapeExhaustedError -> 3, FormatError
-(and OSError) -> 4, TransportError -> 5, ProtocolDesyncError -> 7,
-ReluBudgetError -> 8.  A completed run whose logits break the declared
-error budget exits 6.
+and EncodeOverflowError (and OSError) -> 4, TransportError -> 5,
+ProtocolDesyncError -> 7, ReluBudgetError -> 8.  A completed run whose
+logits break the declared error budget exits 6.
 """
 
 

@@ -52,6 +52,22 @@ def _read_array(cur: _Cursor) -> np.ndarray:
     raise FormatError(f"unknown array dtype tag {tag}")
 
 
+def _read_shaped(cur: _Cursor, shape: tuple, what: str) -> np.ndarray:
+    arr = _read_array(cur)
+    if arr.shape != shape:
+        raise FormatError(f"{what} shape inconsistent with descriptor")
+    return arr
+
+
+def _int_field(entry: dict, key: str, what: str, lo: int = 1, hi: int | None = None) -> int:
+    """entry[key] if it is an int (not a bool) in [lo, hi], else a FormatError naming `what`."""
+    value = entry.get(key)
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise FormatError(f"{what} {value!r} is not an integer {bound}")
+    return value
+
+
 def _layer_entry(layer):
     """(descriptor dict, [(array, dtype tag), ...]) for one layer."""
     if isinstance(layer, Dense):
@@ -121,47 +137,44 @@ def deserialize_model(buf: bytes):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad model descriptor: {exc}") from exc
 
+    entries = desc.get("layers") if isinstance(desc, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise FormatError("model descriptor has no list of layer objects")
     rng = np.random.default_rng(0)  # placeholder init, weights overwritten below
     layers = []
-    for entry in desc["layers"]:
-        kind = entry["kind"]
+    for entry in entries:
+        kind = entry.get("kind")
         if kind == "dense":
-            layer = Dense(entry["in"], entry["out"], rng)
-            layer.w.value = _read_array(cur)
-            layer.b.value = _read_array(cur)
-            if layer.w.value.shape != (entry["in"], entry["out"]):
-                raise FormatError("dense weight shape inconsistent with descriptor")
-            if layer.b.value.shape != (entry["out"],):
-                raise FormatError("dense bias shape inconsistent with descriptor")
+            n_in = _int_field(entry, "in", "dense input size")
+            n_out = _int_field(entry, "out", "dense output size")
+            w = _read_shaped(cur, (n_in, n_out), "dense weight")
+            b = _read_shaped(cur, (n_out,), "dense bias")
+            layer = Dense(n_in, n_out, rng)
+            layer.w.value, layer.b.value = w, b
         elif kind == "conv2d":
-            layer = Conv2d(entry["in"], entry["out"], entry["kernel"], rng,
-                           stride=entry["stride"], padding=entry["padding"])
-            layer.w.value = _read_array(cur)
-            layer.b.value = _read_array(cur)
-            if layer.w.value.shape != (entry["out"], entry["in"], entry["kernel"], entry["kernel"]):
-                raise FormatError("conv weight shape inconsistent with descriptor")
-            if layer.b.value.shape != (entry["out"],):
-                raise FormatError("conv bias shape inconsistent with descriptor")
+            ic = _int_field(entry, "in", "conv input channels")
+            oc = _int_field(entry, "out", "conv output channels")
+            k = _int_field(entry, "kernel", "conv kernel")
+            stride = _int_field(entry, "stride", "conv stride")
+            padding = _int_field(entry, "padding", "conv padding", lo=0)
+            w = _read_shaped(cur, (oc, ic, k, k), "conv weight")
+            b = _read_shaped(cur, (oc,), "conv bias")
+            layer = Conv2d(ic, oc, k, rng, stride=stride, padding=padding)
+            layer.w.value, layer.b.value = w, b
         elif kind == "avgpool":
-            k = entry["k"]
-            if type(k) is not int or k < 1:
-                raise FormatError(f"avgpool factor {k!r} is not a positive integer")
-            layer = AvgPool2d(k)
+            layer = AvgPool2d(_int_field(entry, "k", "avgpool factor"))
         elif kind == "flatten":
             layer = Flatten()
         elif kind == "hybrid":
-            feat, axis, degree = tuple(entry["feat_shape"]), entry["channel_axis"], entry["degree"]
-            if type(degree) is not int or degree not in (1, 2):  # the secure path has no other
-                raise FormatError(f"hybrid degree {degree!r} is not 1 or 2")
-            if type(axis) is not int or not 0 <= axis < len(feat):
-                raise FormatError(f"hybrid channel axis {axis!r} is not an axis of {feat}")
-            layer = HybridActivation(feat, axis, degree)
-            mask = _read_array(cur).astype(np.float64)
-            coeffs = _read_array(cur)
-            if mask.shape != feat:
-                raise FormatError("hybrid mask shape inconsistent with descriptor")
-            if coeffs.shape != (feat[axis], degree + 1):
-                raise FormatError("hybrid coefficient shape inconsistent with descriptor")
+            feat = entry.get("feat_shape")
+            if not isinstance(feat, list) or any(type(d) is not int or d < 1 for d in feat):
+                raise FormatError(f"hybrid feature shape {feat!r} is not a list of positive ints")
+            feat = tuple(feat)
+            degree = _int_field(entry, "degree", "hybrid degree", hi=2)  # the secure path has no other
+            axis = _int_field(entry, "channel_axis", "hybrid channel axis", lo=0, hi=len(feat) - 1)
+            mask = _read_shaped(cur, feat, "hybrid mask").astype(np.float64)
+            coeffs = _read_shaped(cur, (feat[axis], degree + 1), "hybrid coefficient")
+            layer = HybridActivation(feat, axis)
             layer.indicator = IndicatorState(mask, np.where(mask == 1, M_W_INIT, -M_W_INIT))
             layer.coeffs = coeffs
         else:

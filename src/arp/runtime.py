@@ -35,6 +35,7 @@ such a run and exits non-zero.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from threading import Thread
@@ -42,7 +43,7 @@ from threading import Thread
 import numpy as np
 
 from .dealer import Dealer, tape_from_bytes, tape_to_bytes
-from .errors import ArpError
+from .errors import ArpError, FormatError
 from .fixed import FixedConfig, decode, encode
 from .im2col import conv_out_hw, window_sum
 from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential
@@ -153,14 +154,18 @@ class SecureEvaluator:
 
     def plan(self, in_shape: tuple) -> list:
         """The dealer requests of a run on an input of shape `in_shape`
-        (batch first)."""
+        (batch first); a FormatError names the first layer that does not
+        take its input's shape."""
         reqs: list = []
         shape = tuple(in_shape)
-        for layer in self.model.layers:
+        for i, layer in enumerate(self.model.layers):
             if isinstance(layer, HybridActivation):
+                if shape[1:] != layer.feat_shape:
+                    feat = ", ".join(map(str, layer.feat_shape))
+                    raise _misfit(i, layer, f"(batch, {feat})", shape)
                 reqs += hybrid_requests(shape[0], layer.indicator.m, self.cfg, layer.degree)
             else:
-                shape = _out_shape(layer, shape)
+                shape = _out_shape(i, layer, shape)
                 if not isinstance(layer, Flatten):
                     reqs += trunc_requests(shape, self.cfg)
         return reqs
@@ -192,17 +197,32 @@ class SecureEvaluator:
         return x
 
 
-def _out_shape(layer, shape: tuple) -> tuple:
-    """The shape of a linear, pooling or flatten layer's secure output."""
+def _misfit(i: int, layer, expected: str, shape: tuple) -> FormatError:
+    return FormatError(f"layer {i} ({type(layer).__name__}) takes input {expected}, got {shape}")
+
+
+def _out_shape(i: int, layer, shape: tuple) -> tuple:
+    """The shape of layer `i`'s secure output, for a linear, pooling or
+    flatten layer; a FormatError if it does not take an input of `shape`."""
     if isinstance(layer, Dense):
-        return (shape[0], layer.w.value.shape[1])
+        n_in, n_out = layer.w.value.shape
+        if len(shape) != 2 or shape[1] != n_in:
+            raise _misfit(i, layer, f"(batch, {n_in})", shape)
+        return (shape[0], n_out)
     if isinstance(layer, Conv2d):
-        oc, _, kh, kw = layer.w.value.shape
-        return (shape[0], oc, *conv_out_hw(*shape[2:], kh, kw, layer.stride, layer.padding))
+        oc, ic, kh, kw = layer.w.value.shape
+        try:
+            if len(shape) == 4 and shape[1] == ic:
+                return (shape[0], oc, *conv_out_hw(*shape[2:], kh, kw, layer.stride, layer.padding))
+        except ValueError:  # an empty output
+            pass
+        raise _misfit(i, layer, f"(batch, {ic}, H, W) with a non-empty output", shape)
     if isinstance(layer, AvgPool2d):
-        b, c, h, w = shape
-        return (b, c, h // layer.k, w // layer.k)
-    return (shape[0], int(np.prod(shape[1:])))
+        k = layer.k
+        if len(shape) != 4 or shape[2] % k or shape[3] % k:
+            raise _misfit(i, layer, f"(batch, C, H, W) with H and W multiples of {k}", shape)
+        return (*shape[:2], shape[2] // k, shape[3] // k)
+    return (shape[0], math.prod(shape[1:]))
 
 
 def error_budget_ulp(model: Sequential) -> int:
@@ -288,8 +308,11 @@ def _offline(model: Sequential, cfg: FixedConfig, inputs: np.ndarray, dealer_see
     batch once, and round-trip each wanted tape through the tape file format.
     Returns each wanted party's (tape, input share, dealer seconds)."""
     t0 = time.perf_counter()
-    tapes = Dealer(dealer_seed, cfg).build_tapes(SecureEvaluator(model, cfg).plan(inputs.shape), party)
-    shares = Dealer(input_seed, cfg).gen_shares(encode(inputs, cfg))
+    # inputs that do not fit the model or the ring are refused before any dealing
+    reqs = SecureEvaluator(model, cfg).plan(inputs.shape)
+    x = encode(inputs, cfg)
+    tapes = Dealer(dealer_seed, cfg).build_tapes(reqs, party)
+    shares = Dealer(input_seed, cfg).gen_shares(x)
     shared_s = time.perf_counter() - t0
     setups = []
     for p in (0, 1) if party is None else (party,):
@@ -370,13 +393,15 @@ def private_inference_memory(model: Sequential, cfg: FixedConfig, inputs: np.nda
 def private_inference_tcp(model: Sequential, cfg: FixedConfig, inputs: np.ndarray, party: int,
                           host: str, port: int, dealer_seed: int = 7, input_seed: int = 11,
                           timeout: float = 30.0) -> InferenceReport:
-    plain = model.forward(inputs, training=False)
+    # the oracle runs after `_offline`, which refuses inputs the model does not take
     if party == 0:
         with tcp_bind(host, port) as server:  # closed on every path
             (setup,) = _offline(model, cfg, inputs, dealer_seed, input_seed, party)
+            plain = model.forward(inputs, training=False)
             channel = tcp_listen(server, timeout)
     else:
         (setup,) = _offline(model, cfg, inputs, dealer_seed, input_seed, party)
+        plain = model.forward(inputs, training=False)
         channel = tcp_connect(host, port, timeout)
     try:
         return _run_party(party, channel, model, cfg, setup, plain, dealer_seed, input_seed)

@@ -420,3 +420,78 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert code == 5
         assert err.startswith(f"peer/transport error: cannot listen on 127.0.0.1:{port}")
+
+
+class TestRefusedInputs:
+    """Inputs the model or the ring cannot take exit 4 with one stderr line,
+    before any tape is dealt."""
+
+    @pytest.fixture(scope="class")
+    def files(self, artifacts, tmp_path_factory):
+        from arp.data import save_csv, toy_images, write_arim
+        from arp.model_io import save_model
+        from arp.nn import build_model
+
+        root = tmp_path_factory.mktemp("refused")
+        _, spiral, mlp = artifacts
+        cnn = root / "cnn8.arpm"
+        save_model(cnn, build_model("smallcnn", seed=0, num_classes=4), FixedConfig(64, 16))
+        for hw in (8, 12):
+            write_arim(root / f"imgs{hw}.arim", *toy_images(4, hw=hw, seed=1))
+        save_csv(root / "three.csv", np.ones((4, 3)), np.zeros(4, dtype=np.int64))
+        (root / "abc.csv").write_text("x0,x1,label\n1,abc,0\n")
+        (root / "nan.csv").write_text("x0,x1,label\n0.1,nan,0\n")
+        (root / "big.csv").write_text("x0,x1,label\n0.1,1e6,0\n")
+        assert run(["export", "--model", mlp, "--out", root / "mlp32.arpm",
+                    "--fixed-bits", 32, "--frac-bits", 12]) == 0
+        return {"mlp": mlp, "cnn8": cnn, "mlp32": root / "mlp32.arpm", "spiral": spiral,
+                **{p.stem: p for p in root.iterdir() if p.suffix in (".csv", ".arim")}}
+
+    @staticmethod
+    def _refused(argv, capsys, monkeypatch, expect: str):
+        from arp.dealer import Dealer
+
+        dealt = []
+        build_tapes = Dealer.build_tapes
+        monkeypatch.setattr(Dealer, "build_tapes",
+                            lambda self, *a, **kw: dealt.append(1) or build_tapes(self, *a, **kw))
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o or format error: ") and expect in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not dealt
+
+    @pytest.mark.parametrize("model, inputs, expect", [
+        ("mlp", "imgs8", "layer 0 (Dense) takes input (batch, 2), got (4, 1, 8, 8)"),
+        ("cnn8", "spiral", "layer 0 (Conv2d) takes input (batch, 1, H, W) with a non-empty output, "
+                          "got (256, 2)"),
+        ("mlp", "three", "layer 0 (Dense) takes input (batch, 2), got (4, 3)"),
+        ("cnn8", "imgs12", "layer 1 (HybridActivation) takes input (batch, 8, 8, 8), "
+                           "got (4, 8, 12, 12)"),
+    ], ids=["mlp-on-images", "cnn-on-points", "mlp-on-3-features", "cnn8-on-12x12"])
+    def test_inputs_that_do_not_fit_the_model(self, files, capsys, monkeypatch, model, inputs,
+                                              expect):
+        self._refused(["infer-private", "--model", files[model], "--inputs", files[inputs]],
+                      capsys, monkeypatch, expect)
+
+    def test_misfit_refused_in_tcp_mode_before_the_peer(self, files, capsys, monkeypatch):
+        self._refused(["infer-private", "--model", files["mlp"], "--inputs", files["imgs8"],
+                       "--mode", "tcp", "--party", 1, "--connect", f"127.0.0.1:{free_port()}",
+                       "--timeout", 0.3], capsys, monkeypatch, "layer 0 (Dense)")
+
+    def test_non_numeric_csv(self, files, capsys, monkeypatch):
+        bad = files["abc"]
+        expect = f"{bad}: could not convert string 'abc'"
+        self._refused(["infer-private", "--model", files["mlp"], "--inputs", bad],
+                      capsys, monkeypatch, expect)
+        self._refused(["train-replace", "--dataset", bad, "--budget", 4, "--out",
+                       bad.with_suffix(".arpm")], capsys, monkeypatch, expect)
+        assert not bad.with_suffix(".arpm").exists()
+
+    @pytest.mark.parametrize("model, inputs, expect", [
+        ("mlp", "nan", "value nan at flat index 1"),
+        ("mlp32", "big", "value 1000000.0 at flat index 1 outside representable range"),
+    ], ids=["nan", "beyond-L32-f12"])
+    def test_values_the_ring_cannot_hold(self, files, capsys, monkeypatch, model, inputs, expect):
+        self._refused(["infer-private", "--model", files[model], "--inputs", files[inputs]],
+                      capsys, monkeypatch, expect)

@@ -267,10 +267,11 @@ class TestChannelwiseCoeffs:
 class TestHorner:
     def test_evaluation(self):
         z = np.array([0.0, 2.0, -1.0])
-        np.testing.assert_allclose(horner(np.array([0.28, 0.5, 0.14]), z), 0.14 * z**2 + 0.5 * z + 0.28)
+        out = horner(np.array([0.28, 0.5, 0.14]), z)
+        np.testing.assert_allclose(out, 0.14 * z**2 + 0.5 * z + 0.28)
 
     def test_channelwise_broadcast(self):
-        """Per-channel rows (channels, degree + 1) evaluate over the trailing axis once transposed."""
+        """Rows of (channels, degree + 1) coefficients, transposed, broadcast over z."""
         c = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         z = np.full((4, 2), 3.0)
         out = horner(c.T, z)

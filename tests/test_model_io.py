@@ -32,14 +32,29 @@ def reference_model():
 
 
 def edit_descriptor(blob: bytes, edit) -> bytes:
-    """The model file `blob` after edit(descriptor), with its digest recomputed
-    (the digest has no key, so anyone can do this)."""
+    """The model file `blob` with its descriptor replaced by edit(descriptor)
+    and its digest recomputed (the digest has no key, so anyone can do this)."""
     (desc_len,) = struct.unpack_from("<I", blob, 50)
-    desc = json.loads(blob[54 : 54 + desc_len])
-    desc = edit(desc) or desc
+    desc = edit(json.loads(blob[54 : 54 + desc_len]))
     desc_json = json.dumps(desc, sort_keys=True, separators=(",", ":")).encode()
     body = struct.pack("<I", len(desc_json)) + desc_json + blob[54 + desc_len :]
     return blob[:18] + hashlib.sha256(body).digest() + body
+
+
+_DROP = object()
+
+
+def layer_field(i: int, key: str, value=_DROP):
+    """A descriptor edit that sets field `key` of layer `i`, or drops it."""
+
+    def edit(desc):
+        if value is _DROP:
+            del desc["layers"][i][key]
+        else:
+            desc["layers"][i][key] = value
+        return desc
+
+    return edit
 
 
 def hybrid_file(degree=2, channel_axis=0) -> bytes:
@@ -50,8 +65,7 @@ def hybrid_file(degree=2, channel_axis=0) -> bytes:
     act = model.hybrid_layers()[0]
     act.channel_axis = channel_axis
     if type(degree) is not int:
-        return edit_descriptor(serialize_model(model, CFG),
-                               lambda d: d["layers"][1].update(degree=degree))
+        return edit_descriptor(serialize_model(model, CFG), layer_field(1, "degree", degree))
     act.coeffs = np.zeros((act.feat_shape[0], degree + 1))
     return serialize_model(model, CFG)
 
@@ -125,6 +139,23 @@ class TestIntegrity:
     def test_hybrid_channel_axis_must_be_an_axis(self, axis):
         with pytest.raises(FormatError, match="hybrid channel axis"):
             deserialize_model(hybrid_file(channel_axis=axis))
+
+    @pytest.mark.parametrize("edit, match", [
+        (layer_field(0, "in"), "dense input size None"),
+        (layer_field(0, "kind"), "unknown layer kind None"),
+        (layer_field(0, "in", "2"), "dense input size '2'"),
+        (layer_field(0, "in", -2), "dense input size -2"),
+        (lambda d: {"layers": 5}, "no list of layer objects"),
+        (lambda d: d["layers"], "no list of layer objects"),
+        (layer_field(1, "feat_shape", [64.0]), "hybrid feature shape"),
+    ], ids=["no-in", "no-kind", "string-in", "negative-in", "layers-not-a-list",
+            "descriptor-a-list", "float-feat-shape"])
+    def test_malformed_descriptor_fields(self, edit, match):
+        """A descriptor the digest vouches for (it has no key) is still checked
+        field by field."""
+        blob = edit_descriptor(serialize_model(build_model("mlp", seed=3), CFG), edit)
+        with pytest.raises(FormatError, match=match):
+            deserialize_model(blob)
 
     @pytest.mark.parametrize("kind, shape", [("dense", (3,)), ("dense", (1, 64)), ("conv", (3,))])
     def test_bias_shape_must_match_the_descriptor(self, kind, shape):
