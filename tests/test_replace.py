@@ -1,6 +1,7 @@
 """Indicator gradients, hysteresis rule, and replacement training behavior."""
 
 import copy
+import hashlib
 import json
 import sys
 import threading
@@ -10,7 +11,9 @@ import pytest
 from scipy.special import expit
 
 from arp.dapa import GaussianStats, fit_closed_form
-from arp.data import two_spirals
+from arp.data import toy_images, two_spirals
+from arp.fixed import FixedConfig
+from arp.model_io import serialize_model
 from arp.nn import build_model
 from arp.replace import (
     HybridActivation,
@@ -431,8 +434,6 @@ class TestReplaceGoldenHash:
 
     @staticmethod
     def _run(arch):
-        from arp.data import toy_images
-
         if arch == "mlp":
             x, y = two_spirals(512, seed=3)
             model, budget = build_model("mlp", seed=3), 32
@@ -446,11 +447,6 @@ class TestReplaceGoldenHash:
 
     @pytest.mark.parametrize("arch", ["mlp", "smallcnn"])
     def test_replacement_run_is_stable(self, arch):
-        import hashlib
-
-        from arp.fixed import FixedConfig
-        from arp.model_io import serialize_model
-
         model, history = self._run(arch)
         model_digest = hashlib.sha256(serialize_model(model, FixedConfig(64, 16), 0)).hexdigest()
         history_digest = hashlib.sha256(
