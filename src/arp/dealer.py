@@ -22,15 +22,21 @@ draws one word per element of its input, at its turn in the stream.
 
 Party 0's tape alone draws every word too, keeps its share words and drops
 the secret words (or seeks the stream past them); it derives and splits
-nothing.  So a one-party deal gives the same tape bytes and leaves the
-stream where the full deal does.
+nothing.  Party 1's tape alone draws party 0's share words of each record
+into a scratch buffer, and splits against them.  So a one-party deal gives
+the same tape bytes and leaves the stream where the full deal does.
 
-Tapes are dealt as files.  `build_tapes` lays out each tape's file bytes up
-front and writes every word once, into its slot: the keystream goes straight
-into party 0's share slots and party 1's secret slots, and party 1's fields
-are derived and split in place.  A tape's records are read-only views of its
-file bytes (unpacked copies on rings of under 64 bits), and `tape_to_bytes`
-returns those bytes without a copy.
+Tapes are dealt as files, one per party dealt.  `build_tapes` lays out each
+tape's file bytes up front and writes every word once, into its slot: the
+keystream goes straight into party 0's share slots and party 1's secret
+slots, and party 1's fields are derived and split in place.  A tape's
+records are read-only views of its file bytes (unpacked copies on rings of
+under 64 bits), and `tape_to_bytes` returns those bytes without a copy.
+
+Tape files are recycled.  `build_tapes` takes each file from a free list of
+at most two, reusing one only for a file of the same size, and rewrites
+every byte of it.  `Tape.recycle` hands a dealt file back once a run has
+consumed the tape, and any later read of that tape raises.
 
 One table, `_KIND`, describes each request type: its record, draw and tape layout.
 
@@ -44,10 +50,13 @@ Tape file layout (little-endian throughout):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
 import struct
+import threading
+import weakref
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -91,13 +100,15 @@ _SEEK_BYTES = 1 << 18
 
 # glibc serves a block from fresh mapped pages when it is at or above its mmap
 # threshold, which rises to the size of each mapped block freed (up to 32 MiB).
-# The deal frees no block of that size, so it frees one of 16 MiB before it
-# returns.  Without it the online phase took a median of 3,400 minor faults
-# per party and request on `cnn-relu-b256-tcp` (3 with it) and 264 on
+# The deal frees no block of that size (it keeps its tape files for reuse, see
+# `_FileList`), so it frees one of 16 MiB before it returns, for the online
+# phase's buffers.  Without it the online phase took a median of 3,400 minor
+# faults per party and request on `cnn-relu-b256-tcp` (3 with it) and 264 on
 # `cnn-plan-b256-mem` (3), and `online_p50_ms` rose by 12 and 21 %.
 # Plan-owned online buffers would end this coupling.
 _THRESHOLD_BLOCK = 16 << 20
 
+_SPARE_FILES = 2  # tape files kept for reuse: one per party
 
 # ---- requests --------------------------------------------------------------
 
@@ -257,15 +268,17 @@ class Dealer:
         r = RingTensor(self._raw(x.size).reshape(x.shape), self.cfg)
         return r, x - r
 
-    def build_tapes(self, requests, party: int | None = None) -> tuple["Tape", "Tape | None"]:
-        """Serve a request list in order; returns one tape per party.
+    def build_tapes(self, requests, party: int | None = None) -> tuple["Tape", ...]:
+        """Serve a request list in order; returns the dealt tapes in party
+        order: both for `party=None`, else a 1-tuple of `party`'s.
 
-        With `party=0` only party 0's tape is dealt, and the second entry is
-        None.  Each tape is laid out as its file up front, and each word is
-        written once: party 0's share words are keystream, and party 1's
-        fields are derived from the secrets drawn into its own slots, then
-        split there.  On rings of under 64 bits the words pass through a
-        reused scratch buffer and are packed into the slots.
+        Each tape is laid out as its file up front (a recycled one where it
+        can, see `_FileList`), and each word is written once: party 0's
+        share words are keystream, and party 1's fields are derived from the
+        secrets drawn into its own slots, then split there.  A party-1 deal
+        draws party 0's words into a scratch buffer sized for the widest
+        record; on rings of under 64 bits every party's words pass through
+        that scratch and are packed into the slots.
         """
         cfg, nb = self.cfg, self.cfg.word_bytes
         layout, size, widest, dropped = [], _HEADER.size, 0, 0
@@ -280,37 +293,79 @@ class Dealer:
             widest = max(widest, len(c.names) * n)
             if 8 * c.secrets * n < _SEEK_BYTES:
                 dropped = max(dropped, c.secrets * n)
-        files = [np.empty(size + 16, np.uint8) for _ in range(1 if party == 0 else 2)]
-        for p, file in enumerate(files):
+        files = {p: _FILES.take(size + 16) for p in ((0, 1) if party is None else (party,))}
+        for p, file in files.items():
             view = memoryview(file)
             view[: _HEADER.size] = _HEADER.pack(TAPE_MAGIC, TAPE_VERSION, cfg.total_bits,
                                                 cfg.frac_bits, p, len(layout))
             for c, n, at, head in layout:
                 view[at : at + len(head)] = head
         drop = np.empty(8 * dropped + 16, np.uint8) if party == 0 else None
-        scratch = None if nb == 8 else np.empty((len(files), 8 * widest + 16), np.uint8)
+        # the parties whose words are drawn; they go through a scratch buffer
+        # unless they are 64-bit words of a dealt file
+        drawn = (0,) if party == 0 else (0, 1)
+        scratch = {p: np.empty(8 * widest + 16, np.uint8) for p in drawn if nb != 8 or p not in files}
         for c, n, at, head in layout:
             at += len(head)
             k, m = c.secrets * n, len(c.names) * n
-            # each party's words, with update_into's room after them
-            room = [f[at : at + 8 * m + 16] for f in files] if scratch is None else scratch[:, : 8 * m + 16]
+            # each drawn party's words, with update_into's room after them
+            room = {p: (scratch[p] if p in scratch else files[p][at:])[: 8 * m + 16] for p in drawn}
             if party == 0:
                 self._skip(k, drop)
             else:
                 self._fill(room[1], 8 * k)
             self._fill(room[0], 8 * m)
-            words = [r[: 8 * m].view("<u8") for r in room]
+            words = {p: r[: 8 * m].view("<u8") for p, r in room.items()}
             if party != 0:
                 c.derive(cfg, words[1].reshape(len(c.names), n))
                 c.split(words[1], words[0], out=words[1])
-            for file, w in zip(files, words):
+            for p, file in files.items():
+                w = words[p]
                 if cfg.total_bits < 64:
                     w &= cfg.mask
-                if scratch is not None:
+                if nb != 8:
                     file[at : at + nb * m].reshape(m, nb)[...] = w.view(np.uint8).reshape(m, 8)[:, :nb]
         np.empty(_THRESHOLD_BLOCK, np.uint8)  # freed at once; see _THRESHOLD_BLOCK
-        tapes = [Tape(p, cfg, memoryview(file)[:size].toreadonly()) for p, file in enumerate(files)]
-        return tapes[0], tapes[1] if party != 0 else None
+        return tuple(Tape(p, cfg, memoryview(file)[:size].toreadonly()) for p, file in files.items())
+
+
+# ---- tape files --------------------------------------------------------------
+
+
+class _FileList:
+    """The free list of tape files (see the module docstring).
+
+    A `cnn-relu` b256 tape is 70.8 MB, far above the mmap threshold, so a
+    fresh file is zeroed by the kernel page by page on first write; reusing
+    files alone took a party-0 deal of it from 26 to 17 ms (10th percentile
+    of 25 deals, one CPU).  The lock serves the two TCP party threads, which
+    deal at once.
+    """
+
+    def __init__(self):
+        self.spare: list = []  # files handed back, oldest first
+        self.lent = weakref.WeakValueDictionary()  # id -> file lent out, not yet handed back
+        self.lock = threading.Lock()
+
+    def take(self, nbytes: int) -> np.ndarray:
+        """A tape file of `nbytes` bytes: a spare of that size, else a new one."""
+        with self.lock:
+            at = next((i for i, f in enumerate(self.spare) if f.size == nbytes), None)
+            file = self.spare.pop(at) if at is not None else np.empty(nbytes, np.uint8)
+            self.lent[id(file)] = file
+        return file
+
+    def give_back(self, obj) -> None:
+        """List `obj` if it is a file `take` lent out and has not had back;
+        the oldest spare beyond `_SPARE_FILES` is dropped."""
+        with self.lock:
+            if self.lent.get(id(obj)) is obj:
+                del self.lent[id(obj)]
+                self.spare.append(obj)
+                del self.spare[:-_SPARE_FILES]
+
+
+_FILES = _FileList()
 
 
 # ---- tapes -----------------------------------------------------------------
@@ -324,13 +379,20 @@ def _shape(rec) -> tuple:
 class Tape:
     """One party's tape: the tape file's bytes, read-only and of exactly the
     file's length, and its records in draw order, which are read-only views
-    of those bytes (copies on rings of under 64 bits) read on first use."""
+    of those bytes (copies on rings of under 64 bits) read on first use.
+    `recycle` ends the tape's use."""
 
     def __init__(self, party: int, cfg: FixedConfig, buf: memoryview, records: list | None = None):
         self.party = party
         self.cfg = cfg
-        self.buf = buf
+        self._buf = buf
         self._records = records
+
+    @property
+    def buf(self) -> memoryview:
+        if self._buf is None:
+            raise TapeExhaustedError(f"party {self.party}'s tape was recycled; its file may hold a later deal")
+        return self._buf
 
     @property
     def records(self) -> list:
@@ -340,6 +402,16 @@ class Tape:
 
     def reader(self) -> "TapeReader":
         return TapeReader(self)
+
+    def recycle(self) -> None:
+        """Drop the tape's bytes and records, and hand its file back to the
+        dealer's free list if a deal made it (a tape read from bytes or a
+        file keeps them to itself).  Any later read of the tape raises; other
+        tapes and records over the same file are not guarded, and see the
+        next deal's words."""
+        if self._buf is not None:
+            _FILES.give_back(self._buf.obj)
+        self._buf = self._records = None
 
 
 class TapeReader:
@@ -403,6 +475,39 @@ class _Cursor:
         return tuple(self.unpack(f"<{rank}I")) if rank else ()
 
 
+@functools.cache
+def _head_struct(tag: int, rank: int) -> struct.Struct:
+    """A record head of kind `tag` after its tag byte, for shapes of rank
+    `rank`: the descriptor, then each shape copy's rank byte and dims."""
+    k = _BY_TAG[tag]
+    return struct.Struct(f"<{len(k.head)}s" + f"B{rank}I" * k.copies)
+
+
+def _quick_head(buf, at: int, tag: int, k: _Kind) -> tuple | None:
+    """A well-formed record head at `at` (after its tag) in one unpack: its
+    shape and the position after it; None for a head that is not."""
+    try:
+        st = _head_struct(tag, buf[at + len(k.head)])
+        desc, *dims = st.unpack_from(buf, at)
+    except (IndexError, struct.error):  # the head runs past the end
+        return None
+    n = len(dims) // k.copies
+    if desc != k.head or dims != dims[:n] * k.copies:
+        return None
+    return tuple(dims[1:n]), at + st.size
+
+
+def _read_head(cur: _Cursor, k: _Kind) -> tuple:
+    """Read a record head after its tag field by field, raising its first
+    fault; returns the record's shape."""
+    if cur.take(len(k.head)) != k.head:
+        raise FormatError(f"bad {k.record.__name__} descriptor: only elementwise records are served")
+    shapes = [cur.shape() for _ in range(k.copies)]
+    if len(set(shapes)) > 1:
+        raise FormatError(f"bad {k.record.__name__} shapes: {shapes} are not equal")
+    return shapes[0]
+
+
 def tape_to_bytes(tape: Tape) -> memoryview:
     """The tape file's bytes: the tape's own read-only buffer, not a copy."""
     return tape.buf
@@ -422,17 +527,17 @@ def tape_from_bytes(buf) -> Tape:
     cfg = FixedConfig.from_header(bits, frac, "tape")
     records = []
     for _ in range(count):
-        (tag,) = cur.unpack("<B")
+        (tag,) = cur.take(1)
         if tag not in _BY_TAG:
             raise FormatError(f"unknown tape record tag {tag}")
         k = _BY_TAG[tag]
-        if cur.take(len(k.head)) != k.head:
-            raise FormatError(f"bad {k.record.__name__} descriptor: only elementwise records are served")
-        shapes = [cur.shape() for _ in range(k.copies)]
-        if len(set(shapes)) > 1:
-            raise FormatError(f"bad {k.record.__name__} shapes: {shapes} are not equal")
-        packed = cur.take(len(k.names) * math.prod(shapes[0]) * cfg.word_bytes)
-        words = unpack_words(packed, (len(k.names), *shapes[0]), cfg).words
+        quick = _quick_head(cur.buf, cur.pos, tag, k)
+        if quick is None:
+            shape = _read_head(cur, k)
+        else:
+            shape, cur.pos = quick
+        packed = cur.take(len(k.names) * math.prod(shape) * cfg.word_bytes)
+        words = unpack_words(packed, (len(k.names), *shape), cfg).words
         records.append(k.record(*(RingTensor(w, cfg) for w in words)))
     if cur.pos != len(cur.buf):
         raise FormatError("trailing bytes after last tape record")

@@ -19,6 +19,8 @@ phase starts only when both offline phases are done:
   the input batch once, and both dealer rows count those seconds; each also
   counts its own tape codec, and each thread gets only its own tape.  It
   computes the plaintext oracle once for both reports.
+A party's online phase recycles its tape once it has consumed every record,
+so the next deal of the same plan reuses the tape's file (see `dealer`).
 
 The declared logit error budget is a worst-case ULP propagation: encode
 contributes half an ULP, each truncating op up to two ULPs, linear layers
@@ -315,11 +317,11 @@ def _offline(model: Sequential, cfg: FixedConfig, inputs: np.ndarray, dealer_see
     shares = Dealer(input_seed, cfg).gen_shares(x)
     shared_s = time.perf_counter() - t0
     setups = []
-    for p in (0, 1) if party is None else (party,):
+    for tape in tapes:
         t0 = time.perf_counter()
         # exercise the on-disk format even for in-process runs
-        tape = tape_from_bytes(tape_to_bytes(tapes[p]))
-        setups.append((tape, shares[p], shared_s + time.perf_counter() - t0))
+        loaded = tape_from_bytes(tape_to_bytes(tape))
+        setups.append((loaded, shares[tape.party], shared_s + time.perf_counter() - t0))
     return setups
 
 
@@ -336,6 +338,7 @@ def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, setup: 
         logits = decode(sess.reveal(logits_share), cfg)
     if sess.tape.remaining():
         raise ArpError(f"{sess.tape.remaining()} unused tape records after evaluation")
+    tape.recycle()  # every record is consumed; the next deal may reuse its file
 
     report = InferenceReport(
         party=party,
