@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 
@@ -63,13 +64,27 @@ def save_csv(path, x: np.ndarray, y: np.ndarray) -> None:
 
 
 def load_csv(path):
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:  # a cell that is not a number, or a ragged row
-        raise FormatError(f"{path}: {exc}") from None
+    """Features and labels from a CSV with one header line and the label in
+    the last column.  A file with no data rows, a cell that is not a number,
+    a ragged row or a label that is not a non-negative integer is a
+    FormatError naming the file."""
+    with warnings.catch_warnings():
+        # a file with no data rows is refused below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:  # a cell that is not a number, or a ragged row
+            raise FormatError(f"{path}: {exc}") from None
+    if not len(data):
+        raise FormatError(f"{path}: no data rows after the header line")
     if data.shape[1] < 2:
-        raise FormatError("csv needs at least one feature column and a label column")
-    return data[:, :-1], data[:, -1].astype(np.int64)
+        raise FormatError(f"{path}: csv needs at least one feature column and a label column")
+    labels = data[:, -1]
+    bad = np.flatnonzero(~((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))))
+    if bad.size:
+        raise FormatError(f"{path}: data row {bad[0] + 1} has label {labels[bad[0]]:g}, "
+                          "not a non-negative integer")
+    return data[:, :-1], labels.astype(np.int64)
 
 
 def write_arim(path, images: np.ndarray, labels: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """CLI surface: verbs, seeds, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -487,6 +488,24 @@ class TestRefusedInputs:
         self._refused(["train-replace", "--dataset", bad, "--budget", 4, "--out",
                        bad.with_suffix(".arpm")], capsys, monkeypatch, expect)
         assert not bad.with_suffix(".arpm").exists()
+
+    @pytest.mark.parametrize("text, expect", [
+        ("x0,x1,label\n", "no data rows after the header line"),
+        ("x0,x1,label\n0.1,0.2,0\n0.3,0.1,-1\n", "data row 2 has label -1, not a non-negative integer"),
+        ("x0,x1,label\n0.1,0.2,0.5\n", "data row 1 has label 0.5, not a non-negative integer"),
+    ], ids=["header-only", "negative-label", "fractional-label"])
+    def test_csv_it_would_misread(self, files, tmp_path, capsys, monkeypatch, text, expect):
+        """No rows, and labels that are not class indices, are refused naming
+        the file; no warning is printed on the way."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "m.arpm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["infer-private", "--model", files["mlp"], "--inputs", bad],
+                         ["train-replace", "--dataset", bad, "--budget", 4, "--out", out]):
+                self._refused(argv, capsys, monkeypatch, f"{bad}: {expect}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("model, inputs, expect", [
         ("mlp", "nan", "value nan at flat index 1"),
