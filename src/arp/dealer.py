@@ -33,11 +33,6 @@ slots, and party 1's fields are derived and split in place.  A tape's
 records are read-only views of its file bytes (unpacked copies on rings of
 under 64 bits), and `tape_to_bytes` returns those bytes without a copy.
 
-Tape files are recycled.  `build_tapes` takes each file from a free list of
-at most two, reusing one only for a file of the same size, and rewrites
-every byte of it.  `Tape.recycle` hands a dealt file back once a run has
-consumed the tape, and any later read of that tape raises.
-
 One table, `_KIND`, describes each request type: its record, draw and tape layout.
 
 Tape file layout (little-endian throughout):
@@ -55,8 +50,6 @@ import hashlib
 import math
 import operator
 import struct
-import threading
-import weakref
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -100,15 +93,14 @@ _SEEK_BYTES = 1 << 18
 
 # glibc serves a block from fresh mapped pages when it is at or above its mmap
 # threshold, which rises to the size of each mapped block freed (up to 32 MiB).
-# The deal frees no block of that size (it keeps its tape files for reuse, see
-# `_FileList`), so it frees one of 16 MiB before it returns, for the online
+# The deal frees no block of that size (its tape files live through the
+# online phase), so it frees one of 16 MiB before it returns, for the online
 # phase's buffers.  Without it the online phase took a median of 3,400 minor
 # faults per party and request on `cnn-relu-b256-tcp` (3 with it) and 264 on
 # `cnn-plan-b256-mem` (3), and `online_p50_ms` rose by 12 and 21 %.
 # Plan-owned online buffers would end this coupling.
 _THRESHOLD_BLOCK = 16 << 20
 
-_SPARE_FILES = 2  # tape files kept for reuse: one per party
 
 # ---- requests --------------------------------------------------------------
 
@@ -272,10 +264,10 @@ class Dealer:
         """Serve a request list in order; returns the dealt tapes in party
         order: both for `party=None`, else a 1-tuple of `party`'s.
 
-        Each tape is laid out as its file up front (a recycled one where it
-        can, see `_FileList`), and each word is written once: party 0's
-        share words are keystream, and party 1's fields are derived from the
-        secrets drawn into its own slots, then split there.  A party-1 deal
+        Each tape is laid out as its file up front, and each word is written
+        once: party 0's share words are keystream, and party 1's fields are
+        derived from the secrets drawn into its own slots, then split there.
+        A party-1 deal
         draws party 0's words into a scratch buffer sized for the widest
         record; on rings of under 64 bits every party's words pass through
         that scratch and are packed into the slots.
@@ -293,7 +285,7 @@ class Dealer:
             widest = max(widest, len(c.names) * n)
             if 8 * c.secrets * n < _SEEK_BYTES:
                 dropped = max(dropped, c.secrets * n)
-        files = {p: _FILES.take(size + 16) for p in ((0, 1) if party is None else (party,))}
+        files = {p: np.empty(size + 16, np.uint8) for p in ((0, 1) if party is None else (party,))}
         for p, file in files.items():
             view = memoryview(file)
             view[: _HEADER.size] = _HEADER.pack(TAPE_MAGIC, TAPE_VERSION, cfg.total_bits,
@@ -329,45 +321,6 @@ class Dealer:
         return tuple(Tape(p, cfg, memoryview(file)[:size].toreadonly()) for p, file in files.items())
 
 
-# ---- tape files --------------------------------------------------------------
-
-
-class _FileList:
-    """The free list of tape files (see the module docstring).
-
-    A `cnn-relu` b256 tape is 70.8 MB, far above the mmap threshold, so a
-    fresh file is zeroed by the kernel page by page on first write; reusing
-    files alone took a party-0 deal of it from 26 to 17 ms (10th percentile
-    of 25 deals, one CPU).  The lock serves the two TCP party threads, which
-    deal at once.
-    """
-
-    def __init__(self):
-        self.spare: list = []  # files handed back, oldest first
-        self.lent = weakref.WeakValueDictionary()  # id -> file lent out, not yet handed back
-        self.lock = threading.Lock()
-
-    def take(self, nbytes: int) -> np.ndarray:
-        """A tape file of `nbytes` bytes: a spare of that size, else a new one."""
-        with self.lock:
-            at = next((i for i, f in enumerate(self.spare) if f.size == nbytes), None)
-            file = self.spare.pop(at) if at is not None else np.empty(nbytes, np.uint8)
-            self.lent[id(file)] = file
-        return file
-
-    def give_back(self, obj) -> None:
-        """List `obj` if it is a file `take` lent out and has not had back;
-        the oldest spare beyond `_SPARE_FILES` is dropped."""
-        with self.lock:
-            if self.lent.get(id(obj)) is obj:
-                del self.lent[id(obj)]
-                self.spare.append(obj)
-                del self.spare[:-_SPARE_FILES]
-
-
-_FILES = _FileList()
-
-
 # ---- tapes -----------------------------------------------------------------
 
 
@@ -379,20 +332,13 @@ def _shape(rec) -> tuple:
 class Tape:
     """One party's tape: the tape file's bytes, read-only and of exactly the
     file's length, and its records in draw order, which are read-only views
-    of those bytes (copies on rings of under 64 bits) read on first use.
-    `recycle` ends the tape's use."""
+    of those bytes (copies on rings of under 64 bits) read on first use."""
 
     def __init__(self, party: int, cfg: FixedConfig, buf: memoryview, records: list | None = None):
         self.party = party
         self.cfg = cfg
-        self._buf = buf
+        self.buf = buf
         self._records = records
-
-    @property
-    def buf(self) -> memoryview:
-        if self._buf is None:
-            raise TapeExhaustedError(f"party {self.party}'s tape was recycled; its file may hold a later deal")
-        return self._buf
 
     @property
     def records(self) -> list:
@@ -402,16 +348,6 @@ class Tape:
 
     def reader(self) -> "TapeReader":
         return TapeReader(self)
-
-    def recycle(self) -> None:
-        """Drop the tape's bytes and records, and hand its file back to the
-        dealer's free list if a deal made it (a tape read from bytes or a
-        file keeps them to itself).  Any later read of the tape raises; other
-        tapes and records over the same file are not guarded, and see the
-        next deal's words."""
-        if self._buf is not None:
-            _FILES.give_back(self._buf.obj)
-        self._buf = self._records = None
 
 
 class TapeReader:
@@ -471,41 +407,14 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def shape(self) -> tuple:
-        (rank,) = self.unpack("<B")
-        return tuple(self.unpack(f"<{rank}I")) if rank else ()
+        (rank,) = self.take(1)
+        return _dims(rank).unpack(self.take(4 * rank))
 
 
 @functools.cache
-def _head_struct(tag: int, rank: int) -> struct.Struct:
-    """A record head of kind `tag` after its tag byte, for shapes of rank
-    `rank`: the descriptor, then each shape copy's rank byte and dims."""
-    k = _BY_TAG[tag]
-    return struct.Struct(f"<{len(k.head)}s" + f"B{rank}I" * k.copies)
-
-
-def _quick_head(buf, at: int, tag: int, k: _Kind) -> tuple | None:
-    """A well-formed record head at `at` (after its tag) in one unpack: its
-    shape and the position after it; None for a head that is not."""
-    try:
-        st = _head_struct(tag, buf[at + len(k.head)])
-        desc, *dims = st.unpack_from(buf, at)
-    except (IndexError, struct.error):  # the head runs past the end
-        return None
-    n = len(dims) // k.copies
-    if desc != k.head or dims != dims[:n] * k.copies:
-        return None
-    return tuple(dims[1:n]), at + st.size
-
-
-def _read_head(cur: _Cursor, k: _Kind) -> tuple:
-    """Read a record head after its tag field by field, raising its first
-    fault; returns the record's shape."""
-    if cur.take(len(k.head)) != k.head:
-        raise FormatError(f"bad {k.record.__name__} descriptor: only elementwise records are served")
-    shapes = [cur.shape() for _ in range(k.copies)]
-    if len(set(shapes)) > 1:
-        raise FormatError(f"bad {k.record.__name__} shapes: {shapes} are not equal")
-    return shapes[0]
+def _dims(rank: int) -> struct.Struct:
+    """The dims of a shape of rank `rank`, as `_Cursor.shape` reads them."""
+    return struct.Struct(f"<{rank}I")
 
 
 def tape_to_bytes(tape: Tape) -> memoryview:
@@ -531,13 +440,13 @@ def tape_from_bytes(buf) -> Tape:
         if tag not in _BY_TAG:
             raise FormatError(f"unknown tape record tag {tag}")
         k = _BY_TAG[tag]
-        quick = _quick_head(cur.buf, cur.pos, tag, k)
-        if quick is None:
-            shape = _read_head(cur, k)
-        else:
-            shape, cur.pos = quick
-        packed = cur.take(len(k.names) * math.prod(shape) * cfg.word_bytes)
-        words = unpack_words(packed, (len(k.names), *shape), cfg).words
+        if cur.take(len(k.head)) != k.head:
+            raise FormatError(f"bad {k.record.__name__} descriptor: only elementwise records are served")
+        shapes = [cur.shape() for _ in range(k.copies)]
+        if len(set(shapes)) > 1:
+            raise FormatError(f"bad {k.record.__name__} shapes: {shapes} are not equal")
+        packed = cur.take(len(k.names) * math.prod(shapes[0]) * cfg.word_bytes)
+        words = unpack_words(packed, (len(k.names), *shapes[0]), cfg).words
         records.append(k.record(*(RingTensor(w, cfg) for w in words)))
     if cur.pos != len(cur.buf):
         raise FormatError("trailing bytes after last tape record")

@@ -19,8 +19,6 @@ phase starts only when both offline phases are done:
   the input batch once, and both dealer rows count those seconds; each also
   counts its own tape codec, and each thread gets only its own tape.  It
   computes the plaintext oracle once for both reports.
-A party's online phase recycles its tape once it has consumed every record,
-so the next deal of the same plan reuses the tape's file (see `dealer`).
 
 The declared logit error budget is a worst-case ULP propagation: encode
 contributes half an ULP, each truncating op up to two ULPs, linear layers
@@ -338,7 +336,6 @@ def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, setup: 
         logits = decode(sess.reveal(logits_share), cfg)
     if sess.tape.remaining():
         raise ArpError(f"{sess.tape.remaining()} unused tape records after evaluation")
-    tape.recycle()  # every record is consumed; the next deal may reuse its file
 
     report = InferenceReport(
         party=party,

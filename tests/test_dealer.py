@@ -428,15 +428,39 @@ class TestTapeBuffers:
         loaded = []
 
         def spy(buf):
-            tape = tape_from_bytes(buf)  # the run recycles it, so its records are checked here
-            loaded.append([r.a.words.flags.writeable for r in tape.records])
+            tape = tape_from_bytes(buf)
+            loaded.append(tape)
             return tape
 
         monkeypatch.setattr(runtime, "tape_from_bytes", spy)
         x, _ = two_spirals(8, seed=1)
         # _run_party raises when records are left over after evaluation
         runtime.private_inference_memory(build_model("mlp", seed=0), CFG, x)
-        assert len(loaded) == 2 and all(flags and not any(flags) for flags in loaded)
+        assert len(loaded) == 2 and all(t.records for t in loaded)
+        assert all(not r.a.words.flags.writeable for t in loaded for r in t.records)
+
+    def test_a_kept_tape_keeps_its_bytes(self, monkeypatch):
+        """A tape a run has consumed still holds its own deal after the same
+        plan is dealt and run again from another seed: no later deal writes
+        into a file that a tape or record still views."""
+        import arp.runtime as runtime
+        from arp.data import two_spirals
+        from arp.nn import build_model
+
+        loaded = []
+
+        def spy(buf):
+            loaded.append(tape_from_bytes(buf))
+            return loaded[-1]
+
+        monkeypatch.setattr(runtime, "tape_from_bytes", spy)
+        model, (x, _) = build_model("mlp", seed=0), two_spirals(8, seed=1)
+        runtime.private_inference_memory(model, CFG, x, dealer_seed=1)
+        first = [(bytes(tape_to_bytes(t)), [bytes(r.a.words) for r in t.records]) for t in loaded]
+        runtime.private_inference_memory(model, CFG, x, dealer_seed=2)
+        kept = [(bytes(tape_to_bytes(t)), [bytes(r.a.words) for r in t.records]) for t in loaded[:2]]
+        assert kept == first
+        assert [bytes(tape_to_bytes(t)) for t in loaded[2:]] != [b for b, _ in first]
 
     @pytest.mark.parametrize("bits, n", [(64, 200_000), (24, 500_000)])
     def test_large_tape_joins_into_a_read_only_buffer(self, bits, n, tmp_path):
@@ -481,133 +505,3 @@ class TestTapeBuffers:
             assert all(np.shares_memory(whole, w) and not w.flags.writeable for w in fields)
             assert tape_to_bytes(tape_from_bytes(raw)) == raw
             assert np.shares_memory(whole, tape_from_bytes(raw).records[0].c.words)
-
-
-class TestTapeFiles:
-    """Deals take their tape files from the dealer's free list, and a run
-    hands its tape's file back once it has consumed every record."""
-
-    REQS = [AndRequest((1000,)), BeaverRequest((3, 2)), SquareRequest(()), TruncRequest((4,))]
-
-    @pytest.fixture(autouse=True)
-    def free(self, monkeypatch):
-        """A fresh free list, which the test's deals and recycles use."""
-        import arp.dealer as dealer
-
-        monkeypatch.setattr(dealer, "_FILES", dealer._FileList())
-        return dealer._FILES
-
-    @staticmethod
-    def file_of(tape):
-        return np.frombuffer(tape_to_bytes(tape), np.uint8)
-
-    def test_a_run_hands_its_files_to_the_next_deal(self, free, monkeypatch):
-        import arp.runtime as runtime
-        from arp.data import two_spirals
-        from arp.nn import build_model
-
-        loaded, files = [], []
-
-        def spy(buf):
-            files.append(np.frombuffer(buf, np.uint8))
-            loaded.append(tape_from_bytes(buf))
-            return loaded[-1]
-
-        monkeypatch.setattr(runtime, "tape_from_bytes", spy)
-        model, (x, _) = build_model("mlp", seed=0), two_spirals(8, seed=1)
-        runtime.private_inference_memory(model, CFG, x)
-        assert len(free.spare) == 2
-        for tape in loaded:
-            with pytest.raises(TapeExhaustedError, match="recycled"):
-                tape.records
-        again = Dealer(3, CFG).build_tapes(runtime.SecureEvaluator(model, CFG).plan(x.shape))
-        assert not free.spare
-        hits = sorted(tuple(np.shares_memory(self.file_of(t), f) for f in files) for t in again)
-        assert hits == [(False, True), (True, False)]
-
-    @pytest.mark.parametrize("bits", [64, 24])
-    def test_a_reused_file_is_rewritten_whole(self, bits, free):
-        """A file reused for a deal of another seed and party holds the bytes
-        a deal into a fresh file gives."""
-        cfg = FixedConfig(bits, 8)
-        first = Dealer(1, cfg).build_tapes(self.REQS)
-        files = [self.file_of(t) for t in first]
-        for tape in first:
-            tape.recycle()
-        (reused,) = Dealer(2, cfg).build_tapes(self.REQS, 1)
-        assert any(np.shares_memory(self.file_of(reused), f) for f in files)
-        assert len(free.spare) == 1
-        free.spare.clear()
-        (fresh,) = Dealer(2, cfg).build_tapes(self.REQS, 1)
-        assert not any(np.shares_memory(self.file_of(fresh), f) for f in files)
-        assert bytes(tape_to_bytes(reused)) == bytes(tape_to_bytes(fresh)) == packed_tape(fresh)
-
-    def test_other_sizes_are_fresh_and_two_files_are_kept(self, free):
-        tapes = [Dealer(1, CFG).build_tapes([AndRequest((n,))], 0)[0] for n in (1, 2, 3)]
-        files = [self.file_of(t) for t in tapes]
-        for tape in tapes:
-            tape.recycle()
-        assert [f.size for f in free.spare] == [len(f) + 16 for f in files[1:]]
-        (other,) = Dealer(2, CFG).build_tapes([AndRequest((4,))], 0)
-        assert not any(np.shares_memory(self.file_of(other), f) for f in files)
-        other.recycle()
-        assert len(free.spare) == 2
-        (same,) = Dealer(2, CFG).build_tapes([AndRequest((3,))], 0)
-        assert np.shares_memory(self.file_of(same), files[2])
-
-    def test_a_recycled_tape_refuses_every_read(self):
-        (tape,) = Dealer(4, CFG).build_tapes(self.REQS, 0)
-        rd = tape.reader()
-        tape.recycle()
-        for read in (lambda: tape.records, lambda: tape_to_bytes(tape), rd.remaining,
-                     lambda: rd.take(self.REQS[0])):
-            with pytest.raises(TapeExhaustedError, match="party 0's tape was recycled"):
-                read()
-
-    def test_only_dealt_files_are_listed_and_only_once(self, free, tmp_path):
-        """Tapes read from bytes or from a file keep their buffers; a dealt
-        file viewed by two tapes goes on the list once."""
-        (dealt,) = Dealer(5, CFG).build_tapes(self.REQS, 1)
-        write_tape(dealt, tmp_path / "t.arpt")
-        for tape in (read_tape(tmp_path / "t.arpt"), tape_from_bytes(bytes(tape_to_bytes(dealt)))):
-            tape.recycle()
-        assert not free.spare
-        view = tape_from_bytes(tape_to_bytes(dealt))
-        view.recycle()
-        dealt.recycle()
-        view.recycle()
-        assert len(free.spare) == 1
-
-    def test_threads_never_share_a_lent_file(self, free):
-        """Two threads per party deal, check and recycle at once, with a short
-        switch interval: a file lent to two deals at once would leave one of
-        them holding the other's bytes."""
-        import sys
-        import threading
-
-        want = [bytes(tape_to_bytes(Dealer(6, CFG).build_tapes(self.REQS, p)[0])) for p in (0, 1)]
-        faults = []
-
-        def deal(party):
-            try:
-                for _ in range(40):
-                    (tape,) = Dealer(6, CFG).build_tapes(self.REQS, party)
-                    if bytes(tape_to_bytes(tape)) != want[party]:
-                        faults.append(party)
-                    tape.recycle()
-            except Exception as exc:  # surfaced by the assertion below
-                faults.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=deal, args=(p % 2,)) for p in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not faults
-        assert len(free.spare) == 2
