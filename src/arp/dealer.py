@@ -101,6 +101,11 @@ _SEEK_BYTES = 1 << 18
 # Plan-owned online buffers would end this coupling.
 _THRESHOLD_BLOCK = 16 << 20
 
+# Words of party 0's shares drawn at a time.  A deal splits each chunk
+# against party 1's words while it is still in cache, and a party-1 deal
+# needs no scratch buffer as wide as a record for them.
+_CHUNK = len(_ZEROS) // 8
+
 
 # ---- requests --------------------------------------------------------------
 
@@ -266,11 +271,11 @@ class Dealer:
 
         Each tape is laid out as its file up front, and each word is written
         once: party 0's share words are keystream, and party 1's fields are
-        derived from the secrets drawn into its own slots, then split there.
-        A party-1 deal
-        draws party 0's words into a scratch buffer sized for the widest
-        record; on rings of under 64 bits every party's words pass through
-        that scratch and are packed into the slots.
+        derived from the secrets drawn into its own slots, then split there
+        against party 0's words, a chunk at a time.  A party-1 deal draws
+        party 0's words into a chunk-sized scratch buffer; on rings whose
+        words take fewer than 8 bytes, all words pass through scratch and
+        are packed into the slots.
         """
         cfg, nb = self.cfg, self.cfg.word_bytes
         layout, size, widest, dropped = [], _HEADER.size, 0, 0
@@ -293,32 +298,44 @@ class Dealer:
             for c, n, at, head in layout:
                 view[at : at + len(head)] = head
         drop = np.empty(8 * dropped + 16, np.uint8) if party == 0 else None
-        # the parties whose words are drawn; they go through a scratch buffer
-        # unless they are 64-bit words of a dealt file
-        drawn = (0,) if party == 0 else (0, 1)
-        scratch = {p: np.empty(8 * widest + 16, np.uint8) for p in drawn if nb != 8 or p not in files}
+        # words that are not 64-bit words of a dealt file are drawn into a
+        # scratch buffer: party 0's a chunk at a time, party 1's per record
+        share0 = np.empty(8 * _CHUNK + 16, np.uint8) if nb != 8 or 0 not in files else None
+        wide1 = np.empty(8 * widest + 16, np.uint8) if nb != 8 and 1 in files else None
         for c, n, at, head in layout:
             at += len(head)
             k, m = c.secrets * n, len(c.names) * n
-            # each drawn party's words, with update_into's room after them
-            room = {p: (scratch[p] if p in scratch else files[p][at:])[: 8 * m + 16] for p in drawn}
             if party == 0:
                 self._skip(k, drop)
             else:
-                self._fill(room[1], 8 * k)
-            self._fill(room[0], 8 * m)
-            words = {p: r[: 8 * m].view("<u8") for p, r in room.items()}
-            if party != 0:
-                c.derive(cfg, words[1].reshape(len(c.names), n))
-                c.split(words[1], words[0], out=words[1])
-            for p, file in files.items():
-                w = words[p]
-                if cfg.total_bits < 64:
-                    w &= cfg.mask
-                if nb != 8:
-                    file[at : at + nb * m].reshape(m, nb)[...] = w.view(np.uint8).reshape(m, 8)[:, :nb]
+                room = (files[1][at:] if wide1 is None else wide1)[: 8 * m + 16]
+                self._fill(room, 8 * k)
+                w1 = room[: 8 * m].view("<u8")
+                c.derive(cfg, w1.reshape(len(c.names), n))
+            for lo in range(0, m, _CHUNK):
+                j = min(_CHUNK, m - lo)
+                room = files[0][at + 8 * lo :] if share0 is None else share0
+                self._fill(room, 8 * j)
+                w0 = room[: 8 * j].view("<u8")
+                if party != 0:
+                    c.split(w1[lo : lo + j], w0, out=w1[lo : lo + j])
+                if 0 in files:
+                    _store(cfg, files[0], at + nb * lo, w0)
+            if 1 in files:
+                _store(cfg, files[1], at, w1)
         np.empty(_THRESHOLD_BLOCK, np.uint8)  # freed at once; see _THRESHOLD_BLOCK
         return tuple(Tape(p, cfg, memoryview(file)[:size].toreadonly()) for p, file in files.items())
+
+
+def _store(cfg: FixedConfig, file: np.ndarray, at: int, w: np.ndarray) -> None:
+    """Reduce the drawn words `w` mod 2^L in place and, on rings whose words
+    take fewer than 8 bytes, pack them into `file` at byte `at` (64-bit
+    words were drawn into the file itself)."""
+    if cfg.total_bits < 64:
+        w &= cfg.mask
+    nb = cfg.word_bytes
+    if nb != 8:
+        file[at : at + nb * w.size].reshape(w.size, nb)[...] = w.view(np.uint8).reshape(w.size, 8)[:, :nb]
 
 
 # ---- tapes -----------------------------------------------------------------

@@ -387,6 +387,30 @@ class TestPartyZeroDeal:
                 want = full.gen_shares(RingTensor.zeros((n,), cfg))[0]
                 assert all(d.gen_shares(RingTensor.zeros((n,), cfg))[0] == want for d in alone)
 
+    @pytest.mark.parametrize("bits", [24, 64])
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_chunks_do_not_change_the_tapes(self, bits, chunk, monkeypatch):
+        """Party 0's words are drawn, split and packed a chunk at a time;
+        chunks of 1 or 5 words deal the same tapes, for both parties and
+        each alone, and leave the stream at the same word."""
+        import arp.dealer as dealer
+
+        cfg = FixedConfig(bits, bits // 4)
+        rng = np.random.default_rng(bits + chunk)
+        lists = [self.random_requests(rng) for _ in range(20)]
+
+        def deal(reqs):
+            out = []
+            for party in (None, 0, 1):
+                d = Dealer(9, cfg)
+                out += [bytes(tape_to_bytes(t)) for t in d.build_tapes(reqs, party)]
+                out.append(d.gen_shares(RingTensor.zeros((3,), cfg))[0].words.tobytes())
+            return out
+
+        want = [deal(reqs) for reqs in lists]
+        monkeypatch.setattr(dealer, "_CHUNK", chunk)
+        assert [deal(reqs) for reqs in lists] == want
+
     def test_zero_size_and_scalar_records(self):
         reqs = [AndRequest((0,)), BeaverRequest(()), SquareRequest((3, 0)), AndRequest((1,)),
                 BeaverRequest((0, 2))]
