@@ -23,8 +23,9 @@ draws one word per element of its input, at its turn in the stream.
 Party 0's tape alone draws every word too, keeps its share words and drops
 the secret words (or seeks the stream past them); it derives and splits
 nothing.  Party 1's tape alone draws party 0's share words of each record
-into a scratch buffer, and splits against them.  So a one-party deal gives
-the same tape bytes and leaves the stream where the full deal does.
+a chunk at a time into a small scratch buffer, and splits against them.  So
+a one-party deal gives the same tape bytes and leaves the stream where the
+full deal does.
 
 Tapes are dealt as files, one per party dealt.  `build_tapes` lays out each
 tape's file bytes up front and writes every word once, into its slot: the
@@ -45,7 +46,6 @@ Tape file layout (little-endian throughout):
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import operator
@@ -424,14 +424,8 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def shape(self) -> tuple:
-        (rank,) = self.take(1)
-        return _dims(rank).unpack(self.take(4 * rank))
-
-
-@functools.cache
-def _dims(rank: int) -> struct.Struct:
-    """The dims of a shape of rank `rank`, as `_Cursor.shape` reads them."""
-    return struct.Struct(f"<{rank}I")
+        (rank,) = self.unpack("<B")
+        return tuple(self.unpack(f"<{rank}I")) if rank else ()
 
 
 def tape_to_bytes(tape: Tape) -> memoryview:
@@ -453,7 +447,7 @@ def tape_from_bytes(buf) -> Tape:
     cfg = FixedConfig.from_header(bits, frac, "tape")
     records = []
     for _ in range(count):
-        (tag,) = cur.take(1)
+        (tag,) = cur.unpack("<B")
         if tag not in _BY_TAG:
             raise FormatError(f"unknown tape record tag {tag}")
         k = _BY_TAG[tag]
