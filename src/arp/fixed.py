@@ -24,7 +24,8 @@ __all__ = [
     "truncate",
     "pack_words",
     "unpack_words",
-    "flat_to_bytes",
+    "flat_frame",
+    "frame_payload",
 ]
 
 
@@ -94,7 +95,8 @@ class RingTensor:
     values are safe to hand between threads, and the words may be read-only
     views into a tape or wire buffer (see from_bytes and unpack_words).  An
     online op may fill a buffer it has just allocated itself in place, but
-    never an input, a tape record or a wire buffer.
+    never an input, a tape record or a wire buffer: not a frame it has sent,
+    which the in-memory peer reads as it is, nor one it has received.
     """
 
     __slots__ = ("words", "cfg")
@@ -224,11 +226,23 @@ def _wire_header(dims) -> bytes:
     return struct.pack(f"<I{len(dims)}I", len(dims), *dims)
 
 
-def flat_to_bytes(tensors) -> bytes:
-    """Wire payload of the concatenated row-major words of `tensors`, framed
-    as one rank-1 tensor; each tensor's words join the output directly."""
-    n = sum(t.size for t in tensors)
-    return b"".join([_wire_header((n,)), *map(pack_words, tensors)])
+def flat_frame(n: int) -> np.ndarray:
+    """An unfilled wire frame of n ring words framed as one rank-1 tensor.
+
+    Word 0 holds the header (rank 1, then n); the caller writes the n words
+    into `frame[1:]` and sends the frame with `frame_payload`.
+    """
+    frame = np.empty(n + 1, "<u8")
+    frame[:1] = np.frombuffer(_wire_header((n,)), "<u8")
+    return frame
+
+
+def frame_payload(frame: np.ndarray, cfg: FixedConfig):
+    """The wire payload of a filled `flat_frame`.  With 8-byte words it is the
+    frame itself, as bytes; narrower rings pack the words by `pack_words`."""
+    if cfg.word_bytes == 8:
+        return frame.view(np.uint8)
+    return b"".join((frame[:1].tobytes(), pack_words(RingTensor(frame[1:], cfg))))
 
 
 def pack_words(r: RingTensor):

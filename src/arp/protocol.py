@@ -15,6 +15,15 @@ elementwise, and it reads its dealer record (Beaver triple, square pair or
 AND triple) from the session's tape with the same kind of request that the
 planners below hand the dealer.
 
+Frames and blocks: an interactive op writes its masked words once, straight
+into the `fixed.flat_frame` it sends (`_open_masked`).  Once sent, a frame
+belongs to the channel, and the in-memory peer reads the very array, so no
+op writes into a frame it has sent or received; both are read-only.  The op
+then builds its result into one fresh array one block of `_BLOCK` flat words
+at a time (`_finish`): it combines both parties' words of the block into
+small scratch rows and applies its own arithmetic while the block's
+operands are in cache.  An op of at most `_BLOCK` words is one block.
+
 Truncation after a product is a local arithmetic shift of each party's
 share by default, which costs nothing in communication but can leave the
 reconstruction one ULP below the value-level shift.  It also wraps, giving a
@@ -40,7 +49,7 @@ import numpy as np
 
 from . import dealer as dl
 from .errors import TripleReuseError
-from .fixed import FixedConfig, RingTensor, encode, truncate
+from .fixed import FixedConfig, RingTensor, encode, flat_frame, truncate
 from .transport import Channel
 
 __all__ = [
@@ -176,9 +185,10 @@ class Session:
         return ShareTensor(self.party, RingTensor.zeros(shape, self.cfg), scale)
 
     def reveal_many(self, tensors: list[RingTensor], mode: str = "add") -> list[RingTensor]:
-        """Open several masked tensors in one message (one round)."""
+        """Open several tensors in one message (one round): the sum ("add")
+        or XOR ("xor") of both parties' words."""
+        combine = _mode(_OPEN, mode)
         theirs = self.channel.exchange(tensors).words
-        combine = np.add if mode == "add" else np.bitwise_xor
         # one buffer for all opened parts: a fresh array per part took about
         # 45% more page faults per request (smallcnn, batch 256, all ReLU)
         opened = np.empty_like(theirs)
@@ -199,21 +209,68 @@ class Session:
         return self.reveal_many([x.payload], mode="xor")[0]
 
 
+# how a share is masked for opening, and how both parties' words combine
+_MASK = {"add": np.subtract, "xor": np.bitwise_xor}
+_OPEN = {"add": np.add, "xor": np.bitwise_xor}
+
+# Words of each operand in one block of an op's finish: the ~7 operands of a
+# block (opened words, tape fields, inputs, output) then fit in a 2 MiB L2.
+_BLOCK = 1 << 14
+
+
+def _mode(table: dict, mode: str):
+    if mode not in table:
+        raise ValueError(f"unknown opening mode {mode!r}: expected 'add' or 'xor'")
+    return table[mode]
+
+
 def _open_masked(sess: Session, pairs, mode: str = "add"):
     """Open share - mask ("add") or share ^ mask ("xor") for each (share,
     mask) pair in one message.
 
-    The masked words are written into the rows of one fresh buffer, which
-    are returned with the opened tensors; once the message is sent the rows
-    belong to the calling op, which may reuse them for its output.
+    The masked words are written once, straight into the rows of the frame
+    that is sent.  Returns this party's rows and the peer's, each a read-only
+    (len(pairs), size) array, uncombined.  On rings narrower than 64 bits
+    this party's words are not reduced mod 2^L (the wire packs their low
+    bytes), so a caller that shifts or compares their combination reduces it.
     """
-    share, _ = pairs[0]
-    combine = np.subtract if mode == "add" else np.bitwise_xor
-    buf = np.empty((len(pairs), *share.shape), dtype=np.uint64)
-    rows = [buf[i, ...] for i in range(len(pairs))]  # arrays, even for 0-d shares
-    for row, (v, m) in zip(rows, pairs):
-        combine(v.words, m.words, out=row)
-    return rows, sess.reveal_many([RingTensor(row, share.cfg) for row in rows], mode)
+    mask_op = _mode(_MASK, mode)
+    share = pairs[0][0]
+    k, n = len(pairs), share.size
+    frame = flat_frame(k * n)
+    for row, (v, m) in zip(frame[1:].reshape(k, n), pairs):
+        mask_op(v.words, m.words, out=row.reshape(share.shape))
+    theirs = sess.channel.exchange_frame(frame, share.cfg)
+    sess.opened_words += k * n
+    return frame[1:].reshape(k, n), theirs.reshape(k, n)
+
+
+def _finish(sess: Session, pairs, mode: str, kernel) -> np.ndarray:
+    """Open `pairs` as `_open_masked` does, then build the op's result one
+    block of `_BLOCK` flat words at a time, while the block is in cache.
+
+    For each block, both parties' words are combined into scratch rows, one
+    per pair, and `kernel(sl, out, *opened)` writes the result's words at the
+    flat positions `sl` into `out`; it may overwrite the scratch rows.
+    Returns the fresh result array, shaped like the first share.
+    """
+    combine = _mode(_OPEN, mode)
+    mine, theirs = _open_masked(sess, pairs, mode)
+    k, n = mine.shape
+    out = np.empty(n, np.uint64)
+    scratch = np.empty((k, min(n, _BLOCK)), np.uint64)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        opened = scratch[:, : hi - lo]
+        combine(mine[:, lo:hi], theirs[:, lo:hi], out=opened)
+        kernel(slice(lo, hi), out[lo:hi], *opened)
+    return out.reshape(pairs[0][0].shape)
+
+
+def _flat(t: RingTensor) -> np.ndarray:
+    """A tensor's words as a flat array: a view for contiguous words and for
+    all-zero strides (`_zeros`)."""
+    return t.words.reshape(-1)
 
 
 def _zeros(shape, cfg: FixedConfig) -> RingTensor:
@@ -256,14 +313,21 @@ def _truncate_exact(sess: Session, x: RingTensor) -> ShareTensor:
     L, f = cfg.total_bits, cfg.frac_bits
     mask = _consume(sess.tape.take(dl.TruncRequest(x.shape)))
     y = x + np.uint64(1 << (L - 2)) if sess.party == 0 else x
-    (out,), (c,) = _open_masked(sess, [(y, mask.r)])
-    np.right_shift(c.words, np.uint64(L - 1), out=out)
-    np.subtract(np.uint64(1), out, out=out)  # 1 where c's top bit is clear
-    out *= mask.w.words
-    out -= mask.hi.words
-    if sess.party == 0:
-        out += c.words >> np.uint64(f)
-        out -= np.uint64(1 << (L - 2 - f))
+    w, hi = _flat(mask.w), _flat(mask.hi)
+    party0 = sess.party == 0
+
+    def kernel(sl, out, c):
+        c &= cfg.mask  # the opened sum may carry past L bits
+        np.right_shift(c, np.uint64(L - 1), out=out)
+        np.subtract(np.uint64(1), out, out=out)  # 1 where c's top bit is clear
+        out *= w[sl]
+        out -= hi[sl]
+        if party0:
+            c >>= np.uint64(f)
+            out += c
+            out -= np.uint64(1 << (L - 2 - f))
+
+    out = _finish(sess, [(y, mask.r)], "add", kernel)
     return ShareTensor(sess.party, RingTensor(out, cfg), f)
 
 
@@ -318,42 +382,59 @@ def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor) -> ShareTensor:
     if x.shape != y.shape:
         raise ValueError(f"mul_beaver needs equal shapes, got {x.shape} and {y.shape}")
     triple = _consume(sess.tape.take(dl.BeaverRequest(x.shape)))
-    (r, t), (e, f_) = _open_masked(sess, [(x.payload, triple.a), (y.payload, triple.b)])
-    np.multiply(x.payload.words, f_.words, out=r)
-    np.multiply(e.words, y.payload.words, out=t)
-    r += t
-    r += triple.z.words
-    if sess.party == 1:
-        np.multiply(e.words, f_.words, out=t)
-        r -= t
+    xw, yw, z = _flat(x.payload), _flat(y.payload), _flat(triple.z)
+    party1 = sess.party == 1
+
+    def kernel(sl, r, e, f_):
+        # r = x*f + e*y + z [- e*f on party 1]
+        np.multiply(xw[sl], f_, out=r)
+        r += z[sl]
+        if party1:
+            f_ *= e
+            r -= f_
+        e *= yw[sl]
+        r += e
+
+    r = _finish(sess, [(x.payload, triple.a), (y.payload, triple.b)], "add", kernel)
     return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), x.scale + y.scale, sess)
 
 
 def square(sess: Session, x: ShareTensor) -> ShareTensor:
     """Elementwise secure square; one round, opens |X| words (half a multiply)."""
     pair = _consume(sess.tape.take(dl.SquareRequest(x.shape)))
-    (r,), (e,) = _open_masked(sess, [(x.payload, pair.a)])
-    np.multiply(e.words, pair.a.words, out=r)
-    r *= np.uint64(2)
-    r += pair.z.words
-    if sess.party == 0:
-        r += np.square(e.words)
+    a, z = _flat(pair.a), _flat(pair.z)
+    party0 = sess.party == 0
+
+    def kernel(sl, r, e):
+        # r = 2*e*a + z [+ e*e on party 0]
+        np.multiply(e, a[sl], out=r)
+        r += r
+        r += z[sl]
+        if party0:
+            e *= e
+            r += e
+
+    r = _finish(sess, [(x.payload, pair.a)], "add", kernel)
     return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), 2 * x.scale, sess)
 
 
 def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
     """Bitwise AND of XOR-shared words via one AND triple; one round."""
     triple = _consume(sess.tape.take(dl.AndRequest(x.shape)))
-    (z, t), (e, f_) = _open_masked(sess, [(x, triple.a), (y, triple.b)], "xor")
-    # z = c ^ (e & b) ^ (a & f) [^ (e & f) on party 0]
-    np.bitwise_and(e.words, triple.b.words, out=z)
-    z ^= triple.c.words
-    np.bitwise_and(triple.a.words, f_.words, out=t)
-    z ^= t
-    if sess.party == 0:
-        np.bitwise_and(e.words, f_.words, out=t)
-        z ^= t
-    return RingTensor(z, x.cfg)
+    a, b, c = _flat(triple.a), _flat(triple.b), _flat(triple.c)
+    party0 = sess.party == 0
+
+    def kernel(sl, z, e, f_):
+        # z = c ^ (e & b) ^ (a & f) [^ (e & f) on party 0]
+        np.bitwise_and(e, b[sl], out=z)
+        z ^= c[sl]
+        if party0:
+            e &= f_
+            z ^= e
+        f_ &= a[sl]
+        z ^= f_
+
+    return RingTensor(_finish(sess, [(x, triple.a), (y, triple.b)], "xor", kernel), x.cfg)
 
 
 def _adder_levels(cfg: FixedConfig) -> int:

@@ -15,13 +15,17 @@ order.  It is not authentication: the key is public, so a peer could craft
 payloads whose tags collide.
 
 A frame travels as two buffers, the length prefix and the payload, so the
-payload is never copied to prepend its prefix.  The in-memory channel hands
-the payload object itself to the peer.  The TCP channel sends both buffers
-with one `sendmsg` per writable turn, reads the 4-byte prefix, then reads
-the payload with `recv_into` a buffer of exactly the announced size, so it
-never reads past the frame it is waiting for.  A ring exchange is
-symmetric, so it refuses a peer frame of another length than its own as soon
-as the length is known, before any buffer is allocated for it.
+payload is never copied to prepend its prefix.  An opening's payload is the
+`fixed.flat_frame` its op filled (at L=64 the frame's own bytes), sent by
+`exchange_frame` as it is; the frame is read-only from then on.  The
+in-memory channel hands the payload object itself to the peer, so neither
+party may write into a frame it has sent or received.  The TCP channel sends
+both buffers with one `sendmsg` per writable turn, reads the 4-byte prefix,
+then reads the payload with `recv_into` an uninitialized numpy buffer of
+exactly the announced size, which it fills, so it never reads past the frame
+it is waiting for.  A ring exchange is symmetric, so it refuses a peer frame
+of another length than its own as soon as the length is known, before any
+buffer is allocated for it, and one with another header once it arrives.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ import socket
 import struct
 import time
 
+import numpy as np
 from cryptography.hazmat.primitives.poly1305 import Poly1305
 
 from .errors import ProtocolDesyncError, TransportError
-from .fixed import RingTensor, flat_to_bytes
+from .fixed import FixedConfig, RingTensor, flat_frame, frame_payload, unpack_words
 
 __all__ = [
     "Channel",
@@ -98,15 +103,31 @@ class Channel:
         self.rounds += 1
         return inbound
 
+    def exchange_frame(self, frame: np.ndarray, cfg: FixedConfig) -> np.ndarray:
+        """Send a filled `flat_frame` as it is and return the peer's words: a
+        read-only array as long as `frame[1:]`; one round.
+
+        The frame becomes read-only first: the in-memory peer reads the very
+        array sent.  A peer frame of another length or header desyncs.
+        """
+        frame.flags.writeable = False
+        inbound = self.exchange_bytes(frame_payload(frame, cfg), symmetric=True)
+        head, sent = bytes(memoryview(inbound)[:8]), frame[:1].tobytes()
+        if head != sent:
+            raise ProtocolDesyncError(f"peer sent frame header {head.hex()}, this party sent {sent.hex()}")
+        words = unpack_words(memoryview(inbound)[8:], (frame.size - 1,), cfg).words
+        words.flags.writeable = False
+        return words
+
     def exchange(self, outbound: list[RingTensor]) -> RingTensor:
         """Send the tensors' words as one rank-1 tensor and return the peer's
         words, a rank-1 tensor that must be as long."""
-        got = RingTensor.from_bytes(self.exchange_bytes(flat_to_bytes(outbound), symmetric=True),
-                                    outbound[0].cfg)
-        sent = (sum(t.size for t in outbound),)
-        if got.shape != sent:
-            raise ProtocolDesyncError(f"peer sent shape {got.shape}, this party sent {sent}")
-        return got
+        frame = flat_frame(sum(t.size for t in outbound))
+        at = 1
+        for t in outbound:
+            frame[at : at + t.size] = t.words.reshape(-1)
+            at += t.size
+        return RingTensor(self.exchange_frame(frame, outbound[0].cfg), outbound[0].cfg)
 
 
 def _check_length(length: int, want: int | None) -> None:
@@ -179,7 +200,7 @@ class TcpChannel(Channel):
                 if view is None and body is None:
                     (length,) = struct.unpack("<I", head)
                     _check_length(length, want)
-                    body = bytearray(length)
+                    body = np.empty(length, np.uint8)  # recv_into fills every byte
                     view = memoryview(body) if length else None
             if not moved:
                 self._wait((selectors.EVENT_READ if view is not None else 0)

@@ -8,16 +8,20 @@ mul_beaver/square, exact for comparison/b2a, 2 ULP for the polynomial,
 """
 
 import dataclasses
+import hashlib
 import math
+import queue
 
 import numpy as np
 import pytest
 
 from arp.dealer import AndRequest, BeaverRequest, Dealer, SquareRequest, TruncRequest
 from arp.errors import ProtocolDesyncError, TripleReuseError
+from arp import protocol
 from arp.fixed import FixedConfig, RingTensor, decode, encode, truncate
 from arp.protocol import (
     BinaryShareTensor,
+    Session,
     ShareTensor,
     a2b,
     a2b_requests,
@@ -38,11 +42,14 @@ from arp.protocol import (
     square,
     trunc_requests,
 )
-from arp.runtime import hybrid_activation_secure, hybrid_requests
+from arp.runtime import hybrid_activation_secure, hybrid_requests, run_both
+from arp.transport import InMemoryChannel, memory_channel_pair
 
 from conftest import CFG8, CFG64, as_share, share_reals, share_ring, two_party
 
 ULP = CFG64.resolution
+BLOCK = protocol._BLOCK
+MULTI_BLOCK = (5, BLOCK // 2 + 7)  # three blocks, the last one short
 
 
 def ref_mul(x, y, cfg=CFG64):
@@ -593,7 +600,7 @@ class TestInputsStayUnwritten:
         ),
     }
 
-    @pytest.mark.parametrize("shape", [(3, 4), ()])
+    @pytest.mark.parametrize("shape", [(3, 4), (), MULTI_BLOCK])
     @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
     @pytest.mark.parametrize("op", list(OPS))
     def test_read_only_inputs(self, op, cfg, shape):
@@ -619,6 +626,161 @@ class TestInputsStayUnwritten:
             assert got_shape == shape
             assert records_unchanged
         assert all(np.array_equal(w, b) for w, b in zip(inputs, before))
+
+
+def ring_words(rng, shape, cfg) -> RingTensor:
+    """Uniform ring elements of `shape`."""
+    return RingTensor(rng.integers(0, 2**64 - 1, size=shape, dtype=np.uint64, endpoint=True), cfg)
+
+
+def xor_shares(x: RingTensor, rng) -> tuple[RingTensor, RingTensor]:
+    r = ring_words(rng, x.shape, x.cfg)
+    return x ^ r, r
+
+
+BLOCK_SHAPES = {
+    "blocks-short-last": MULTI_BLOCK,
+    "row-wider-than-block": (2, BLOCK + 5),
+    "1d-multi-block": (2 * BLOCK + 3,),
+    "1d-small": (5,),
+    "0d": (),
+}
+
+
+class TestBlockwiseFinish:
+    """Interactive ops finish one block of `protocol._BLOCK` words at a time.
+    Every block layout reconstructs exactly, at the widest and the narrowest
+    ring."""
+
+    @pytest.mark.parametrize("shape", list(BLOCK_SHAPES.values()), ids=list(BLOCK_SHAPES))
+    @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
+    @pytest.mark.parametrize("op", ["and_shares", "mul_beaver", "square", "relu_secure"])
+    def test_reconstructs(self, op, cfg, shape):
+        rng = np.random.default_rng(31)
+        x, y = ring_words(rng, shape, cfg), ring_words(rng, shape, cfg)
+        if op == "and_shares":
+            xs, ys = xor_shares(x, rng), xor_shares(y, rng)
+            reqs, want = [AndRequest(shape)], x.words & y.words
+
+            def fn(sess):
+                out = and_shares(sess, xs[sess.party], ys[sess.party])
+                return sess.reveal_bits(BinaryShareTensor(sess.party, out)).words
+        else:
+            xs, ys = share_ring(x, seed=3), share_ring(y, seed=4)
+            reqs, want = {
+                "mul_beaver": ([BeaverRequest(shape)], (x * y).words),
+                "square": ([SquareRequest(shape)], (x * x).words),
+                "relu_secure": (relu_requests(shape, cfg), np.where(x.signed() < 0, np.uint64(0), x.words)),
+            }[op]
+
+            def fn(sess):
+                xt, yt = as_share(sess, xs, 0), as_share(sess, ys, 0)
+                out = {"mul_beaver": lambda: mul_beaver(sess, xt, yt),
+                       "square": lambda: square(sess, xt),
+                       "relu_secure": lambda: relu_secure(sess, xt)}[op]()
+                assert sess.tape.remaining() == 0
+                return sess.reveal(out).words
+
+        for got in two_party(fn, reqs, cfg=cfg):
+            assert got.shape == shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [MULTI_BLOCK, (5,), ()], ids=["multi-block", "1d-small", "0d"])
+    @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
+    @pytest.mark.parametrize("op", ["and_shares", "mul_beaver"])
+    def test_zero_stride_operands(self, op, cfg, shape):
+        """Each party's own words against an all-zero broadcast for the
+        peer's, as a2b and b2a pass them."""
+        rng = np.random.default_rng(32)
+        own = ring_words(rng, shape, cfg), ring_words(rng, shape, cfg)
+
+        def fn(sess):
+            zero = RingTensor(np.broadcast_to(np.uint64(0), shape), cfg)
+            a, b = (own[0], zero) if sess.party == 0 else (zero, own[1])
+            if op == "and_shares":
+                return sess.reveal_bits(BinaryShareTensor(sess.party, and_shares(sess, a, b))).words
+            return sess.reveal(mul_beaver(sess, ShareTensor(sess.party, a, 0), ShareTensor(sess.party, b, 0))).words
+
+        reqs, want = {"and_shares": ([AndRequest(shape)], own[0].words & own[1].words),
+                      "mul_beaver": ([BeaverRequest(shape)], (own[0] * own[1]).words)}[op]
+        for got in two_party(fn, reqs, cfg=cfg):
+            assert np.array_equal(got, want)
+
+    def test_exact_truncation_across_blocks(self):
+        cfg = FixedConfig(32, 8)
+        rng = np.random.default_rng(33)
+        x, y = rng.uniform(-8, 8, size=MULTI_BLOCK), rng.uniform(-8, 8, size=MULTI_BLOCK)
+        xs, ys = share_reals(x, cfg, seed=5), share_reals(y, cfg, seed=6)
+
+        def fn(sess):
+            out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
+            return sess.tape.remaining(), decode(sess.reveal(out))
+
+        (left, got), _ = two_party(fn, [BeaverRequest(MULTI_BLOCK), TruncRequest(MULTI_BLOCK)], cfg=cfg)
+        assert left == 0
+        assert np.max(np.abs(got - ref_mul(x, y, cfg))) <= cfg.resolution
+
+    # both parties' transcript hashes of relu_secure plus square at (64, 600),
+    # several blocks per op, taken before ops finished block by block
+    MULTI_BLOCK_HASHES = (
+        "95e8499121cafe4e7e48f9f3d2ddaa91dd14e2f6fcde3631c8d919d1482ccf2e",
+        "fe21691c1e86c08cd21edef7ee802f89ab91dccd30d9f3c0c957c116e6c71611",
+    )
+
+    def test_multi_block_transcript_is_pinned(self):
+        shape = (64, 600)
+        xs = share_reals(np.random.default_rng(41).uniform(-4, 4, size=shape), seed=42)
+
+        def fn(sess):
+            xt = as_share(sess, xs)
+            sess.reveal(relu_secure(sess, xt) + square(sess, xt))
+            return sess.channel.transcript_hash
+
+        assert two_party(fn, relu_requests(shape, CFG64) + [SquareRequest(shape)], seed=43) == self.MULTI_BLOCK_HASHES
+
+
+class TestFrames:
+    def test_frames_are_never_written_after_sending(self):
+        """Each in-memory frame hashes the same at send and after both parties
+        finish: neither the sender nor the peer that read it wrote into it."""
+
+        class Keeper(InMemoryChannel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.sent = []
+
+            def _swap(self, prefix, payload, want=None):
+                self.sent.append((payload, hashlib.sha256(payload).hexdigest()))
+                return super()._swap(prefix, payload, want)
+
+        shape = MULTI_BLOCK
+        xs = share_reals(np.random.default_rng(42).uniform(-4, 4, size=shape), seed=7)
+        q01, q10 = queue.Queue(), queue.Queue()
+        channels = Keeper(q10, q01), Keeper(q01, q10)
+        reqs = relu_requests(shape, CFG64) + [SquareRequest(shape), BeaverRequest(shape)]
+        tapes = Dealer(8, CFG64).build_tapes(reqs)
+        sessions = [Session(p, CFG64, channels[p], tapes[p].reader()) for p in (0, 1)]
+
+        def fn(sess):
+            xt = as_share(sess, xs)
+            sess.reveal(mul_beaver(sess, relu_secure(sess, xt), square(sess, xt)))
+
+        run_both(lambda: fn(sessions[0]), lambda: fn(sessions[1]))
+        for ch in channels:
+            assert len(ch.sent) == ch.rounds == len(reqs) + 1
+            assert all(hashlib.sha256(payload).hexdigest() == digest for payload, digest in ch.sent)
+
+    @pytest.mark.parametrize("opener", ["reveal_many", "_open_masked"])
+    def test_unknown_opening_mode_is_refused_before_any_round(self, opener):
+        ch, _ = memory_channel_pair(timeout=0.05)
+        sess = Session(0, CFG64, ch)
+        t = RingTensor(np.arange(4, dtype=np.uint64), CFG64)
+        with pytest.raises(ValueError, match="unknown opening mode 'and'"):
+            if opener == "reveal_many":
+                sess.reveal_many([t], mode="and")
+            else:
+                protocol._open_masked(sess, [(t, t)], "and")
+        assert (ch.bytes_sent, ch.rounds, sess.opened_words) == (0, 0, 0)
 
 
 class TestAccounting:

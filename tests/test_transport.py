@@ -78,6 +78,18 @@ class TestExchange:
         assert ch0.transcript_hash == ref0.transcript_hash
         assert ch0.bytes_sent == ref0.bytes_sent == 4 + 8 + 7 * 8
 
+    @pytest.mark.parametrize("header", [(3, 1, 1, 2), (1, 4)], ids=["rank3", "longer-dim"])
+    def test_same_length_frame_with_another_header_desyncs(self, header):
+        """A peer frame as long as this party's but headed differently is
+        refused, whatever words follow."""
+        sent = tensor([1, 2, 3]).to_bytes()
+        head = struct.pack(f"<{len(header)}I", *header)
+        forged = head + bytes(len(sent) - len(head))
+        assert len(forged) == len(sent)
+        ch0, ch1 = memory_channel_pair()
+        with pytest.raises(ProtocolDesyncError):
+            run_both(lambda: ch0.exchange([tensor([1, 2, 3])]), lambda: ch1.exchange_bytes(forged))
+
     def test_timeout(self):
         ch0, _ = memory_channel_pair(timeout=0.05)
         with pytest.raises(TransportError):
@@ -137,6 +149,13 @@ class TestFingerprint:
     def test_memoryview_payload_matches_bytes(self):
         words = np.arange(1000, dtype="<u8")
         assert fingerprint(memoryview(words).cast("B")) == fingerprint(words.tobytes())
+
+    def test_numpy_payload_matches_bytes(self):
+        """A frame sent as a numpy byte array fingerprints like the equal bytes."""
+        words = np.arange(1000, dtype="<u8")
+        words.flags.writeable = False
+        assert fingerprint(words.view(np.uint8)) == fingerprint(words.tobytes())
+        assert fingerprint(np.frombuffer(self.PAYLOAD, np.uint8)) == fingerprint(self.PAYLOAD)
 
     def test_reading_mid_run_keeps_counting(self):
         ch = Echo()
