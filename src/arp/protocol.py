@@ -245,32 +245,27 @@ def _open_masked(sess: Session, pairs, mode: str = "add"):
     return frame[1:].reshape(k, n), theirs.reshape(k, n)
 
 
-def _finish(sess: Session, pairs, mode: str, kernel) -> np.ndarray:
+def _finish(sess: Session, pairs, mode: str, kernel, *operands: RingTensor) -> np.ndarray:
     """Open `pairs` as `_open_masked` does, then build the op's result one
     block of `_BLOCK` flat words at a time, while the block is in cache.
 
     For each block, both parties' words are combined into scratch rows, one
-    per pair, and `kernel(sl, out, *opened)` writes the result's words at the
-    flat positions `sl` into `out`; it may overwrite the scratch rows.
-    Returns the fresh result array, shaped like the first share.
+    per pair, and `kernel(out, *opened, *operands)` writes the block of the
+    result from the block of each scratch row, which it may overwrite, and
+    of each operand.  Returns the fresh result, shaped like the first share.
     """
     combine = _mode(_OPEN, mode)
     mine, theirs = _open_masked(sess, pairs, mode)
     k, n = mine.shape
+    flat = [t.words.reshape(-1) for t in operands]  # views, also of `_zeros`
     out = np.empty(n, np.uint64)
     scratch = np.empty((k, min(n, _BLOCK)), np.uint64)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         opened = scratch[:, : hi - lo]
         combine(mine[:, lo:hi], theirs[:, lo:hi], out=opened)
-        kernel(slice(lo, hi), out[lo:hi], *opened)
+        kernel(out[lo:hi], *opened, *(w[lo:hi] for w in flat))
     return out.reshape(pairs[0][0].shape)
-
-
-def _flat(t: RingTensor) -> np.ndarray:
-    """A tensor's words as a flat array: a view for contiguous words and for
-    all-zero strides (`_zeros`)."""
-    return t.words.reshape(-1)
 
 
 def _zeros(shape, cfg: FixedConfig) -> RingTensor:
@@ -313,21 +308,19 @@ def _truncate_exact(sess: Session, x: RingTensor) -> ShareTensor:
     L, f = cfg.total_bits, cfg.frac_bits
     mask = _consume(sess.tape.take(dl.TruncRequest(x.shape)))
     y = x + np.uint64(1 << (L - 2)) if sess.party == 0 else x
-    w, hi = _flat(mask.w), _flat(mask.hi)
-    party0 = sess.party == 0
 
-    def kernel(sl, out, c):
+    def kernel(out, c, w, hi):
         c &= cfg.mask  # the opened sum may carry past L bits
         np.right_shift(c, np.uint64(L - 1), out=out)
         np.subtract(np.uint64(1), out, out=out)  # 1 where c's top bit is clear
-        out *= w[sl]
-        out -= hi[sl]
-        if party0:
+        out *= w
+        out -= hi
+        if sess.party == 0:
             c >>= np.uint64(f)
             out += c
             out -= np.uint64(1 << (L - 2 - f))
 
-    out = _finish(sess, [(y, mask.r)], "add", kernel)
+    out = _finish(sess, [(y, mask.r)], "add", kernel, mask.w, mask.hi)
     return ShareTensor(sess.party, RingTensor(out, cfg), f)
 
 
@@ -382,59 +375,55 @@ def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor) -> ShareTensor:
     if x.shape != y.shape:
         raise ValueError(f"mul_beaver needs equal shapes, got {x.shape} and {y.shape}")
     triple = _consume(sess.tape.take(dl.BeaverRequest(x.shape)))
-    xw, yw, z = _flat(x.payload), _flat(y.payload), _flat(triple.z)
-    party1 = sess.party == 1
 
-    def kernel(sl, r, e, f_):
+    def kernel(r, e, f_, xw, yw, z):
         # r = x*f + e*y + z [- e*f on party 1]
-        np.multiply(xw[sl], f_, out=r)
-        r += z[sl]
-        if party1:
+        np.multiply(xw, f_, out=r)
+        r += z
+        if sess.party == 1:
             f_ *= e
             r -= f_
-        e *= yw[sl]
+        e *= yw
         r += e
 
-    r = _finish(sess, [(x.payload, triple.a), (y.payload, triple.b)], "add", kernel)
+    r = _finish(sess, [(x.payload, triple.a), (y.payload, triple.b)], "add", kernel,
+                x.payload, y.payload, triple.z)
     return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), x.scale + y.scale, sess)
 
 
 def square(sess: Session, x: ShareTensor) -> ShareTensor:
     """Elementwise secure square; one round, opens |X| words (half a multiply)."""
     pair = _consume(sess.tape.take(dl.SquareRequest(x.shape)))
-    a, z = _flat(pair.a), _flat(pair.z)
-    party0 = sess.party == 0
 
-    def kernel(sl, r, e):
+    def kernel(r, e, a, z):
         # r = 2*e*a + z [+ e*e on party 0]
-        np.multiply(e, a[sl], out=r)
+        np.multiply(e, a, out=r)
         r += r
-        r += z[sl]
-        if party0:
+        r += z
+        if sess.party == 0:
             e *= e
             r += e
 
-    r = _finish(sess, [(x.payload, pair.a)], "add", kernel)
+    r = _finish(sess, [(x.payload, pair.a)], "add", kernel, pair.a, pair.z)
     return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), 2 * x.scale, sess)
 
 
 def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
     """Bitwise AND of XOR-shared words via one AND triple; one round."""
     triple = _consume(sess.tape.take(dl.AndRequest(x.shape)))
-    a, b, c = _flat(triple.a), _flat(triple.b), _flat(triple.c)
-    party0 = sess.party == 0
 
-    def kernel(sl, z, e, f_):
+    def kernel(z, e, f_, a, b, c):
         # z = c ^ (e & b) ^ (a & f) [^ (e & f) on party 0]
-        np.bitwise_and(e, b[sl], out=z)
-        z ^= c[sl]
-        if party0:
+        np.bitwise_and(e, b, out=z)
+        z ^= c
+        if sess.party == 0:
             e &= f_
             z ^= e
-        f_ &= a[sl]
+        f_ &= a
         z ^= f_
 
-    return RingTensor(_finish(sess, [(x, triple.a), (y, triple.b)], "xor", kernel), x.cfg)
+    z = _finish(sess, [(x, triple.a), (y, triple.b)], "xor", kernel, triple.a, triple.b, triple.c)
+    return RingTensor(z, x.cfg)
 
 
 def _adder_levels(cfg: FixedConfig) -> int:
