@@ -92,8 +92,9 @@ class Channel:
         return self._sent_digest.hexdigest()
 
     def exchange_bytes(self, payload: bytes, symmetric: bool = False):
-        """Send one framed payload and receive the peer's; one round.  With
-        `symmetric`, the peer's payload must be as long as this one."""
+        """Send one framed payload (bytes, or a 1-d byte array such as a
+        frame's) and receive the peer's; one round.  With `symmetric`, the
+        peer's payload must be as long as this one."""
         prefix = struct.pack("<I", len(payload))
         self._sent_digest.update(prefix)
         self._sent_digest.update(Poly1305.generate_tag(_FRAME_KEY, payload))
@@ -112,10 +113,11 @@ class Channel:
         """
         frame.flags.writeable = False
         inbound = self.exchange_bytes(frame_payload(frame, cfg), symmetric=True)
-        head, sent = bytes(memoryview(inbound)[:8]), frame[:1].tobytes()
+        sent = frame[:1].tobytes()
+        head = bytes(memoryview(inbound)[: len(sent)])
         if head != sent:
             raise ProtocolDesyncError(f"peer sent frame header {head.hex()}, this party sent {sent.hex()}")
-        words = unpack_words(memoryview(inbound)[8:], (frame.size - 1,), cfg).words
+        words = unpack_words(memoryview(inbound)[len(sent) :], (frame.size - 1,), cfg).words
         words.flags.writeable = False
         return words
 
