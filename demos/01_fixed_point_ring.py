@@ -8,7 +8,7 @@ secret-sharing layer needs.
 
 import numpy as np
 
-from arp.fixed import FixedConfig, RingTensor, decode, encode, truncate
+from arp.fixed import FixedConfig, decode, encode, flat_frame, frame_payload, truncate, unpack_words
 
 cfg = FixedConfig(total_bits=16, frac_bits=8)
 print(f"ring Z_2^{cfg.total_bits}, {cfg.frac_bits} fractional bits")
@@ -39,9 +39,12 @@ xs = rng.uniform(-100, 100, size=10_000)
 err = np.abs(decode(encode(xs, cfg), cfg) - xs).max()
 print(f"\nmax |decode(encode(x)) - x| over 10k samples: {err:.2e} (half ULP = {cfg.resolution / 2:.2e})")
 
-# the wire format: rank u32, dims u32, then ceil(L/8)-byte little-endian words
-t = RingTensor(np.arange(4, dtype=np.uint64), cfg)
-raw_bytes = t.to_bytes()
-print(f"\nwire encoding of a 4-element tensor: {len(raw_bytes)} bytes")
-print(f"  header {raw_bytes[:8].hex()} payload {raw_bytes[8:].hex()}")
-assert RingTensor.from_bytes(raw_bytes, cfg) == t
+# the wire: every opening sends one flat frame, a rank-1 header word (rank 1,
+# then the word count, each a u32) followed by ceil(L/8)-byte little-endian words
+frame = flat_frame(4)
+frame[1:] = encode(np.array([1.5, -1.0, 0.3, 2.0]), cfg).words
+payload = bytes(frame_payload(frame, cfg))
+print(f"\nframe of 4 words at L={cfg.total_bits}: {len(payload)} bytes")
+print(f"  header {payload[:8].hex()} words {payload[8:].hex()}")
+words = unpack_words(payload[8:], (4,), cfg)
+print(f"  the peer decodes {decode(words, cfg)}")

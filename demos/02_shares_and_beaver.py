@@ -1,8 +1,10 @@
 """Additive secret sharing and Beaver multiplication.
 
 A value x becomes (r, x - r) with r uniform over the ring; each share alone
-is uniform noise.  Linear operations are local; a product costs one dealer
-triple and a single round in which both parties open masked operands.
+is uniform noise.  Linear operations are local on this L=64, f=16 ring, which
+rescales by shifting each share (a ring that truncates exactly spends a round
+on each rescale); a product costs one dealer triple and a single round in
+which both parties open masked operands.
 A square pair halves the opened data because only one mask is needed.
 """
 
@@ -45,7 +47,7 @@ def party_program(sess):
     xs = ShareTensor(sess.party, x_shares[sess.party], cfg.frac_bits)
     ys = ShareTensor(sess.party, y_shares[sess.party], cfg.frac_bits)
 
-    combo = lin_combine(2.0, xs, ys)  # local: zero rounds, zero bytes
+    combo = lin_combine(sess, 2.0, xs, ys)  # local on this ring: zero rounds, zero bytes
     prod = mul_beaver(sess, xs, ys)  # one round, opens 2n masked words
     opened_by_mul = sess.opened_words
     sq = square(sess, xs)  # one round, opens only n masked words

@@ -1,20 +1,21 @@
 """Command-line surface: gen-data, train-replace, dapa-fit, export, infer-private.
 
 Shared flags, accepted only by the commands that read them: --seed
-(gen-data, train-replace, dapa-fit; the ARP_SEED env var wins) and
---fixed-bits/--frac-bits (train-replace, export).  infer-private's tcp mode
-takes --party 0 --listen or --party 1 --connect, its memory mode neither.
+(gen-data, train-replace, dapa-fit; the ARP_SEED env var wins, and is
+parsed as the flag is) and --fixed-bits/--frac-bits (train-replace, export).
+infer-private's tcp mode takes --party 0 --listen or --party 1 --connect,
+its memory mode neither.
 Exit codes: 0 success, 2 a usage error (a flag the command does not take or
 would ignore, or a value it cannot use, such as a malformed HOST:PORT, a
---budget above the activation count or images smallcnn cannot pool; all
-refused before any training), 3 tape exhaustion, 4 I/O or format error (a
-malformed model file or descriptor field, inputs that do not fit the model,
-a non-numeric CSV, or a value the ring cannot hold; inputs are refused before
-any dealing), 5 peer or transport error (no peer in --timeout, a refused or
-lost connection, a listen port in use), 6 private logits outside the declared
-error budget (the run still writes its summary and --report), 7 protocol
-desync, 8 train-replace still over its --budget after the tail epochs (no
-model file is written).
+negative seed, a --budget above the activation count or images smallcnn
+cannot pool; all refused before any training), 3 tape exhaustion, 4 I/O or
+format error (a malformed model file or descriptor field, inputs that do not
+fit the model, a non-numeric CSV, or a value the ring cannot hold; inputs are
+refused before any dealing), 5 peer or transport error (no peer in
+--timeout, a refused or lost connection, a listen port in use), 6 private
+logits outside the declared error budget (the run still writes its summary
+and --report), 7 protocol desync, 8 train-replace still over its --budget
+after the tail epochs (no model file is written).
 """
 
 from __future__ import annotations
@@ -48,17 +49,13 @@ ROLE_FLAG = {0: "listen", 1: "connect"}  # the tcp address flag each --party tak
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed (ARP_SEED overrides)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="master seed (ARP_SEED overrides)")
+    p.set_defaults(usage_error=p.error)
 
 
 def _add_ring(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fixed-bits", type=int, default=64, help="ring bit width L")
     p.add_argument("--frac-bits", type=int, default=16, help="fractional bits f")
-
-
-def _seed(args) -> int:
-    env = os.environ.get("ARP_SEED")
-    return int(env) if env is not None else args.seed
 
 
 def _hostport(text: str) -> tuple[str, int]:
@@ -110,15 +107,14 @@ def _load_inputs(path: str, limit: int | None):
 
 
 def cmd_gen_data(args) -> int:
-    seed = _seed(args)
     if args.dataset == "two-spiral":
         try:
-            x, y = datamod.two_spirals(args.n, args.noise, seed=seed)
+            x, y = datamod.two_spirals(args.n, args.noise, seed=args.seed)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
         datamod.save_csv(args.out, x, y)
     elif args.dataset == "toy-images":
-        imgs, y = datamod.toy_images(args.n, seed=seed)
+        imgs, y = datamod.toy_images(args.n, seed=args.seed)
         datamod.write_arim(args.out, imgs, y)
     else:
         raise FormatError(f"unknown dataset {args.dataset}")
@@ -127,23 +123,22 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_replace(args) -> int:
-    seed = _seed(args)
     x, y = _load_inputs(args.dataset, None)
     n_train = int(0.8 * len(x))
     xtr, ytr, xte, yte = x[:n_train], y[:n_train], x[n_train:], y[n_train:]
     num_classes = int(y.max()) + 1
     cfg = ReplacementConfig(
         relu_budget=args.budget, mu=args.mu, epochs=args.epochs, t_h=args.th,
-        batch_size=args.batch_size, seed=seed,
+        batch_size=args.batch_size, seed=args.seed,
     )
     try:
-        model = build_model(args.arch, seed, num_classes, image_hw=x.shape[-1])
+        model = build_model(args.arch, args.seed, num_classes, image_hw=x.shape[-1])
         cfg.validate(model.activation_elements())
     except ValueError as exc:
         args.usage_error(str(exc))
 
     train_supervised(model, xtr, ytr, epochs=args.pretrain_epochs, lr=1e-3,
-                     batch_size=args.batch_size, seed=seed)
+                     batch_size=args.batch_size, seed=args.seed)
     base_acc = evaluate(model, xte, yte)
     print(f"baseline test accuracy: {base_acc:.4f}")
 
@@ -153,7 +148,7 @@ def cmd_train_replace(args) -> int:
           f"relu count: {plan.relu_count}/{plan.budget}")
 
     fixed = FixedConfig(args.fixed_bits, args.frac_bits)
-    save_model(args.out, model, fixed, seed)
+    save_model(args.out, model, fixed, args.seed)
     print(f"wrote model to {args.out}")
     if args.history:
         with open(args.history, "w") as fh:
@@ -172,7 +167,7 @@ def cmd_dapa_fit(args) -> int:
                 loss = min_approx_loss(g)
             elif args.degree == 1:
                 c = fit_closed_form_linear(g)
-                rng = np.random.default_rng(_seed(args))
+                rng = np.random.default_rng(args.seed)
                 loss = empirical_loss(rng.normal(mu, np.sqrt(var), 200_000), c)
             else:
                 raise FormatError("closed-form fitting covers degrees 1 and 2")
@@ -244,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="emit a deterministic dataset")
     _add_seed(p)
     p.add_argument("--dataset", choices=["two-spiral", "toy-images"], default="two-spiral")
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--noise", type=float, default=0.15)
+    p.add_argument("--n", type=_positive_int, default=1024)
+    p.add_argument("--noise", type=_non_negative_float, default=0.15)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_data)
 
@@ -299,6 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    env = os.environ.get("ARP_SEED")
+    if env is not None and "seed" in args:
+        try:
+            args.seed = _non_negative_int(env)
+        except argparse.ArgumentTypeError as exc:
+            args.usage_error(f"ARP_SEED: {exc}")
     try:
         return args.fn(args)
     except ProtocolDesyncError as exc:

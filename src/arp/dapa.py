@@ -130,8 +130,8 @@ def min_approx_loss(stats: GaussianStats, *, uncorrected: bool = False) -> float
 def fit_monte_carlo(samples: np.ndarray, degree: int) -> np.ndarray:
     """Least-squares fit of ReLU over an empirical sample distribution.
 
-    Solves the normal equations with a symmetric positive-definite
-    factorization.  Requires at least (degree+1)*100 samples with nonzero
+    Solves the normal equations by a Cholesky factorization of their
+    positive-definite Gram matrix.  Requires at least (degree+1)*100 samples with nonzero
     variance; constant samples make the design rank deficient.
     """
     from scipy.linalg import solve

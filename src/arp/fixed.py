@@ -93,10 +93,10 @@ class RingTensor:
     Thin wrapper over a uint64 ndarray plus the FixedConfig that defines the
     ring.  Operations return new tensors and never write into an operand, so
     values are safe to hand between threads, and the words may be read-only
-    views into a tape or wire buffer (see from_bytes and unpack_words).  An
-    online op may fill a buffer it has just allocated itself in place, but
-    never an input, a tape record or a wire buffer: not a frame it has sent,
-    which the in-memory peer reads as it is, nor one it has received.
+    views into a tape or wire buffer (see unpack_words).  An online op may
+    fill a buffer it has just allocated itself in place, but never an input,
+    a tape record or a wire buffer: not a frame it has sent, which the
+    in-memory peer reads as it is, nor one it has received.
     """
 
     __slots__ = ("words", "cfg")
@@ -197,30 +197,6 @@ class RingTensor:
     def __hash__(self):
         return id(self)
 
-    # ---- wire encoding ---------------------------------------------------
-    # rank u32 LE, dims u32 LE each, then row-major words of ceil(L/8)
-    # little-endian bytes.
-
-    def to_bytes(self) -> bytes:
-        return b"".join((_wire_header(self.shape), pack_words(self)))
-
-    @classmethod
-    def from_bytes(cls, buf, cfg: FixedConfig) -> "RingTensor":
-        """Decode a wire payload (any bytes-like object).
-
-        With 8-byte words the result is a view into `buf`, read-only when
-        `buf` is; ring ops never write into a wire buffer, so it need not be
-        copied.
-        """
-        if len(buf) < 4:
-            raise FormatError("ring tensor payload shorter than rank field")
-        (rank,) = struct.unpack_from("<I", buf, 0)
-        need = 4 + 4 * rank
-        if len(buf) < need:
-            raise FormatError("ring tensor payload truncated in dims")
-        dims = struct.unpack_from(f"<{rank}I", buf, 4)
-        return unpack_words(memoryview(buf)[need:], dims, cfg)
-
 
 def _wire_header(dims) -> bytes:
     return struct.pack(f"<I{len(dims)}I", len(dims), *dims)
@@ -229,8 +205,9 @@ def _wire_header(dims) -> bytes:
 def flat_frame(n: int) -> np.ndarray:
     """An unfilled wire frame of n ring words framed as one rank-1 tensor.
 
-    Word 0 holds the header (rank 1, then n); the caller writes the n words
-    into `frame[1:]` and sends the frame with `frame_payload`.
+    Word 0 holds the header (rank 1, then n, each a little-endian u32); the
+    caller writes the n words into `frame[1:]` and sends the frame with
+    `frame_payload`.  It is the layout of every opening on the wire.
     """
     frame = np.empty(n + 1, "<u8")
     frame[:1] = np.frombuffer(_wire_header((n,)), "<u8")

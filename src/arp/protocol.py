@@ -1,7 +1,10 @@
 """Online two-party operations on additive and XOR shares.
 
 Round and opening accounting (asserted by tests):
-  lin_combine / mul_public / msb   0 rounds, nothing opened
+  msb                              0 rounds, nothing opened
+  lin_combine / mul_public         0 rounds, nothing opened, on rings that
+                                   truncate locally; else one exact
+                                   truncation
   mul_beaver                       1 round, opens 2|X| words
   square                           1 round, opens |X| words
   b2a                              1 round (one Beaver multiply)
@@ -15,27 +18,32 @@ elementwise, and it reads its dealer record (Beaver triple, square pair or
 AND triple) from the session's tape with the same kind of request that the
 planners below hand the dealer.
 
-Frames and blocks: an interactive op writes its masked words once, straight
-into the `fixed.flat_frame` it sends (`_open_masked`).  Once sent, a frame
-belongs to the channel, and the in-memory peer reads the very array, so no
-op writes into a frame it has sent or received; both are read-only.  The op
-then builds its result into one fresh array one block of `_BLOCK` flat words
-at a time (`_finish`): it combines both parties' words of the block into
-small scratch rows and applies its own arithmetic while the block's
-operands are in cache.  An op of at most `_BLOCK` words is one block.
+Frames and blocks: every opening goes through `_finish`.  An op writes its
+masked words once, straight into the `fixed.flat_frame` it sends
+(`_open_masked`); `Session.reveal` and `reveal_bits` mask with zeros, so
+their frame carries the share itself.  Once sent, a frame belongs to the
+channel, and the in-memory peer reads the very array, so no op writes into
+a frame it has sent or received; both are read-only.  The op then builds its
+result into one fresh array one block of `_BLOCK` flat words at a time: it
+combines both parties' words of the block into small scratch rows and
+applies its own arithmetic while the block's operands are in cache.  An op
+of at most `_BLOCK` words is one block.
 
-Truncation after a product is a local arithmetic shift of each party's
-share by default, which costs nothing in communication but can leave the
-reconstruction one ULP below the value-level shift.  It also wraps, giving a
-wildly wrong result, with probability about |v| * 2^(2f-L) per element for a
-product of decoded magnitude |v| held at scale 2f (e.g. 1.2% at L=32, f=12,
-|v|=3).  On rings where that rate is high (`exact_truncation(cfg)`) a
-session instead opens the value plus a dealer mask r and corrects for the
-mask's wrap with dealt shares of (-r) >> f and of its top bit, as in
-CrypTen's trusted-third-party truncation (Knott et al., NeurIPS 2021).
-That costs one round and |X| opened words per rescale, and the result is
-the floor of the shifted value or one ULP above it, for any |value| <
-2^(L-2) at scale 2f.
+Every rescale after a product (`_rescale`, which every op hands its
+session) follows one rule, chosen by the ring alone.  Where
+`exact_truncation(cfg)` is false, as on the default L=64, f=16 ring, it is a
+local arithmetic shift of each party's share, which costs nothing in
+communication but can leave the reconstruction one ULP below the
+value-level shift.  It also wraps, giving a wildly wrong result, with
+probability about |v| * 2^(2f-L) per element for a product of decoded
+magnitude |v| held at scale 2f (e.g. 1.2% at L=32, f=12, |v|=3); a wrapped
+element is off by 2^(L-f) ULP, which is 2^(L-2f) decoded.  On rings where
+that rate is high the parties instead open the value plus a dealer mask r
+and correct for the mask's wrap with dealt shares of (-r) >> f and of its
+top bit, as in CrypTen's trusted-third-party truncation (Knott et al.,
+NeurIPS 2021).  That costs one round and |X| opened words per rescale, and
+the result is the floor of the shifted value or one ULP above it, for any
+|value| < 2^(L-2) at scale 2f.
 """
 
 from __future__ import annotations
@@ -184,29 +192,18 @@ class Session:
     def zeros_like(self, shape, scale: int = 0) -> ShareTensor:
         return ShareTensor(self.party, RingTensor.zeros(shape, self.cfg), scale)
 
-    def reveal_many(self, tensors: list[RingTensor], mode: str = "add") -> list[RingTensor]:
-        """Open several tensors in one message (one round): the sum ("add")
-        or XOR ("xor") of both parties' words."""
-        combine = _mode(_OPEN, mode)
-        theirs = self.channel.exchange(tensors).words
-        # one buffer for all opened parts: a fresh array per part took about
-        # 45% more page faults per request (smallcnn, batch 256, all ReLU)
-        opened = np.empty_like(theirs)
-        out, at = [], 0
-        for t in tensors:
-            part = opened[at : at + t.size]
-            combine(t.words.reshape(-1), theirs[at : at + t.size], out=part)
-            out.append(RingTensor(part.reshape(t.shape), self.cfg))
-            at += t.size
-        self.opened_words += at
-        return out
-
     def reveal(self, x: ShareTensor) -> RingTensor:
         """Joint recovery: both parties learn payload_0 + payload_1."""
-        return self.reveal_many([x.payload], mode="add")[0]
+        return self._open(x.payload, "add")
 
     def reveal_bits(self, x: BinaryShareTensor) -> RingTensor:
-        return self.reveal_many([x.payload], mode="xor")[0]
+        """Joint recovery of an XOR sharing: payload_0 ^ payload_1."""
+        return self._open(x.payload, "xor")
+
+    def _open(self, x: RingTensor, mode: str) -> RingTensor:
+        # an opening with an all-zero mask: the frame carries the share itself
+        out = _finish(self, [(x, _zeros(x.shape, x.cfg))], mode, np.copyto)
+        return RingTensor(out, self.cfg)
 
 
 # how a share is masked for opening, and how both parties' words combine
@@ -280,15 +277,15 @@ def _consume(record):
     return record
 
 
-def _rescale(x: ShareTensor, raw_scale: int, sess: Session | None = None) -> ShareTensor:
+def _rescale(sess: Session, x: ShareTensor, raw_scale: int) -> ShareTensor:
     """Shift a product share back down to at most f fractional bits: exactly
-    if `sess` is given and its ring truncates exactly, else locally."""
+    if its ring truncates exactly, else locally."""
     f = x.payload.cfg.frac_bits
     out_scale = min(f, raw_scale)
     shift = raw_scale - out_scale
     if not shift:
         return ShareTensor(x.party, x.payload, out_scale)
-    if sess is not None and exact_truncation(x.payload.cfg):
+    if exact_truncation(x.payload.cfg):
         if shift != f:
             raise ValueError(f"exact truncation shifts by f={f} bits, not {shift}")
         return _truncate_exact(sess, x.payload)
@@ -327,15 +324,16 @@ def _truncate_exact(sess: Session, x: RingTensor) -> ShareTensor:
 # ---- local (round-free) operations -----------------------------------------
 
 
-def lin_combine(a: float, x: ShareTensor, y: ShareTensor) -> ShareTensor:
-    """Public-scalar combination a*X + Y; zero rounds, zero bytes."""
-    return mul_public(x, encode(a, x.payload.cfg)) + y
+def lin_combine(sess: Session, a: float, x: ShareTensor, y: ShareTensor) -> ShareTensor:
+    """Public-scalar combination a*X + Y; one rescale, as in `mul_public`."""
+    return mul_public(sess, x, encode(a, x.payload.cfg)) + y
 
 
-def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *,
-               stride: int = 1, padding: int = 0, sess: Session | None = None) -> ShareTensor:
-    """Multiply a share by a public ring tensor at scale f; local, zero rounds,
-    unless `sess` is given and its ring truncates exactly (one round)."""
+def mul_public(sess: Session, x: ShareTensor, w: RingTensor, op: str = "elementwise", *,
+               stride: int = 1, padding: int = 0) -> ShareTensor:
+    """Multiply a share by a public ring tensor at scale f.  Local, zero
+    rounds, on rings that truncate locally; one round where the ring
+    truncates exactly."""
     if op == "elementwise":
         raw = x.payload * w
     elif op == "matmul":
@@ -344,7 +342,7 @@ def mul_public(x: ShareTensor, w: RingTensor, op: str = "elementwise", *,
         raw = x.payload.conv2d(w, stride=stride, padding=padding)
     else:
         raise ValueError(f"unknown product op {op!r}")
-    return _rescale(ShareTensor(x.party, raw, x.scale), x.scale + x.payload.cfg.frac_bits, sess)
+    return _rescale(sess, ShareTensor(x.party, raw, x.scale), x.scale + x.payload.cfg.frac_bits)
 
 
 def add_public(x: ShareTensor, c: RingTensor) -> ShareTensor:
@@ -388,7 +386,7 @@ def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor) -> ShareTensor:
 
     r = _finish(sess, [(x.payload, triple.a), (y.payload, triple.b)], "add", kernel,
                 x.payload, y.payload, triple.z)
-    return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), x.scale + y.scale, sess)
+    return _rescale(sess, ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), x.scale + y.scale)
 
 
 def square(sess: Session, x: ShareTensor) -> ShareTensor:
@@ -405,7 +403,7 @@ def square(sess: Session, x: ShareTensor) -> ShareTensor:
             r += e
 
     r = _finish(sess, [(x.payload, pair.a)], "add", kernel, pair.a, pair.z)
-    return _rescale(ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), 2 * x.scale, sess)
+    return _rescale(sess, ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), 2 * x.scale)
 
 
 def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
@@ -530,7 +528,7 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTen
         acc = acc + sq.payload * e2
     if sess.party == 0:
         acc = acc + e0.lshift(f)
-    return _rescale(ShareTensor(sess.party, acc, 0), 2 * f, sess)
+    return _rescale(sess, ShareTensor(sess.party, acc, 0), 2 * f)
 
 
 # ---- tape request planning ---------------------------------------------------

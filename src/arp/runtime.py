@@ -177,17 +177,17 @@ class SecureEvaluator:
         for layer in self.model.layers:
             if isinstance(layer, Dense):
                 with sess.measure("linear"):
-                    x = mul_public(x, encode(layer.w.value, cfg), "matmul", sess=sess)
+                    x = mul_public(sess, x, encode(layer.w.value, cfg), "matmul")
                     x = add_public(x, encode(layer.b.value, cfg))
             elif isinstance(layer, Conv2d):
                 with sess.measure("linear"):
-                    x = mul_public(x, encode(layer.w.value, cfg), "conv2d",
-                                   stride=layer.stride, padding=layer.padding, sess=sess)
+                    x = mul_public(sess, x, encode(layer.w.value, cfg), "conv2d",
+                                   stride=layer.stride, padding=layer.padding)
                     x = add_public(x, encode(layer.b.value.reshape(-1, 1, 1), cfg))
             elif isinstance(layer, AvgPool2d):
                 with sess.measure("linear"):
                     x = sess.share_of(window_sum(x.payload.words, layer.k), x.scale)
-                    x = mul_public(x, encode(1.0 / (layer.k * layer.k), cfg), sess=sess)
+                    x = mul_public(sess, x, encode(1.0 / (layer.k * layer.k), cfg))
             elif isinstance(layer, Flatten):
                 x = x.reshape(x.shape[0], -1)
             elif isinstance(layer, HybridActivation):

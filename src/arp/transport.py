@@ -1,7 +1,8 @@
 """Reliable ordered message exchange between exactly two parties.
 
-Framing is a 4-byte little-endian payload length followed by the payload
-(rank u32, dims u32 each, ring words).  Counters track bytes in each
+Framing is a 4-byte little-endian payload length followed by the payload.
+Every ring payload is one opening's `fixed.flat_frame`: rank 1 and the word
+count as two u32 words, then the ring words.  Counters track bytes in each
 direction and protocol rounds; a fingerprint of the sent frames lets tests
 compare transcripts across backends.
 
@@ -23,9 +24,10 @@ party may write into a frame it has sent or received.  The TCP channel sends
 both buffers with one `sendmsg` per writable turn, reads the 4-byte prefix,
 then reads the payload with `recv_into` an uninitialized numpy buffer of
 exactly the announced size, which it fills, so it never reads past the frame
-it is waiting for.  A ring exchange is symmetric, so it refuses a peer frame
-of another length than its own as soon as the length is known, before any
-buffer is allocated for it, and one with another header once it arrives.
+it is waiting for.  Both parties send equal payloads in every exchange, so
+each refuses a peer payload of another length than its own as soon as the
+length is known, before any buffer is allocated for it; `exchange_frame`
+also refuses a peer frame with another header once it arrives.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from cryptography.hazmat.primitives.poly1305 import Poly1305
 
 from .errors import ProtocolDesyncError, TransportError
-from .fixed import FixedConfig, RingTensor, flat_frame, frame_payload, unpack_words
+from .fixed import FixedConfig, frame_payload, unpack_words
 
 __all__ = [
     "Channel",
@@ -69,10 +71,10 @@ class Channel:
 
     # backend hooks ------------------------------------------------------
 
-    def _swap(self, prefix: bytes, payload: bytes, want: int | None = None):
+    def _swap(self, prefix: bytes, payload: bytes, want: int):
         """Send one frame (its length prefix, then its payload); return the
         peer's payload, without its prefix, as a bytes-like object.  A peer
-        payload whose length is not `want` (when given) is refused by
+        payload whose length is not `want`, this payload's, is refused by
         `_check_length` as soon as its length is known."""
         raise NotImplementedError
 
@@ -91,15 +93,14 @@ class Channel:
         """
         return self._sent_digest.hexdigest()
 
-    def exchange_bytes(self, payload: bytes, symmetric: bool = False):
+    def exchange_bytes(self, payload: bytes):
         """Send one framed payload (bytes, or a 1-d byte array such as a
-        frame's) and receive the peer's; one round.  With `symmetric`, the
-        peer's payload must be as long as this one."""
+        frame's) and receive the peer's, which must be as long; one round."""
         prefix = struct.pack("<I", len(payload))
         self._sent_digest.update(prefix)
         self._sent_digest.update(Poly1305.generate_tag(_FRAME_KEY, payload))
         self.bytes_sent += len(prefix) + len(payload)
-        inbound = self._swap(prefix, payload, len(payload) if symmetric else None)
+        inbound = self._swap(prefix, payload, len(payload))
         self.bytes_received += len(inbound) + 4
         self.rounds += 1
         return inbound
@@ -112,7 +113,7 @@ class Channel:
         array sent.  A peer frame of another length or header desyncs.
         """
         frame.flags.writeable = False
-        inbound = self.exchange_bytes(frame_payload(frame, cfg), symmetric=True)
+        inbound = self.exchange_bytes(frame_payload(frame, cfg))
         sent = frame[:1].tobytes()
         head = bytes(memoryview(inbound)[: len(sent)])
         if head != sent:
@@ -121,19 +122,9 @@ class Channel:
         words.flags.writeable = False
         return words
 
-    def exchange(self, outbound: list[RingTensor]) -> RingTensor:
-        """Send the tensors' words as one rank-1 tensor and return the peer's
-        words, a rank-1 tensor that must be as long."""
-        frame = flat_frame(sum(t.size for t in outbound))
-        at = 1
-        for t in outbound:
-            frame[at : at + t.size] = t.words.reshape(-1)
-            at += t.size
-        return RingTensor(self.exchange_frame(frame, outbound[0].cfg), outbound[0].cfg)
 
-
-def _check_length(length: int, want: int | None) -> None:
-    if want is not None and length != want:
+def _check_length(length: int, want: int) -> None:
+    if length != want:
         raise ProtocolDesyncError(f"peer sent a {length}-byte payload, this party sent {want} bytes")
 
 
@@ -145,7 +136,7 @@ class InMemoryChannel(Channel):
         self._inbox = inbox
         self._outbox = outbox
 
-    def _swap(self, prefix: bytes, payload: bytes, want: int | None = None):
+    def _swap(self, prefix: bytes, payload: bytes, want: int):
         self._outbox.put(payload)
         try:
             inbound = self._inbox.get(timeout=self.timeout)
@@ -162,8 +153,8 @@ def memory_channel_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[InMemoryChann
 
 
 class TcpChannel(Channel):
-    """TCP endpoint; sends and receives are interleaved so a large symmetric
-    exchange cannot deadlock on full socket buffers."""
+    """TCP endpoint; sends and receives are interleaved so a large exchange,
+    which both parties send at once, cannot deadlock on full socket buffers."""
 
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
         super().__init__(timeout)
@@ -186,7 +177,7 @@ class TcpChannel(Channel):
         if not self._sel.select(timeout=max(0.0, deadline - time.monotonic())):
             raise TransportError(f"peer exchange timed out after {self.timeout}s")
 
-    def _swap(self, prefix: bytes, payload: bytes, want: int | None = None):
+    def _swap(self, prefix: bytes, payload: bytes, want: int):
         """Drive the socket until the frame is fully sent and the peer's
         whole frame has been received; each side is tried before blocking."""
         deadline = time.monotonic() + self.timeout

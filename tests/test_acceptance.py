@@ -224,8 +224,8 @@ def test_criterion_05_plaintext_ciphertext_equivalence():
     def fn(sess):
         xt, yt = as_share(sess, xs), as_share(sess, ys)
         out = {}
-        out["lin_combine"] = decode(sess.reveal(lin_combine(1.7, xt, yt)))
-        out["mul_public"] = decode(sess.reveal(mul_public(xt, encode(y, CFG64))))
+        out["lin_combine"] = decode(sess.reveal(lin_combine(sess, 1.7, xt, yt)))
+        out["mul_public"] = decode(sess.reveal(mul_public(sess, xt, encode(y, CFG64))))
         out["mul_beaver"] = decode(sess.reveal(mul_beaver(sess, xt, yt)))
         out["square"] = decode(sess.reveal(square(sess, xt)))
         bits = np.asarray(rng_bits[sess.party], dtype=np.uint64)
@@ -287,8 +287,8 @@ def test_criterion_06_round_and_opening_accounting():
         xt = as_share(sess, xs)
         stats = {}
         r0, w0 = sess.channel.rounds, sess.opened_words
-        lin_combine(2.0, xt, xt)
-        mul_public(xt, encode(np.ones(n), CFG64))
+        lin_combine(sess, 2.0, xt, xt)
+        mul_public(sess, xt, encode(np.ones(n), CFG64))
         stats["local_rounds"] = sess.channel.rounds - r0
 
         r0, w0 = sess.channel.rounds, sess.opened_words

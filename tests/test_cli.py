@@ -177,6 +177,30 @@ class TestBadValues:
         assert "baseline" not in out
         assert not (tmp_path / "m.arpm").exists()
 
+    @pytest.mark.parametrize("argv,env,name", [
+        (["gen-data", "--dataset", "toy-images", "--n", -3], None, "argument --n"),
+        (["gen-data", "--n", 0], None, "argument --n"),
+        (["gen-data", "--seed", -1], None, "argument --seed"),
+        (["gen-data", "--noise", "nan"], None, "argument --noise"),
+        (["gen-data", "--noise", -0.1], None, "argument --noise"),
+        (["dapa-fit", "--stats", "0,1", "--degree", 1, "--seed", -1], None, "argument --seed"),
+        (["gen-data"], "abc", "ARP_SEED"),
+        (["dapa-fit", "--stats", "0,1", "--degree", 1], "-1", "ARP_SEED"),
+    ], ids=["toy-n", "zero-n", "seed", "nan-noise", "negative-noise", "dapa-seed", "env-text",
+            "env-negative"])
+    def test_seed_and_size_usage_exit(self, tmp_path, capsys, monkeypatch, argv, env, name):
+        """Seeds, dataset sizes and noise are refused at parse time, before
+        any file is written."""
+        if env is not None:
+            monkeypatch.setenv("ARP_SEED", env)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{name}: expected" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0,0", "1", "1,-2", "a,1", "0,nan", "1,2,3"])
     def test_dapa_stats_usage_exit(self, value, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from arp.errors import EncodeOverflowError, FormatError
-from arp.fixed import FixedConfig, RingTensor, decode, encode, pack_words, truncate, unpack_words
+from arp.fixed import (FixedConfig, RingTensor, decode, encode, flat_frame, frame_payload, pack_words,
+                       truncate, unpack_words)
 
 
 class TestEncode:
@@ -187,22 +188,30 @@ class TestRingArithmetic:
 
 
 class TestWireEncoding:
+    """Every opening travels as one `flat_frame`: a rank-1 header, then the
+    words packed at ceil(L/8) bytes each."""
+
     def test_header_layout(self):
         cfg = FixedConfig(64, 16)
-        r = RingTensor(np.arange(4, dtype=np.uint64), cfg)
-        raw = r.to_bytes()
+        frame = flat_frame(4)
+        frame[1:] = np.arange(4)
+        raw = bytes(frame_payload(frame, cfg))
         # rank u32 + one dim u32 + 4 words of 8 bytes
         assert len(raw) == 4 + 4 + 32
         assert raw[:4] == (1).to_bytes(4, "little")
         assert raw[4:8] == (4).to_bytes(4, "little")
+        assert unpack_words(raw[8:], (4,), cfg).words.tolist() == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("bits", [8, 24, 40, 64])
     def test_roundtrip(self, bits):
         cfg = FixedConfig(bits, 4)
         rng = np.random.default_rng(bits)
-        r = RingTensor(rng.integers(0, 2**64 - 1, size=(3, 5), endpoint=True, dtype=np.uint64), cfg)
-        back = RingTensor.from_bytes(r.to_bytes(), cfg)
-        assert back == r
+        r = RingTensor(rng.integers(0, 2**64 - 1, size=15, endpoint=True, dtype=np.uint64), cfg)
+        frame = flat_frame(15)
+        frame[1:] = r.words
+        raw = bytes(frame_payload(frame, cfg))
+        assert len(raw) == 8 + 15 * cfg.word_bytes and raw[:8] == frame[:1].tobytes()
+        assert unpack_words(raw[8:], (15,), cfg) == r
 
     def test_word_packing_roundtrip(self):
         cfg = FixedConfig(24, 8)
@@ -213,18 +222,19 @@ class TestWireEncoding:
 
     def test_truncated_payload_rejected(self):
         cfg = FixedConfig(64, 16)
-        raw = RingTensor(np.arange(4, dtype=np.uint64), cfg).to_bytes()
-        with pytest.raises(FormatError):
-            RingTensor.from_bytes(raw[:-1], cfg)
-        with pytest.raises(FormatError):
-            RingTensor.from_bytes(raw[:6], cfg)
+        frame = flat_frame(4)
+        frame[1:] = np.arange(4)
+        raw = bytes(frame_payload(frame, cfg))
+        with pytest.raises(FormatError, match="expected 32 payload bytes, got 31"):
+            unpack_words(raw[8:-1], (4,), cfg)
 
     @pytest.mark.parametrize("bits", [24, 64])
     def test_from_bytes_accepts_any_bytes_like(self, bits):
+        """Words decode from any bytes-like payload, keeping the shape asked for."""
         cfg = FixedConfig(bits, 8)
         r = RingTensor(np.arange(6, dtype=np.uint64).reshape(2, 3) * 977, cfg)
-        raw = r.to_bytes()
-        got = [RingTensor.from_bytes(b, cfg) for b in (raw, bytearray(raw), memoryview(raw))]
+        raw = bytes(pack_words(r))
+        got = [unpack_words(b, (2, 3), cfg) for b in (raw, bytearray(raw), memoryview(raw))]
         assert all(g == r and g.shape == (2, 3) for g in got)
 
     def test_wrong_length_word_buffer_rejected(self):

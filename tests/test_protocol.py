@@ -79,7 +79,7 @@ class TestLinCombine:
         def fn(sess):
             xt = as_share(sess, xs)
             zero = sess.zeros_like(x.shape, scale=CFG64.frac_bits)
-            out = lin_combine(1.0, xt, zero)
+            out = lin_combine(sess, 1.0, xt, zero)
             return decode(sess.reveal(out))
 
         (r, _) = two_party(fn)
@@ -90,7 +90,7 @@ class TestLinCombine:
         ys = share_reals(np.array([0.25]), seed=2)
 
         def fn(sess):
-            out = lin_combine(2.0, as_share(sess, xs), as_share(sess, ys))
+            out = lin_combine(sess, 2.0, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
         (r, _) = two_party(fn)
@@ -104,7 +104,7 @@ class TestLinCombine:
             yt = as_share(sess, xs)
             before = (sess.channel.rounds, sess.channel.bytes_sent)
             for _ in range(100):
-                lin_combine(0.5, xt, yt)
+                lin_combine(sess, 0.5, xt, yt)
             return (sess.channel.rounds, sess.channel.bytes_sent) == before
 
         (ok0, ok1) = two_party(fn)
@@ -117,7 +117,7 @@ class TestMulPublic:
         xs = share_reals(x)
 
         def fn(sess):
-            out = mul_public(as_share(sess, xs), encode(np.eye(2), CFG64), "matmul")
+            out = mul_public(sess, as_share(sess, xs), encode(np.eye(2), CFG64), "matmul")
             return decode(sess.reveal(out))
 
         (r, _) = two_party(fn)
@@ -130,7 +130,7 @@ class TestMulPublic:
         xs = share_reals(x)
 
         def fn(sess):
-            out = mul_public(as_share(sess, xs), encode(w, CFG64), "conv2d", stride=1, padding=1)
+            out = mul_public(sess, as_share(sess, xs), encode(w, CFG64), "conv2d", stride=1, padding=1)
             return decode(sess.reveal(out))
 
         (r, _) = two_party(fn)
@@ -144,7 +144,7 @@ class TestMulPublic:
         xs = share_reals(np.array([5.0, -5.0]))
 
         def fn(sess):
-            out = mul_public(as_share(sess, xs), encode(np.zeros(2), CFG64))
+            out = mul_public(sess, as_share(sess, xs), encode(np.zeros(2), CFG64))
             return decode(sess.reveal(out))
 
         (r, _) = two_party(fn)
@@ -152,8 +152,9 @@ class TestMulPublic:
 
     def test_dense_wrong_fan_in_raises_value_error(self):
         x0, _ = share_reals(np.ones((2, 3)))
+        sess = Session(0, CFG64, memory_channel_pair()[0])
         with pytest.raises(ValueError):
-            mul_public(ShareTensor(0, x0, CFG64.frac_bits), encode(np.ones((4, 2)), CFG64), "matmul")
+            mul_public(sess, ShareTensor(0, x0, CFG64.frac_bits), encode(np.ones((4, 2)), CFG64), "matmul")
 
 
 class TestAddPublic:
@@ -309,9 +310,9 @@ class TestExactTruncation:
 
         def fn(sess):
             xt = as_share(sess, xs, f)
-            local = sess.reveal(mul_public(xt, y)).signed()
+            local = sess.reveal(ShareTensor(sess.party, truncate(xt.payload * y, bits=f), f)).signed()
             r0, w0 = sess.channel.rounds, sess.opened_words
-            out = mul_public(xt, y, sess=sess)
+            out = mul_public(sess, xt, y)
             cost = (sess.channel.rounds - r0, sess.opened_words - w0, sess.tape.remaining())
             return local, sess.reveal(out).signed(), out.scale, cost
 
@@ -321,11 +322,43 @@ class TestExactTruncation:
         assert set(np.unique(exact - floor)) <= {0, 1}
         assert np.count_nonzero(np.abs(local - floor) > 1) > 0  # the same shares wrap when shifted locally
 
+    @pytest.mark.parametrize("op", ["lin_combine", "mul_public"])
+    def test_local_ops_rescale_exactly(self, op):
+        """The ring alone picks the rescale: on L=32, f=8 the local ops take
+        one truncation mask and one round too, and land on the floor or one
+        ULP above it where a local shift would wrap (`test_products_against_floor`)."""
+        cfg = FixedConfig(32, 8)
+        f, n = cfg.frac_bits, 3000
+        rng = np.random.default_rng(23)
+        xi = rng.integers(-(2**21), 2**21, n)
+        yi = rng.integers(-(2**20), 2**20, n)
+        wi = rng.integers(-(2**f), 2**f, n, endpoint=True)
+        xs = share_ring(RingTensor.from_signed(xi, cfg), seed=6)
+        ys = share_ring(RingTensor.from_signed(yi, cfg), seed=7)
+
+        def fn(sess):
+            xt, yt = as_share(sess, xs, f), as_share(sess, ys, f)
+            r0, w0 = sess.channel.rounds, sess.opened_words
+            if op == "lin_combine":
+                out = lin_combine(sess, 0.75, xt, yt)
+            else:
+                out = mul_public(sess, xt, RingTensor.from_signed(wi, cfg))
+            cost = (sess.channel.rounds - r0, sess.opened_words - w0, sess.tape.remaining())
+            return sess.reveal(out).signed(), out.scale, cost
+
+        (got, scale, cost), _ = two_party(fn, [TruncRequest((n,))], cfg=cfg)
+        if op == "lin_combine":
+            floor = ((xi * 192) >> f) + yi  # 0.75 encodes to 192 at f=8
+        else:
+            floor = (xi * wi) >> f
+        assert scale == f and cost == (1, n, 0)
+        assert set(np.unique(got - floor)) <= {0, 1}
+
     def test_shift_other_than_f_is_refused(self):
         xs = share_reals(np.ones(3), CFG8)
 
         def fn(sess):
-            mul_public(ShareTensor(sess.party, xs[sess.party], 2), encode(np.ones(3), CFG8), sess=sess)
+            mul_public(sess, ShareTensor(sess.party, xs[sess.party], 2), encode(np.ones(3), CFG8))
 
         with pytest.raises(ValueError, match="exact truncation shifts by f=4 bits, not 2"):
             two_party(fn, [TruncRequest((3,))], cfg=CFG8)
@@ -359,6 +392,34 @@ class TestExactTruncation:
                 "hybrid": np.where(mask.astype(bool), np.maximum(decode(encode(x, cfg)), 0), poly)}[case]
         assert left == 0
         assert np.max(np.abs(got - want)) <= 2 * cfg.resolution
+
+
+class TestLocalTruncationFaults:
+    """The fault model of the default ring: a local rescale of a product held
+    at scale 2f wraps with probability about |v| * 2^(2f-L) per element of
+    decoded magnitude |v|, and a wrapped element is off by 2^(L-f) ULP,
+    which is 2^(L-2f) = 2^32 decoded at L=64, f=16."""
+
+    def test_wrap_count_matches_the_predicted_rate(self):
+        from scipy.stats import poisson
+
+        L, f, n = CFG64.total_bits, CFG64.frac_bits, 100_000
+        predicted, counted = 0.0, 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            a = encode(rng.uniform(-800, 800, n), CFG64)
+            w = encode(rng.uniform(-800, 800, n), CFG64)
+            shares = share_ring(a, seed=seed)
+            # local rescales touch no channel, so each party runs alone
+            outs = [mul_public(Session(p, CFG64, ch), ShareTensor(p, shares[p], f), w)
+                    for p, ch in enumerate(memory_channel_pair())]
+            off = (outs[0].payload + outs[1].payload).signed() - ((a.signed() * w.signed()) >> f)
+            wrapped = np.abs(off) > 2**f  # off by more than one decoded unit
+            assert np.all(np.abs(np.abs(off[wrapped]) - 2 ** (L - f)) <= 1)
+            counted += int(np.count_nonzero(wrapped))
+            predicted += float(np.sum(np.abs(decode(a) * decode(w)))) * 2.0 ** (2 * f - L)
+        lo, hi = poisson.interval(0.999, predicted)
+        assert lo <= counted <= hi, (counted, predicted)
 
 
 class TestA2B:
@@ -770,14 +831,14 @@ class TestFrames:
             assert len(ch.sent) == ch.rounds == len(reqs) + 1
             assert all(hashlib.sha256(payload).hexdigest() == digest for payload, digest in ch.sent)
 
-    @pytest.mark.parametrize("opener", ["reveal_many", "_open_masked"])
+    @pytest.mark.parametrize("opener", ["_finish", "_open_masked"])
     def test_unknown_opening_mode_is_refused_before_any_round(self, opener):
         ch, _ = memory_channel_pair(timeout=0.05)
         sess = Session(0, CFG64, ch)
         t = RingTensor(np.arange(4, dtype=np.uint64), CFG64)
         with pytest.raises(ValueError, match="unknown opening mode 'and'"):
-            if opener == "reveal_many":
-                sess.reveal_many([t], mode="and")
+            if opener == "_finish":
+                protocol._finish(sess, [(t, t)], "and", np.copyto)
             else:
                 protocol._open_masked(sess, [(t, t)], "and")
         assert (ch.bytes_sent, ch.rounds, sess.opened_words) == (0, 0, 0)
@@ -793,8 +854,8 @@ class TestAccounting:
             xt = as_share(sess, xs)
             counts = {}
             r0 = sess.channel.rounds
-            lin_combine(2.0, xt, xt)
-            mul_public(xt, encode(np.ones(2), CFG64))
+            lin_combine(sess, 2.0, xt, xt)
+            mul_public(sess, xt, encode(np.ones(2), CFG64))
             counts["local"] = sess.channel.rounds - r0
 
             r0 = sess.channel.rounds

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from arp.errors import ProtocolDesyncError, TransportError
-from arp.fixed import FixedConfig, RingTensor
+from arp.fixed import FixedConfig, flat_frame, frame_payload
 from arp.runtime import run_both
 from arp import transport
 from arp.transport import (
@@ -29,27 +29,29 @@ from conftest import free_port
 CFG = FixedConfig(64, 16)
 
 
-def tensor(vals):
-    return RingTensor(np.asarray(vals, dtype=np.uint64), CFG)
+def frame_of(vals):
+    """One opening's frame of the words `vals`."""
+    frame = flat_frame(len(vals))
+    frame[1:] = vals
+    return frame
+
+
+def exchange(ch, vals):
+    """Open the words `vals` in one frame; the peer's words."""
+    return ch.exchange_frame(frame_of(vals), CFG)
 
 
 class TestExchange:
     def test_swap(self):
         ch0, ch1 = memory_channel_pair()
-        r0, r1 = run_both(
-            lambda: ch0.exchange([tensor([1, 2])]),
-            lambda: ch1.exchange([tensor([3, 4])]),
-        )
-        assert r0.words.tolist() == [3, 4]
-        assert r1.words.tolist() == [1, 2]
+        r0, r1 = run_both(lambda: exchange(ch0, [1, 2]), lambda: exchange(ch1, [3, 4]))
+        assert r0.tolist() == [3, 4]
+        assert r1.tolist() == [1, 2]
 
     def test_byte_accounting(self):
         # 4-byte length prefix + 8-byte shape header + 32 bytes payload
         ch0, ch1 = memory_channel_pair()
-        run_both(
-            lambda: ch0.exchange([tensor([1, 2, 3, 4])]),
-            lambda: ch1.exchange([tensor([5, 6, 7, 8])]),
-        )
+        run_both(lambda: exchange(ch0, [1, 2, 3, 4]), lambda: exchange(ch1, [5, 6, 7, 8]))
         for ch in (ch0, ch1):
             assert ch.bytes_sent == 44
             assert ch.bytes_received == 44
@@ -58,50 +60,36 @@ class TestExchange:
     def test_shape_mismatch_desync(self):
         ch0, ch1 = memory_channel_pair()
         with pytest.raises(ProtocolDesyncError):
-            run_both(
-                lambda: ch0.exchange([tensor([1, 2])]),
-                lambda: ch1.exchange([tensor([1, 2, 3])]),
-            )
+            run_both(lambda: exchange(ch0, [1, 2]), lambda: exchange(ch1, [1, 2, 3]))
 
-    def test_multi_part_exchange_is_one_flat_frame(self):
-        """Several tensors travel as the frame of their concatenated words."""
-        parts = [tensor([1, 2, 3]), RingTensor(np.arange(4, dtype=np.uint64).reshape(2, 2), CFG)]
-        flat = tensor([1, 2, 3, 0, 1, 2, 3])
-        peer = tensor(range(10, 17))
+    def test_payload_of_another_length_desyncs(self):
+        """Every exchange is symmetric: a raw payload longer than this
+        party's is refused too."""
         ch0, ch1 = memory_channel_pair()
-        mine, seen_by_peer = run_both(lambda: ch0.exchange(parts),
-                                      lambda: ch1.exchange_bytes(peer.to_bytes()))
-        assert bytes(seen_by_peer) == flat.to_bytes()
-        assert mine.shape == (7,) and mine == peer
-        ref0, ref1 = memory_channel_pair()
-        run_both(lambda: ref0.exchange([flat]), lambda: ref1.exchange([peer]))
-        assert ch0.transcript_hash == ref0.transcript_hash
-        assert ch0.bytes_sent == ref0.bytes_sent == 4 + 8 + 7 * 8
+        with pytest.raises(ProtocolDesyncError, match="peer sent a 3-byte payload, this party sent 2"):
+            run_both(lambda: ch0.exchange_bytes(b"ab"), lambda: ch1.exchange_bytes(b"abc"))
 
     @pytest.mark.parametrize("header", [(3, 1, 1, 2), (1, 4)], ids=["rank3", "longer-dim"])
     def test_same_length_frame_with_another_header_desyncs(self, header):
         """A peer frame as long as this party's but headed differently is
         refused, whatever words follow."""
-        sent = tensor([1, 2, 3]).to_bytes()
+        sent = bytes(frame_payload(frame_of([1, 2, 3]), CFG))
         head = struct.pack(f"<{len(header)}I", *header)
         forged = head + bytes(len(sent) - len(head))
         assert len(forged) == len(sent)
         ch0, ch1 = memory_channel_pair()
         with pytest.raises(ProtocolDesyncError):
-            run_both(lambda: ch0.exchange([tensor([1, 2, 3])]), lambda: ch1.exchange_bytes(forged))
+            run_both(lambda: exchange(ch0, [1, 2, 3]), lambda: ch1.exchange_bytes(forged))
 
     def test_timeout(self):
         ch0, _ = memory_channel_pair(timeout=0.05)
         with pytest.raises(TransportError):
-            ch0.exchange([tensor([1])])
+            exchange(ch0, [1])
 
     def test_rounds_monotone(self):
         ch0, ch1 = memory_channel_pair()
         for k in range(5):
-            run_both(
-                lambda: ch0.exchange([tensor([k])]),
-                lambda: ch1.exchange([tensor([k])]),
-            )
+            run_both(lambda: exchange(ch0, [k]), lambda: exchange(ch1, [k]))
         assert ch0.rounds == ch1.rounds == 5
 
 
@@ -175,7 +163,7 @@ class TestTcpBackend:
     def _run_script(self, ch, values):
         out = []
         for v in values:
-            out.append(ch.exchange([tensor(v)]).words.tolist())
+            out.append(exchange(ch, v).tolist())
         return out, ch.transcript_hash, ch.bytes_sent
 
     def _assert_backends_agree(self, script0, script1):
@@ -225,19 +213,19 @@ class TestTcpBackend:
 
         def p0():
             ch = tcp_listen(tcp_bind("127.0.0.1", port), timeout=15)
-            got = ch.exchange([RingTensor(big, CFG)])
+            got = exchange(ch, big)
             ch.close()
             return got
 
         def p1():
             ch = tcp_connect("127.0.0.1", port, timeout=15)
-            got = ch.exchange([RingTensor(big + np.uint64(1), CFG)])
+            got = exchange(ch, big + np.uint64(1))
             ch.close()
             return got
 
         r0, r1 = run_both(p0, p1)
-        assert np.array_equal(r0.words, big + np.uint64(1))
-        assert np.array_equal(r1.words, big)
+        assert np.array_equal(r0, big + np.uint64(1))
+        assert np.array_equal(r1, big)
 
 
 def loopback_pair():
@@ -263,12 +251,12 @@ class TestTcpLoop:
     def test_zero_length_payload(self):
         ch0, ch1 = (TcpChannel(s, timeout=5) for s in loopback_pair())
         try:
-            r0, r1 = run_both(lambda: ch0.exchange_bytes(b""), lambda: ch1.exchange_bytes(b"xy"))
+            r0, r1 = run_both(lambda: ch0.exchange_bytes(b""), lambda: ch1.exchange_bytes(b""))
         finally:
             ch0.close()
             ch1.close()
-        assert bytes(r0) == b"xy" and bytes(r1) == b""
-        assert (ch0.bytes_sent, ch0.bytes_received) == (4, 6)
+        assert bytes(r0) == bytes(r1) == b""
+        assert (ch0.bytes_sent, ch0.bytes_received) == (4, 4)
 
     def test_peer_closing_mid_frame(self):
         a, b = loopback_pair()
@@ -276,7 +264,7 @@ class TestTcpLoop:
 
         def peer():
             recv_exactly(b, 4 + 3)  # take this side's whole frame, then fail mid-frame
-            b.sendall(struct.pack("<I", 100) + bytes(10))
+            b.sendall(struct.pack("<I", 3) + bytes(1))
             b.close()
 
         t = threading.Thread(target=peer)
@@ -295,7 +283,7 @@ class TestTcpLoop:
         by its length and no timeout is waited out."""
         a, b = loopback_pair()
         ch = TcpChannel(a, timeout=5)
-        sent = len(tensor([1, 2, 3]).to_bytes())
+        sent = len(frame_payload(frame_of([1, 2, 3]), CFG))
 
         def peer():
             recv_exactly(b, 4 + sent)
@@ -306,7 +294,7 @@ class TestTcpLoop:
         try:
             t0 = time.monotonic()
             with pytest.raises(ProtocolDesyncError, match=f"peer sent a {sent + 8}-byte payload"):
-                ch.exchange([tensor([1, 2, 3])])
+                exchange(ch, [1, 2, 3])
             assert time.monotonic() - t0 < 1.0
         finally:
             t.join(timeout=5)
@@ -329,7 +317,7 @@ class TestTcpLoop:
     def test_back_to_back_frames_never_merge_or_split(self):
         ch0, ch1 = (TcpChannel(s, timeout=10) for s in loopback_pair())
         sent0 = [bytes([k % 251]) * (k % 9) for k in range(200)]
-        sent1 = [bytes([k % 13]) * (k % 5 + 3) for k in range(200)]
+        sent1 = [bytes([k % 13 + 1]) * (k % 9) for k in range(200)]
 
         def eager():
             return [bytes(ch0.exchange_bytes(p)) for p in sent0]
@@ -366,11 +354,11 @@ class TestTcpLoop:
 
         ch1, ch0 = run_both(lambda: tcp_connect("127.0.0.1", port, timeout=5), late_listener)
         try:
-            r1, r0 = run_both(lambda: ch1.exchange([tensor([1])]), lambda: ch0.exchange([tensor([2])]))
+            r1, r0 = run_both(lambda: exchange(ch1, [1]), lambda: exchange(ch0, [2]))
         finally:
             ch0.close()
             ch1.close()
-        assert r1.words.tolist() == [2] and r0.words.tolist() == [1]
+        assert r1.tolist() == [2] and r0.tolist() == [1]
 
     def test_unreachable_port_times_out(self):
         port = free_port()
