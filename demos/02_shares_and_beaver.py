@@ -10,7 +10,7 @@ A square pair halves the opened data because only one mask is needed.
 
 import numpy as np
 
-from arp.dealer import BeaverRequest, Dealer, SquareRequest
+from arp.dealer import Dealer, Request
 from arp.fixed import FixedConfig, decode, encode
 from arp.protocol import Session, ShareTensor, lin_combine, mul_beaver, square
 from arp.runtime import run_both
@@ -31,8 +31,8 @@ print("reconstruct :", decode(x_shares[0] + x_shares[1], cfg))
 # offline phase: the dealer pre-generates the correlated randomness
 dealer = Dealer(seed=7, cfg=cfg)
 tapes = dealer.build_tapes([
-    BeaverRequest((3,)),
-    SquareRequest((3,)),
+    Request("beaver", (3,)),
+    Request("square", (3,)),
 ])
 
 # online phase: both parties run the same protocol program
@@ -44,8 +44,8 @@ sessions = (
 
 
 def party_program(sess):
-    xs = ShareTensor(sess.party, x_shares[sess.party], cfg.frac_bits)
-    ys = ShareTensor(sess.party, y_shares[sess.party], cfg.frac_bits)
+    xs = ShareTensor(x_shares[sess.party], cfg.frac_bits)
+    ys = ShareTensor(y_shares[sess.party], cfg.frac_bits)
 
     combo = lin_combine(sess, 2.0, xs, ys)  # local on this ring: zero rounds, zero bytes
     prod = mul_beaver(sess, xs, ys)  # one round, opens 2n masked words

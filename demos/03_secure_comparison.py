@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from arp.dealer import BeaverRequest, Dealer
+from arp.dealer import Dealer, Request
 from arp.fixed import FixedConfig, decode, encode
 from arp.protocol import (
     Session,
@@ -35,7 +35,7 @@ x_shares = Dealer(seed=1, cfg=cfg).gen_shares(encode(x, cfg))
 # a full ltz, then a full relu
 reqs = (
     a2b_requests((5,), cfg)
-    + [BeaverRequest((5,))]
+    + [Request("beaver", (5,))]
     + ltz_requests((5,), cfg)
     + relu_requests((5,), cfg)
 )
@@ -45,7 +45,7 @@ sessions = (Session(0, cfg, ch0, tapes[0].reader()), Session(1, cfg, ch1, tapes[
 
 
 def program(sess):
-    xs = ShareTensor(sess.party, x_shares[sess.party], cfg.frac_bits)
+    xs = ShareTensor(x_shares[sess.party], cfg.frac_bits)
     ladder = {}
 
     r0 = sess.channel.rounds

@@ -9,11 +9,11 @@ from .dapa import (
     fit_monte_carlo,
     min_approx_loss,
 )
-from .dealer import AndRequest, BeaverRequest, Dealer, SquareRequest
+from .dealer import Dealer, Record, Request
 from .fixed import FixedConfig, RingTensor, decode, encode, truncate
 from .model_io import deserialize_model, load_model, save_model, serialize_model
 from .nn import Sequential, build_model
-from .protocol import BinaryShareTensor, Session, ShareTensor
+from .protocol import Session, ShareTensor
 from .replace import (
     HybridActivation,
     IndicatorState,

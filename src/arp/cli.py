@@ -7,15 +7,17 @@ infer-private's tcp mode takes --party 0 --listen or --party 1 --connect,
 its memory mode neither.
 Exit codes: 0 success, 2 a usage error (a flag the command does not take or
 would ignore, or a value it cannot use, such as a malformed HOST:PORT, a
-negative seed, a --budget above the activation count or images smallcnn
-cannot pool; all refused before any training), 3 tape exhaustion, 4 I/O or
-format error (a malformed model file or descriptor field, inputs that do not
-fit the model, a non-numeric CSV, or a value the ring cannot hold; inputs are
-refused before any dealing), 5 peer or transport error (no peer in
---timeout, a refused or lost connection, a listen port in use), 6 private
-logits outside the declared error budget (the run still writes its summary
-and --report), 7 protocol desync, 8 train-replace still over its --budget
-after the tail epochs (no model file is written).
+negative seed, --fixed-bits/--frac-bits that no ring takes, a --budget above
+the activation count or images smallcnn cannot pool; all refused before any
+training or model loading), 3 tape exhaustion, 4 I/O or format error (a
+malformed model file or descriptor field, inputs that do not fit the model,
+a non-numeric CSV, a train-replace dataset too small to split, or a value
+the ring cannot hold; inputs are refused before any dealing), 5 peer or
+transport error (no peer in --timeout, a refused or lost connection, a
+listen port in use), 6 private logits outside the declared error budget (the
+run still writes its summary and --report), 7 protocol desync, 8
+train-replace still over its --budget after the tail epochs (no model file
+is written).
 """
 
 from __future__ import annotations
@@ -56,6 +58,15 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 def _add_ring(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fixed-bits", type=int, default=64, help="ring bit width L")
     p.add_argument("--frac-bits", type=int, default=16, help="fractional bits f")
+    p.set_defaults(usage_error=p.error)
+
+
+def _ring(args) -> FixedConfig:
+    """The ring --fixed-bits/--frac-bits name; a usage error if no ring takes them."""
+    try:
+        return FixedConfig(args.fixed_bits, args.frac_bits)
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
 
 def _hostport(text: str) -> tuple[str, int]:
@@ -123,8 +134,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_replace(args) -> int:
+    fixed = _ring(args)
     x, y = _load_inputs(args.dataset, None)
     n_train = int(0.8 * len(x))
+    if not n_train:
+        raise FormatError(f"{args.dataset}: {len(x)} example(s) leave no training row in the "
+                          "80/20 train/test split; need at least 2")
     xtr, ytr, xte, yte = x[:n_train], y[:n_train], x[n_train:], y[n_train:]
     num_classes = int(y.max()) + 1
     cfg = ReplacementConfig(
@@ -147,7 +162,6 @@ def cmd_train_replace(args) -> int:
     print(f"final test accuracy: {final['accuracy']:.4f} "
           f"relu count: {plan.relu_count}/{plan.budget}")
 
-    fixed = FixedConfig(args.fixed_bits, args.frac_bits)
     save_model(args.out, model, fixed, args.seed)
     print(f"wrote model to {args.out}")
     if args.history:
@@ -194,8 +208,8 @@ def cmd_dapa_fit(args) -> int:
 
 
 def cmd_export(args) -> int:
+    fixed = _ring(args)
     model, _, seed = load_model(args.model)
-    fixed = FixedConfig(args.fixed_bits, args.frac_bits)
     save_model(args.out, model, fixed, seed)
     print(f"re-exported {args.model} -> {args.out} at L={fixed.total_bits}, f={fixed.frac_bits}")
     return 0
@@ -258,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=["mlp", "smallcnn"], default="mlp")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--history", help="per-epoch JSON history to write")
-    p.set_defaults(fn=cmd_train_replace, usage_error=p.error)
+    p.set_defaults(fn=cmd_train_replace)
 
     p = sub.add_parser("dapa-fit", help="fit polynomial coefficients to ReLU")
     _add_seed(p)

@@ -1,12 +1,14 @@
 """Trusted dealer: all correlated randomness is pre-generated from a seed.
 
-The dealer runs as an offline setup phase.  It answers a list of typed
-requests for elementwise correlations (Beaver triples, square pairs,
-boolean AND triples, truncation masks) and emits one tape per party.  The
-compute servers hold the model weights in the clear, so no other product
-consumes dealer randomness.  Tapes are consumed strictly in order by the online protocol,
-which reads each record with the request that planned it; a replay with the
-same seed and request sequence uses identical randomness.
+The dealer runs as an offline setup phase.  It answers a list of
+`Request(kind, shape)`s for elementwise correlations of four kinds
+("beaver" triples, "square" pairs, boolean "and" triples and "trunc"
+masks) and emits one tape per party.  The compute servers hold the model
+weights in the clear, so no other product consumes dealer randomness.
+Tapes are consumed strictly in order by the online protocol: each
+`TapeReader.take(request)` checks the next `Record` against the request that
+planned it, marks it used and returns its fields.  A replay with the same
+seed and request sequence uses identical randomness.
 
 Draw order.  Each `Dealer` reads one AES-128-CTR keystream as little-endian
 64-bit words; words are reduced mod 2^L.  The key is the first 16 bytes of
@@ -34,7 +36,9 @@ slots, and party 1's fields are derived and split in place.  A tape's
 records are read-only views of its file bytes (unpacked copies on rings of
 under 64 bits), and `tape_to_bytes` returns those bytes without a copy.
 
-One table, `_KIND`, describes each request type: its record, draw and tape layout.
+One table, `_KIND`, describes each kind: its tape tag, its fields, how
+they are drawn, derived and split, and its tape layout.  A new kind is one
+row there plus the op that takes its record.
 
 Tape file layout (little-endian throughout):
   magic "ARPT", version u16, L u16, f u16, party u8, record count u32,
@@ -50,24 +54,18 @@ import hashlib
 import math
 import operator
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError
+from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError, TripleReuseError
 from .fixed import FixedConfig, RingTensor, unpack_words
 
 __all__ = [
-    "BeaverRequest",
-    "SquareRequest",
-    "AndRequest",
-    "TruncRequest",
-    "BeaverTriple",
-    "SquarePair",
-    "AndTriple",
-    "TruncMask",
+    "Request",
+    "Record",
     "Dealer",
     "Tape",
     "TapeReader",
@@ -107,70 +105,25 @@ _THRESHOLD_BLOCK = 16 << 20
 _CHUNK = len(_ZEROS) // 8
 
 
-# ---- requests --------------------------------------------------------------
+# ---- requests and records --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BeaverRequest:
+class Request(NamedTuple):
+    """A request for one elementwise correlation of `kind` (a `_KIND` key)
+    and `shape`."""
+
+    kind: str
     shape: tuple
 
 
-@dataclass(frozen=True)
-class SquareRequest:
-    shape: tuple
+@dataclass(eq=False)
+class Record:
+    """One party's shares of one dealt correlation: `fields` are its kind's
+    `_KIND` fields, in that order; single use."""
 
-
-@dataclass(frozen=True)
-class AndRequest:
-    shape: tuple
-
-
-@dataclass(frozen=True)
-class TruncRequest:
-    shape: tuple
-
-
-# ---- issued records --------------------------------------------------------
-
-
-@dataclass
-class BeaverTriple:
-    """One party's halves of (A, B, Z = A * B); single use."""
-
-    a: RingTensor
-    b: RingTensor
-    z: RingTensor
-    used: bool = field(default=False, compare=False)
-
-
-@dataclass
-class SquarePair:
-    """One party's halves of (A, Z = A * A); single use."""
-
-    a: RingTensor
-    z: RingTensor
-    used: bool = field(default=False, compare=False)
-
-
-@dataclass
-class AndTriple:
-    """One party's XOR shares of (a, b, c = a & b) bit words; single use."""
-
-    a: RingTensor
-    b: RingTensor
-    c: RingTensor
-    used: bool = field(default=False, compare=False)
-
-
-@dataclass
-class TruncMask:
-    """One party's additive shares of a mask r and, for s = -r mod 2^L, of
-    s >> f and msb(s) * 2^(L-f); single use (see protocol's exact truncation)."""
-
-    r: RingTensor
-    hi: RingTensor
-    w: RingTensor
-    used: bool = field(default=False, compare=False)
+    kind: str
+    fields: tuple
+    used: bool = False
 
 
 def _trunc_fields(cfg: FixedConfig, v) -> None:
@@ -186,33 +139,31 @@ def _trunc_fields(cfg: FixedConfig, v) -> None:
 
 
 class _Kind(NamedTuple):
-    """How one request type is dealt and laid out on tape."""
+    """How one correlation kind is dealt and laid out on tape."""
 
-    record: type  # the record dealt for the request
+    tag: int  # its records' tape tag
+    names: tuple  # its share fields, in tape order
     secrets: int  # secret words drawn per element
-    derive: object  # (cfg, v) fills the record's other fields v[secrets:] from its secrets
+    derive: object  # (cfg, v) fills the fields v[secrets:] from the secrets
     split: np.ufunc  # party 1's share from a value and party 0's share
-    tag: int  # the record's tape tag
     head: bytes  # its fixed tape descriptor
     copies: int  # copies of its shape on tape
-    names: tuple  # the record's share fields, in tape order
 
 
-# A Beaver record's descriptor is op code 0 (elementwise), stride 1, padding 0.
+# Additive shares of (a, b, a*b) and (a, a*a), XOR shares of bit words
+# (a, b, a&b), and additive shares of a truncation mask r with s >> f and
+# msb(s) * 2^(L-f) for s = -r (see protocol's exact truncation).  A Beaver
+# record's descriptor is op code 0 (elementwise), stride 1, padding 0.
 _KIND = {
-    req: _Kind(record, *row, tuple(f.name for f in fields(record) if f.name != "used"))
-    for req, record, *row in [
-        (BeaverRequest, BeaverTriple, 2, lambda cfg, v: np.multiply(v[0], v[1], out=v[2]),
-         np.subtract, 1, b"\x00\x01\x00", 2),
-        (SquareRequest, SquarePair, 1, lambda cfg, v: np.multiply(v[0], v[0], out=v[1]),
-         np.subtract, 2, b"", 1),
-        (AndRequest, AndTriple, 2, lambda cfg, v: np.bitwise_and(v[0], v[1], out=v[2]),
-         np.bitwise_xor, 3, b"", 1),
-        (TruncRequest, TruncMask, 1, _trunc_fields, np.subtract, 4, b"", 1),
-    ]
+    "beaver": _Kind(1, ("a", "b", "z"), 2, lambda cfg, v: np.multiply(v[0], v[1], out=v[2]),
+                    np.subtract, b"\x00\x01\x00", 2),
+    "square": _Kind(2, ("a", "z"), 1, lambda cfg, v: np.multiply(v[0], v[0], out=v[1]),
+                    np.subtract, b"", 1),
+    "and": _Kind(3, ("a", "b", "c"), 2, lambda cfg, v: np.bitwise_and(v[0], v[1], out=v[2]),
+                 np.bitwise_xor, b"", 1),
+    "trunc": _Kind(4, ("r", "hi", "w"), 1, _trunc_fields, np.subtract, b"", 1),
 }
-_BY_RECORD = {k.record: k for k in _KIND.values()}
-_BY_TAG = {k.tag: k for k in _KIND.values()}
+_BY_TAG = {k.tag: name for name, k in _KIND.items()}
 
 
 # ---- dealer ----------------------------------------------------------------
@@ -280,9 +231,9 @@ class Dealer:
         cfg, nb = self.cfg, self.cfg.word_bytes
         layout, size, widest, dropped = [], _HEADER.size, 0, 0
         for req in requests:
-            if type(req) not in _KIND:
-                raise TypeError(f"unknown request {req!r}")
-            c = _KIND[type(req)]
+            if req.kind not in _KIND:
+                raise ValueError(f"unknown correlation kind {req.kind!r}: expected one of {', '.join(_KIND)}")
+            c = _KIND[req.kind]
             n = math.prod(req.shape)
             head = bytes((c.tag,)) + c.head + _pack_shape(req.shape) * c.copies
             layout.append((c, n, size, head))
@@ -341,11 +292,6 @@ def _store(cfg: FixedConfig, file: np.ndarray, at: int, w: np.ndarray) -> None:
 # ---- tapes -----------------------------------------------------------------
 
 
-def _shape(rec) -> tuple:
-    """A record's shape: that of its first field."""
-    return getattr(rec, _BY_RECORD[type(rec)].names[0]).shape
-
-
 class Tape:
     """One party's tape: the tape file's bytes, read-only and of exactly the
     file's length, and its records in draw order, which are read-only views
@@ -377,23 +323,24 @@ class TapeReader:
     def remaining(self) -> int:
         return len(self.tape.records) - self.pos
 
-    def take(self, request):
-        """The next record, which must be `request`'s kind and shape."""
-        kind = _KIND[type(request)].record
+    def take(self, request: Request) -> tuple:
+        """The fields of the next record, which must be `request`'s kind and
+        shape and not used before; the record is then used."""
+        kind, shape = request.kind, tuple(request.shape)
         if self.pos >= len(self.tape.records):
-            raise TapeExhaustedError(f"tape exhausted after {self.pos} records wanting {kind.__name__}")
+            raise TapeExhaustedError(f"tape exhausted after {self.pos} records wanting {kind!r}")
         rec = self.tape.records[self.pos]
-        if not isinstance(rec, kind):
+        if rec.kind != kind:
+            raise ProtocolDesyncError(f"tape record {self.pos} is {rec.kind!r}, expected {kind!r}")
+        if rec.fields[0].shape != shape:
             raise ProtocolDesyncError(
-                f"tape record {self.pos} is {type(rec).__name__}, expected {kind.__name__}"
+                f"tape record {self.pos} {kind!r} has shape {rec.fields[0].shape}, request was {shape}"
             )
-        if _shape(rec) != tuple(request.shape):
-            raise ProtocolDesyncError(
-                f"tape record {self.pos} {kind.__name__} has shape {_shape(rec)}, "
-                f"request was {tuple(request.shape)}"
-            )
+        if rec.used:
+            raise TripleReuseError(f"tape record {self.pos} {kind!r} consumed twice")
+        rec.used = True
         self.pos += 1
-        return rec
+        return rec.fields
 
 
 # ---- tape serialization -----------------------------------------------------
@@ -450,15 +397,16 @@ def tape_from_bytes(buf) -> Tape:
         (tag,) = cur.unpack("<B")
         if tag not in _BY_TAG:
             raise FormatError(f"unknown tape record tag {tag}")
-        k = _BY_TAG[tag]
+        kind = _BY_TAG[tag]
+        k = _KIND[kind]
         if cur.take(len(k.head)) != k.head:
-            raise FormatError(f"bad {k.record.__name__} descriptor: only elementwise records are served")
+            raise FormatError(f"bad {kind!r} descriptor: only elementwise records are served")
         shapes = [cur.shape() for _ in range(k.copies)]
         if len(set(shapes)) > 1:
-            raise FormatError(f"bad {k.record.__name__} shapes: {shapes} are not equal")
+            raise FormatError(f"bad {kind!r} shapes: {shapes} are not equal")
         packed = cur.take(len(k.names) * math.prod(shapes[0]) * cfg.word_bytes)
         words = unpack_words(packed, (len(k.names), *shapes[0]), cfg).words
-        records.append(k.record(*(RingTensor(w, cfg) for w in words)))
+        records.append(Record(kind, tuple(RingTensor(w, cfg) for w in words)))
     if cur.pos != len(cur.buf):
         raise FormatError("trailing bytes after last tape record")
     return Tape(party, cfg, cur.buf, records)

@@ -14,9 +14,13 @@ Round and opening accounting (asserted by tests):
 
 Model weights and polynomial coefficients are public to both compute
 servers; only activations are secret shared.  So every interactive op is
-elementwise, and it reads its dealer record (Beaver triple, square pair or
-AND triple) from the session's tape with the same kind of request that the
-planners below hand the dealer.
+elementwise, and it takes its dealer record's fields (a "beaver" triple, a
+"square" pair, an "and" triple or a "trunc" mask) from the session's tape
+with the same `dealer.Request` that the planners below hand the dealer.
+
+Share types: an additive share is a `ShareTensor` (ring words and a
+scale); an XOR share is a plain `RingTensor`.  Neither stores its party:
+every op that needs it reads it from the session, which it takes first.
 
 Frames and blocks: every opening goes through `_finish`.  An op writes its
 masked words once, straight into the `fixed.flat_frame` it sends
@@ -56,7 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dealer as dl
-from .errors import TripleReuseError
 from .fixed import FixedConfig, RingTensor, encode, flat_frame, truncate
 from .transport import Channel
 
@@ -64,7 +67,6 @@ __all__ = [
     "PHASES",
     "exact_truncation",
     "ShareTensor",
-    "BinaryShareTensor",
     "Session",
     "lin_combine",
     "mul_public",
@@ -99,9 +101,9 @@ def exact_truncation(cfg: FixedConfig) -> bool:
 
 @dataclass
 class ShareTensor:
-    """One party's additive share; reconstructs as payload_0 + payload_1 mod 2^L."""
+    """One party's additive share; reconstructs as payload_0 + payload_1 mod
+    2^L.  Its party is that of the session it is used in."""
 
-    party: int
     payload: RingTensor
     scale: int
 
@@ -121,29 +123,17 @@ class ShareTensor:
 
     def __add__(self, other: "ShareTensor") -> "ShareTensor":
         self._check(other)
-        return ShareTensor(self.party, self.payload + other.payload, self.scale)
+        return ShareTensor(self.payload + other.payload, self.scale)
 
     def __sub__(self, other: "ShareTensor") -> "ShareTensor":
         self._check(other)
-        return ShareTensor(self.party, self.payload - other.payload, self.scale)
+        return ShareTensor(self.payload - other.payload, self.scale)
 
     def __neg__(self) -> "ShareTensor":
-        return ShareTensor(self.party, -self.payload, self.scale)
+        return ShareTensor(-self.payload, self.scale)
 
     def reshape(self, *shape) -> "ShareTensor":
-        return ShareTensor(self.party, self.payload.reshape(*shape), self.scale)
-
-
-@dataclass
-class BinaryShareTensor:
-    """One party's XOR share; reconstructs as payload_0 XOR payload_1."""
-
-    party: int
-    payload: RingTensor
-
-    @property
-    def shape(self):
-        return self.payload.shape
+        return ShareTensor(self.payload.reshape(*shape), self.scale)
 
 
 PHASES = ("dealer", "linear", "comparison", "polynomial")
@@ -187,18 +177,18 @@ class Session:
 
     def share_of(self, words, scale: int | None = None) -> ShareTensor:
         scale = self.cfg.frac_bits if scale is None else scale
-        return ShareTensor(self.party, RingTensor(words, self.cfg), scale)
+        return ShareTensor(RingTensor(words, self.cfg), scale)
 
     def zeros_like(self, shape, scale: int = 0) -> ShareTensor:
-        return ShareTensor(self.party, RingTensor.zeros(shape, self.cfg), scale)
+        return ShareTensor(RingTensor.zeros(shape, self.cfg), scale)
 
     def reveal(self, x: ShareTensor) -> RingTensor:
         """Joint recovery: both parties learn payload_0 + payload_1."""
         return self._open(x.payload, "add")
 
-    def reveal_bits(self, x: BinaryShareTensor) -> RingTensor:
-        """Joint recovery of an XOR sharing: payload_0 ^ payload_1."""
-        return self._open(x.payload, "xor")
+    def reveal_bits(self, x: RingTensor) -> RingTensor:
+        """Joint recovery of an XOR sharing: x_0 ^ x_1."""
+        return self._open(x, "xor")
 
     def _open(self, x: RingTensor, mode: str) -> RingTensor:
         # an opening with an all-zero mask: the frame carries the share itself
@@ -270,13 +260,6 @@ def _zeros(shape, cfg: FixedConfig) -> RingTensor:
     return RingTensor(np.broadcast_to(np.uint64(0), shape), cfg)
 
 
-def _consume(record):
-    if record.used:
-        raise TripleReuseError(f"{type(record).__name__} consumed twice")
-    record.used = True
-    return record
-
-
 def _rescale(sess: Session, x: ShareTensor, raw_scale: int) -> ShareTensor:
     """Shift a product share back down to at most f fractional bits: exactly
     if its ring truncates exactly, else locally."""
@@ -284,12 +267,12 @@ def _rescale(sess: Session, x: ShareTensor, raw_scale: int) -> ShareTensor:
     out_scale = min(f, raw_scale)
     shift = raw_scale - out_scale
     if not shift:
-        return ShareTensor(x.party, x.payload, out_scale)
+        return ShareTensor(x.payload, out_scale)
     if exact_truncation(x.payload.cfg):
         if shift != f:
             raise ValueError(f"exact truncation shifts by f={f} bits, not {shift}")
         return _truncate_exact(sess, x.payload)
-    return ShareTensor(x.party, truncate(x.payload, bits=shift), out_scale)
+    return ShareTensor(truncate(x.payload, bits=shift), out_scale)
 
 
 def _truncate_exact(sess: Session, x: RingTensor) -> ShareTensor:
@@ -303,7 +286,7 @@ def _truncate_exact(sess: Session, x: RingTensor) -> ShareTensor:
     """
     cfg = x.cfg
     L, f = cfg.total_bits, cfg.frac_bits
-    mask = _consume(sess.tape.take(dl.TruncRequest(x.shape)))
+    r, hi, w = sess.tape.take(dl.Request("trunc", x.shape))
     y = x + np.uint64(1 << (L - 2)) if sess.party == 0 else x
 
     def kernel(out, c, w, hi):
@@ -317,8 +300,8 @@ def _truncate_exact(sess: Session, x: RingTensor) -> ShareTensor:
             out += c
             out -= np.uint64(1 << (L - 2 - f))
 
-    out = _finish(sess, [(y, mask.r)], "add", kernel, mask.w, mask.hi)
-    return ShareTensor(sess.party, RingTensor(out, cfg), f)
+    out = _finish(sess, [(y, r)], "add", kernel, w, hi)
+    return ShareTensor(RingTensor(out, cfg), f)
 
 
 # ---- local (round-free) operations -----------------------------------------
@@ -342,27 +325,27 @@ def mul_public(sess: Session, x: ShareTensor, w: RingTensor, op: str = "elementw
         raw = x.payload.conv2d(w, stride=stride, padding=padding)
     else:
         raise ValueError(f"unknown product op {op!r}")
-    return _rescale(sess, ShareTensor(x.party, raw, x.scale), x.scale + x.payload.cfg.frac_bits)
+    return _rescale(sess, ShareTensor(raw, x.scale), x.scale + x.payload.cfg.frac_bits)
 
 
-def add_public(x: ShareTensor, c: RingTensor) -> ShareTensor:
+def add_public(sess: Session, x: ShareTensor, c: RingTensor) -> ShareTensor:
     """Add a public constant: only party 0 contributes it; party 1's share is returned as is.
 
     Both parties refuse a constant that does not broadcast to the share's shape.
     """
     if np.broadcast_shapes(x.shape, c.shape) != x.shape:  # numpy raises for clashing shapes
         raise ValueError(f"public constant of shape {c.shape} does not broadcast to {x.shape}")
-    if x.party == 0:
-        return ShareTensor(0, x.payload + c, x.scale)
+    if sess.party == 0:
+        return ShareTensor(x.payload + c, x.scale)
     return x
 
 
-def public_complement(x: ShareTensor) -> ShareTensor:
+def public_complement(sess: Session, x: ShareTensor) -> ShareTensor:
     """1 - x for a scale-0 bit share."""
+    if sess.party == 1:
+        return ShareTensor(-x.payload, 0)
     one = RingTensor(np.ones(x.shape, dtype=np.uint64), x.payload.cfg)
-    if x.party == 0:
-        return ShareTensor(0, one - x.payload, 0)
-    return ShareTensor(1, -x.payload, 0)
+    return ShareTensor(one - x.payload, 0)
 
 
 # ---- interactive operations --------------------------------------------------
@@ -372,7 +355,7 @@ def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor) -> ShareTensor:
     """Elementwise secure product via one Beaver triple; one round, opens 2|X| words."""
     if x.shape != y.shape:
         raise ValueError(f"mul_beaver needs equal shapes, got {x.shape} and {y.shape}")
-    triple = _consume(sess.tape.take(dl.BeaverRequest(x.shape)))
+    a, b, z = sess.tape.take(dl.Request("beaver", x.shape))
 
     def kernel(r, e, f_, xw, yw, z):
         # r = x*f + e*y + z [- e*f on party 1]
@@ -384,14 +367,13 @@ def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor) -> ShareTensor:
         e *= yw
         r += e
 
-    r = _finish(sess, [(x.payload, triple.a), (y.payload, triple.b)], "add", kernel,
-                x.payload, y.payload, triple.z)
-    return _rescale(sess, ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), x.scale + y.scale)
+    r = _finish(sess, [(x.payload, a), (y.payload, b)], "add", kernel, x.payload, y.payload, z)
+    return _rescale(sess, ShareTensor(RingTensor(r, x.payload.cfg), 0), x.scale + y.scale)
 
 
 def square(sess: Session, x: ShareTensor) -> ShareTensor:
     """Elementwise secure square; one round, opens |X| words (half a multiply)."""
-    pair = _consume(sess.tape.take(dl.SquareRequest(x.shape)))
+    a, z = sess.tape.take(dl.Request("square", x.shape))
 
     def kernel(r, e, a, z):
         # r = 2*e*a + z [+ e*e on party 0]
@@ -402,13 +384,13 @@ def square(sess: Session, x: ShareTensor) -> ShareTensor:
             e *= e
             r += e
 
-    r = _finish(sess, [(x.payload, pair.a)], "add", kernel, pair.a, pair.z)
-    return _rescale(sess, ShareTensor(sess.party, RingTensor(r, x.payload.cfg), 0), 2 * x.scale)
+    r = _finish(sess, [(x.payload, a)], "add", kernel, a, z)
+    return _rescale(sess, ShareTensor(RingTensor(r, x.payload.cfg), 0), 2 * x.scale)
 
 
 def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
     """Bitwise AND of XOR-shared words via one AND triple; one round."""
-    triple = _consume(sess.tape.take(dl.AndRequest(x.shape)))
+    a, b, c = sess.tape.take(dl.Request("and", x.shape))
 
     def kernel(z, e, f_, a, b, c):
         # z = c ^ (e & b) ^ (a & f) [^ (e & f) on party 0]
@@ -420,7 +402,7 @@ def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
         f_ &= a
         z ^= f_
 
-    z = _finish(sess, [(x, triple.a), (y, triple.b)], "xor", kernel, triple.a, triple.b, triple.c)
+    z = _finish(sess, [(x, a), (y, b)], "xor", kernel, a, b, c)
     return RingTensor(z, x.cfg)
 
 
@@ -429,8 +411,9 @@ def _adder_levels(cfg: FixedConfig) -> int:
     return math.ceil(math.log2(cfg.total_bits))
 
 
-def a2b(sess: Session, x: ShareTensor) -> BinaryShareTensor:
-    """Arithmetic to binary sharing via a Kogge-Stone adder over XOR shares.
+def a2b(sess: Session, x: ShareTensor) -> RingTensor:
+    """Arithmetic to binary sharing via a Kogge-Stone adder; returns this
+    party's XOR share of x's words.
 
     Each party XOR-shares its own arithmetic share locally, then the two
     L-bit summands are added with a carry-lookahead circuit: 1 + ceil(log2 L)
@@ -454,27 +437,25 @@ def a2b(sess: Session, x: ShareTensor) -> BinaryShareTensor:
         p = RingTensor(both.words[1], cfg)
     np.left_shift(g, np.uint64(1), out=g)  # the carries
     g ^= own.words
-    return BinaryShareTensor(sess.party, RingTensor(g, cfg))
+    return RingTensor(g, cfg)
 
 
-def msb(x: BinaryShareTensor) -> BinaryShareTensor:
-    """Extract the sign bit plane; local, zero rounds."""
-    bits = x.payload.cfg.total_bits
-    return BinaryShareTensor(x.party, x.payload.rshift(bits - 1))
+def msb(x: RingTensor) -> RingTensor:
+    """Extract the sign bit plane of an XOR share; local, zero rounds."""
+    return x.rshift(x.cfg.total_bits - 1)
 
 
-def b2a(sess: Session, bit: BinaryShareTensor) -> ShareTensor:
-    """Convert a 1-bit XOR sharing to an arithmetic sharing at scale 0.
+def b2a(sess: Session, bit: RingTensor) -> ShareTensor:
+    """Convert this party's share `bit` of a 1-bit XOR sharing to an
+    arithmetic sharing at scale 0.
 
     b0 XOR b1 = b0 + b1 - 2*b0*b1; the cross term costs one Beaver multiply.
     """
-    cfg = bit.payload.cfg
-    zero = _zeros(bit.shape, cfg)
-    own = bit.payload
-    x0 = ShareTensor(sess.party, own if sess.party == 0 else zero, 0)
-    x1 = ShareTensor(sess.party, own if sess.party == 1 else zero, 0)
+    zero = _zeros(bit.shape, bit.cfg)
+    x0 = ShareTensor(bit if sess.party == 0 else zero, 0)
+    x1 = ShareTensor(bit if sess.party == 1 else zero, 0)
     cross = mul_beaver(sess, x0, x1)
-    return ShareTensor(sess.party, own - cross.payload * np.uint64(2), 0)
+    return ShareTensor(bit - cross.payload * np.uint64(2), 0)
 
 
 def ltz(sess: Session, x: ShareTensor) -> ShareTensor:
@@ -489,7 +470,7 @@ def ltz(sess: Session, x: ShareTensor) -> ShareTensor:
 def relu_secure(sess: Session, x: ShareTensor) -> ShareTensor:
     """max(x, 0) on shares: one comparison plus one Beaver multiply."""
     b = ltz(sess, x)
-    return mul_beaver(sess, public_complement(b), x)
+    return mul_beaver(sess, public_complement(sess, b), x)
 
 
 def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTensor:
@@ -528,7 +509,7 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTen
         acc = acc + sq.payload * e2
     if sess.party == 0:
         acc = acc + e0.lshift(f)
-    return _rescale(sess, ShareTensor(sess.party, acc, 0), 2 * f)
+    return _rescale(sess, ShareTensor(acc, 0), 2 * f)
 
 
 # ---- tape request planning ---------------------------------------------------
@@ -540,23 +521,23 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTen
 
 def a2b_requests(shape, cfg: FixedConfig) -> list:
     levels = _adder_levels(cfg)
-    return [dl.AndRequest(tuple(shape))] + [dl.AndRequest((2, *shape)) for _ in range(levels)]
+    return [dl.Request("and", tuple(shape))] + [dl.Request("and", (2, *shape)) for _ in range(levels)]
 
 
 def ltz_requests(shape, cfg: FixedConfig) -> list:
-    return a2b_requests(shape, cfg) + [dl.BeaverRequest(tuple(shape))]
+    return a2b_requests(shape, cfg) + [dl.Request("beaver", tuple(shape))]
 
 
 def relu_requests(shape, cfg: FixedConfig) -> list:
-    return ltz_requests(shape, cfg) + [dl.BeaverRequest(tuple(shape))]
+    return ltz_requests(shape, cfg) + [dl.Request("beaver", tuple(shape))]
 
 
 def trunc_requests(shape, cfg: FixedConfig) -> list:
     """The truncation mask of one rescale of a `shape` share, if `cfg`'s ring
     truncates exactly."""
-    return [dl.TruncRequest(tuple(shape))] if exact_truncation(cfg) else []
+    return [dl.Request("trunc", tuple(shape))] if exact_truncation(cfg) else []
 
 
 def dapa_requests(shape, cfg: FixedConfig, degree: int = 2) -> list:
-    square = [dl.SquareRequest(tuple(shape)), *trunc_requests(shape, cfg)] if degree >= 2 else []
+    square = [dl.Request("square", tuple(shape)), *trunc_requests(shape, cfg)] if degree >= 2 else []
     return square + trunc_requests(shape, cfg)

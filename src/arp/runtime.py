@@ -178,12 +178,12 @@ class SecureEvaluator:
             if isinstance(layer, Dense):
                 with sess.measure("linear"):
                     x = mul_public(sess, x, encode(layer.w.value, cfg), "matmul")
-                    x = add_public(x, encode(layer.b.value, cfg))
+                    x = add_public(sess, x, encode(layer.b.value, cfg))
             elif isinstance(layer, Conv2d):
                 with sess.measure("linear"):
                     x = mul_public(sess, x, encode(layer.w.value, cfg), "conv2d",
                                    stride=layer.stride, padding=layer.padding)
-                    x = add_public(x, encode(layer.b.value.reshape(-1, 1, 1), cfg))
+                    x = add_public(sess, x, encode(layer.b.value.reshape(-1, 1, 1), cfg))
             elif isinstance(layer, AvgPool2d):
                 with sess.measure("linear"):
                     x = sess.share_of(window_sum(x.payload.words, layer.k), x.scale)
@@ -330,7 +330,7 @@ def _run_party(party: int, channel, model: Sequential, cfg: FixedConfig, setup: 
     tape, input_share, offline_s = setup
     sess = Session(party, cfg, channel, tape.reader())
     sess.phases["dealer"]["seconds"] += offline_s
-    x = ShareTensor(party, input_share, cfg.frac_bits)
+    x = ShareTensor(input_share, cfg.frac_bits)
     logits_share = SecureEvaluator(model, cfg).run(sess, x)
     with sess.measure("linear"):
         logits = decode(sess.reveal(logits_share), cfg)

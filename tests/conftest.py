@@ -38,7 +38,7 @@ def share_ring(r: RingTensor, seed=1):
 
 def as_share(sess, pair, scale=None):
     scale = sess.cfg.frac_bits if scale is None else scale
-    return ShareTensor(sess.party, pair[sess.party], scale)
+    return ShareTensor(pair[sess.party], scale)
 
 
 @pytest.fixture

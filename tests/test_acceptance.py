@@ -23,12 +23,11 @@ from arp.dapa import (
     min_approx_loss,
 )
 from arp.data import save_csv, two_spirals
-from arp.dealer import BeaverRequest, SquareRequest
+from arp.dealer import Request
 from arp.fixed import FixedConfig, RingTensor, decode, encode, truncate
 from arp.model_io import save_model, serialize_model, deserialize_model
 from arp.nn import build_model, loss_cross_entropy
 from arp.protocol import (
-    BinaryShareTensor,
     ShareTensor,
     a2b,
     a2b_requests,
@@ -179,14 +178,14 @@ def test_criterion_04_protocol_exactness_exhaustive():
     sh = share_ring(ring, seed=7)
 
     def fn_ltz(sess):
-        out = ltz(sess, ShareTensor(sess.party, sh[sess.party], CFG8.frac_bits))
+        out = ltz(sess, ShareTensor(sh[sess.party], CFG8.frac_bits))
         return sess.reveal(out).words
 
     (bits, _) = two_party(fn_ltz, ltz_requests((256,), CFG8), cfg=CFG8)
     ltz_ok = np.array_equal(bits.astype(bool), ring.signed() < 0)
 
     def fn_a2b(sess):
-        xb = a2b(sess, ShareTensor(sess.party, sh[sess.party], 0))
+        xb = a2b(sess, ShareTensor(sh[sess.party], 0))
         return sess.reveal_bits(xb).words
 
     (patterns, _) = two_party(fn_a2b, a2b_requests((256,), CFG8), cfg=CFG8)
@@ -229,8 +228,7 @@ def test_criterion_05_plaintext_ciphertext_equivalence():
         out["mul_beaver"] = decode(sess.reveal(mul_beaver(sess, xt, yt)))
         out["square"] = decode(sess.reveal(square(sess, xt)))
         bits = np.asarray(rng_bits[sess.party], dtype=np.uint64)
-        b = BinaryShareTensor(sess.party, RingTensor(bits, CFG64))
-        out["b2a"] = sess.reveal(b2a(sess, b)).words
+        out["b2a"] = sess.reveal(b2a(sess, RingTensor(bits, CFG64))).words
         out["relu_secure"] = decode(sess.reveal(relu_secure(sess, xt)))
         zt = as_share(sess, zs)
         out["dapa_eval"] = decode(sess.reveal(dapa_eval_secure(sess, zt, 0.28, 0.5, 0.14)))
@@ -240,7 +238,7 @@ def test_criterion_05_plaintext_ciphertext_equivalence():
         return out
 
     reqs = (
-        [BeaverRequest((n,)), SquareRequest((n,)), BeaverRequest((n,))]
+        [Request("beaver", (n,)), Request("square", (n,)), Request("beaver", (n,))]
         + relu_requests((n,), CFG64)
         + dapa_requests((n,), CFG64, 2)
         + hybrid_requests(100, mask, CFG64, 2)
@@ -309,9 +307,9 @@ def test_criterion_06_round_and_opening_accounting():
         return stats
 
     reqs = (
-        [BeaverRequest((n,)), SquareRequest((n,))]
+        [Request("beaver", (n,)), Request("square", (n,))]
         + a2b_requests((n,), CFG64)
-        + [BeaverRequest((n,))]
+        + [Request("beaver", (n,))]
     )
     (s, _) = two_party(fn, reqs)
 
@@ -321,7 +319,7 @@ def test_criterion_06_round_and_opening_accounting():
 
     def fn8(sess):
         r0 = sess.channel.rounds
-        a2b(sess, ShareTensor(sess.party, sh8[sess.party], 0))
+        a2b(sess, ShareTensor(sh8[sess.party], 0))
         return sess.channel.rounds - r0
 
     (rounds8, _) = two_party(fn8, a2b_requests((16,), CFG8), cfg=CFG8)

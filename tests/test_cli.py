@@ -177,6 +177,48 @@ class TestBadValues:
         assert "baseline" not in out
         assert not (tmp_path / "m.arpm").exists()
 
+    @pytest.mark.parametrize("command, ring, reason", [
+        ("train-replace", ["--fixed-bits", 70], "total_bits must be in [8, 64], got 70"),
+        ("export", ["--fixed-bits", 7], "total_bits must be in [8, 64], got 7"),
+        ("export", ["--frac-bits", 63], "frac_bits must be in [0, 62], got 63"),
+    ], ids=["train-replace-L70", "export-L7", "export-f63"])
+    def test_ring_no_ring_takes_refused_before_training(self, tmp_path, capsys, command, ring, reason):
+        """Ring flags that no ring can take are usage errors, refused before
+        any training or model loading."""
+        from arp.model_io import save_model
+        from arp.nn import build_model
+
+        data, model, out = tmp_path / "spiral.csv", tmp_path / "in.arpm", tmp_path / "out.arpm"
+        run(["gen-data", "--n", 64, "--out", data])
+        save_model(model, build_model("mlp", seed=0), FixedConfig(64, 16))
+        capsys.readouterr()
+        argv = {"train-replace": ["--dataset", data, "--budget", 8, "--epochs", 1, "--pretrain-epochs", 1],
+                "export": ["--model", model]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *argv, "--out", out, *ring])
+        assert exc.value.code == 2
+        stdout, err = capsys.readouterr()
+        assert reason in err and "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_dataset_too_small_to_split_is_refused(self, tmp_path, capsys, monkeypatch):
+        """One example leaves no training row in the 80/20 split: exit 4 with
+        one line, before the model is built."""
+        import arp.cli as cli
+
+        data = tmp_path / "one.arim"
+        run(["gen-data", "--dataset", "toy-images", "--n", 1, "--out", data])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "build_model", lambda *a, **kw: pytest.fail("model built"))
+        assert run(["train-replace", "--dataset", data, "--arch", "smallcnn", "--budget", 0,
+                    "--out", tmp_path / "m.arpm"]) == 4
+        stdout, err = capsys.readouterr()
+        assert err == f"i/o or format error: {data}: 1 example(s) leave no training row in the " \
+                      "80/20 train/test split; need at least 2\n"
+        assert stdout == ""
+        assert not (tmp_path / "m.arpm").exists()
+
     @pytest.mark.parametrize("argv,env,name", [
         (["gen-data", "--dataset", "toy-images", "--n", -3], None, "argument --n"),
         (["gen-data", "--n", 0], None, "argument --n"),

@@ -12,22 +12,16 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from scipy import stats
 
+from arp import dealer
 from arp.dealer import (
-    AndRequest,
-    AndTriple,
-    BeaverRequest,
-    BeaverTriple,
     Dealer,
-    SquarePair,
-    SquareRequest,
-    TruncMask,
-    TruncRequest,
+    Request,
     read_tape,
     tape_from_bytes,
     tape_to_bytes,
     write_tape,
 )
-from arp.errors import FormatError, ProtocolDesyncError, TapeExhaustedError
+from arp.errors import FormatError, ProtocolDesyncError, TapeExhaustedError, TripleReuseError
 from arp.fixed import FixedConfig, RingTensor, pack_words
 from arp.protocol import mul_beaver
 
@@ -125,8 +119,6 @@ class TestStream:
         cap of 1 byte seeks past every record, and 40 or 50 bytes mix the
         two, from odd and even word positions.  Either way it deals the
         full deal's tape 0 and leaves the stream at the same word."""
-        import arp.dealer as dealer
-
         reqs = TestTapes()._requests()
         full = Dealer(3, CFG)
         want = bytes(tape_to_bytes(full.build_tapes(reqs)[0]))
@@ -142,14 +134,53 @@ class TestStream:
             Dealer(seed, CFG)
 
 
+def check_beaver(cfg, p0, p1):
+    a, b, z = (u + v for u, v in zip(p0, p1))
+    assert z == a * b
+
+
+def check_square(cfg, p0, p1):
+    a, z = (u + v for u, v in zip(p0, p1))
+    assert z == a * a
+
+
+def check_and(cfg, p0, p1):
+    a, b, c = ((u ^ v).words for u, v in zip(p0, p1))
+    assert np.array_equal(c, a & b)
+
+
+def check_trunc(cfg, p0, p1):
+    """hi and w reconstruct to s >> f and msb(s) * 2^(L-f) for s = -r,
+    checked on Python ints."""
+    bits, frac = cfg.total_bits, cfg.frac_bits
+    r, hi, w = ([int(x) for x in (u + v).words] for u, v in zip(p0, p1))
+    size = 1 << bits
+    s = [(-x) % size for x in r]
+    assert hi == [v >> frac for v in s]
+    assert w == [((v >> (bits - 1)) << (bits - frac)) % size for v in s]
+    assert {v >> (bits - 1) for v in s} == {0, 1}
+
+
+# each correlation kind's identity on both parties' reconstructed fields, and
+# the (L, f, dealer seed, shape) of each deal it is checked on
+IDENTITIES = {
+    "beaver": (check_beaver, [(8, 4, 1, (3,))]),
+    "square": (check_square, [(8, 4, 5, (10_000,))]),
+    "and": (check_and, [(8, 4, 7, (100_000,))]),
+    "trunc": (check_trunc, [(bits, frac, 8, (20_000,)) for bits, frac in [(8, 4), (32, 8), (64, 16), (64, 0)]]),
+}
+
+
 class TestTriples:
-    def test_elementwise_identity(self):
-        d = Dealer(1, CFG8)
-        t0, t1 = (t.records[0] for t in d.build_tapes([BeaverRequest((3,))]))
-        a = t0.a + t1.a
-        b = t0.b + t1.b
-        z = t0.z + t1.z
-        assert z == a * b
+    @pytest.mark.parametrize("kind, bits, frac, seed, shape",
+                             [(kind, *case) for kind, (_, cases) in IDENTITIES.items() for case in cases])
+    def test_identity(self, kind, bits, frac, seed, shape):
+        cfg = FixedConfig(bits, frac)
+        p0, p1 = (t.records[0].fields for t in Dealer(seed, cfg).build_tapes([Request(kind, shape)]))
+        IDENTITIES[kind][0](cfg, p0, p1)
+
+    def test_every_kind_has_an_identity_check(self):
+        assert set(IDENTITIES) == set(dealer._KIND)
 
     def test_matmul_identity_against_bigint(self):
         rng = np.random.default_rng(2)
@@ -178,41 +209,14 @@ class TestTriples:
                 mul_beaver(sess, sess.zeros_like((2,)), sess.zeros_like((3,)))
             return sess.tape.remaining(), sess.channel.rounds
 
-        assert two_party(fn, [BeaverRequest((2,))]) == ((1, 0), (1, 0))
-
-    def test_square_pair_property(self):
-        d = Dealer(5, CFG8)
-        p0, p1 = (t.records[0] for t in d.build_tapes([SquareRequest((10_000,))]))
-        a = p0.a + p1.a
-        z = p0.z + p1.z
-        assert z == a * a
+        assert two_party(fn, [Request("beaver", (2,))]) == ((1, 0), (1, 0))
 
     def test_square_scalar(self):
         d = Dealer(6, FixedConfig(8, 0))
-        p0, p1 = (t.records[0] for t in d.build_tapes([SquareRequest((1,))]))
-        a = int((p0.a + p1.a).words[0])
-        z = int((p0.z + p1.z).words[0])
+        (a0, z0), (a1, z1) = (t.records[0].fields for t in d.build_tapes([Request("square", (1,))]))
+        a = int((a0 + a1).words[0])
+        z = int((z0 + z1).words[0])
         assert z == (a * a) % 256
-
-    def test_and_triples_exhaustive(self):
-        d = Dealer(7, CFG8)
-        t0, t1 = (t.records[0] for t in d.build_tapes([AndRequest((100_000,))]))
-        a = (t0.a ^ t1.a).words
-        b = (t0.b ^ t1.b).words
-        c = (t0.c ^ t1.c).words
-        assert np.array_equal(c, a & b)
-
-    @pytest.mark.parametrize("bits,frac", [(8, 4), (32, 8), (64, 16), (64, 0)])
-    def test_trunc_mask_fields(self, bits, frac):
-        """hi and w reconstruct to s >> f and msb(s) * 2^(L-f) for s = -r,
-        checked on Python ints."""
-        cfg = FixedConfig(bits, frac)
-        m0, m1 = (t.records[0] for t in Dealer(8, cfg).build_tapes([TruncRequest((20_000,))]))
-        size = 1 << bits
-        s = [(-int(r)) % size for r in (m0.r + m1.r).words]
-        assert [int(v) for v in (m0.hi + m1.hi).words] == [v >> frac for v in s]
-        assert [int(v) for v in (m0.w + m1.w).words] == [((v >> (bits - 1)) << (bits - frac)) % size for v in s]
-        assert {v >> (bits - 1) for v in s} == {0, 1}
 
 
 PINNED_STREAM = [
@@ -229,8 +233,8 @@ PINNED_STREAM = [
 ]
 
 # tag, descriptor and shape copies of each record on tape, in tape format version 1
-RECORD_LAYOUT = {BeaverTriple: (1, b"\x00\x01\x00", 2), SquarePair: (2, b"", 1),
-                 AndTriple: (3, b"", 1), TruncMask: (4, b"", 1)}
+RECORD_LAYOUT = {"beaver": (1, b"\x00\x01\x00", 2), "square": (2, b"", 1),
+                 "and": (3, b"", 1), "trunc": (4, b"", 1)}
 
 
 def packed_tape(tape) -> bytes:
@@ -240,11 +244,10 @@ def packed_tape(tape) -> bytes:
     cfg = tape.cfg
     out = [b"ARPT", struct.pack("<HHHBI", 1, cfg.total_bits, cfg.frac_bits, tape.party, len(tape.records))]
     for rec in tape.records:
-        tag, head, copies = RECORD_LAYOUT[type(rec)]
-        fields = [v for v in vars(rec).values() if isinstance(v, RingTensor)]
-        shape = fields[0].shape
+        tag, head, copies = RECORD_LAYOUT[rec.kind]
+        shape = rec.fields[0].shape
         out += [bytes([tag]), head, struct.pack(f"<B{len(shape)}I", len(shape), *shape) * copies]
-        out += [bytes(pack_words(v)) for v in fields]
+        out += [bytes(pack_words(v)) for v in rec.fields]
     return b"".join(out)
 
 
@@ -252,8 +255,8 @@ def pinned_stream_digests(bits, frac, party):
     """SHA-256 of the tapes `build_tapes(reqs, party)` deals from seed 2024
     (None for a tape not dealt), then of the input shares dealt after them."""
     cfg = FixedConfig(bits, frac)
-    reqs = [BeaverRequest((3,)), SquareRequest((2, 5)), AndRequest((1, 1, 4, 4)),
-            BeaverRequest((2, 5)), AndRequest((3,)), SquareRequest((1, 1, 4, 4))]
+    reqs = [Request("beaver", (3,)), Request("square", (2, 5)), Request("and", (1, 1, 4, 4)),
+            Request("beaver", (2, 5)), Request("and", (3,)), Request("square", (1, 1, 4, 4))]
     d = Dealer(2024, cfg)
     dealt = d.build_tapes(reqs, party)
     tapes = dealt if party is None else [dealt[0] if p == party else None for p in (0, 1)]
@@ -266,12 +269,12 @@ def pinned_stream_digests(bits, frac, party):
 class TestTapes:
     def _requests(self):
         return [
-            BeaverRequest((3,)),
-            BeaverRequest((2, 3)),
-            BeaverRequest((1, 1, 4, 4)),
-            SquareRequest((2, 2)),
-            AndRequest((5,)),
-            TruncRequest((2, 3)),
+            Request("beaver", (3,)),
+            Request("beaver", (2, 3)),
+            Request("beaver", (1, 1, 4, 4)),
+            Request("square", (2, 2)),
+            Request("and", (5,)),
+            Request("trunc", (2, 3)),
         ]
 
     def test_serialization_bit_identical(self, tmp_path):
@@ -294,19 +297,25 @@ class TestTapes:
         assert tape_to_bytes(t_a[1]) == tape_to_bytes(t_b[1])
 
     def test_reader_validation(self):
-        tapes = Dealer(12, CFG).build_tapes([SquareRequest((2,))])
+        tapes = Dealer(12, CFG).build_tapes([Request("square", (2,))])
         rd = tapes[0].reader()
-        with pytest.raises(ProtocolDesyncError, match="is SquarePair, expected BeaverTriple"):
-            rd.take(BeaverRequest((2,)))
+        with pytest.raises(ProtocolDesyncError, match="is 'square', expected 'beaver'"):
+            rd.take(Request("beaver", (2,)))
         with pytest.raises(ProtocolDesyncError, match=r"has shape \(2,\), request was \(3,\)"):
-            rd.take(SquareRequest((3,)))
+            rd.take(Request("square", (3,)))
         assert rd.remaining() == 1
-        assert rd.take(SquareRequest((2,))) is tapes[0].records[0]
+        assert rd.take(Request("square", (2,))) is tapes[0].records[0].fields
         with pytest.raises(TapeExhaustedError):
-            rd.take(SquareRequest((2,)))
+            rd.take(Request("square", (2,)))
+        with pytest.raises(TripleReuseError, match="consumed twice"):  # a second reader of the same tape
+            tapes[0].reader().take(Request("square", (2,)))
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown correlation kind 'mul'"):
+            Dealer(12, CFG).build_tapes([Request("square", (2,)), Request("mul", (2,))])
 
     def test_bad_magic(self):
-        raw = tape_to_bytes(Dealer(13, CFG).build_tapes([AndRequest((1,))])[0])
+        raw = tape_to_bytes(Dealer(13, CFG).build_tapes([Request("and", (1,))])[0])
         with pytest.raises(FormatError):
             tape_from_bytes(b"XXXX" + raw[4:])
         with pytest.raises(FormatError):
@@ -315,7 +324,7 @@ class TestTapes:
     def test_misfit_beaver_shapes_are_format_errors(self):
         """Beaver records keep the version-1 head (op 0, stride 1, padding 0)
         and two equal shapes; any other head or unequal shapes are refused."""
-        raw = bytes(tape_to_bytes(Dealer(14, CFG).build_tapes([BeaverRequest((2,))])[0]))
+        raw = bytes(tape_to_bytes(Dealer(14, CFG).build_tapes([Request("beaver", (2,))])[0]))
         at = 4 + 11  # magic, then the header fields
         dim2 = (2).to_bytes(4, "little")
         assert raw[at : at + 14] == bytes([1, 0, 1, 0, 1]) + dim2 + bytes([1]) + dim2
@@ -333,7 +342,7 @@ class TestTapes:
     def test_impossible_header_is_a_format_error(self, at, value, reason):
         """A tape carries no digest, so its ring (L at byte 6, f at byte 8)
         and its party byte (10) are checked on read."""
-        raw = bytearray(tape_to_bytes(Dealer(15, CFG).build_tapes([AndRequest((2,))])[0]))
+        raw = bytearray(tape_to_bytes(Dealer(15, CFG).build_tapes([Request("and", (2,))])[0]))
         raw[at : at + len(value)] = value
         with pytest.raises(FormatError, match=reason):
             tape_from_bytes(bytes(raw))
@@ -359,12 +368,12 @@ class TestPartyZeroDeal:
     party 0's words into a scratch buffer.  Either tape, and the stream
     position after it, equal the full deal's."""
 
-    KINDS = (BeaverRequest, SquareRequest, AndRequest, TruncRequest)
+    KINDS = tuple(RECORD_LAYOUT)
 
     def random_requests(self, rng):
         """Up to 8 requests of rank 0 to 3; dims 0 to 6, so element counts
         are often odd and some shapes are empty."""
-        return [self.KINDS[rng.integers(len(self.KINDS))](tuple(int(d) for d in rng.integers(0, 7, rng.integers(0, 4))))
+        return [Request(self.KINDS[rng.integers(len(self.KINDS))], tuple(int(d) for d in rng.integers(0, 7, rng.integers(0, 4))))
                 for _ in range(rng.integers(0, 9))]
 
     @pytest.mark.parametrize("bits", [8, 20, 24, 32, 48, 64])
@@ -393,8 +402,6 @@ class TestPartyZeroDeal:
         """Party 0's words are drawn, split and packed a chunk at a time;
         chunks of 1 or 5 words deal the same tapes, for both parties and
         each alone, and leave the stream at the same word."""
-        import arp.dealer as dealer
-
         cfg = FixedConfig(bits, bits // 4)
         rng = np.random.default_rng(bits + chunk)
         lists = [self.random_requests(rng) for _ in range(20)]
@@ -412,11 +419,11 @@ class TestPartyZeroDeal:
         assert [deal(reqs) for reqs in lists] == want
 
     def test_zero_size_and_scalar_records(self):
-        reqs = [AndRequest((0,)), BeaverRequest(()), SquareRequest((3, 0)), AndRequest((1,)),
-                BeaverRequest((0, 2))]
+        reqs = [Request("and", (0,)), Request("beaver", ()), Request("square", (3, 0)), Request("and", (1,)),
+                Request("beaver", (0, 2))]
         tape0, _ = Dealer(1, CFG).build_tapes(reqs)
         (only0,) = Dealer(1, CFG).build_tapes(reqs, 0)
-        assert [r.a.shape for r in only0.records] == [(0,), (), (3, 0), (1,), (0, 2)]
+        assert [r.fields[0].shape for r in only0.records] == [(0,), (), (3, 0), (1,), (0, 2)]
         assert tape_to_bytes(only0) == tape_to_bytes(tape0)
 
 
@@ -426,18 +433,17 @@ class TestTapeBuffers:
     @pytest.mark.parametrize("bits", [24, 32])
     def test_narrow_ring_tapes_round_trip(self, bits):
         cfg = FixedConfig(bits, 8)
-        reqs = [BeaverRequest((2, 3)), SquareRequest((4,)), AndRequest((5,)), TruncRequest((3,))]
+        reqs = [Request("beaver", (2, 3)), Request("square", (4,)), Request("and", (5,)), Request("trunc", (3,))]
         for tape in Dealer(5, cfg).build_tapes(reqs):
             raw = tape_to_bytes(tape)
             loaded = tape_from_bytes(raw)
             assert tape_to_bytes(loaded) == raw
-            assert loaded.records[0].z == tape.records[0].z
+            assert loaded.records[0].fields[2] == tape.records[0].fields[2]
 
     def test_loaded_records_are_read_only(self):
-        reqs = [BeaverRequest((3,)), SquareRequest((2,)), AndRequest((4,))]
+        reqs = [Request("beaver", (3,)), Request("square", (2,)), Request("and", (4,))]
         loaded = tape_from_bytes(tape_to_bytes(Dealer(6, CFG).build_tapes(reqs)[0]))
-        arrays = [v.words for rec in loaded.records for v in vars(rec).values()
-                  if isinstance(v, RingTensor)]
+        arrays = [v.words for rec in loaded.records for v in rec.fields]
         assert len(arrays) == 3 + 2 + 3
         for words in arrays:
             assert not words.flags.writeable
@@ -461,7 +467,7 @@ class TestTapeBuffers:
         # _run_party raises when records are left over after evaluation
         runtime.private_inference_memory(build_model("mlp", seed=0), CFG, x)
         assert len(loaded) == 2 and all(t.records for t in loaded)
-        assert all(not r.a.words.flags.writeable for t in loaded for r in t.records)
+        assert all(not r.fields[0].words.flags.writeable for t in loaded for r in t.records)
 
     def test_a_kept_tape_keeps_its_bytes(self, monkeypatch):
         """A tape a run has consumed still holds its own deal after the same
@@ -480,9 +486,9 @@ class TestTapeBuffers:
         monkeypatch.setattr(runtime, "tape_from_bytes", spy)
         model, (x, _) = build_model("mlp", seed=0), two_spirals(8, seed=1)
         runtime.private_inference_memory(model, CFG, x, dealer_seed=1)
-        first = [(bytes(tape_to_bytes(t)), [bytes(r.a.words) for r in t.records]) for t in loaded]
+        first = [(bytes(tape_to_bytes(t)), [bytes(r.fields[0].words) for r in t.records]) for t in loaded]
         runtime.private_inference_memory(model, CFG, x, dealer_seed=2)
-        kept = [(bytes(tape_to_bytes(t)), [bytes(r.a.words) for r in t.records]) for t in loaded[:2]]
+        kept = [(bytes(tape_to_bytes(t)), [bytes(r.fields[0].words) for r in t.records]) for t in loaded[:2]]
         assert kept == first
         assert [bytes(tape_to_bytes(t)) for t in loaded[2:]] != [b for b, _ in first]
 
@@ -492,7 +498,7 @@ class TestTapeBuffers:
         packed record by record, and it round-trips through the codec and a
         file."""
         cfg = FixedConfig(bits, 8)
-        tape = Dealer(8, cfg).build_tapes([AndRequest((n,)), BeaverRequest((3,))])[1]
+        tape = Dealer(8, cfg).build_tapes([Request("and", (n,)), Request("beaver", (3,))])[1]
         raw = tape_to_bytes(tape)
         assert isinstance(raw, memoryview) and raw.readonly
         assert len(raw) >= 4 << 20
@@ -507,7 +513,7 @@ class TestTapeBuffers:
     def test_small_tape_is_bytes(self):
         """A tape under 4 MiB is its file bytes too: a read-only buffer equal
         to the tape packed record by record."""
-        tape = Dealer(9, CFG).build_tapes([AndRequest((100_000,))])[0]
+        tape = Dealer(9, CFG).build_tapes([Request("and", (100_000,))])[0]
         raw = tape_to_bytes(tape)
         assert raw.readonly and 2 << 20 < len(raw) < 4 << 20
         assert bytes(raw) == packed_tape(tape)
@@ -517,15 +523,14 @@ class TestTapeBuffers:
         """`tape_to_bytes` of a dealt L=64 tape is the buffer the deal wrote:
         read-only, exactly the file's length, and the memory its records
         view; a tape read back keeps the buffer it was read from."""
-        reqs = [AndRequest((1000,)), BeaverRequest((3, 2)), SquareRequest((5,)), TruncRequest((4,))]
+        reqs = [Request("and", (1000,)), Request("beaver", (3, 2)), Request("square", (5,)), Request("trunc", (4,))]
         for tape in Dealer(10, CFG).build_tapes(reqs, party):
             raw = tape_to_bytes(tape)
             assert raw.readonly and len(raw) == len(packed_tape(tape)) == raw.nbytes
             assert tape_to_bytes(tape) is raw
             whole = np.frombuffer(raw, np.uint8)
-            fields = [v.words for rec in tape.records for v in vars(rec).values()
-                      if isinstance(v, RingTensor)]
+            fields = [v.words for rec in tape.records for v in rec.fields]
             assert len(fields) == 3 + 3 + 2 + 3
             assert all(np.shares_memory(whole, w) and not w.flags.writeable for w in fields)
             assert tape_to_bytes(tape_from_bytes(raw)) == raw
-            assert np.shares_memory(whole, tape_from_bytes(raw).records[0].c.words)
+            assert np.shares_memory(whole, tape_from_bytes(raw).records[0].fields[2].words)

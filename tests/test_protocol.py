@@ -7,7 +7,6 @@ mul_beaver/square, exact for comparison/b2a, 2 ULP for the polynomial,
 4 ULP for the hybrid layer.
 """
 
-import dataclasses
 import hashlib
 import math
 import queue
@@ -15,12 +14,11 @@ import queue
 import numpy as np
 import pytest
 
-from arp.dealer import AndRequest, BeaverRequest, Dealer, SquareRequest, TruncRequest
+from arp.dealer import Dealer, Request
 from arp.errors import ProtocolDesyncError, TripleReuseError
 from arp import protocol
 from arp.fixed import FixedConfig, RingTensor, decode, encode, truncate
 from arp.protocol import (
-    BinaryShareTensor,
     Session,
     ShareTensor,
     a2b,
@@ -154,7 +152,7 @@ class TestMulPublic:
         x0, _ = share_reals(np.ones((2, 3)))
         sess = Session(0, CFG64, memory_channel_pair()[0])
         with pytest.raises(ValueError):
-            mul_public(sess, ShareTensor(0, x0, CFG64.frac_bits), encode(np.ones((4, 2)), CFG64), "matmul")
+            mul_public(sess, ShareTensor(x0, CFG64.frac_bits), encode(np.ones((4, 2)), CFG64), "matmul")
 
 
 class TestAddPublic:
@@ -165,7 +163,7 @@ class TestAddPublic:
 
         def fn(sess):
             xt = as_share(sess, xs)
-            out = add_public(xt, encode(c, CFG64))
+            out = add_public(sess, xt, encode(c, CFG64))
             return decode(sess.reveal(out)), out is xt
 
         (r0, same0), (r1, same1) = two_party(fn)
@@ -176,8 +174,9 @@ class TestAddPublic:
     @pytest.mark.parametrize("party", [0, 1])
     def test_constant_that_does_not_broadcast_is_refused(self, party, c_shape):
         share = share_reals(np.ones((3, 4)))[party]
+        sess = Session(party, CFG64, memory_channel_pair()[party])
         with pytest.raises(ValueError, match="broadcast"):
-            add_public(ShareTensor(party, share, CFG64.frac_bits), RingTensor.zeros(c_shape, CFG64))
+            add_public(sess, ShareTensor(share, CFG64.frac_bits), RingTensor.zeros(c_shape, CFG64))
 
 
 class TestMulBeaver:
@@ -189,7 +188,7 @@ class TestMulBeaver:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [BeaverRequest((1,))])
+        (r, _) = two_party(fn, [Request("beaver", (1,))])
         assert abs(r[0] - 6.0) <= ULP
 
     def test_annihilation(self):
@@ -200,7 +199,7 @@ class TestMulBeaver:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [BeaverRequest((2,))])
+        (r, _) = two_party(fn, [Request("beaver", (2,))])
         assert np.max(np.abs(r)) <= ULP
 
     def test_random_against_reference(self):
@@ -213,12 +212,12 @@ class TestMulBeaver:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [BeaverRequest((2000,))])
+        (r, _) = two_party(fn, [Request("beaver", (2000,))])
         assert np.max(np.abs(r - ref_mul(x, y))) <= ULP
 
     def test_triple_reuse_is_hard_error(self):
         xs = share_reals(np.array([1.0]))
-        tapes = Dealer(5, CFG64).build_tapes([BeaverRequest((1,))])
+        tapes = Dealer(5, CFG64).build_tapes([Request("beaver", (1,))])
         for tape in tapes:  # a faulty tape that holds one record twice
             tape.records.append(tape.records[0])
 
@@ -242,7 +241,7 @@ class TestMulBeaver:
                 mul_beaver(sess, xt, xt)
             return sess.channel.rounds
 
-        assert two_party(fn, [BeaverRequest((3,))]) == (0, 0)
+        assert two_party(fn, [Request("beaver", (3,))]) == (0, 0)
 
 
 class TestSquare:
@@ -253,7 +252,7 @@ class TestSquare:
             out = square(sess, as_share(sess, xs))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [SquareRequest((2,))])
+        (r, _) = two_party(fn, [Request("square", (2,))])
         assert abs(r[0] - 2.25) <= ULP
         assert abs(r[1]) <= ULP
 
@@ -266,14 +265,14 @@ class TestSquare:
             out = square(sess, as_share(sess, xs))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [SquareRequest((3000,))])
+        (r, _) = two_party(fn, [Request("square", (3000,))])
         assert np.max(np.abs(r - ref_square(x))) <= ULP
 
     def test_opens_half_of_multiply(self):
         n = 64
         x = np.linspace(-5, 5, n)
         xs = share_reals(x)
-        reqs = [BeaverRequest((n,)), SquareRequest((n,))]
+        reqs = [Request("beaver", (n,)), Request("square", (n,))]
 
         def fn(sess):
             xt = as_share(sess, xs)
@@ -310,13 +309,13 @@ class TestExactTruncation:
 
         def fn(sess):
             xt = as_share(sess, xs, f)
-            local = sess.reveal(ShareTensor(sess.party, truncate(xt.payload * y, bits=f), f)).signed()
+            local = sess.reveal(ShareTensor(truncate(xt.payload * y, bits=f), f)).signed()
             r0, w0 = sess.channel.rounds, sess.opened_words
             out = mul_public(sess, xt, y)
             cost = (sess.channel.rounds - r0, sess.opened_words - w0, sess.tape.remaining())
             return local, sess.reveal(out).signed(), out.scale, cost
 
-        (local, exact, scale, cost), _ = two_party(fn, [TruncRequest((n,))], cfg=cfg)
+        (local, exact, scale, cost), _ = two_party(fn, [Request("trunc", (n,))], cfg=cfg)
         floor = np.array([(int(a) * int(b)) >> f for a, b in zip(xi, yi)])
         assert scale == f and cost == (1, n, 0)
         assert set(np.unique(exact - floor)) <= {0, 1}
@@ -346,7 +345,7 @@ class TestExactTruncation:
             cost = (sess.channel.rounds - r0, sess.opened_words - w0, sess.tape.remaining())
             return sess.reveal(out).signed(), out.scale, cost
 
-        (got, scale, cost), _ = two_party(fn, [TruncRequest((n,))], cfg=cfg)
+        (got, scale, cost), _ = two_party(fn, [Request("trunc", (n,))], cfg=cfg)
         if op == "lin_combine":
             floor = ((xi * 192) >> f) + yi  # 0.75 encodes to 192 at f=8
         else:
@@ -358,10 +357,10 @@ class TestExactTruncation:
         xs = share_reals(np.ones(3), CFG8)
 
         def fn(sess):
-            mul_public(sess, ShareTensor(sess.party, xs[sess.party], 2), encode(np.ones(3), CFG8))
+            mul_public(sess, ShareTensor(xs[sess.party], 2), encode(np.ones(3), CFG8))
 
         with pytest.raises(ValueError, match="exact truncation shifts by f=4 bits, not 2"):
-            two_party(fn, [TruncRequest((3,))], cfg=CFG8)
+            two_party(fn, [Request("trunc", (3,))], cfg=CFG8)
 
     @pytest.mark.parametrize("case", ["square", "dapa", "hybrid"])
     def test_plans_are_consumed_exactly(self, case):
@@ -371,7 +370,7 @@ class TestExactTruncation:
         mask = np.array([1, 0, 1, 1, 0], dtype=np.float64)
         xs = share_reals(x, cfg)
         reqs = {
-            "square": [SquareRequest((3, 5)), TruncRequest((3, 5))],
+            "square": [Request("square", (3, 5)), Request("trunc", (3, 5))],
             "dapa": dapa_requests((3, 5), cfg, 2),
             "hybrid": hybrid_requests(3, mask, cfg, 2),
         }[case]
@@ -411,7 +410,7 @@ class TestLocalTruncationFaults:
             w = encode(rng.uniform(-800, 800, n), CFG64)
             shares = share_ring(a, seed=seed)
             # local rescales touch no channel, so each party runs alone
-            outs = [mul_public(Session(p, CFG64, ch), ShareTensor(p, shares[p], f), w)
+            outs = [mul_public(Session(p, CFG64, ch), ShareTensor(shares[p], f), w)
                     for p, ch in enumerate(memory_channel_pair())]
             off = (outs[0].payload + outs[1].payload).signed() - ((a.signed() * w.signed()) >> f)
             wrapped = np.abs(off) > 2**f  # off by more than one decoded unit
@@ -428,7 +427,7 @@ class TestA2B:
         sh = share_ring(ring, seed=4)
 
         def fn(sess):
-            xb = a2b(sess, ShareTensor(sess.party, sh[sess.party], 0))
+            xb = a2b(sess, ShareTensor(sh[sess.party], 0))
             return sess.reveal_bits(xb).words
 
         (bits, _) = two_party(fn, a2b_requests((2,), CFG8), cfg=CFG8)
@@ -440,7 +439,7 @@ class TestA2B:
         sh = share_ring(ring, seed=5)
 
         def fn(sess):
-            xb = a2b(sess, ShareTensor(sess.party, sh[sess.party], 0))
+            xb = a2b(sess, ShareTensor(sh[sess.party], 0))
             return sess.reveal_bits(xb).words
 
         (bits, _) = two_party(fn, a2b_requests((256,), CFG8), cfg=CFG8)
@@ -453,7 +452,7 @@ class TestMsb:
         sh = share_ring(ring, seed=6)
 
         def fn(sess):
-            xb = a2b(sess, ShareTensor(sess.party, sh[sess.party], 0))
+            xb = a2b(sess, ShareTensor(sh[sess.party], 0))
             rounds_before = sess.channel.rounds
             top = msb(xb)
             assert sess.channel.rounds == rounds_before  # local
@@ -469,11 +468,10 @@ class TestB2A:
 
         def fn(sess):
             mine = np.array(b0_bits if sess.party == 0 else b1_bits, dtype=np.uint64)
-            bit = BinaryShareTensor(sess.party, RingTensor(mine, CFG64))
-            out = b2a(sess, bit)
+            out = b2a(sess, RingTensor(mine, CFG64))
             return sess.reveal(out).words
 
-        (vals, _) = two_party(fn, [BeaverRequest((n,))])
+        (vals, _) = two_party(fn, [Request("beaver", (n,))])
         return vals
 
     def test_examples(self):
@@ -506,7 +504,7 @@ class TestLtz:
         sh = share_ring(ring, seed=7)
 
         def fn(sess):
-            out = ltz(sess, ShareTensor(sess.party, sh[sess.party], CFG8.frac_bits))
+            out = ltz(sess, ShareTensor(sh[sess.party], CFG8.frac_bits))
             return sess.reveal(out).words
 
         (bits, _) = two_party(fn, ltz_requests((256,), CFG8), cfg=CFG8)
@@ -652,8 +650,8 @@ class TestInputsStayUnwritten:
     OPS = {
         "a2b": (lambda sess, x, y: a2b(sess, x), a2b_requests),
         "relu_secure": (lambda sess, x, y: relu_secure(sess, x), relu_requests),
-        "mul_beaver": (mul_beaver, lambda shape, cfg: [BeaverRequest(shape), *trunc_requests(shape, cfg)]),
-        "square": (lambda sess, x, y: square(sess, x), lambda shape, cfg: [SquareRequest(shape), *trunc_requests(shape, cfg)]),
+        "mul_beaver": (mul_beaver, lambda shape, cfg: [Request("beaver", shape), *trunc_requests(shape, cfg)]),
+        "square": (lambda sess, x, y: square(sess, x), lambda shape, cfg: [Request("square", shape), *trunc_requests(shape, cfg)]),
         "dapa_eval_secure": (
             lambda sess, x, y: dapa_eval_secure(sess, x, _per_column(x, 0.2, -0.3), _per_column(x, 0.5, -1.0),
                                                 _per_column(x, 0.1, 0.4)),
@@ -675,8 +673,7 @@ class TestInputsStayUnwritten:
         before = [w.copy() for w in inputs]
 
         def fn(sess):
-            records = [getattr(rec, f.name) for rec in sess.tape.tape.records
-                       for f in dataclasses.fields(rec) if f.name != "used"]
+            records = [v for rec in sess.tape.tape.records for v in rec.fields]
             for r in records:
                 r.words.setflags(write=False)
             kept = [r.words.copy() for r in records]
@@ -721,16 +718,16 @@ class TestBlockwiseFinish:
         x, y = ring_words(rng, shape, cfg), ring_words(rng, shape, cfg)
         if op == "and_shares":
             xs, ys = xor_shares(x, rng), xor_shares(y, rng)
-            reqs, want = [AndRequest(shape)], x.words & y.words
+            reqs, want = [Request("and", shape)], x.words & y.words
 
             def fn(sess):
                 out = and_shares(sess, xs[sess.party], ys[sess.party])
-                return sess.reveal_bits(BinaryShareTensor(sess.party, out)).words
+                return sess.reveal_bits(out).words
         else:
             xs, ys = share_ring(x, seed=3), share_ring(y, seed=4)
             reqs, want = {
-                "mul_beaver": ([BeaverRequest(shape)], (x * y).words),
-                "square": ([SquareRequest(shape)], (x * x).words),
+                "mul_beaver": ([Request("beaver", shape)], (x * y).words),
+                "square": ([Request("square", shape)], (x * x).words),
                 "relu_secure": (relu_requests(shape, cfg), np.where(x.signed() < 0, np.uint64(0), x.words)),
             }[op]
 
@@ -759,11 +756,11 @@ class TestBlockwiseFinish:
             zero = RingTensor(np.broadcast_to(np.uint64(0), shape), cfg)
             a, b = (own[0], zero) if sess.party == 0 else (zero, own[1])
             if op == "and_shares":
-                return sess.reveal_bits(BinaryShareTensor(sess.party, and_shares(sess, a, b))).words
-            return sess.reveal(mul_beaver(sess, ShareTensor(sess.party, a, 0), ShareTensor(sess.party, b, 0))).words
+                return sess.reveal_bits(and_shares(sess, a, b)).words
+            return sess.reveal(mul_beaver(sess, ShareTensor(a, 0), ShareTensor(b, 0))).words
 
-        reqs, want = {"and_shares": ([AndRequest(shape)], own[0].words & own[1].words),
-                      "mul_beaver": ([BeaverRequest(shape)], (own[0] * own[1]).words)}[op]
+        reqs, want = {"and_shares": ([Request("and", shape)], own[0].words & own[1].words),
+                      "mul_beaver": ([Request("beaver", shape)], (own[0] * own[1]).words)}[op]
         for got in two_party(fn, reqs, cfg=cfg):
             assert np.array_equal(got, want)
 
@@ -777,7 +774,7 @@ class TestBlockwiseFinish:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return sess.tape.remaining(), decode(sess.reveal(out))
 
-        (left, got), _ = two_party(fn, [BeaverRequest(MULTI_BLOCK), TruncRequest(MULTI_BLOCK)], cfg=cfg)
+        (left, got), _ = two_party(fn, [Request("beaver", MULTI_BLOCK), Request("trunc", MULTI_BLOCK)], cfg=cfg)
         assert left == 0
         assert np.max(np.abs(got - ref_mul(x, y, cfg))) <= cfg.resolution
 
@@ -797,7 +794,7 @@ class TestBlockwiseFinish:
             sess.reveal(relu_secure(sess, xt) + square(sess, xt))
             return sess.channel.transcript_hash
 
-        assert two_party(fn, relu_requests(shape, CFG64) + [SquareRequest(shape)], seed=43) == self.MULTI_BLOCK_HASHES
+        assert two_party(fn, relu_requests(shape, CFG64) + [Request("square", shape)], seed=43) == self.MULTI_BLOCK_HASHES
 
 
 class TestFrames:
@@ -818,7 +815,7 @@ class TestFrames:
         xs = share_reals(np.random.default_rng(42).uniform(-4, 4, size=shape), seed=7)
         q01, q10 = queue.Queue(), queue.Queue()
         channels = Keeper(q10, q01), Keeper(q01, q10)
-        reqs = relu_requests(shape, CFG64) + [SquareRequest(shape), BeaverRequest(shape)]
+        reqs = relu_requests(shape, CFG64) + [Request("square", shape), Request("beaver", shape)]
         tapes = Dealer(8, CFG64).build_tapes(reqs)
         sessions = [Session(p, CFG64, channels[p], tapes[p].reader()) for p in (0, 1)]
 
@@ -876,9 +873,9 @@ class TestAccounting:
             return counts
 
         reqs = (
-            [BeaverRequest((2,)), SquareRequest((2,))]
+            [Request("beaver", (2,)), Request("square", (2,))]
             + a2b_requests((2,), CFG64)
-            + [BeaverRequest((2,))]
+            + [Request("beaver", (2,))]
         )
         (c, _) = two_party(fn, reqs)
         assert c["local"] == 0
@@ -893,7 +890,7 @@ class TestAccounting:
 
         def fn(sess):
             r0 = sess.channel.rounds
-            a2b(sess, ShareTensor(sess.party, sh[sess.party], 0))
+            a2b(sess, ShareTensor(sh[sess.party], 0))
             return sess.channel.rounds - r0
 
         (rounds, _) = two_party(fn, a2b_requests((4,), CFG8), cfg=CFG8)

@@ -14,7 +14,6 @@ from cryptography.hazmat.primitives.poly1305 import Poly1305
 
 from arp import runtime
 from arp.data import two_spirals
-from arp.dealer import TruncRequest
 from arp.errors import EncodeOverflowError, TransportError
 from arp.fixed import FixedConfig
 from arp.model_io import deserialize_model, serialize_model
@@ -247,7 +246,7 @@ class TestExactTruncationRuns:
         budget on one wrap; each truncation mask costs a round and opens its size."""
         _, model, x = trained
         model32, cfg, _ = deserialize_model(serialize_model(model, self.CFG32, 0))
-        masks = [r for r in SecureEvaluator(model32, cfg).plan(x.shape) if isinstance(r, TruncRequest)]
+        masks = [r for r in SecureEvaluator(model32, cfg).plan(x.shape) if r.kind == "trunc"]
         assert len(masks) == 7  # three dense layers, two hybrid layers' square and final rescale
         rep64, _ = private_inference_memory(model, CFG, x, 7, 11)
         for seed in range(10):
@@ -270,7 +269,7 @@ class TestExactTruncationRuns:
         built = build_model("smallcnn", seed=0, num_classes=4, image_hw=8)
         model, _, _ = deserialize_model(serialize_model(built, self.CFG32, 0))  # folds batch norm
         plan = SecureEvaluator(model, self.CFG32).plan(imgs.shape)
-        assert [r.shape for r in plan if isinstance(r, TruncRequest)][:2] == [(8, 8, 8, 8), (8, 8, 4, 4)]
+        assert [r.shape for r in plan if r.kind == "trunc"][:2] == [(8, 8, 8, 8), (8, 8, 4, 4)]
         rep, _ = private_inference_memory(model, self.CFG32, imgs, 7, 11)
         assert rep.max_dev_ulp <= rep.budget_ulp
 
