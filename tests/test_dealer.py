@@ -161,23 +161,30 @@ def check_trunc(cfg, p0, p1):
     assert {v >> (bits - 1) for v in s} == {0, 1}
 
 
-# each correlation kind's identity on both parties' reconstructed fields, and
-# the (L, f, dealer seed, shape) of each deal it is checked on
-IDENTITIES = {
-    "beaver": (check_beaver, [(8, 4, 1, (3,))]),
-    "square": (check_square, [(8, 4, 5, (10_000,))]),
-    "and": (check_and, [(8, 4, 7, (100_000,))]),
-    "trunc": (check_trunc, [(bits, frac, 8, (20_000,)) for bits, frac in [(8, 4), (32, 8), (64, 16), (64, 0)]]),
-}
+# each correlation kind's identity on both parties' reconstructed fields
+IDENTITIES = {"beaver": check_beaver, "square": check_square, "and": check_and, "trunc": check_trunc}
+
+
+def check_identity(kind, bits, frac, seed, shape):
+    """Deal one `kind` record of `shape` from `seed` and check its identity."""
+    cfg = FixedConfig(bits, frac)
+    p0, p1 = (t.records[0].fields for t in Dealer(seed, cfg).build_tapes([Request(kind, shape)]))
+    IDENTITIES[kind](cfg, p0, p1)
 
 
 class TestTriples:
-    @pytest.mark.parametrize("kind, bits, frac, seed, shape",
-                             [(kind, *case) for kind, (_, cases) in IDENTITIES.items() for case in cases])
-    def test_identity(self, kind, bits, frac, seed, shape):
-        cfg = FixedConfig(bits, frac)
-        p0, p1 = (t.records[0].fields for t in Dealer(seed, cfg).build_tapes([Request(kind, shape)]))
-        IDENTITIES[kind][0](cfg, p0, p1)
+    def test_elementwise_identity(self):
+        check_identity("beaver", 8, 4, 1, (3,))
+
+    def test_square_pair_property(self):
+        check_identity("square", 8, 4, 5, (10_000,))
+
+    def test_and_triples_exhaustive(self):
+        check_identity("and", 8, 4, 7, (100_000,))
+
+    @pytest.mark.parametrize("bits,frac", [(8, 4), (32, 8), (64, 16), (64, 0)])
+    def test_trunc_mask_fields(self, bits, frac):
+        check_identity("trunc", bits, frac, 8, (20_000,))
 
     def test_every_kind_has_an_identity_check(self):
         assert set(IDENTITIES) == set(dealer._KIND)
