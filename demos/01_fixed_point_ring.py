@@ -8,7 +8,8 @@ secret-sharing layer needs.
 
 import numpy as np
 
-from arp.fixed import FixedConfig, decode, encode, flat_frame, frame_payload, truncate, unpack_words
+from arp.fixed import FixedConfig, RingTensor, decode, encode, truncate, unpack_words
+from arp.transport import flat_frame, frame_payload
 
 cfg = FixedConfig(total_bits=16, frac_bits=8)
 print(f"ring Z_2^{cfg.total_bits}, {cfg.frac_bits} fractional bits")
@@ -39,12 +40,13 @@ xs = rng.uniform(-100, 100, size=10_000)
 err = np.abs(decode(encode(xs, cfg), cfg) - xs).max()
 print(f"\nmax |decode(encode(x)) - x| over 10k samples: {err:.2e} (half ULP = {cfg.resolution / 2:.2e})")
 
-# the wire: every opening sends one flat frame, a rank-1 header word (rank 1,
-# then the word count, each a u32) followed by ceil(L/8)-byte little-endian words
+# the wire: every opening sends one frame, built and read by arp.transport: a
+# header word (rank 1, then the word count, each a u32) followed by the words,
+# which the codec in arp.fixed packs as ceil(L/8)-byte little-endian groups
 frame = flat_frame(4)
 frame[1:] = encode(np.array([1.5, -1.0, 0.3, 2.0]), cfg).words
 payload = bytes(frame_payload(frame, cfg))
 print(f"\nframe of 4 words at L={cfg.total_bits}: {len(payload)} bytes")
 print(f"  header {payload[:8].hex()} words {payload[8:].hex()}")
 words = unpack_words(payload[8:], (4,), cfg)
-print(f"  the peer decodes {decode(words, cfg)}")
+print(f"  the peer decodes {decode(RingTensor(words, cfg))}")

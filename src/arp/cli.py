@@ -1,18 +1,20 @@
 """Command-line surface: gen-data, train-replace, dapa-fit, export, infer-private.
 
 Shared flags, accepted only by the commands that read them: --seed
-(gen-data, train-replace, dapa-fit; the ARP_SEED env var wins, and is
-parsed as the flag is) and --fixed-bits/--frac-bits (train-replace, export).
+(gen-data, train-replace; the ARP_SEED env var wins, and is parsed as the
+flag is) and --fixed-bits/--frac-bits (train-replace, export).
 infer-private's tcp mode takes --party 0 --listen or --party 1 --connect,
 its memory mode neither.
 Exit codes: 0 success, 2 a usage error (a flag the command does not take or
-would ignore, or a value it cannot use, such as a malformed HOST:PORT, a
-negative seed, --fixed-bits/--frac-bits that no ring takes, a --budget above
-the activation count or images smallcnn cannot pool; all refused before any
-training or model loading), 3 tape exhaustion, 4 I/O or format error (a
-malformed model file or descriptor field, inputs that do not fit the model,
-a non-numeric CSV, a train-replace dataset too small to split, or a value
-the ring cannot hold; inputs are refused before any dealing), 5 peer or
+would ignore, such as --noise for toy-images, or a value it cannot use: a
+malformed HOST:PORT, a negative seed, a ring no FixedConfig takes, a
+--budget above the activation count, a dataset of another example shape
+than the --arch takes, images smallcnn cannot pool, or --stats at a
+--degree above 2; all refused before any training, fitting, model loading
+or writing), 3 tape exhaustion, 4 I/O or format error (a malformed
+model file or descriptor field, inputs that do not fit the model, a
+non-numeric CSV, a train-replace dataset too small to split, or a value the
+ring cannot hold; inputs are refused before any dealing), 5 peer or
 transport error (no peer in --timeout, a refused or lost connection, a
 listen port in use), 6 private logits outside the declared error budget (the
 run still writes its summary and --report), 7 protocol desync, 8
@@ -32,12 +34,12 @@ import numpy as np
 
 from . import data as datamod
 from .dapa import GaussianStats, empirical_loss, fit_closed_form, fit_closed_form_linear, \
-    fit_monte_carlo, min_approx_loss
+    fit_monte_carlo, min_approx_loss, min_linear_loss
 from .errors import DegenerateDistributionError, EncodeOverflowError, FormatError, \
     ProtocolDesyncError, ReluBudgetError, TapeExhaustedError, TransportError
 from .fixed import FixedConfig
 from .model_io import load_model, save_model
-from .nn import build_model
+from .nn import build_model, input_shape
 from .replace import ReplacementConfig, train_replace, train_supervised, evaluate
 from .runtime import private_inference_memory, private_inference_tcp
 
@@ -118,17 +120,17 @@ def _load_inputs(path: str, limit: int | None):
 
 
 def cmd_gen_data(args) -> int:
+    if args.dataset != "two-spiral" and args.noise is not None:
+        args.usage_error(f"--noise applies to two-spiral; {args.dataset} takes no noise")
     if args.dataset == "two-spiral":
         try:
-            x, y = datamod.two_spirals(args.n, args.noise, seed=args.seed)
+            x, y = datamod.two_spirals(args.n, 0.15 if args.noise is None else args.noise, seed=args.seed)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
         datamod.save_csv(args.out, x, y)
-    elif args.dataset == "toy-images":
+    else:  # toy-images, the parser's other choice
         imgs, y = datamod.toy_images(args.n, seed=args.seed)
         datamod.write_arim(args.out, imgs, y)
-    else:
-        raise FormatError(f"unknown dataset {args.dataset}")
     print(f"wrote {args.n} examples to {args.out}")
     return 0
 
@@ -148,6 +150,10 @@ def cmd_train_replace(args) -> int:
     )
     try:
         model = build_model(args.arch, args.seed, num_classes, image_hw=x.shape[-1])
+        takes = input_shape(args.arch, x.shape[-1])
+        if x.shape[1:] != takes:
+            raise ValueError(f"--arch {args.arch} takes examples of shape {takes}, "
+                             f"but {args.dataset} holds examples of shape {x.shape[1:]}")
         cfg.validate(model.activation_elements())
     except ValueError as exc:
         args.usage_error(str(exc))
@@ -172,21 +178,16 @@ def cmd_train_replace(args) -> int:
 
 
 def cmd_dapa_fit(args) -> int:
+    if args.stats and args.degree > 2:
+        args.usage_error(f"--stats fits in closed form at degrees 1 and 2, got --degree {args.degree}")
     rows = ["source,mu,var,degree," + ",".join(f"c{i}" for i in range(args.degree + 1)) + ",loss"]
-    if args.stats:
-        for g in args.stats:
-            mu, var = g.mean, g.var
-            if args.degree == 2:
-                c = fit_closed_form(g)
-                loss = min_approx_loss(g)
-            elif args.degree == 1:
-                c = fit_closed_form_linear(g)
-                rng = np.random.default_rng(args.seed)
-                loss = empirical_loss(rng.normal(mu, np.sqrt(var), 200_000), c)
-            else:
-                raise FormatError("closed-form fitting covers degrees 1 and 2")
-            coeffs = ",".join(f"{ci:.10g}" for ci in c)
-            rows.append(f"closed-form,{mu},{var},{args.degree},{coeffs},{loss:.10g}")
+    for g in args.stats or ():
+        if args.degree == 2:
+            c, loss = fit_closed_form(g), min_approx_loss(g)
+        else:
+            c, loss = fit_closed_form_linear(g), min_linear_loss(g)
+        coeffs = ",".join(f"{ci:.10g}" for ci in c)
+        rows.append(f"closed-form,{g.mean},{g.var},{args.degree},{coeffs},{loss:.10g}")
     if args.samples:
         try:
             z = np.loadtxt(args.samples).reshape(-1)
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--dataset", choices=["two-spiral", "toy-images"], default="two-spiral")
     p.add_argument("--n", type=_positive_int, default=1024)
-    p.add_argument("--noise", type=_non_negative_float, default=0.15)
+    p.add_argument("--noise", type=_non_negative_float, help="two-spiral noise (default 0.15)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_data)
 
@@ -275,13 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train_replace)
 
     p = sub.add_parser("dapa-fit", help="fit polynomial coefficients to ReLU")
-    _add_seed(p)
     p.add_argument("--stats", action="append", type=_gaussian_stats, metavar="MU,VAR",
                    help="Gaussian stats pair; repeatable")
     p.add_argument("--samples", help="text file of raw samples, one per line")
     p.add_argument("--degree", type=_positive_int, default=2)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_dapa_fit)
+    p.set_defaults(fn=cmd_dapa_fit, usage_error=p.error)
 
     p = sub.add_parser("export", help="re-encode a model file at a new fixed-point config")
     _add_ring(p)

@@ -22,6 +22,7 @@ __all__ = [
     "ChannelStats",
     "fit_closed_form",
     "fit_closed_form_linear",
+    "min_linear_loss",
     "min_approx_loss",
     "fit_monte_carlo",
     "horner",
@@ -100,6 +101,14 @@ def fit_closed_form_linear(stats, var=None) -> np.ndarray:
     c1 = 0.5 * erfc(-alpha / _SQRT2)  # standard normal CDF
     c0 = sigma * np.exp(-(alpha**2) / 2) / np.sqrt(2 * np.pi)
     return np.stack((c0, c1), axis=-1)
+
+
+def min_linear_loss(stats: GaussianStats) -> float:
+    """Expected squared error of the optimal affine fit c0 + c1*z: its residual
+    is orthogonal to 1 and z, and z*ReLU(z) = ReLU(z)^2, so it is (1 - c1)
+    E[ReLU(Z)^2] - c0 E[ReLU(Z)] = (1 - c1)((mu^2 + var) c1 + mu c0) - c0 (mu c1 + c0)."""
+    mu, (c0, c1) = stats.mean, fit_closed_form_linear(stats)
+    return float((1 - c1) * ((mu**2 + stats.var) * c1 + mu * c0) - c0 * (mu * c1 + c0))
 
 
 def min_approx_loss(stats: GaussianStats, *, uncorrected: bool = False) -> float:

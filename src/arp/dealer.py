@@ -61,7 +61,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import FormatError, ProtocolDesyncError, TapeExhaustedError, TripleReuseError
-from .fixed import FixedConfig, RingTensor, unpack_words
+from .fixed import FixedConfig, RingTensor, pack_words, unpack_words
 
 __all__ = [
     "Request",
@@ -279,14 +279,14 @@ class Dealer:
 
 
 def _store(cfg: FixedConfig, file: np.ndarray, at: int, w: np.ndarray) -> None:
-    """Reduce the drawn words `w` mod 2^L in place and, on rings whose words
-    take fewer than 8 bytes, pack them into `file` at byte `at` (64-bit
-    words were drawn into the file itself)."""
-    if cfg.total_bits < 64:
-        w &= cfg.mask
+    """Reduce the drawn words `w` mod 2^L: in place if they are 8-byte words,
+    which were drawn into the file itself, else packed into `file` at byte
+    `at` by `pack_words`."""
     nb = cfg.word_bytes
     if nb != 8:
-        file[at : at + nb * w.size].reshape(w.size, nb)[...] = w.view(np.uint8).reshape(w.size, 8)[:, :nb]
+        file[at : at + nb * w.size] = np.frombuffer(pack_words(w, cfg), np.uint8)
+    elif cfg.total_bits < 64:
+        w &= cfg.mask
 
 
 # ---- tapes -----------------------------------------------------------------
@@ -405,7 +405,7 @@ def tape_from_bytes(buf) -> Tape:
         if len(set(shapes)) > 1:
             raise FormatError(f"bad {kind!r} shapes: {shapes} are not equal")
         packed = cur.take(len(k.names) * math.prod(shapes[0]) * cfg.word_bytes)
-        words = unpack_words(packed, (len(k.names), *shapes[0]), cfg).words
+        words = unpack_words(packed, (len(k.names), *shapes[0]), cfg)
         records.append(Record(kind, tuple(RingTensor(w, cfg) for w in words)))
     if cur.pos != len(cur.buf):
         raise FormatError("trailing bytes after last tape record")

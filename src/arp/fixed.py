@@ -4,12 +4,14 @@ All ring values are stored as numpy uint64 words masked to the low L bits.
 Arithmetic wraps mod 2^L; signed interpretation is two's complement.  Reals
 are encoded at a scale of 2^f (f fractional bits) with round half away from
 zero.
+
+The word codec, `pack_words` and `unpack_words`, packs plain uint64 word
+arrays at ceil(L/8) bytes a word; tapes and `transport`'s frames share it.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +26,6 @@ __all__ = [
     "truncate",
     "pack_words",
     "unpack_words",
-    "flat_frame",
-    "frame_payload",
 ]
 
 
@@ -198,55 +198,32 @@ class RingTensor:
         return id(self)
 
 
-def _wire_header(dims) -> bytes:
-    return struct.pack(f"<I{len(dims)}I", len(dims), *dims)
-
-
-def flat_frame(n: int) -> np.ndarray:
-    """An unfilled wire frame of n ring words framed as one rank-1 tensor.
-
-    Word 0 holds the header (rank 1, then n, each a little-endian u32); the
-    caller writes the n words into `frame[1:]` and sends the frame with
-    `frame_payload`.  It is the layout of every opening on the wire.
-    """
-    frame = np.empty(n + 1, "<u8")
-    frame[:1] = np.frombuffer(_wire_header((n,)), "<u8")
-    return frame
-
-
-def frame_payload(frame: np.ndarray, cfg: FixedConfig):
-    """The wire payload of a filled `flat_frame`.  With 8-byte words it is the
-    frame itself, as bytes; narrower rings pack the words by `pack_words`."""
-    if cfg.word_bytes == 8:
-        return frame.view(np.uint8)
-    return b"".join((frame[:1].tobytes(), pack_words(RingTensor(frame[1:], cfg))))
-
-
-def pack_words(r: RingTensor):
-    """Row-major words as ceil(L/8)-byte little-endian groups, no shape header.
-
-    With 8-byte words this is a byte view of the (contiguous, little-endian)
-    word array rather than a copy; join it into the outgoing buffer.
-    """
-    nb = r.cfg.word_bytes
-    flat = np.ascontiguousarray(r.words.reshape(-1), dtype="<u8")
+def pack_words(words: np.ndarray, cfg: FixedConfig):
+    """Row-major words reduced mod 2^L, as ceil(L/8)-byte little-endian
+    groups with no shape header.  With 8-byte words this is a byte view of
+    the (contiguous, little-endian) words, not a copy; join it into the
+    outgoing buffer."""
+    nb = cfg.word_bytes
+    flat = np.ascontiguousarray(np.reshape(words, -1), dtype="<u8")
     if nb == 8:
         return memoryview(flat).cast("B")
-    return flat.view(np.uint8).reshape(-1, 8)[:, :nb].tobytes()
+    return (flat & cfg.mask).view(np.uint8).reshape(-1, 8)[:, :nb].tobytes()
 
 
-def unpack_words(buf, shape, cfg: FixedConfig) -> RingTensor:
-    """Inverse of pack_words for a known shape; 8-byte words are not copied."""
+def unpack_words(buf, shape, cfg: FixedConfig) -> np.ndarray:
+    """Inverse of pack_words for a known shape: the words reduced mod 2^L.
+    8-byte words are a view of `buf`, not a copy."""
     count = math.prod(shape)
     nb = cfg.word_bytes
     if len(buf) != count * nb:
         raise FormatError(f"expected {count * nb} payload bytes, got {len(buf)}")
     if nb == 8:
-        return RingTensor(np.frombuffer(buf, "<u8", count).reshape(shape), cfg)
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(count, nb)
+        return np.frombuffer(buf, "<u8", count).reshape(shape)
     full = np.zeros((count, 8), dtype=np.uint8)
-    full[:, :nb] = raw
-    return RingTensor(full.view("<u8").reshape(shape), cfg)
+    full[:, :nb] = np.frombuffer(buf, dtype=np.uint8).reshape(count, nb)
+    words = full.view("<u8").reshape(shape)
+    words &= cfg.mask
+    return words
 
 
 # ---- encode / decode / truncate ------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "cosine_lr",
     "loss_cross_entropy",
     "fold_batchnorm",
+    "input_shape",
     "build_model",
 ]
 
@@ -296,6 +297,13 @@ def fold_batchnorm(model: Sequential) -> Sequential:
     return Sequential(out)
 
 
+def input_shape(arch: str, image_hw: int = 8) -> tuple:
+    """The shape of one example that `build_model(arch, ..., image_hw=image_hw)` takes."""
+    if arch not in ("mlp", "smallcnn"):
+        raise ValueError(f"unknown architecture {arch!r}")
+    return (2,) if arch == "mlp" else (1, image_hw, image_hw)
+
+
 def build_model(arch: str, seed: int, num_classes: int = 2, image_hw: int = 8):
     """The two built-in architectures, with all-ReLU hybrid activations.
 
@@ -305,29 +313,28 @@ def build_model(arch: str, seed: int, num_classes: int = 2, image_hw: int = 8):
     """
     from .replace import HybridActivation
 
+    in_shape = input_shape(arch, image_hw)
     rng = np.random.default_rng(seed)
     if arch == "mlp":
         return Sequential([
-            Dense(2, 64, rng),
+            Dense(in_shape[0], 64, rng),
             HybridActivation((64,)),
             Dense(64, 64, rng),
             HybridActivation((64,)),
             Dense(64, num_classes, rng),
         ])
-    if arch == "smallcnn":
-        if image_hw <= 0 or image_hw % 4:
-            raise ValueError(f"smallcnn needs a side that is a positive multiple of 4, got {image_hw}")
-        hw2, hw4 = image_hw // 2, image_hw // 4
-        return Sequential([
-            Conv2d(1, 8, 3, rng, padding=1),
-            BatchNorm2d(8),
-            HybridActivation((8, image_hw, image_hw), channel_axis=0),
-            AvgPool2d(2),
-            Conv2d(8, 16, 3, rng, padding=1),
-            BatchNorm2d(16),
-            HybridActivation((16, hw2, hw2), channel_axis=0),
-            AvgPool2d(2),
-            Flatten(),
-            Dense(16 * hw4 * hw4, num_classes, rng),
-        ])
-    raise ValueError(f"unknown architecture {arch!r}")
+    if image_hw <= 0 or image_hw % 4:
+        raise ValueError(f"smallcnn needs a side that is a positive multiple of 4, got {image_hw}")
+    hw2, hw4 = image_hw // 2, image_hw // 4
+    return Sequential([
+        Conv2d(in_shape[0], 8, 3, rng, padding=1),
+        BatchNorm2d(8),
+        HybridActivation((8, image_hw, image_hw), channel_axis=0),
+        AvgPool2d(2),
+        Conv2d(8, 16, 3, rng, padding=1),
+        BatchNorm2d(16),
+        HybridActivation((16, hw2, hw2), channel_axis=0),
+        AvgPool2d(2),
+        Flatten(),
+        Dense(16 * hw4 * hw4, num_classes, rng),
+    ])

@@ -23,7 +23,7 @@ scale); an XOR share is a plain `RingTensor`.  Neither stores its party:
 every op that needs it reads it from the session, which it takes first.
 
 Frames and blocks: every opening goes through `_finish`.  An op writes its
-masked words once, straight into the `fixed.flat_frame` it sends
+masked words once, straight into the `transport.flat_frame` it sends
 (`_open_masked`); `Session.reveal` and `reveal_bits` mask with zeros, so
 their frame carries the share itself.  Once sent, a frame belongs to the
 channel, and the in-memory peer reads the very array, so no op writes into
@@ -60,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dealer as dl
-from .fixed import FixedConfig, RingTensor, encode, flat_frame, truncate
-from .transport import Channel
+from .fixed import FixedConfig, RingTensor, encode, truncate
+from .transport import Channel, flat_frame
 
 __all__ = [
     "PHASES",
@@ -142,11 +142,11 @@ PHASES = ("dealer", "linear", "comparison", "polynomial")
 class Session:
     """One party's view of a protocol run: channel, tape, and counters.
 
-    Phase accounting: `phases` holds one row per phase of bytes sent and
-    received, rounds, opened words and seconds.  "dealer" covers tape
-    generation (setup), "linear" covers public-weight layers, pooling and
-    the final logit opening, "comparison" covers secure ReLU (including its
-    multiply), "polynomial" covers the secure polynomial path.
+    Phase accounting: `phases` holds one row per phase of bytes sent (as
+    many as are received), rounds, opened words and seconds.  "dealer"
+    covers tape generation (setup), "linear" covers public-weight layers,
+    pooling and the final logit opening, "comparison" covers secure ReLU
+    (including its multiply), "polynomial" covers the secure polynomial path.
     """
 
     def __init__(self, party: int, cfg: FixedConfig, channel: Channel, tape: dl.TapeReader | None = None):
@@ -157,21 +157,18 @@ class Session:
         self.channel = channel
         self.tape = tape
         self.opened_words = 0
-        self.phases = {p: dict(bytes_sent=0, bytes_received=0, rounds=0, opened_words=0, seconds=0.0)
-                       for p in PHASES}
+        self.phases = {p: dict(bytes_sent=0, rounds=0, opened_words=0, seconds=0.0) for p in PHASES}
 
     @contextmanager
     def measure(self, phase: str):
         """Charge the traffic, openings and time inside the block to `phase`."""
         ch = self.channel
-        before = (ch.bytes_sent, ch.bytes_received, ch.rounds, self.opened_words, time.perf_counter())
+        before = (ch.bytes_sent, ch.rounds, self.opened_words, time.perf_counter())
         yield
-        row = self.phases[phase]
-        row["bytes_sent"] += ch.bytes_sent - before[0]
-        row["bytes_received"] += ch.bytes_received - before[1]
-        row["rounds"] += ch.rounds - before[2]
-        row["opened_words"] += self.opened_words - before[3]
-        row["seconds"] += time.perf_counter() - before[4]
+        after = (ch.bytes_sent, ch.rounds, self.opened_words, time.perf_counter())
+        row = self.phases[phase]  # its columns, in the order of `before`
+        for key, was, now in zip(row, before, after):
+            row[key] += now - was
 
     # -- share plumbing ---------------------------------------------------
 
@@ -196,19 +193,13 @@ class Session:
         return RingTensor(out, self.cfg)
 
 
-# how a share is masked for opening, and how both parties' words combine
-_MASK = {"add": np.subtract, "xor": np.bitwise_xor}
-_OPEN = {"add": np.add, "xor": np.bitwise_xor}
+# each opening mode's mask op (share - mask, or share ^ mask) and the op
+# that combines both parties' masked words
+_MODES = {"add": (np.subtract, np.add), "xor": (np.bitwise_xor, np.bitwise_xor)}
 
 # Words of each operand in one block of an op's finish: the ~7 operands of a
 # block (opened words, tape fields, inputs, output) then fit in a 2 MiB L2.
 _BLOCK = 1 << 14
-
-
-def _mode(table: dict, mode: str):
-    if mode not in table:
-        raise ValueError(f"unknown opening mode {mode!r}: expected 'add' or 'xor'")
-    return table[mode]
 
 
 def _open_masked(sess: Session, pairs, mode: str = "add"):
@@ -221,7 +212,9 @@ def _open_masked(sess: Session, pairs, mode: str = "add"):
     this party's words are not reduced mod 2^L (the wire packs their low
     bytes), so a caller that shifts or compares their combination reduces it.
     """
-    mask_op = _mode(_MASK, mode)
+    if mode not in _MODES:
+        raise ValueError(f"unknown opening mode {mode!r}: expected 'add' or 'xor'")
+    mask_op = _MODES[mode][0]
     share = pairs[0][0]
     k, n = len(pairs), share.size
     frame = flat_frame(k * n)
@@ -241,8 +234,8 @@ def _finish(sess: Session, pairs, mode: str, kernel, *operands: RingTensor) -> n
     result from the block of each scratch row, which it may overwrite, and
     of each operand.  Returns the fresh result, shaped like the first share.
     """
-    combine = _mode(_OPEN, mode)
     mine, theirs = _open_masked(sess, pairs, mode)
+    combine = _MODES[mode][1]
     k, n = mine.shape
     flat = [t.words.reshape(-1) for t in operands]  # views, also of `_zeros`
     out = np.empty(n, np.uint64)

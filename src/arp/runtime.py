@@ -259,10 +259,8 @@ class InferenceReport:
     totals: dict = field(init=False)
 
     def __post_init__(self):
-        self.totals = dict(bytes_sent=0, bytes_received=0, rounds=0, opened_words=0, seconds=0.0)
-        for row in self.phases.values():
-            for k in self.totals:
-                self.totals[k] += row[k]
+        rows = list(self.phases.values())
+        self.totals = {k: sum(row[k] for row in rows) for k in rows[0]}
 
     @property
     def agreement(self) -> float:

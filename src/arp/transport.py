@@ -1,10 +1,11 @@
 """Reliable ordered message exchange between exactly two parties.
 
 Framing is a 4-byte little-endian payload length followed by the payload.
-Every ring payload is one opening's `fixed.flat_frame`: rank 1 and the word
-count as two u32 words, then the ring words.  Counters track bytes in each
-direction and protocol rounds; a fingerprint of the sent frames lets tests
-compare transcripts across backends.
+Every ring payload is one opening's frame, which this module alone builds
+and reads: rank 1 and the word count as two u32s, then the words packed by
+`fixed.pack_words`.  Counters track the bytes sent and the rounds; a
+fingerprint of the sent frames lets tests compare transcripts across
+backends.
 
 The fingerprint is a running SHA-256 over each frame's length prefix and
 the 16-byte Poly1305 tag of its payload under one fixed public key,
@@ -15,19 +16,18 @@ probability at most 8l/2^106, and SHA-256 chains the prefixes and tags in
 order.  It is not authentication: the key is public, so a peer could craft
 payloads whose tags collide.
 
-A frame travels as two buffers, the length prefix and the payload, so the
-payload is never copied to prepend its prefix.  An opening's payload is the
-`fixed.flat_frame` its op filled (at L=64 the frame's own bytes), sent by
-`exchange_frame` as it is; the frame is read-only from then on.  The
-in-memory channel hands the payload object itself to the peer, so neither
-party may write into a frame it has sent or received.  The TCP channel sends
-both buffers with one `sendmsg` per writable turn, reads the 4-byte prefix,
-then reads the payload with `recv_into` an uninitialized numpy buffer of
-exactly the announced size, which it fills, so it never reads past the frame
-it is waiting for.  Both parties send equal payloads in every exchange, so
-each refuses a peer payload of another length than its own as soon as the
-length is known, before any buffer is allocated for it; `exchange_frame`
-also refuses a peer frame with another header once it arrives.
+A frame travels as two buffers, the length prefix and the payload (at L=64
+the frame's own bytes), so the payload is never copied to prepend its
+prefix; the frame is read-only once sent.  The in-memory channel hands the
+payload object itself to the peer, so neither party may write into a frame
+it has sent or received.  The TCP channel sends both buffers with one
+`sendmsg` per writable turn, reads the 4-byte prefix, then reads the payload
+with `recv_into` an uninitialized numpy buffer of exactly the announced
+size, so it never reads past the frame it is waiting for.  Both parties
+send equal payloads in every exchange, so each refuses a peer payload of
+another length as soon as the length is known, before allocating for it,
+and receives as many bytes as it sends.  `exchange_frame` also refuses a
+peer frame with another header, such as one as long from another ring.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ import numpy as np
 from cryptography.hazmat.primitives.poly1305 import Poly1305
 
 from .errors import ProtocolDesyncError, TransportError
-from .fixed import FixedConfig, frame_payload, unpack_words
+from .fixed import FixedConfig, pack_words, unpack_words
 
 __all__ = [
+    "flat_frame",
+    "frame_payload",
     "Channel",
     "InMemoryChannel",
     "TcpChannel",
@@ -59,23 +61,38 @@ DEFAULT_TIMEOUT = 30.0
 _FRAME_KEY = hashlib.sha256(b"arp.transport.frame.v1").digest()  # public Poly1305 key
 
 
+def flat_frame(n: int) -> np.ndarray:
+    """An unfilled frame of n ring words, its header in word 0; the caller
+    fills `frame[1:]`.  A frame of 2^32 or more words is refused."""
+    header = np.frombuffer(struct.pack("<II", 1, n), "<u8")  # before any allocation
+    frame = np.empty(n + 1, "<u8")
+    frame[:1] = header
+    return frame
+
+
+def frame_payload(frame: np.ndarray, cfg: FixedConfig):
+    """The wire payload of a filled `flat_frame`.  With 8-byte words it is the
+    frame itself, as bytes; narrower rings pack the words by `pack_words`."""
+    if cfg.word_bytes == 8:
+        return frame.view(np.uint8)
+    return b"".join((frame[:1].tobytes(), pack_words(frame[1:], cfg)))
+
+
 class Channel:
     """Duplex link to the peer party with byte/round accounting."""
 
     def __init__(self, timeout: float = DEFAULT_TIMEOUT):
         self.timeout = timeout
         self.bytes_sent = 0
-        self.bytes_received = 0
         self.rounds = 0
         self._sent_digest = hashlib.sha256()
 
     # backend hooks ------------------------------------------------------
 
-    def _swap(self, prefix: bytes, payload: bytes, want: int):
+    def _swap(self, prefix: bytes, payload: bytes):
         """Send one frame (its length prefix, then its payload); return the
-        peer's payload, without its prefix, as a bytes-like object.  A peer
-        payload whose length is not `want`, this payload's, is refused by
-        `_check_length` as soon as its length is known."""
+        peer's payload, without its prefix, as a bytes-like object, refusing
+        one of another length (`_check_length`) as soon as that is known."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -100,8 +117,7 @@ class Channel:
         self._sent_digest.update(prefix)
         self._sent_digest.update(Poly1305.generate_tag(_FRAME_KEY, payload))
         self.bytes_sent += len(prefix) + len(payload)
-        inbound = self._swap(prefix, payload, len(payload))
-        self.bytes_received += len(inbound) + 4
+        inbound = self._swap(prefix, payload)
         self.rounds += 1
         return inbound
 
@@ -113,12 +129,11 @@ class Channel:
         array sent.  A peer frame of another length or header desyncs.
         """
         frame.flags.writeable = False
-        inbound = self.exchange_bytes(frame_payload(frame, cfg))
-        sent = frame[:1].tobytes()
-        head = bytes(memoryview(inbound)[: len(sent)])
+        inbound = memoryview(self.exchange_bytes(frame_payload(frame, cfg)))
+        head, sent = inbound[:8], frame[:1].tobytes()  # word 0, the header
         if head != sent:
-            raise ProtocolDesyncError(f"peer sent frame header {head.hex()}, this party sent {sent.hex()}")
-        words = unpack_words(memoryview(inbound)[len(sent) :], (frame.size - 1,), cfg).words
+            raise ProtocolDesyncError(f"peer sent frame header {bytes(head).hex()}, this party sent {sent.hex()}")
+        words = unpack_words(inbound[8:], (frame.size - 1,), cfg)
         words.flags.writeable = False
         return words
 
@@ -136,13 +151,13 @@ class InMemoryChannel(Channel):
         self._inbox = inbox
         self._outbox = outbox
 
-    def _swap(self, prefix: bytes, payload: bytes, want: int):
+    def _swap(self, prefix: bytes, payload: bytes):
         self._outbox.put(payload)
         try:
             inbound = self._inbox.get(timeout=self.timeout)
         except queue.Empty:
             raise TransportError(f"no message from peer within {self.timeout}s") from None
-        _check_length(len(inbound), want)
+        _check_length(len(inbound), len(payload))
         return inbound
 
 
@@ -177,7 +192,7 @@ class TcpChannel(Channel):
         if not self._sel.select(timeout=max(0.0, deadline - time.monotonic())):
             raise TransportError(f"peer exchange timed out after {self.timeout}s")
 
-    def _swap(self, prefix: bytes, payload: bytes, want: int):
+    def _swap(self, prefix: bytes, payload: bytes):
         """Drive the socket until the frame is fully sent and the peer's
         whole frame has been received; each side is tried before blocking."""
         deadline = time.monotonic() + self.timeout
@@ -192,7 +207,7 @@ class TcpChannel(Channel):
                 view = view[n:] if n < len(view) else None
                 if view is None and body is None:
                     (length,) = struct.unpack("<I", head)
-                    _check_length(length, want)
+                    _check_length(length, len(payload))
                     body = np.empty(length, np.uint8)  # recv_into fills every byte
                     view = memoryview(body) if length else None
             if not moved:

@@ -56,6 +56,14 @@ class TestDapaFit:
         assert abs(float(vals[5]) - 0.5) < 0.005
         assert abs(float(vals[6]) - 0.14) < 0.005
 
+    def test_linear_stats_loss_is_closed_form(self, capsys):
+        """Degree 1 prints the optimal affine fit's exact loss, 1/4 - 1/(2 pi)
+        at N(0, 1), not a Monte-Carlo estimate."""
+        assert run(["dapa-fit", "--stats", "0,1", "--degree", 1]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert row[0] == "closed-form"
+        assert float(row[-1]) == pytest.approx(0.25 - 1 / (2 * np.pi), rel=1e-9)
+
     def test_sample_file(self, tmp_path):
         samples = tmp_path / "z.txt"
         rng = np.random.default_rng(3)
@@ -99,6 +107,7 @@ class TestIgnoredFlags:
         ("export", "--seed"),
         ("gen-data", "--fixed-bits"),
         ("dapa-fit", "--frac-bits"),
+        ("dapa-fit", "--seed"),
     ])
     def test_usage_exit(self, command, flag, capsys):
         from arp.cli import build_parser
@@ -151,6 +160,52 @@ class TestBadValues:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: expected" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["dapa-fit", "--stats", "0,1", "--degree", 3], "--stats fits in closed form at degrees 1 and 2, got --degree 3"),
+        (["gen-data", "--dataset", "toy-images", "--noise", 0.3], "--noise applies to two-spiral; toy-images takes no noise"),
+    ], ids=["dapa-stats-degree-3", "toy-images-noise"])
+    def test_value_the_command_cannot_use_exits_2(self, tmp_path, capsys, argv, reason):
+        """A value the command would fail on or ignore is a usage error,
+        refused before any fit or write."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", out])
+        assert exc.value.code == 2
+        stdout, err = capsys.readouterr()
+        assert reason in err and "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arch, columns, shape, takes", [
+        ("mlp", 3, "(3,)", "(2,)"),
+        ("smallcnn", 4, "(4,)", "(1, 4, 4)"),
+        ("mlp", None, "(1, 8, 8)", "(2,)"),
+    ], ids=["mlp-3-features", "smallcnn-4-features", "mlp-images"])
+    def test_dataset_the_arch_does_not_take_is_refused_before_training(
+            self, tmp_path, capsys, monkeypatch, arch, columns, shape, takes):
+        """Examples of another shape than the architecture's input are a usage
+        error naming the architecture and both shapes, before pretraining."""
+        import arp.cli as cli
+        from arp.data import save_csv
+
+        if columns is None:
+            data = tmp_path / "images.arim"
+            run(["gen-data", "--dataset", "toy-images", "--n", 16, "--out", data])
+        else:
+            data = tmp_path / "points.csv"
+            save_csv(data, np.random.default_rng(0).normal(size=(16, columns)), np.arange(16) % 2)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "train_supervised", lambda *a, **kw: pytest.fail("pretraining started"))
+        with pytest.raises(SystemExit) as exc:
+            run(["train-replace", "--dataset", data, "--arch", arch, "--budget", 8,
+                 "--out", tmp_path / "m.arpm"])
+        assert exc.value.code == 2
+        stdout, err = capsys.readouterr()
+        assert f"--arch {arch} takes examples of shape {takes}, but {data} holds examples of shape {shape}" in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not (tmp_path / "m.arpm").exists()
 
     def test_budget_above_activation_count_refused_before_training(self, tmp_path, capsys):
         data = tmp_path / "spiral.csv"
@@ -225,11 +280,9 @@ class TestBadValues:
         (["gen-data", "--seed", -1], None, "argument --seed"),
         (["gen-data", "--noise", "nan"], None, "argument --noise"),
         (["gen-data", "--noise", -0.1], None, "argument --noise"),
-        (["dapa-fit", "--stats", "0,1", "--degree", 1, "--seed", -1], None, "argument --seed"),
         (["gen-data"], "abc", "ARP_SEED"),
-        (["dapa-fit", "--stats", "0,1", "--degree", 1], "-1", "ARP_SEED"),
-    ], ids=["toy-n", "zero-n", "seed", "nan-noise", "negative-noise", "dapa-seed", "env-text",
-            "env-negative"])
+        (["gen-data"], "-1", "ARP_SEED"),
+    ], ids=["toy-n", "zero-n", "seed", "nan-noise", "negative-noise", "env-text", "env-negative"])
     def test_seed_and_size_usage_exit(self, tmp_path, capsys, monkeypatch, argv, env, name):
         """Seeds, dataset sizes and noise are refused at parse time, before
         any file is written."""

@@ -14,6 +14,7 @@ from arp.dapa import (
     fit_monte_carlo,
     horner,
     min_approx_loss,
+    min_linear_loss,
 )
 from arp.errors import DegenerateDistributionError
 
@@ -85,6 +86,18 @@ class TestLinearClosedForm:
         mc = fit_monte_carlo(z, 1)
         cf = fit_closed_form_linear(GaussianStats(0.5, 1.5**2))
         np.testing.assert_allclose(mc, cf, atol=5e-3)
+
+    def test_loss_at_standard_normal(self):
+        assert min_linear_loss(GaussianStats(0.0, 1.0)) == pytest.approx(0.25 - 1 / (2 * np.pi), rel=1e-15)
+
+    @pytest.mark.parametrize("mu,var", [(1.0, 2.0), (3.0, 4.0), (-2.0, 0.5)])
+    def test_loss_matches_monte_carlo(self, mu, var):
+        """The closed-form loss is the Monte-Carlo loss of the closed-form fit,
+        within four of the estimate's standard errors."""
+        g = GaussianStats(mu, var)
+        z = np.random.default_rng(5).normal(mu, np.sqrt(var), size=1_000_000)
+        err2 = (np.maximum(z, 0.0) - horner(fit_closed_form_linear(g), z)) ** 2
+        assert abs(min_linear_loss(g) - err2.mean()) < 4 * err2.std() / np.sqrt(z.size)
 
 
 class TestFitArguments:

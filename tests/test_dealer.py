@@ -254,7 +254,7 @@ def packed_tape(tape) -> bytes:
         tag, head, copies = RECORD_LAYOUT[rec.kind]
         shape = rec.fields[0].shape
         out += [bytes([tag]), head, struct.pack(f"<B{len(shape)}I", len(shape), *shape) * copies]
-        out += [bytes(pack_words(v)) for v in rec.fields]
+        out += [bytes(pack_words(v.words, cfg)) for v in rec.fields]
     return b"".join(out)
 
 
@@ -269,7 +269,7 @@ def pinned_stream_digests(bits, frac, party):
     tapes = dealt if party is None else [dealt[0] if p == party else None for p in (0, 1)]
     s0, s1 = d.gen_shares(RingTensor(np.arange(7, dtype=np.uint64), cfg))
     blobs = [tape_to_bytes(t) if t is not None else None for t in tapes]
-    blobs.append(bytes(pack_words(s0)) + bytes(pack_words(s1)))
+    blobs.append(bytes(pack_words(s0.words, cfg)) + bytes(pack_words(s1.words, cfg)))
     return tuple(hashlib.sha256(b).hexdigest() if b is not None else None for b in blobs)
 
 

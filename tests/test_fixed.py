@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from arp.errors import EncodeOverflowError, FormatError
-from arp.fixed import (FixedConfig, RingTensor, decode, encode, flat_frame, frame_payload, pack_words,
-                       truncate, unpack_words)
+from arp.fixed import FixedConfig, RingTensor, decode, encode, pack_words, truncate, unpack_words
+from arp.transport import flat_frame, frame_payload
 
 
 class TestEncode:
@@ -200,7 +200,7 @@ class TestWireEncoding:
         assert len(raw) == 4 + 4 + 32
         assert raw[:4] == (1).to_bytes(4, "little")
         assert raw[4:8] == (4).to_bytes(4, "little")
-        assert unpack_words(raw[8:], (4,), cfg).words.tolist() == [0, 1, 2, 3]
+        assert unpack_words(raw[8:], (4,), cfg).tolist() == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("bits", [8, 24, 40, 64])
     def test_roundtrip(self, bits):
@@ -211,14 +211,14 @@ class TestWireEncoding:
         frame[1:] = r.words
         raw = bytes(frame_payload(frame, cfg))
         assert len(raw) == 8 + 15 * cfg.word_bytes and raw[:8] == frame[:1].tobytes()
-        assert unpack_words(raw[8:], (15,), cfg) == r
+        assert np.array_equal(unpack_words(raw[8:], (15,), cfg), r.words)
 
     def test_word_packing_roundtrip(self):
         cfg = FixedConfig(24, 8)
         rng = np.random.default_rng(0)
         r = RingTensor(rng.integers(0, 2**24, size=17, dtype=np.uint64), cfg)
-        assert unpack_words(pack_words(r), (17,), cfg) == r
-        assert len(pack_words(r)) == 17 * 3
+        assert np.array_equal(unpack_words(pack_words(r.words, cfg), (17,), cfg), r.words)
+        assert len(pack_words(r.words, cfg)) == 17 * 3
 
     def test_truncated_payload_rejected(self):
         cfg = FixedConfig(64, 16)
@@ -233,9 +233,22 @@ class TestWireEncoding:
         """Words decode from any bytes-like payload, keeping the shape asked for."""
         cfg = FixedConfig(bits, 8)
         r = RingTensor(np.arange(6, dtype=np.uint64).reshape(2, 3) * 977, cfg)
-        raw = bytes(pack_words(r))
+        raw = bytes(pack_words(r.words, cfg))
         got = [unpack_words(b, (2, 3), cfg) for b in (raw, bytearray(raw), memoryview(raw))]
-        assert all(g == r and g.shape == (2, 3) for g in got)
+        assert all(np.array_equal(g, r.words) and g.shape == (2, 3) for g in got)
+
+    @pytest.mark.parametrize("bits", [20, 64])
+    def test_words_are_plain_uint64(self, bits):
+        """The codec takes and returns bare word arrays, reduced mod 2^L;
+        8-byte words are read in place."""
+        cfg = FixedConfig(bits, 8)
+        words = np.arange(6, dtype=np.uint64) * 977 + np.uint64(3 << 20)  # above L=20's bits
+        raw = bytes(pack_words(words, cfg))
+        assert raw == bytes(pack_words(words & cfg.mask, cfg))
+        got = unpack_words(raw, (6,), cfg)
+        assert type(got) is np.ndarray and got.dtype == np.uint64
+        assert np.array_equal(got, words & cfg.mask)
+        assert np.shares_memory(got, np.frombuffer(raw, np.uint8)) == (bits == 64)
 
     def test_wrong_length_word_buffer_rejected(self):
         cfg = FixedConfig(64, 16)

@@ -807,9 +807,9 @@ class TestFrames:
                 super().__init__(*args)
                 self.sent = []
 
-            def _swap(self, prefix, payload, want=None):
+            def _swap(self, prefix, payload):
                 self.sent.append((payload, hashlib.sha256(payload).hexdigest()))
-                return super()._swap(prefix, payload, want)
+                return super()._swap(prefix, payload)
 
         shape = MULTI_BLOCK
         xs = share_reals(np.random.default_rng(42).uniform(-4, 4, size=shape), seed=7)

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from arp.errors import ProtocolDesyncError, TransportError
-from arp.fixed import FixedConfig, flat_frame, frame_payload
+from arp.fixed import FixedConfig
 from arp.runtime import run_both
 from arp import transport
 from arp.transport import (
     _FRAME_KEY,
     Channel,
     TcpChannel,
+    flat_frame,
+    frame_payload,
     memory_channel_pair,
     tcp_bind,
     tcp_connect,
@@ -54,7 +56,6 @@ class TestExchange:
         run_both(lambda: exchange(ch0, [1, 2, 3, 4]), lambda: exchange(ch1, [5, 6, 7, 8]))
         for ch in (ch0, ch1):
             assert ch.bytes_sent == 44
-            assert ch.bytes_received == 44
             assert ch.rounds == 1
 
     def test_shape_mismatch_desync(self):
@@ -81,6 +82,21 @@ class TestExchange:
         with pytest.raises(ProtocolDesyncError):
             run_both(lambda: exchange(ch0, [1, 2, 3]), lambda: ch1.exchange_bytes(forged))
 
+    def test_peer_on_another_ring_desyncs(self):
+        """An L=32 frame of 6 words is as long as an L=64 frame of 3; the
+        header tells them apart."""
+        narrow = FixedConfig(32, 8)
+        assert len(frame_payload(frame_of([1] * 6), narrow)) == len(frame_payload(frame_of([1] * 3), CFG))
+        ch0, ch1 = memory_channel_pair()
+        with pytest.raises(ProtocolDesyncError, match="peer sent frame header 0100000006000000"):
+            run_both(lambda: exchange(ch0, [1, 2, 3]), lambda: ch1.exchange_frame(frame_of([1] * 6), narrow))
+
+    def test_frame_of_2_32_words_is_refused(self):
+        """The header holds the word count in a u32; a larger frame is
+        refused before any buffer is allocated for it."""
+        with pytest.raises(struct.error):
+            flat_frame(2**32)
+
     def test_timeout(self):
         ch0, _ = memory_channel_pair(timeout=0.05)
         with pytest.raises(TransportError):
@@ -96,7 +112,7 @@ class TestExchange:
 class Echo(Channel):
     """A channel whose peer sends back each frame; no thread needed."""
 
-    def _swap(self, prefix, payload, want=None):
+    def _swap(self, prefix, payload):
         return payload
 
 
@@ -256,7 +272,7 @@ class TestTcpLoop:
             ch0.close()
             ch1.close()
         assert bytes(r0) == bytes(r1) == b""
-        assert (ch0.bytes_sent, ch0.bytes_received) == (4, 4)
+        assert ch0.bytes_sent == 4
 
     def test_peer_closing_mid_frame(self):
         a, b = loopback_pair()
