@@ -6,24 +6,11 @@ and converts that bit back.  Every linear layer is round-free; one ReLU
 costs 3 + ceil(log2 L) rounds.  This demo prints the ladder.
 """
 
-import math
-
 import numpy as np
 
-from arp.dealer import Dealer, Request
+from arp.dealer import Dealer, DealingReader
 from arp.fixed import FixedConfig, decode, encode
-from arp.protocol import (
-    Session,
-    ShareTensor,
-    a2b,
-    a2b_requests,
-    b2a,
-    ltz,
-    ltz_requests,
-    msb,
-    relu_requests,
-    relu_secure,
-)
+from arp.protocol import Session, ShareTensor, a2b, adder_levels, b2a, ltz, msb, relu_secure
 from arp.runtime import run_both
 from arp.transport import memory_channel_pair
 
@@ -31,17 +18,10 @@ cfg = FixedConfig(64, 16)
 x = np.array([-3.25, -0.0001, 0.0, 0.0001, 7.5])
 x_shares = Dealer(seed=1, cfg=cfg).gen_shares(encode(x, cfg))
 
-# the tape must mirror the program below: a2b, then the b2a multiply, then
-# a full ltz, then a full relu
-reqs = (
-    a2b_requests((5,), cfg)
-    + [Request("beaver", (5,))]
-    + ltz_requests((5,), cfg)
-    + relu_requests((5,), cfg)
-)
-tapes = Dealer(seed=2, cfg=cfg).build_tapes(reqs)
+# each party's dealer deals a record at the moment an op takes it, so the
+# program below needs no list of the records it takes
 ch0, ch1 = memory_channel_pair()
-sessions = (Session(0, cfg, ch0, tapes[0].reader()), Session(1, cfg, ch1, tapes[1].reader()))
+sessions = [Session(p, cfg, ch, DealingReader(Dealer(seed=2, cfg=cfg), p)) for p, ch in enumerate((ch0, ch1))]
 
 
 def program(sess):
@@ -73,7 +53,7 @@ def program(sess):
 
 (ladder, neg, relu), _ = run_both(lambda: program(sessions[0]), lambda: program(sessions[1]))
 
-print(f"bit width L = {cfg.total_bits}, adder levels = {math.ceil(math.log2(cfg.total_bits))}")
+print(f"bit width L = {cfg.total_bits}, adder levels = {adder_levels(cfg)}")
 print("round ladder:")
 for step, rounds in ladder.items():
     print(f"  {step:<24} {rounds} rounds")

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 
+from .dealer import _Cursor
 from .errors import FormatError
 
 __all__ = [
@@ -107,15 +108,18 @@ def write_arim(path, images: np.ndarray, labels: np.ndarray) -> None:
 
 
 def read_arim(path):
+    """Images and labels of an ARIM file; a FormatError names a file that is
+    not ARIM, is short or long, or holds no images."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != ARIM_MAGIC:
-        raise FormatError("not an ARIM file (bad magic)")
-    n, h, w = struct.unpack_from("<III", buf, 4)
-    need = 16 + n * h * w + n
-    if len(buf) != need:
-        raise FormatError(f"ARIM file has {len(buf)} bytes, expected {need}")
-    pixels = np.frombuffer(buf, dtype=np.uint8, count=n * h * w, offset=16)
-    labels = np.frombuffer(buf, dtype=np.uint8, count=n, offset=16 + n * h * w)
+        cur = _Cursor(fh.read(), f"{path}: ARIM")
+    if cur.take(4) != ARIM_MAGIC:
+        raise FormatError(f"{path}: not an ARIM file (bad magic)")
+    n, h, w = cur.unpack("<III")
+    if not n:
+        raise FormatError(f"{path}: ARIM file holds no images")
+    pixels = np.frombuffer(cur.take(n * h * w), np.uint8)
+    labels = np.frombuffer(cur.take(n), np.uint8)
+    if cur.pos != len(cur.buf):
+        raise FormatError(f"{path}: trailing bytes after the ARIM labels")
     images = pixels.reshape(n, 1, h, w).astype(np.float64) / 255.0
     return images, labels.astype(np.int64)

@@ -7,8 +7,10 @@ masks) and emits one tape per party.  The compute servers hold the model
 weights in the clear, so no other product consumes dealer randomness.
 Tapes are consumed strictly in order by the online protocol: each
 `TapeReader.take(request)` checks the next `Record` against the request that
-planned it, marks it used and returns its fields.  A replay with the same
-seed and request sequence uses identical randomness.
+planned it, marks it used and returns its fields.  A `DealingReader` instead
+deals each record as an op takes it, the words a tape planned up front from
+the same requests holds.  A replay with the same seed and request sequence
+uses identical randomness.
 
 Draw order.  Each `Dealer` reads one AES-128-CTR keystream as little-endian
 64-bit words; words are reduced mod 2^L.  The key is the first 16 bytes of
@@ -33,8 +35,9 @@ Tapes are dealt as files, one per party dealt.  `build_tapes` lays out each
 tape's file bytes up front and writes every word once, into its slot: the
 keystream goes straight into party 0's share slots and party 1's secret
 slots, and party 1's fields are derived and split in place.  A tape's
-records are read-only views of its file bytes (unpacked copies on rings of
-under 64 bits), and `tape_to_bytes` returns those bytes without a copy.
+records are read-only views of its file bytes (read-only unpacked copies on
+rings of under 64 bits), and `tape_to_bytes` returns those bytes without a
+copy.
 
 One table, `_KIND`, describes each kind: its tape tag, its fields, how
 they are drawn, derived and split, and its tape layout.  A new kind is one
@@ -69,6 +72,7 @@ __all__ = [
     "Dealer",
     "Tape",
     "TapeReader",
+    "DealingReader",
     "write_tape",
     "read_tape",
 ]
@@ -295,7 +299,8 @@ def _store(cfg: FixedConfig, file: np.ndarray, at: int, w: np.ndarray) -> None:
 class Tape:
     """One party's tape: the tape file's bytes, read-only and of exactly the
     file's length, and its records in draw order, which are read-only views
-    of those bytes (copies on rings of under 64 bits) read on first use."""
+    of those bytes (read-only copies on rings of under 64 bits) read on
+    first use."""
 
     def __init__(self, party: int, cfg: FixedConfig, buf: memoryview, records: list | None = None):
         self.party = party
@@ -340,6 +345,20 @@ class TapeReader:
             raise TripleReuseError(f"tape record {self.pos} {kind!r} consumed twice")
         rec.used = True
         self.pos += 1
+        return rec.fields
+
+
+class DealingReader:
+    """A tape reader that deals each record alone, for `party` from
+    `dealer`'s stream, when an op takes it; `records` keeps them in order."""
+
+    def __init__(self, dealer: Dealer, party: int):
+        self.dealer, self.party, self.records = dealer, party, []
+
+    def take(self, request: Request) -> tuple:
+        (rec,) = self.dealer.build_tapes([request], self.party)[0].records
+        rec.used = True
+        self.records.append(rec)
         return rec.fields
 
 
@@ -406,7 +425,10 @@ def tape_from_bytes(buf) -> Tape:
             raise FormatError(f"bad {kind!r} shapes: {shapes} are not equal")
         packed = cur.take(len(k.names) * math.prod(shapes[0]) * cfg.word_bytes)
         words = unpack_words(packed, (len(k.names), *shapes[0]), cfg)
-        records.append(Record(kind, tuple(RingTensor(w, cfg) for w in words)))
+        fields = tuple(RingTensor(words[i, ...], cfg) for i in range(len(k.names)))
+        for t in fields:  # copies on rings of under 64 bits
+            t.words.setflags(write=False)
+        records.append(Record(kind, fields))
     if cur.pos != len(cur.buf):
         raise FormatError("trailing bytes after last tape record")
     return Tape(party, cfg, cur.buf, records)

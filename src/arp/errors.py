@@ -6,21 +6,22 @@ ProtocolDesyncError -> 7, ReluBudgetError -> 8.  A completed run whose
 logits break the declared error budget exits 6.
 """
 
+import math
+
 
 class ArpError(Exception):
     """Base class for all package errors."""
 
 
 class EncodeOverflowError(ArpError):
-    """A real value fell outside the representable fixed-point range."""
+    """A real value was not finite or fell outside the representable
+    fixed-point range."""
 
     def __init__(self, index, value, lo, hi):
         self.index = index
         self.value = value
-        super().__init__(
-            f"value {value!r} at flat index {index} outside representable "
-            f"range [{lo}, {hi}]"
-        )
+        why = "is not finite" if not math.isfinite(value) else f"outside representable range [{lo}, {hi}]"
+        super().__init__(f"value {value!r} at flat index {index} {why}")
 
 
 class TransportError(ArpError):

@@ -236,13 +236,9 @@ def encode(x, cfg: FixedConfig) -> RingTensor:
     value is non-finite or outside the representable range.
     """
     arr = np.asarray(x, dtype=np.float64)
-    bad = ~np.isfinite(arr)
+    bad = ~((arr >= cfg.min_real) & (arr <= cfg.max_real))  # nan too
     if bad.any():
         idx = int(np.flatnonzero(bad)[0])
-        raise EncodeOverflowError(idx, float(arr.reshape(-1)[idx]), cfg.min_real, cfg.max_real)
-    out_of_range = (arr < cfg.min_real) | (arr > cfg.max_real)
-    if out_of_range.any():
-        idx = int(np.flatnonzero(out_of_range)[0])
         raise EncodeOverflowError(idx, float(arr.reshape(-1)[idx]), cfg.min_real, cfg.max_real)
     scaled = np.copysign(np.floor(np.abs(arr) * cfg.scale + 0.5), arr)
     return RingTensor.from_signed(scaled.astype(np.int64), cfg)

@@ -120,17 +120,16 @@ def serialize_model(model: Sequential, cfg: FixedConfig, seed: int = 0) -> bytes
 
 def deserialize_model(buf: bytes):
     """Rebuild (model, cfg, seed) from model file bytes; verifies the digest."""
-    if len(buf) < 4 + 14 + 32 or buf[:4] != MODEL_MAGIC:
+    cur = _Cursor(buf, "model")
+    if cur.take(4) != MODEL_MAGIC:
         raise FormatError("not a model file (bad magic): version mismatch or corruption")
-    version, bits, frac, seed = struct.unpack_from("<HHHQ", buf, 4)
+    version, bits, frac, seed = cur.unpack("<HHHQ")
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")
-    digest = buf[18:50]
-    body = buf[50:]
-    if hashlib.sha256(body).digest() != digest:
+    digest = cur.take(32)
+    if hashlib.sha256(cur.buf[cur.pos :]).digest() != digest:
         raise FormatError("model file digest mismatch (corrupted or truncated)")
     cfg = FixedConfig.from_header(bits, frac, "model")
-    cur = _Cursor(body, "model")
     (desc_len,) = cur.unpack("<I")
     try:
         desc = json.loads(bytes(cur.take(desc_len)).decode())
@@ -180,7 +179,7 @@ def deserialize_model(buf: bytes):
         else:
             raise FormatError(f"unknown layer kind {kind!r}")
         layers.append(layer)
-    if cur.pos != len(body):
+    if cur.pos != len(cur.buf):
         raise FormatError("trailing bytes after last model array")
     return Sequential(layers), cfg, seed
 

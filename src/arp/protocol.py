@@ -16,7 +16,8 @@ Model weights and polynomial coefficients are public to both compute
 servers; only activations are secret shared.  So every interactive op is
 elementwise, and it takes its dealer record's fields (a "beaver" triple, a
 "square" pair, an "and" triple or a "trunc" mask) from the session's tape
-with the same `dealer.Request` that the planners below hand the dealer.
+with the one `dealer.Request` it builds; ops never list the records they
+will take.  `runtime.SecureEvaluator.plan` lists a whole run's.
 
 Share types: an additive share is a `ShareTensor` (ring words and a
 scale); an XOR share is a plain `RingTensor`.  Neither stores its party:
@@ -80,11 +81,7 @@ __all__ = [
     "ltz",
     "relu_secure",
     "dapa_eval_secure",
-    "a2b_requests",
-    "ltz_requests",
-    "relu_requests",
-    "dapa_requests",
-    "trunc_requests",
+    "adder_levels",
 ]
 
 
@@ -149,7 +146,8 @@ class Session:
     (including its multiply), "polynomial" covers the secure polynomial path.
     """
 
-    def __init__(self, party: int, cfg: FixedConfig, channel: Channel, tape: dl.TapeReader | None = None):
+    def __init__(self, party: int, cfg: FixedConfig, channel: Channel,
+                 tape: dl.TapeReader | dl.DealingReader | None = None):
         if party not in (0, 1):
             raise ValueError("party must be 0 or 1")
         self.party = party
@@ -399,7 +397,7 @@ def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
     return RingTensor(z, x.cfg)
 
 
-def _adder_levels(cfg: FixedConfig) -> int:
+def adder_levels(cfg: FixedConfig) -> int:
     """Prefix-adder levels of an L-bit a2b: ceil(log2 L), one batched AND each."""
     return math.ceil(math.log2(cfg.total_bits))
 
@@ -420,7 +418,7 @@ def a2b(sess: Session, x: ShareTensor) -> RingTensor:
     # p = a ^ b is the party's own share, since the other summand is zero
     p = own
     shifted = np.empty((2, *x.shape), dtype=np.uint64)
-    for level in range(_adder_levels(cfg)):
+    for level in range(adder_levels(cfg)):
         k = np.uint64(1 << level)
         np.left_shift(g, k, out=shifted[0, ...])
         np.left_shift(p.words, k, out=shifted[1, ...])
@@ -503,34 +501,3 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTen
     if sess.party == 0:
         acc = acc + e0.lshift(f)
     return _rescale(sess, ShareTensor(acc, 0), 2 * f)
-
-
-# ---- tape request planning ---------------------------------------------------
-# These mirror the consumption order of the operations above, as
-# runtime.hybrid_requests does for runtime.hybrid_activation_secure; the
-# runtime builds its dealer tapes from them and tests assert that running an
-# op leaves exactly zero unused records.
-
-
-def a2b_requests(shape, cfg: FixedConfig) -> list:
-    levels = _adder_levels(cfg)
-    return [dl.Request("and", tuple(shape))] + [dl.Request("and", (2, *shape)) for _ in range(levels)]
-
-
-def ltz_requests(shape, cfg: FixedConfig) -> list:
-    return a2b_requests(shape, cfg) + [dl.Request("beaver", tuple(shape))]
-
-
-def relu_requests(shape, cfg: FixedConfig) -> list:
-    return ltz_requests(shape, cfg) + [dl.Request("beaver", tuple(shape))]
-
-
-def trunc_requests(shape, cfg: FixedConfig) -> list:
-    """The truncation mask of one rescale of a `shape` share, if `cfg`'s ring
-    truncates exactly."""
-    return [dl.Request("trunc", tuple(shape))] if exact_truncation(cfg) else []
-
-
-def dapa_requests(shape, cfg: FixedConfig, degree: int = 2) -> list:
-    square = [dl.Request("square", tuple(shape)), *trunc_requests(shape, cfg)] if degree >= 2 else []
-    return square + trunc_requests(shape, cfg)

@@ -42,7 +42,7 @@ from threading import Thread
 
 import numpy as np
 
-from .dealer import Dealer, tape_from_bytes, tape_to_bytes
+from .dealer import Dealer, Request, tape_from_bytes, tape_to_bytes
 from .errors import ArpError, FormatError
 from .fixed import FixedConfig, decode, encode
 from .im2col import conv_out_hw, window_sum
@@ -50,13 +50,12 @@ from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential
 from .protocol import (
     Session,
     ShareTensor,
+    adder_levels,
     add_public,
     dapa_eval_secure,
-    dapa_requests,
+    exact_truncation,
     mul_public,
-    relu_requests,
     relu_secure,
-    trunc_requests,
 )
 from .replace import HybridActivation
 from .transport import memory_channel_pair, tcp_bind, tcp_connect, tcp_listen
@@ -65,7 +64,6 @@ __all__ = [
     "InferenceReport",
     "SecureEvaluator",
     "hybrid_activation_secure",
-    "hybrid_requests",
     "error_budget_ulp",
     "run_both",
     "private_inference_memory",
@@ -120,25 +118,29 @@ def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0
     return sess.share_of(out.reshape(x.shape), x.scale)
 
 
-def hybrid_requests(batch: int, mask: np.ndarray, cfg: FixedConfig, degree: int = 2) -> list:
-    """The dealer requests of `hybrid_activation_secure`, in its order: the
-    batched ReLU's, then the polynomial's."""
-    flat_m = np.asarray(mask).reshape(-1).astype(bool)
-    n_relu = int(flat_m.sum())
-    n_poly = flat_m.size - n_relu
+def _hybrid_requests(batch: int, layer: HybridActivation, cfg: FixedConfig) -> list:
+    """The dealer requests of `hybrid_activation_secure` on `layer`, in the
+    order it takes them: the ReLU's (a2b's AND triples, then b2a's and the
+    product's Beaver triples), then the polynomial's square and masks."""
+    n_relu = int(np.count_nonzero(layer.indicator.m))
+    relu, poly = (batch, n_relu), (batch, layer.indicator.m.size - n_relu)
+    masks = [Request("trunc", poly)] if exact_truncation(cfg) else []  # one per rescale
     reqs: list = []
     if n_relu:
-        reqs += relu_requests((batch, n_relu), cfg)
-    if n_poly:
-        reqs += dapa_requests((batch, n_poly), cfg, degree)
+        reqs += [Request("and", relu), *[Request("and", (2, *relu))] * adder_levels(cfg),
+                 Request("beaver", relu), Request("beaver", relu)]
+    if poly[1]:
+        reqs += ([Request("square", poly), *masks] if layer.degree >= 2 else []) + masks
     return reqs
 
 
 class SecureEvaluator:
     """Layer-by-layer secure forward pass plus its dealer-tape plan.
 
-    plan() and run() walk the model in the same order; a run consumes its
-    plan's tape exactly (tests assert zero leftover records).  Where
+    plan() is the one list of the records a run takes: the protocol ops
+    take their records one by one and never describe them.  plan() and
+    run() walk the model in the same order, and a run takes its plan's tape
+    exactly (a test holds plan() to what run() takes).  Where
     `exact_truncation(cfg)` holds, each linear layer's and polynomial's
     rescale takes a truncation mask.
     """
@@ -154,20 +156,22 @@ class SecureEvaluator:
 
     def plan(self, in_shape: tuple) -> list:
         """The dealer requests of a run on an input of shape `in_shape`
-        (batch first); a FormatError names the first layer that does not
-        take its input's shape."""
+        (batch first); a FormatError refuses an empty batch or names the
+        first layer that does not take its input's shape."""
         reqs: list = []
         shape = tuple(in_shape)
+        if shape[:1] == (0,):
+            raise FormatError(f"input batch of shape {shape} has no examples")
         for i, layer in enumerate(self.model.layers):
             if isinstance(layer, HybridActivation):
                 if shape[1:] != layer.feat_shape:
                     feat = ", ".join(map(str, layer.feat_shape))
                     raise _misfit(i, layer, f"(batch, {feat})", shape)
-                reqs += hybrid_requests(shape[0], layer.indicator.m, self.cfg, layer.degree)
+                reqs += _hybrid_requests(shape[0], layer, self.cfg)
             else:
                 shape = _out_shape(i, layer, shape)
-                if not isinstance(layer, Flatten):
-                    reqs += trunc_requests(shape, self.cfg)
+                if exact_truncation(self.cfg) and not isinstance(layer, Flatten):
+                    reqs.append(Request("trunc", shape))
         return reqs
 
     # -- evaluation ----------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arp.dealer import Dealer
+from arp.dealer import Dealer, DealingReader
 from arp.fixed import FixedConfig, RingTensor, encode
 from arp.protocol import Session, ShareTensor
 from arp.runtime import run_both
@@ -13,12 +13,19 @@ CFG64 = FixedConfig(64, 16)
 CFG8 = FixedConfig(8, 4)
 
 
-def two_party(fn, requests=(), cfg=CFG64, seed=99, timeout=20.0):
-    """Run fn(session) concurrently for both parties over an in-memory pair."""
-    tapes = Dealer(seed, cfg).build_tapes(list(requests))
+def two_party(fn, requests=None, cfg=CFG64, seed=99, timeout=20.0):
+    """Run fn(session) concurrently for both parties over an in-memory pair.
+
+    Each party's records are dealt from `seed`'s stream as its ops take them
+    (a `DealingReader`), unless a `requests` list deals both tapes up front,
+    as tests of the tape reader need."""
+    if requests is None:
+        readers = [DealingReader(Dealer(seed, cfg), p) for p in (0, 1)]
+    else:
+        readers = [tape.reader() for tape in Dealer(seed, cfg).build_tapes(list(requests))]
     ch0, ch1 = memory_channel_pair(timeout)
-    s0 = Session(0, cfg, ch0, tapes[0].reader())
-    s1 = Session(1, cfg, ch1, tapes[1].reader())
+    s0 = Session(0, cfg, ch0, readers[0])
+    s1 = Session(1, cfg, ch1, readers[1])
     return run_both(lambda: fn(s0), lambda: fn(s1))
 
 

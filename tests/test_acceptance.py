@@ -23,24 +23,19 @@ from arp.dapa import (
     min_approx_loss,
 )
 from arp.data import save_csv, two_spirals
-from arp.dealer import Request
 from arp.fixed import FixedConfig, RingTensor, decode, encode, truncate
 from arp.model_io import save_model, serialize_model, deserialize_model
 from arp.nn import build_model, loss_cross_entropy
 from arp.protocol import (
     ShareTensor,
     a2b,
-    a2b_requests,
     b2a,
     dapa_eval_secure,
-    dapa_requests,
     lin_combine,
     ltz,
-    ltz_requests,
     msb,
     mul_beaver,
     mul_public,
-    relu_requests,
     relu_secure,
     square,
 )
@@ -55,7 +50,7 @@ from arp.replace import (
     train_replace,
     train_supervised,
 )
-from arp.runtime import hybrid_activation_secure, hybrid_requests, private_inference_memory
+from arp.runtime import hybrid_activation_secure, private_inference_memory
 
 from conftest import CFG8, CFG64, as_share, share_reals, share_ring, two_party
 
@@ -181,14 +176,14 @@ def test_criterion_04_protocol_exactness_exhaustive():
         out = ltz(sess, ShareTensor(sh[sess.party], CFG8.frac_bits))
         return sess.reveal(out).words
 
-    (bits, _) = two_party(fn_ltz, ltz_requests((256,), CFG8), cfg=CFG8)
+    (bits, _) = two_party(fn_ltz, cfg=CFG8)
     ltz_ok = np.array_equal(bits.astype(bool), ring.signed() < 0)
 
     def fn_a2b(sess):
         xb = a2b(sess, ShareTensor(sh[sess.party], 0))
         return sess.reveal_bits(xb).words
 
-    (patterns, _) = two_party(fn_a2b, a2b_requests((256,), CFG8), cfg=CFG8)
+    (patterns, _) = two_party(fn_a2b, cfg=CFG8)
     a2b_ok = np.array_equal(patterns, np.arange(256, dtype=np.uint64))
     check(4, ltz_ok and a2b_ok,
           "exhaustive L=8: ltz matches sign for all 256 ring values, "
@@ -237,13 +232,7 @@ def test_criterion_05_plaintext_ciphertext_equivalence():
             hybrid_activation_secure(sess, ht, mask, 0.28, 0.5, 0.14)))
         return out
 
-    reqs = (
-        [Request("beaver", (n,)), Request("square", (n,)), Request("beaver", (n,))]
-        + relu_requests((n,), CFG64)
-        + dapa_requests((n,), CFG64, 2)
-        + hybrid_requests(100, mask, CFG64, 2)
-    )
-    (results, _) = two_party(fn, reqs)
+    (results, _) = two_party(fn)
 
     xe, ye = decode(encode(x, CFG64)), decode(encode(y, CFG64))
     prod_ref = decode(truncate(encode(x, CFG64) * encode(y, CFG64)))
@@ -306,12 +295,7 @@ def test_criterion_06_round_and_opening_accounting():
         stats["b2a"] = sess.channel.rounds - r0
         return stats
 
-    reqs = (
-        [Request("beaver", (n,)), Request("square", (n,))]
-        + a2b_requests((n,), CFG64)
-        + [Request("beaver", (n,))]
-    )
-    (s, _) = two_party(fn, reqs)
+    (s, _) = two_party(fn)
 
     # a2b at L=8 as well
     ring8 = RingTensor(np.arange(16, dtype=np.uint64), CFG8)
@@ -322,7 +306,7 @@ def test_criterion_06_round_and_opening_accounting():
         a2b(sess, ShareTensor(sh8[sess.party], 0))
         return sess.channel.rounds - r0
 
-    (rounds8, _) = two_party(fn8, a2b_requests((16,), CFG8), cfg=CFG8)
+    (rounds8, _) = two_party(fn8, cfg=CFG8)
 
     ok = (
         s["local_rounds"] == 0

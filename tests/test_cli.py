@@ -626,8 +626,23 @@ class TestRefusedInputs:
                 self._refused(argv, capsys, monkeypatch, f"{bad}: {expect}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw, expect", [
+        (b"ARIM\x01\x00", "ARIM file truncated"),
+        (b"ARIM" + bytes(12), "ARIM file holds no images"),
+    ], ids=["short-header", "no-images"])
+    def test_arim_it_cannot_read(self, files, tmp_path, capsys, monkeypatch, raw, expect):
+        """A short ARIM file, or one with no images, exits 4 naming the file
+        from both commands that read images."""
+        bad = tmp_path / "bad.arim"
+        bad.write_bytes(raw)
+        out = tmp_path / "m.arpm"
+        for argv in (["infer-private", "--model", files["cnn8"], "--inputs", bad],
+                     ["train-replace", "--dataset", bad, "--arch", "smallcnn", "--budget", 4, "--out", out]):
+            self._refused(argv, capsys, monkeypatch, f"{bad}: {expect}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("model, inputs, expect", [
-        ("mlp", "nan", "value nan at flat index 1"),
+        ("mlp", "nan", "value nan at flat index 1 is not finite"),
         ("mlp32", "big", "value 1000000.0 at flat index 1 outside representable range"),
     ], ids=["nan", "beyond-L32-f12"])
     def test_values_the_ring_cannot_hold(self, files, capsys, monkeypatch, model, inputs, expect):

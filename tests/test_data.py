@@ -1,5 +1,8 @@
 """Dataset generators and file formats."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,18 @@ class TestArim:
         p = tmp_path / "bad.arim"
         p.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(FormatError):
+            read_arim(p)
+
+    @pytest.mark.parametrize("raw, expect", [
+        (b"ARIM\x01\x00", "ARIM file truncated"),
+        (b"AR", "ARIM file truncated"),
+        (b"ARIM" + struct.pack("<III", 0, 4, 4), "ARIM file holds no images"),
+        (b"ARIM" + struct.pack("<III", 1, 1, 1) + bytes(3), "trailing bytes after the ARIM labels"),
+    ], ids=["short-header", "short-magic", "no-images", "trailing"])
+    def test_unreadable_files_name_the_fault(self, tmp_path, raw, expect):
+        p = tmp_path / "bad.arim"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: {expect}$"):
             read_arim(p)
 
     def test_truncation_detected(self, tmp_path):

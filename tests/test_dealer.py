@@ -15,6 +15,7 @@ from scipy import stats
 from arp import dealer
 from arp.dealer import (
     Dealer,
+    DealingReader,
     Request,
     read_tape,
     tape_from_bytes,
@@ -433,6 +434,28 @@ class TestPartyZeroDeal:
         assert [r.fields[0].shape for r in only0.records] == [(0,), (), (3, 0), (1,), (0, 2)]
         assert tape_to_bytes(only0) == tape_to_bytes(tape0)
 
+    @pytest.mark.parametrize("bits", [64, 32, 20])
+    def test_dealing_reader_deals_the_planned_tape(self, bits):
+        """Dealt one record at a time as an op takes it, a party's records
+        hold the words of its tape planned up front, and the stream ends at
+        the same word; the large records' secret words take party 0's seek
+        path."""
+        cfg = FixedConfig(bits, bits // 4)
+        big = 2 * dealer._SEEK_BYTES // 8
+        reqs = [Request("beaver", (3, 2)), Request("trunc", (big,)), Request("and", ()), Request("beaver", (big,)),
+                Request("square", (5,)), Request("and", (2, 7))]
+        planned = Dealer(4, cfg).build_tapes(reqs)
+        for party in (0, 1):
+            d = Dealer(4, cfg)
+            reader = DealingReader(d, party)
+            taken = [reader.take(req) for req in reqs]
+            assert [(r.kind, r.used) for r in reader.records] == [(req.kind, True) for req in reqs]
+            for got, rec in zip(taken, planned[party].records):
+                assert [v.words.tobytes() for v in got] == [v.words.tobytes() for v in rec.fields]
+            after = Dealer(4, cfg)
+            after.build_tapes(reqs, party)
+            assert d.gen_shares(RingTensor.zeros((3,), cfg))[0] == after.gen_shares(RingTensor.zeros((3,), cfg))[0]
+
 
 class TestTapeBuffers:
     """The tape codec reads records as views into the tape bytes."""
@@ -456,6 +479,16 @@ class TestTapeBuffers:
             assert not words.flags.writeable
             with pytest.raises(ValueError):
                 words[...] = 0
+
+    @pytest.mark.parametrize("bits", [64, 32, 20])
+    def test_records_are_read_only_on_every_ring(self, bits):
+        """Narrow rings' records are unpacked copies, read-only all the same,
+        and so are scalar records'."""
+        cfg = FixedConfig(bits, bits // 4)
+        reqs = [Request("beaver", (3,)), Request("trunc", ()), Request("and", (2, 2))]
+        for tape in Dealer(7, cfg).build_tapes(reqs):
+            arrays = [v.words for rec in tape.records for v in rec.fields]
+            assert len(arrays) == 9 and not any(w.flags.writeable for w in arrays)
 
     def test_inference_consumes_a_read_only_tape(self, monkeypatch):
         import arp.runtime as runtime

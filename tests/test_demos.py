@@ -1,7 +1,7 @@
 """The narrative demos run to completion against the current API.
 
 Demo 05 is left out: it runs one pretraining and six replacement
-trainings, several seconds in all.
+trainings, several seconds in all, so CI runs it as a step of its own.
 """
 
 import os

@@ -33,7 +33,7 @@ class TestEncode:
     def test_non_finite_rejected(self):
         cfg = FixedConfig(64, 16)
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(EncodeOverflowError):
+            with pytest.raises(EncodeOverflowError, match=f"^value {bad!r} at flat index 1 is not finite$"):
                 encode(np.array([1.0, bad]), cfg)
 
     def test_boundary_values(self):

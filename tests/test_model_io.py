@@ -108,6 +108,14 @@ class TestIntegrity:
         with pytest.raises(FormatError):
             deserialize_model(blob[:-10])
 
+    @pytest.mark.parametrize("keep", [2, 4, 17, 49])
+    def test_short_header_is_truncated(self, keep):
+        """A file that ends inside the magic, the header or the digest is
+        reported as truncated, not as a bad magic."""
+        blob = serialize_model(build_model("mlp", seed=3), CFG)
+        with pytest.raises(FormatError, match="^model file truncated$"):
+            deserialize_model(blob[:keep])
+
     def test_payload_corruption_caught_by_digest(self):
         blob = bytearray(serialize_model(build_model("mlp", seed=3), CFG))
         blob[-1] ^= 0xFF

@@ -14,7 +14,7 @@ import queue
 import numpy as np
 import pytest
 
-from arp.dealer import Dealer, Request
+from arp.dealer import Dealer, DealingReader, Request
 from arp.errors import ProtocolDesyncError, TripleReuseError
 from arp import protocol
 from arp.fixed import FixedConfig, RingTensor, decode, encode, truncate
@@ -22,25 +22,20 @@ from arp.protocol import (
     Session,
     ShareTensor,
     a2b,
-    a2b_requests,
     add_public,
     and_shares,
     b2a,
     dapa_eval_secure,
-    dapa_requests,
     exact_truncation,
     lin_combine,
     ltz,
-    ltz_requests,
     msb,
     mul_beaver,
     mul_public,
-    relu_requests,
     relu_secure,
     square,
-    trunc_requests,
 )
-from arp.runtime import hybrid_activation_secure, hybrid_requests, run_both
+from arp.runtime import hybrid_activation_secure, run_both
 from arp.transport import InMemoryChannel, memory_channel_pair
 
 from conftest import CFG8, CFG64, as_share, share_reals, share_ring, two_party
@@ -188,7 +183,7 @@ class TestMulBeaver:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [Request("beaver", (1,))])
+        (r, _) = two_party(fn)
         assert abs(r[0] - 6.0) <= ULP
 
     def test_annihilation(self):
@@ -199,7 +194,7 @@ class TestMulBeaver:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [Request("beaver", (2,))])
+        (r, _) = two_party(fn)
         assert np.max(np.abs(r)) <= ULP
 
     def test_random_against_reference(self):
@@ -212,7 +207,7 @@ class TestMulBeaver:
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [Request("beaver", (2000,))])
+        (r, _) = two_party(fn)
         assert np.max(np.abs(r - ref_mul(x, y))) <= ULP
 
     def test_triple_reuse_is_hard_error(self):
@@ -252,7 +247,7 @@ class TestSquare:
             out = square(sess, as_share(sess, xs))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [Request("square", (2,))])
+        (r, _) = two_party(fn)
         assert abs(r[0] - 2.25) <= ULP
         assert abs(r[1]) <= ULP
 
@@ -265,14 +260,13 @@ class TestSquare:
             out = square(sess, as_share(sess, xs))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, [Request("square", (3000,))])
+        (r, _) = two_party(fn)
         assert np.max(np.abs(r - ref_square(x))) <= ULP
 
     def test_opens_half_of_multiply(self):
         n = 64
         x = np.linspace(-5, 5, n)
         xs = share_reals(x)
-        reqs = [Request("beaver", (n,)), Request("square", (n,))]
 
         def fn(sess):
             xt = as_share(sess, xs)
@@ -282,7 +276,7 @@ class TestSquare:
             after_sq = sess.opened_words - after_mul
             return after_mul, after_sq
 
-        (mul_words, sq_words), _ = two_party(fn, reqs)
+        (mul_words, sq_words), _ = two_party(fn)
         assert mul_words == 2 * n
         assert sq_words == n
 
@@ -312,12 +306,12 @@ class TestExactTruncation:
             local = sess.reveal(ShareTensor(truncate(xt.payload * y, bits=f), f)).signed()
             r0, w0 = sess.channel.rounds, sess.opened_words
             out = mul_public(sess, xt, y)
-            cost = (sess.channel.rounds - r0, sess.opened_words - w0, sess.tape.remaining())
+            cost = (sess.channel.rounds - r0, sess.opened_words - w0, len(sess.tape.records))
             return local, sess.reveal(out).signed(), out.scale, cost
 
-        (local, exact, scale, cost), _ = two_party(fn, [Request("trunc", (n,))], cfg=cfg)
+        (local, exact, scale, cost), _ = two_party(fn, cfg=cfg)
         floor = np.array([(int(a) * int(b)) >> f for a, b in zip(xi, yi)])
-        assert scale == f and cost == (1, n, 0)
+        assert scale == f and cost == (1, n, 1)
         assert set(np.unique(exact - floor)) <= {0, 1}
         assert np.count_nonzero(np.abs(local - floor) > 1) > 0  # the same shares wrap when shifted locally
 
@@ -342,15 +336,15 @@ class TestExactTruncation:
                 out = lin_combine(sess, 0.75, xt, yt)
             else:
                 out = mul_public(sess, xt, RingTensor.from_signed(wi, cfg))
-            cost = (sess.channel.rounds - r0, sess.opened_words - w0, sess.tape.remaining())
+            cost = (sess.channel.rounds - r0, sess.opened_words - w0, len(sess.tape.records))
             return sess.reveal(out).signed(), out.scale, cost
 
-        (got, scale, cost), _ = two_party(fn, [Request("trunc", (n,))], cfg=cfg)
+        (got, scale, cost), _ = two_party(fn, cfg=cfg)
         if op == "lin_combine":
             floor = ((xi * 192) >> f) + yi  # 0.75 encodes to 192 at f=8
         else:
             floor = (xi * wi) >> f
-        assert scale == f and cost == (1, n, 0)
+        assert scale == f and cost == (1, n, 1)
         assert set(np.unique(got - floor)) <= {0, 1}
 
     def test_shift_other_than_f_is_refused(self):
@@ -360,7 +354,7 @@ class TestExactTruncation:
             mul_public(sess, ShareTensor(xs[sess.party], 2), encode(np.ones(3), CFG8))
 
         with pytest.raises(ValueError, match="exact truncation shifts by f=4 bits, not 2"):
-            two_party(fn, [Request("trunc", (3,))], cfg=CFG8)
+            two_party(fn, cfg=CFG8)
 
     @pytest.mark.parametrize("case", ["square", "dapa", "hybrid"])
     def test_plans_are_consumed_exactly(self, case):
@@ -369,11 +363,6 @@ class TestExactTruncation:
         x = rng.uniform(-4, 4, size=(3, 5))
         mask = np.array([1, 0, 1, 1, 0], dtype=np.float64)
         xs = share_reals(x, cfg)
-        reqs = {
-            "square": [Request("square", (3, 5)), Request("trunc", (3, 5))],
-            "dapa": dapa_requests((3, 5), cfg, 2),
-            "hybrid": hybrid_requests(3, mask, cfg, 2),
-        }[case]
 
         def fn(sess):
             xt = as_share(sess, xs)
@@ -383,13 +372,14 @@ class TestExactTruncation:
                 out = dapa_eval_secure(sess, xt, 0.28, 0.5, 0.14)
             else:
                 out = hybrid_activation_secure(sess, xt, mask, 0.28, 0.5, 0.14)
-            return sess.tape.remaining(), decode(sess.reveal(out))
+            masks = sum(rec.kind == "trunc" for rec in sess.tape.records)
+            return masks, decode(sess.reveal(out))
 
-        (left, got), _ = two_party(fn, reqs, cfg=cfg)
+        (masks, got), _ = two_party(fn, cfg=cfg)
         poly = ref_poly(x, 0.28, 0.5, 0.14, cfg)
         want = {"square": ref_square(x, cfg), "dapa": poly,
                 "hybrid": np.where(mask.astype(bool), np.maximum(decode(encode(x, cfg)), 0), poly)}[case]
-        assert left == 0
+        assert masks == {"square": 1, "dapa": 2, "hybrid": 2}[case]  # one per rescale
         assert np.max(np.abs(got - want)) <= 2 * cfg.resolution
 
 
@@ -430,7 +420,7 @@ class TestA2B:
             xb = a2b(sess, ShareTensor(sh[sess.party], 0))
             return sess.reveal_bits(xb).words
 
-        (bits, _) = two_party(fn, a2b_requests((2,), CFG8), cfg=CFG8)
+        (bits, _) = two_party(fn, cfg=CFG8)
         assert bits[0] == 0b00000101
         assert bits[1] == 0b11111111
 
@@ -442,7 +432,7 @@ class TestA2B:
             xb = a2b(sess, ShareTensor(sh[sess.party], 0))
             return sess.reveal_bits(xb).words
 
-        (bits, _) = two_party(fn, a2b_requests((256,), CFG8), cfg=CFG8)
+        (bits, _) = two_party(fn, cfg=CFG8)
         assert np.array_equal(bits, np.arange(256, dtype=np.uint64))
 
 
@@ -458,20 +448,18 @@ class TestMsb:
             assert sess.channel.rounds == rounds_before  # local
             return sess.reveal_bits(top).words
 
-        (bits, _) = two_party(fn, a2b_requests((256,), CFG8), cfg=CFG8)
+        (bits, _) = two_party(fn, cfg=CFG8)
         assert np.array_equal(bits.astype(bool), ring.signed() < 0)
 
 
 class TestB2A:
     def _convert(self, b0_bits, b1_bits):
-        n = len(b0_bits)
-
         def fn(sess):
             mine = np.array(b0_bits if sess.party == 0 else b1_bits, dtype=np.uint64)
             out = b2a(sess, RingTensor(mine, CFG64))
             return sess.reveal(out).words
 
-        (vals, _) = two_party(fn, [Request("beaver", (n,))])
+        (vals, _) = two_party(fn)
         return vals
 
     def test_examples(self):
@@ -495,7 +483,7 @@ class TestLtz:
             out = ltz(sess, as_share(sess, xs))
             return sess.reveal(out).words
 
-        (bits, _) = two_party(fn, ltz_requests((3,), CFG64))
+        (bits, _) = two_party(fn)
         assert bits.tolist() == [1, 0, 0]
 
     def test_exhaustive_l8(self):
@@ -507,7 +495,7 @@ class TestLtz:
             out = ltz(sess, ShareTensor(sh[sess.party], CFG8.frac_bits))
             return sess.reveal(out).words
 
-        (bits, _) = two_party(fn, ltz_requests((256,), CFG8), cfg=CFG8)
+        (bits, _) = two_party(fn, cfg=CFG8)
         assert np.array_equal(bits.astype(bool), ring.signed() < 0)
 
 
@@ -520,7 +508,7 @@ class TestReluSecure:
             out = relu_secure(sess, as_share(sess, xs))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, relu_requests((2,), CFG64))
+        (r, _) = two_party(fn)
         assert r.tolist() == [2.5, 0.0]
 
     def test_random_against_plaintext(self):
@@ -532,7 +520,7 @@ class TestReluSecure:
             out = relu_secure(sess, as_share(sess, xs))
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, relu_requests((4000,), CFG64))
+        (r, _) = two_party(fn)
         plain = np.maximum(decode(encode(x, CFG64)), 0.0)
         assert np.max(np.abs(r - plain)) <= ULP
 
@@ -540,7 +528,7 @@ class TestReluSecure:
 class TestDapaEvalSecure:
     COEFFS = (0.28, 0.5, 0.14)
 
-    def _eval(self, x, c0, c1, c2, degree=2):
+    def _eval(self, x, c0, c1, c2):
         xs = share_reals(x)
 
         def fn(sess):
@@ -548,7 +536,7 @@ class TestDapaEvalSecure:
             rounds = sess.channel.rounds
             return decode(sess.reveal(out)), rounds
 
-        (r, rounds), _ = two_party(fn, dapa_requests(x.shape, CFG64, degree))
+        (r, rounds), _ = two_party(fn)
         return r, rounds
 
     def test_constant_at_zero(self):
@@ -557,7 +545,7 @@ class TestDapaEvalSecure:
 
     def test_identity_coeffs(self):
         x = np.array([1.5, -2.0, 0.75])
-        r, rounds = self._eval(x, 0.0, 1.0, None, degree=1)
+        r, rounds = self._eval(x, 0.0, 1.0, None)
         assert np.max(np.abs(r - x)) <= 2 * ULP
         assert rounds == 0  # degree 1 skips the square entirely
 
@@ -601,7 +589,7 @@ class TestHybridSecure:
             out = hybrid_activation_secure(sess, as_share(sess, xs), mask, c0, c1, c2)
             return decode(sess.reveal(out))
 
-        (r, _) = two_party(fn, hybrid_requests(x.shape[0], mask, CFG64, 2))
+        (r, _) = two_party(fn)
         return r
 
     def test_all_ones_is_relu(self):
@@ -645,25 +633,23 @@ def _per_column(x, lo, hi):
 
 class TestInputsStayUnwritten:
     """Online ops never write into their input shares or their tape records,
-    and return a share of their input's shape."""
+    and return a share of their input's shape.  Records are read-only on
+    every ring, so a write into one raises."""
 
     OPS = {
-        "a2b": (lambda sess, x, y: a2b(sess, x), a2b_requests),
-        "relu_secure": (lambda sess, x, y: relu_secure(sess, x), relu_requests),
-        "mul_beaver": (mul_beaver, lambda shape, cfg: [Request("beaver", shape), *trunc_requests(shape, cfg)]),
-        "square": (lambda sess, x, y: square(sess, x), lambda shape, cfg: [Request("square", shape), *trunc_requests(shape, cfg)]),
-        "dapa_eval_secure": (
-            lambda sess, x, y: dapa_eval_secure(sess, x, _per_column(x, 0.2, -0.3), _per_column(x, 0.5, -1.0),
-                                                _per_column(x, 0.1, 0.4)),
-            lambda shape, cfg: dapa_requests(shape, cfg, 2),
-        ),
+        "a2b": lambda sess, x, y: a2b(sess, x),
+        "relu_secure": lambda sess, x, y: relu_secure(sess, x),
+        "mul_beaver": mul_beaver,
+        "square": lambda sess, x, y: square(sess, x),
+        "dapa_eval_secure": lambda sess, x, y: dapa_eval_secure(
+            sess, x, _per_column(x, 0.2, -0.3), _per_column(x, 0.5, -1.0), _per_column(x, 0.1, 0.4)),
     }
 
     @pytest.mark.parametrize("shape", [(3, 4), (), MULTI_BLOCK])
     @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
     @pytest.mark.parametrize("op", list(OPS))
     def test_read_only_inputs(self, op, cfg, shape):
-        fn_op, requests = self.OPS[op]
+        fn_op = self.OPS[op]
         rng = np.random.default_rng(21)
         xs = share_reals(rng.uniform(-1, 1, size=shape), cfg, seed=1)
         ys = share_reals(rng.uniform(-1, 1, size=shape), cfg, seed=2)
@@ -673,16 +659,12 @@ class TestInputsStayUnwritten:
         before = [w.copy() for w in inputs]
 
         def fn(sess):
-            records = [v for rec in sess.tape.tape.records for v in rec.fields]
-            for r in records:
-                r.words.setflags(write=False)
-            kept = [r.words.copy() for r in records]
             out = fn_op(sess, as_share(sess, xs), as_share(sess, ys))
-            return out.shape, all(np.array_equal(r.words, k) for r, k in zip(records, kept))
+            return out.shape, [v.words.flags.writeable for rec in sess.tape.records for v in rec.fields]
 
-        for got_shape, records_unchanged in two_party(fn, requests(shape, cfg), cfg=cfg):
+        for got_shape, writeable in two_party(fn, cfg=cfg):
             assert got_shape == shape
-            assert records_unchanged
+            assert writeable and not any(writeable)
         assert all(np.array_equal(w, b) for w, b in zip(inputs, before))
 
 
@@ -718,17 +700,17 @@ class TestBlockwiseFinish:
         x, y = ring_words(rng, shape, cfg), ring_words(rng, shape, cfg)
         if op == "and_shares":
             xs, ys = xor_shares(x, rng), xor_shares(y, rng)
-            reqs, want = [Request("and", shape)], x.words & y.words
+            want = x.words & y.words
 
             def fn(sess):
                 out = and_shares(sess, xs[sess.party], ys[sess.party])
                 return sess.reveal_bits(out).words
         else:
             xs, ys = share_ring(x, seed=3), share_ring(y, seed=4)
-            reqs, want = {
-                "mul_beaver": ([Request("beaver", shape)], (x * y).words),
-                "square": ([Request("square", shape)], (x * x).words),
-                "relu_secure": (relu_requests(shape, cfg), np.where(x.signed() < 0, np.uint64(0), x.words)),
+            want = {
+                "mul_beaver": (x * y).words,
+                "square": (x * x).words,
+                "relu_secure": np.where(x.signed() < 0, np.uint64(0), x.words),
             }[op]
 
             def fn(sess):
@@ -736,10 +718,9 @@ class TestBlockwiseFinish:
                 out = {"mul_beaver": lambda: mul_beaver(sess, xt, yt),
                        "square": lambda: square(sess, xt),
                        "relu_secure": lambda: relu_secure(sess, xt)}[op]()
-                assert sess.tape.remaining() == 0
                 return sess.reveal(out).words
 
-        for got in two_party(fn, reqs, cfg=cfg):
+        for got in two_party(fn, cfg=cfg):
             assert got.shape == shape
             assert np.array_equal(got, want)
 
@@ -759,9 +740,8 @@ class TestBlockwiseFinish:
                 return sess.reveal_bits(and_shares(sess, a, b)).words
             return sess.reveal(mul_beaver(sess, ShareTensor(a, 0), ShareTensor(b, 0))).words
 
-        reqs, want = {"and_shares": ([Request("and", shape)], own[0].words & own[1].words),
-                      "mul_beaver": ([Request("beaver", shape)], (own[0] * own[1]).words)}[op]
-        for got in two_party(fn, reqs, cfg=cfg):
+        want = {"and_shares": own[0].words & own[1].words, "mul_beaver": (own[0] * own[1]).words}[op]
+        for got in two_party(fn, cfg=cfg):
             assert np.array_equal(got, want)
 
     def test_exact_truncation_across_blocks(self):
@@ -772,10 +752,9 @@ class TestBlockwiseFinish:
 
         def fn(sess):
             out = mul_beaver(sess, as_share(sess, xs), as_share(sess, ys))
-            return sess.tape.remaining(), decode(sess.reveal(out))
+            return decode(sess.reveal(out))
 
-        (left, got), _ = two_party(fn, [Request("beaver", MULTI_BLOCK), Request("trunc", MULTI_BLOCK)], cfg=cfg)
-        assert left == 0
+        (got, _) = two_party(fn, cfg=cfg)
         assert np.max(np.abs(got - ref_mul(x, y, cfg))) <= cfg.resolution
 
     # both parties' transcript hashes of relu_secure plus square at (64, 600),
@@ -794,7 +773,7 @@ class TestBlockwiseFinish:
             sess.reveal(relu_secure(sess, xt) + square(sess, xt))
             return sess.channel.transcript_hash
 
-        assert two_party(fn, relu_requests(shape, CFG64) + [Request("square", shape)], seed=43) == self.MULTI_BLOCK_HASHES
+        assert two_party(fn, seed=43) == self.MULTI_BLOCK_HASHES
 
 
 class TestFrames:
@@ -815,17 +794,15 @@ class TestFrames:
         xs = share_reals(np.random.default_rng(42).uniform(-4, 4, size=shape), seed=7)
         q01, q10 = queue.Queue(), queue.Queue()
         channels = Keeper(q10, q01), Keeper(q01, q10)
-        reqs = relu_requests(shape, CFG64) + [Request("square", shape), Request("beaver", shape)]
-        tapes = Dealer(8, CFG64).build_tapes(reqs)
-        sessions = [Session(p, CFG64, channels[p], tapes[p].reader()) for p in (0, 1)]
+        sessions = [Session(p, CFG64, channels[p], DealingReader(Dealer(8, CFG64), p)) for p in (0, 1)]
 
         def fn(sess):
             xt = as_share(sess, xs)
             sess.reveal(mul_beaver(sess, relu_secure(sess, xt), square(sess, xt)))
 
         run_both(lambda: fn(sessions[0]), lambda: fn(sessions[1]))
-        for ch in channels:
-            assert len(ch.sent) == ch.rounds == len(reqs) + 1
+        for ch, sess in zip(channels, sessions):  # one opening per record, then the result's
+            assert len(ch.sent) == ch.rounds == len(sess.tape.records) + 1
             assert all(hashlib.sha256(payload).hexdigest() == digest for payload, digest in ch.sent)
 
     @pytest.mark.parametrize("opener", ["_finish", "_open_masked"])
@@ -872,12 +849,7 @@ class TestAccounting:
             counts["b2a_msb"] = sess.channel.rounds - r0
             return counts
 
-        reqs = (
-            [Request("beaver", (2,)), Request("square", (2,))]
-            + a2b_requests((2,), CFG64)
-            + [Request("beaver", (2,))]
-        )
-        (c, _) = two_party(fn, reqs)
+        (c, _) = two_party(fn)
         assert c["local"] == 0
         assert c["mul"] == 1
         assert c["square"] == 1
@@ -893,7 +865,7 @@ class TestAccounting:
             a2b(sess, ShareTensor(sh[sess.party], 0))
             return sess.channel.rounds - r0
 
-        (rounds, _) = two_party(fn, a2b_requests((4,), CFG8), cfg=CFG8)
+        (rounds, _) = two_party(fn, cfg=CFG8)
         assert rounds == 1 + math.ceil(math.log2(8))
 
     def test_transcript_determinism(self):
@@ -908,43 +880,8 @@ class TestAccounting:
                 sess.reveal(out)
                 return sess.channel.transcript_hash
 
-            return two_party(fn, relu_requests((16,), CFG64), seed=44)
+            return two_party(fn, seed=44)
 
         first = once()
         second = once()
         assert first == second
-
-
-class TestTapePlanConsistency:
-    """Each op's request generator matches its consumption exactly."""
-
-    @pytest.mark.parametrize("case", ["ltz", "relu", "a2b", "dapa", "hybrid"])
-    def test_zero_leftover(self, case):
-        rng = np.random.default_rng(20)
-        x = rng.uniform(-2, 2, size=(3, 5))
-        mask = np.array([1, 0, 1, 1, 0], dtype=np.float64)
-        xs = share_reals(x)
-        reqs = {
-            "ltz": ltz_requests((3, 5), CFG64),
-            "relu": relu_requests((3, 5), CFG64),
-            "a2b": a2b_requests((3, 5), CFG64),
-            "dapa": dapa_requests((3, 5), CFG64, 2),
-            "hybrid": hybrid_requests(3, mask, CFG64, 2),
-        }[case]
-
-        def fn(sess):
-            xt = as_share(sess, xs)
-            if case == "ltz":
-                ltz(sess, xt)
-            elif case == "relu":
-                relu_secure(sess, xt)
-            elif case == "a2b":
-                a2b(sess, xt)
-            elif case == "dapa":
-                dapa_eval_secure(sess, xt, 0.28, 0.5, 0.14)
-            else:
-                hybrid_activation_secure(sess, xt, mask, 0.28, 0.5, 0.14)
-            return sess.tape.remaining()
-
-        (left0, left1) = two_party(fn, reqs)
-        assert left0 == 0 and left1 == 0

@@ -14,11 +14,12 @@ from cryptography.hazmat.primitives.poly1305 import Poly1305
 
 from arp import runtime
 from arp.data import two_spirals
-from arp.errors import EncodeOverflowError, TransportError
-from arp.fixed import FixedConfig
+from arp.dealer import Dealer, Request
+from arp.errors import EncodeOverflowError, FormatError, TransportError
+from arp.fixed import FixedConfig, encode
 from arp.model_io import deserialize_model, serialize_model
-from arp.nn import build_model
-from arp.protocol import PHASES
+from arp.nn import build_model, fold_batchnorm, input_shape
+from arp.protocol import PHASES, ShareTensor
 from arp.replace import ReplacementConfig, train_replace, train_supervised
 from arp.runtime import (
     SecureEvaluator,
@@ -29,7 +30,7 @@ from arp.runtime import (
 )
 from arp.transport import _FRAME_KEY, InMemoryChannel
 
-from conftest import free_port
+from conftest import free_port, two_party
 
 CFG = FixedConfig(64, 16)
 
@@ -199,7 +200,52 @@ class TestAccountingShape:
             assert abs(b2 - 2 * b1) <= 0.02 * b2
 
 
+# architecture, which elements keep their ReLU, polynomial degree
+PLAN_MODELS = {
+    "mlp-relu": ("mlp", "all", 2),
+    "mlp-mixed": ("mlp", "mixed", 2),
+    "mlp-poly": ("mlp", "none", 2),
+    "mlp-mixed-degree1": ("mlp", "mixed", 1),
+    "smallcnn-relu": ("smallcnn", "all", 2),
+    "smallcnn-mixed": ("smallcnn", "mixed", 2),
+    "smallcnn-poly": ("smallcnn", "none", 2),
+}
+
+
 class TestPlanning:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("cfg", [CFG, FixedConfig(32, 8), FixedConfig(20, 6)], ids=["L64", "L32", "L20"])
+    @pytest.mark.parametrize("name", list(PLAN_MODELS))
+    def test_plan_is_what_the_run_takes(self, name, cfg, batch):
+        """plan(shape) lists, in order, the records each party's run takes
+        when each record is dealt as the run takes it.  L=64 rescales
+        locally; L=32 and L=20 take a truncation mask per rescale."""
+        arch, keep, degree = PLAN_MODELS[name]
+        model = fold_batchnorm(build_model(arch, seed=0, num_classes=4))
+        for i, layer in enumerate(model.hybrid_layers()):
+            m = layer.indicator.m.reshape(-1)
+            m[:] = {"all": 1, "none": 0, "mixed": np.arange(m.size) % (i + 2) == 0}[keep]
+            layer.coeffs = layer.coeffs[:, : degree + 1]
+        x = np.random.default_rng(batch).uniform(-1, 1, size=(batch, *input_shape(arch)))
+        xs = Dealer(1, cfg).gen_shares(encode(x, cfg))
+        evaluator = SecureEvaluator(model, cfg)
+
+        def fn(sess):
+            evaluator.run(sess, ShareTensor(xs[sess.party], cfg.frac_bits))
+            return [Request(rec.kind, rec.fields[0].shape) for rec in sess.tape.records]
+
+        want = evaluator.plan(x.shape)
+        assert two_party(fn, cfg=cfg) == (want, want)
+
+    def test_empty_batch_is_refused_before_dealing(self, monkeypatch):
+        """Both transports plan first, so an empty batch deals nothing."""
+        monkeypatch.setattr(runtime.Dealer, "build_tapes", lambda *a: pytest.fail("dealt a tape"))
+        model = build_model("mlp", 0)
+        with pytest.raises(FormatError, match="no examples"):
+            private_inference_memory(model, CFG, np.empty((0, 2)))
+        with pytest.raises(FormatError, match="no examples"):
+            private_inference_tcp(model, CFG, np.empty((0, 2)), 1, "127.0.0.1", free_port())
+
     def test_plan_is_consumed_exactly(self, trained):
         # _run_party raises if records are left over; reaching a report proves it
         _, model, x = trained
