@@ -35,9 +35,9 @@ Tapes are dealt as files, one per party dealt.  `build_tapes` lays out each
 tape's file bytes up front and writes every word once, into its slot: the
 keystream goes straight into party 0's share slots and party 1's secret
 slots, and party 1's fields are derived and split in place.  A tape's
-records are read-only views of its file bytes (read-only unpacked copies on
-rings of under 64 bits), and `tape_to_bytes` returns those bytes without a
-copy.
+record fields are read-only views of its file bytes (on rings of under 64
+bits, of the record's one read-only unpacked copy), and `tape_to_bytes`
+returns those bytes without a copy.
 
 One table, `_KIND`, describes each kind: its tape tag, its fields, how
 they are drawn, derived and split, and its tape layout.  A new kind is one
@@ -298,9 +298,9 @@ def _store(cfg: FixedConfig, file: np.ndarray, at: int, w: np.ndarray) -> None:
 
 class Tape:
     """One party's tape: the tape file's bytes, read-only and of exactly the
-    file's length, and its records in draw order, which are read-only views
-    of those bytes (read-only copies on rings of under 64 bits) read on
-    first use."""
+    file's length, and its records in draw order, read on first use: their
+    fields are read-only views of those bytes (on rings of under 64 bits, of
+    one read-only unpacked copy per record)."""
 
     def __init__(self, party: int, cfg: FixedConfig, buf: memoryview, records: list | None = None):
         self.party = party
@@ -425,10 +425,9 @@ def tape_from_bytes(buf) -> Tape:
             raise FormatError(f"bad {kind!r} shapes: {shapes} are not equal")
         packed = cur.take(len(k.names) * math.prod(shapes[0]) * cfg.word_bytes)
         words = unpack_words(packed, (len(k.names), *shapes[0]), cfg)
-        fields = tuple(RingTensor(words[i, ...], cfg) for i in range(len(k.names)))
-        for t in fields:  # copies on rings of under 64 bits
-            t.words.setflags(write=False)
-        records.append(Record(kind, fields))
+        words.setflags(write=False)  # one unpacked copy on rings of under 64 bits
+        records.append(Record(kind, tuple(RingTensor.of_reduced(words[i, ...], cfg)
+                                          for i in range(len(k.names)))))
     if cur.pos != len(cur.buf):
         raise FormatError("trailing bytes after last tape record")
     return Tape(party, cfg, cur.buf, records)

@@ -21,6 +21,8 @@ from .errors import EncodeOverflowError, FormatError
 __all__ = [
     "FixedConfig",
     "RingTensor",
+    "broadcasts",
+    "broadcast_view",
     "encode",
     "decode",
     "truncate",
@@ -106,6 +108,14 @@ class RingTensor:
         self.cfg = cfg
 
     # ---- constructors -------------------------------------------------
+
+    @classmethod
+    def of_reduced(cls, words: np.ndarray, cfg: FixedConfig) -> "RingTensor":
+        """Wrap uint64 words that are already reduced mod 2^L as they are:
+        no copy and no mask, so a view stays a view on every ring."""
+        t = cls.__new__(cls)
+        t.words, t.cfg = words, cfg
+        return t
 
     @classmethod
     def zeros(cls, shape, cfg: FixedConfig) -> "RingTensor":
@@ -198,6 +208,31 @@ class RingTensor:
         return id(self)
 
 
+def broadcasts(shape: tuple, to: tuple) -> bool:
+    """Whether an array of `shape` broadcasts to `to` unchanged, as
+    `np.broadcast_shapes(shape, to) == to` says, without its cost."""
+    lead = len(to) - len(shape)
+    return lead >= 0 and all(d == 1 or d == n for d, n in zip(shape, to[lead:]))
+
+
+def broadcast_view(a: np.ndarray, shape) -> np.ndarray:
+    """`np.broadcast_to(a, shape)` for a C-contiguous `a`, built directly:
+    a read-only view with stride 0 on each axis that `a` lacks or holds once,
+    nothing copied.  It costs about 1 µs a call where `broadcast_to` costs
+    4-6, which counts on ops of a few dozen words."""
+    shape = tuple(shape)
+    lead = len(shape) - a.ndim
+    if lead >= 0 and a.shape == shape[lead:]:  # only axes put in front
+        strides = (0,) * lead + a.strides
+    elif broadcasts(a.shape, shape):
+        strides = (0,) * lead + tuple(st if d == n else 0 for d, n, st in zip(a.shape, shape[lead:], a.strides))
+    else:
+        raise ValueError(f"shape {a.shape} does not broadcast to {shape}")
+    view = np.ndarray(shape, a.dtype, a, 0, strides)
+    view.setflags(write=False)
+    return view
+
+
 def pack_words(words: np.ndarray, cfg: FixedConfig):
     """Row-major words reduced mod 2^L, as ceil(L/8)-byte little-endian
     groups with no shape header.  With 8-byte words this is a byte view of
@@ -212,18 +247,19 @@ def pack_words(words: np.ndarray, cfg: FixedConfig):
 
 def unpack_words(buf, shape, cfg: FixedConfig) -> np.ndarray:
     """Inverse of pack_words for a known shape: the words reduced mod 2^L.
-    8-byte words are a view of `buf`, not a copy."""
+    At L=64 they are a view of `buf`, not a copy; on other rings, one fresh
+    array."""
     count = math.prod(shape)
     nb = cfg.word_bytes
     if len(buf) != count * nb:
         raise FormatError(f"expected {count * nb} payload bytes, got {len(buf)}")
-    if nb == 8:
+    if cfg.total_bits == 64:
         return np.frombuffer(buf, "<u8", count).reshape(shape)
-    full = np.zeros((count, 8), dtype=np.uint8)
-    full[:, :nb] = np.frombuffer(buf, dtype=np.uint8).reshape(count, nb)
-    words = full.view("<u8").reshape(shape)
-    words &= cfg.mask
-    return words
+    # each word is read as the 8 bytes from its start, the bytes past its
+    # own masked off: one pass for every word width
+    padded = np.empty(count * nb + 8, np.uint8)  # room for the last words' reads
+    padded[: count * nb] = np.frombuffer(buf, np.uint8)
+    return (np.ndarray((count,), "<u8", padded, 0, (nb,)) & cfg.mask).reshape(shape)
 
 
 # ---- encode / decode / truncate ------------------------------------------

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dealer as dl
-from .fixed import FixedConfig, RingTensor, encode, truncate
+from .fixed import FixedConfig, RingTensor, broadcast_view, broadcasts, encode, truncate
 from .transport import Channel, flat_frame
 
 __all__ = [
@@ -214,10 +214,11 @@ def _open_masked(sess: Session, pairs, mode: str = "add"):
         raise ValueError(f"unknown opening mode {mode!r}: expected 'add' or 'xor'")
     mask_op = _MODES[mode][0]
     share = pairs[0][0]
-    k, n = len(pairs), share.size
+    k, n = len(pairs), share.words.size
     frame = flat_frame(k * n)
-    for row, (v, m) in zip(frame[1:].reshape(k, n), pairs):
-        mask_op(v.words, m.words, out=row.reshape(share.shape))
+    rows = frame[1:].reshape(k, *share.shape)
+    for i, (v, m) in enumerate(pairs):
+        mask_op(v.words, m.words, out=rows[i, ...])
     theirs = sess.channel.exchange_frame(frame, share.cfg)
     sess.opened_words += k * n
     return frame[1:].reshape(k, n), theirs.reshape(k, n)
@@ -235,9 +236,12 @@ def _finish(sess: Session, pairs, mode: str, kernel, *operands: RingTensor) -> n
     mine, theirs = _open_masked(sess, pairs, mode)
     combine = _MODES[mode][1]
     k, n = mine.shape
-    flat = [t.words.reshape(-1) for t in operands]  # views, also of `_zeros`
+    flat = [t.words.reshape(n) for t in operands]  # views, also of `_zeros`
     out = np.empty(n, np.uint64)
-    scratch = np.empty((k, min(n, _BLOCK)), np.uint64)
+    if n <= _BLOCK:  # one block, whole
+        kernel(out, *combine(mine, theirs), *flat)
+        return out.reshape(pairs[0][0].shape)
+    scratch = np.empty((k, _BLOCK), np.uint64)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         opened = scratch[:, : hi - lo]
@@ -246,9 +250,14 @@ def _finish(sess: Session, pairs, mode: str, kernel, *operands: RingTensor) -> n
     return out.reshape(pairs[0][0].shape)
 
 
+# the one word every `_zeros` view reads
+_ZERO_WORD = np.zeros((), np.uint64)
+_ZERO_WORD.setflags(write=False)
+
+
 def _zeros(shape, cfg: FixedConfig) -> RingTensor:
-    """Read-only all-zero words that take no memory."""
-    return RingTensor(np.broadcast_to(np.uint64(0), shape), cfg)
+    """Read-only all-zero words that take no memory: a view of one word."""
+    return RingTensor.of_reduced(broadcast_view(_ZERO_WORD, shape), cfg)
 
 
 def _rescale(sess: Session, x: ShareTensor, raw_scale: int) -> ShareTensor:
@@ -324,7 +333,7 @@ def add_public(sess: Session, x: ShareTensor, c: RingTensor) -> ShareTensor:
 
     Both parties refuse a constant that does not broadcast to the share's shape.
     """
-    if np.broadcast_shapes(x.shape, c.shape) != x.shape:  # numpy raises for clashing shapes
+    if not broadcasts(c.shape, x.shape):
         raise ValueError(f"public constant of shape {c.shape} does not broadcast to {x.shape}")
     if sess.party == 0:
         return ShareTensor(x.payload + c, x.scale)
@@ -393,8 +402,8 @@ def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
         f_ &= a
         z ^= f_
 
-    z = _finish(sess, [(x, a), (y, b)], "xor", kernel, a, b, c)
-    return RingTensor(z, x.cfg)
+    # XORs and ANDs of reduced words are reduced
+    return RingTensor.of_reduced(_finish(sess, [(x, a), (y, b)], "xor", kernel, a, b, c), x.cfg)
 
 
 def adder_levels(cfg: FixedConfig) -> int:
@@ -416,16 +425,17 @@ def a2b(sess: Session, x: ShareTensor) -> RingTensor:
 
     g = and_shares(sess, a, b).words  # a fresh buffer, updated in place below
     # p = a ^ b is the party's own share, since the other summand is zero
-    p = own
+    p = own.words if own.words.flags.c_contiguous else own.words.copy()
     shifted = np.empty((2, *x.shape), dtype=np.uint64)
     for level in range(adder_levels(cfg)):
         k = np.uint64(1 << level)
         np.left_shift(g, k, out=shifted[0, ...])
-        np.left_shift(p.words, k, out=shifted[1, ...])
-        lhs = RingTensor(np.broadcast_to(p.words, shifted.shape), cfg)
-        both = and_shares(sess, lhs, RingTensor(shifted, cfg))
-        g ^= both.words[0]
-        p = RingTensor(both.words[1], cfg)
+        np.left_shift(p, k, out=shifted[1, ...])
+        # p against both rows of `shifted`: a view, as p is already reduced
+        lhs = RingTensor.of_reduced(broadcast_view(p, shifted.shape), cfg)
+        both = and_shares(sess, lhs, RingTensor(shifted, cfg)).words
+        g ^= both[0, ...]
+        p = both[1, ...]
     np.left_shift(g, np.uint64(1), out=g)  # the carries
     g ^= own.words
     return RingTensor(g, cfg)
@@ -487,7 +497,7 @@ def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTen
         # encoded at its own (say per-channel) shape; the ring products
         # broadcast it over the batch
         c = np.asarray(c, dtype=np.float64)
-        if np.broadcast_shapes(c.shape, x.shape) != x.shape:
+        if not broadcasts(c.shape, x.shape):
             raise ValueError(f"coefficient shape {c.shape} does not broadcast to {x.shape}")
         return encode(c, cfg)
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dealer import Dealer, Request, tape_from_bytes, tape_to_bytes
 from .errors import ArpError, FormatError
-from .fixed import FixedConfig, decode, encode
+from .fixed import FixedConfig, broadcast_view, decode, encode
 from .im2col import conv_out_hw, window_sum
 from .nn import AvgPool2d, Conv2d, Dense, Flatten, Sequential
 from .protocol import (
@@ -94,10 +94,10 @@ def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0
 
     def cols(a, idx):
         """Columns `idx` of `a`: all of `a`, uncopied, when `idx` is every column."""
-        return a if idx.size == flat_m.size else a[..., idx]
+        return a if idx.size == flat_m.size else a.take(idx, axis=-1)
 
     def sel(c):
-        return cols(np.broadcast_to(np.asarray(c, dtype=np.float64), feat_shape).reshape(-1), poly_idx)
+        return cols(broadcast_view(np.ascontiguousarray(c, dtype=np.float64), feat_shape).reshape(-1), poly_idx)
 
     parts = []
     if relu_idx.size:

@@ -20,19 +20,29 @@ A frame travels as two buffers, the length prefix and the payload (at L=64
 the frame's own bytes), so the payload is never copied to prepend its
 prefix; the frame is read-only once sent.  The in-memory channel hands the
 payload object itself to the peer, so neither party may write into a frame
-it has sent or received.  The TCP channel sends both buffers with one
-`sendmsg` per writable turn, reads the 4-byte prefix, then reads the payload
-with `recv_into` an uninitialized numpy buffer of exactly the announced
-size, so it never reads past the frame it is waiting for.  Both parties
-send equal payloads in every exchange, so each refuses a peer payload of
-another length as soon as the length is known, before allocating for it,
-and receives as many bytes as it sends.  `exchange_frame` also refuses a
-peer frame with another header, such as one as long from another ring.
+it has sent or received.  Both parties send equal payloads in every
+exchange, so each receives exactly as many bytes as it sends, into one
+uninitialized numpy buffer sized by its own payload before the exchange
+starts.  It refuses a peer prefix that announces another length as soon as
+the prefix is in, and reads no byte past a peer frame of its own length.
+`exchange_frame` also refuses a peer frame with another header, such as one
+as long from another ring.
+
+The TCP channel's socket is blocking, and one loop drives each exchange.
+Each `sendmsg` of the pending buffers takes what the socket buffer holds
+without waiting (`MSG_DONTWAIT`).  While some of the frame is unsent, reads
+do not wait either, and a selector waits for the socket to take or bring
+bytes, so two large frames sent at once cannot deadlock.  Once the whole
+frame is sent, which is at the first `sendmsg` for any frame the socket
+buffer holds, the loop waits in a blocking `recv_into`, bounded by the time
+left to the exchange's deadline (`SO_RCVTIMEO`), so a small exchange costs
+one send and usually one receive call.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import queue
 import selectors
 import socket
@@ -64,9 +74,9 @@ _FRAME_KEY = hashlib.sha256(b"arp.transport.frame.v1").digest()  # public Poly13
 def flat_frame(n: int) -> np.ndarray:
     """An unfilled frame of n ring words, its header in word 0; the caller
     fills `frame[1:]`.  A frame of 2^32 or more words is refused."""
-    header = np.frombuffer(struct.pack("<II", 1, n), "<u8")  # before any allocation
+    (header,) = struct.unpack("<Q", struct.pack("<II", 1, n))  # before any allocation
     frame = np.empty(n + 1, "<u8")
-    frame[:1] = header
+    frame[0] = header
     return frame
 
 
@@ -128,13 +138,15 @@ class Channel:
         The frame becomes read-only first: the in-memory peer reads the very
         array sent.  A peer frame of another length or header desyncs.
         """
-        frame.flags.writeable = False
-        inbound = memoryview(self.exchange_bytes(frame_payload(frame, cfg)))
-        head, sent = inbound[:8], frame[:1].tobytes()  # word 0, the header
-        if head != sent:
-            raise ProtocolDesyncError(f"peer sent frame header {bytes(head).hex()}, this party sent {sent.hex()}")
-        words = unpack_words(inbound[8:], (frame.size - 1,), cfg)
-        words.flags.writeable = False
+        frame.setflags(write=False)
+        inbound = self.exchange_bytes(frame_payload(frame, cfg))
+        full = cfg.total_bits == 64  # the payload is the peer's frame, all its words reduced
+        peer = np.frombuffer(inbound, "<u8", -1 if full else 1)
+        if peer[0] != frame[0]:  # word 0, the header
+            raise ProtocolDesyncError(f"peer sent frame header {peer[:1].tobytes().hex()}, "
+                                      f"this party sent {frame[:1].tobytes().hex()}")
+        words = peer[1:] if full else unpack_words(memoryview(inbound)[8:], (frame.size - 1,), cfg)
+        words.setflags(write=False)
         return words
 
 
@@ -168,13 +180,24 @@ def memory_channel_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[InMemoryChann
 
 
 class TcpChannel(Channel):
-    """TCP endpoint; sends and receives are interleaved so a large exchange,
-    which both parties send at once, cannot deadlock on full socket buffers."""
+    """TCP endpoint on a blocking socket, driven by one loop per exchange.
+
+    Sends never wait (`MSG_DONTWAIT`).  While this party's frame is still
+    going out, reads do not wait either, and when neither direction moves,
+    the loop waits on a selector for both, so a large exchange, which both
+    parties send at once, cannot deadlock on full socket buffers.  Once the
+    whole frame is sent, the loop waits in a blocking `recv_into`.  Its
+    `SO_RCVTIMEO` never exceeds the time left to the exchange's deadline,
+    so the deadline holds however the peer's bytes trickle in, and less
+    than a microsecond left, which `SO_RCVTIMEO` would read as no timeout
+    at all, is a timeout.
+    """
 
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
         super().__init__(timeout)
         self._sock = sock
-        self._sock.setblocking(False)
+        self._sock.setblocking(True)
+        self._rcvtimeo_us = 0  # SO_RCVTIMEO as last set, 0 for none
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sel = selectors.DefaultSelector()
         self._sel.register(sock, selectors.EVENT_READ)
@@ -186,40 +209,45 @@ class TcpChannel(Channel):
         except OSError:
             pass
 
+    def _timed_out(self) -> TransportError:
+        return TransportError(f"peer exchange timed out after {self.timeout}s")
+
     def _wait(self, events: int, deadline: float) -> None:
         """Block until the socket is ready for one of `events`."""
         self._sel.modify(self._sock, events)  # a no-op when `events` is unchanged
         if not self._sel.select(timeout=max(0.0, deadline - time.monotonic())):
-            raise TransportError(f"peer exchange timed out after {self.timeout}s")
+            raise self._timed_out()
 
     def _swap(self, prefix: bytes, payload: bytes):
         """Drive the socket until the frame is fully sent and the peer's
-        whole frame has been received; each side is tried before blocking."""
+        whole frame has been received.  The peer's frame is read into one
+        buffer, its payload 8-byte aligned after the prefix; its length is
+        checked as soon as the prefix is in."""
         deadline = time.monotonic() + self.timeout
         out = [memoryview(b) for b in (prefix, payload) if len(b)]
-        head = bytearray(4)
-        body = None
-        view = memoryview(head)  # unfilled part of the buffer being received
-        while out or view is not None:
-            moved = bool(out) and self._send_some(out)
-            if view is not None and (n := self._recv_some(view)):
-                moved = True
-                view = view[n:] if n < len(view) else None
-                if view is None and body is None:
-                    (length,) = struct.unpack("<I", head)
-                    _check_length(length, len(payload))
-                    body = np.empty(length, np.uint8)  # recv_into fills every byte
-                    view = memoryview(body) if length else None
-            if not moved:
-                self._wait((selectors.EVENT_READ if view is not None else 0)
-                           | (selectors.EVENT_WRITE if out else 0), deadline)
-        return body
+        want = len(payload)
+        inbound = np.empty(8 + want, np.uint8)  # recv_into fills all but 4 spare bytes
+        view = memoryview(inbound)[4:]  # unfilled part of the peer's frame
+        while out or view:
+            if not out:  # the whole frame is sent: wait in the receive
+                n = self._recv_some(view, deadline)
+            else:
+                sent = self._send_some(out)
+                # while some of the frame is unsent, take only what has come
+                n = self._recv_some(view, None) if out and view else 0
+                if not (sent or n):
+                    self._wait((selectors.EVENT_READ if view else 0) | selectors.EVENT_WRITE, deadline)
+            if n:
+                view = view[n:]
+                if len(view) <= want:  # the prefix is in
+                    _check_length(int.from_bytes(inbound[4:8], "little"), want)
+        return inbound[8:]
 
     def _send_some(self, out: list) -> bool:
-        """Send what the socket takes of the pending buffers and drop it
-        from `out`; False when the socket takes nothing now."""
+        """Send what the socket takes now of the pending buffers and drop
+        it from `out`; False when it takes nothing."""
         try:
-            n = self._sock.sendmsg(out)
+            n = self._sock.sendmsg(out, (), socket.MSG_DONTWAIT)
         except BlockingIOError:
             return False
         except (BrokenPipeError, ConnectionResetError) as exc:
@@ -231,11 +259,32 @@ class TcpChannel(Channel):
                 n -= len(out.pop(0))
         return True
 
-    def _recv_some(self, view: memoryview) -> int:
-        """Bytes read into `view`; 0 when the socket has none ready."""
+    def _bound_wait(self, deadline: float) -> None:
+        """Keep `SO_RCVTIMEO` at most the microseconds left to `deadline`,
+        and at least half of them, so a blocking receive that times out
+        early is retried and one that does not ends by the deadline.  Within
+        those bounds the last value set stands: an exchange of the usual
+        length costs no `setsockopt`."""
+        usec = math.floor((deadline - time.monotonic()) * 1e6)
+        if usec <= 0:  # SO_RCVTIMEO reads 0 as no timeout, and a negative time as 0
+            raise self._timed_out()
+        if not max(1, usec // 2) <= self._rcvtimeo_us <= usec:
+            timeval = struct.pack("@ll", *divmod(usec, 1_000_000))  # seconds, microseconds
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+            self._rcvtimeo_us = usec
+
+    def _recv_some(self, view: memoryview, deadline: float | None) -> int:
+        """Bytes read into `view`.  With no deadline it takes only what has
+        arrived, 0 if nothing has; else it waits for some, at most until
+        `deadline`, and returns 0 if none came (the next call raises once
+        the deadline has passed)."""
         try:
-            n = self._sock.recv_into(view)
-        except BlockingIOError:
+            if deadline is None:
+                n = self._sock.recv_into(view, 0, socket.MSG_DONTWAIT)
+            else:
+                self._bound_wait(deadline)
+                n = self._sock.recv_into(view)
+        except BlockingIOError:  # nothing yet, or SO_RCVTIMEO ran out
             return 0
         except ConnectionResetError as exc:
             raise TransportError(f"peer closed the connection: {exc}") from None

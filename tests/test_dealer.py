@@ -5,6 +5,7 @@ against big-integer oracles.
 """
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -489,6 +490,32 @@ class TestTapeBuffers:
         for tape in Dealer(7, cfg).build_tapes(reqs):
             arrays = [v.words for rec in tape.records for v in rec.fields]
             assert len(arrays) == 9 and not any(w.flags.writeable for w in arrays)
+
+    @pytest.mark.parametrize("bits", [32, 20])
+    def test_narrow_ring_records_are_unpacked_once(self, bits):
+        """On a ring of under 64 bits a record's fields are read-only views of
+        its one unpacked array, the file's words reduced mod 2^L: packed again,
+        with each record's head, they give back the file's bytes."""
+        cfg = FixedConfig(bits, bits // 4)
+        reqs = [Request("beaver", (4, 6)), Request("trunc", (5,)), Request("and", ()), Request("square", (3,))]
+        for tape in Dealer(9, cfg).build_tapes(reqs):
+            raw = bytes(tape_to_bytes(tape))
+            loaded = tape_from_bytes(raw)
+            rebuilt = raw[: dealer._HEADER.size]
+            for req, rec in zip(reqs, loaded.records):
+                kind = dealer._KIND[rec.kind]
+                words = [v.words for v in rec.fields]
+                base = words[0].base
+                assert all(w.base is base for w in words)  # no per-field copies
+                assert base.nbytes == 8 * len(words) * math.prod(req.shape)  # and no second one
+                for w in words:
+                    assert w.shape == req.shape and not w.flags.writeable
+                    assert not np.any(w >> np.uint64(bits))
+                    with pytest.raises(ValueError, match="read-only"):
+                        w[...] = 0
+                rebuilt += bytes((kind.tag,)) + kind.head + dealer._pack_shape(req.shape) * kind.copies
+                rebuilt += b"".join(bytes(pack_words(w, cfg)) for w in words)
+            assert rebuilt == raw
 
     def test_inference_consumes_a_read_only_tape(self, monkeypatch):
         import arp.runtime as runtime

@@ -1,12 +1,23 @@
 """Fixed-point encoding and exact two's-complement ring arithmetic."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from arp.errors import EncodeOverflowError, FormatError
-from arp.fixed import FixedConfig, RingTensor, decode, encode, pack_words, truncate, unpack_words
+from arp.fixed import (
+    FixedConfig,
+    RingTensor,
+    broadcast_view,
+    broadcasts,
+    decode,
+    encode,
+    pack_words,
+    truncate,
+    unpack_words,
+)
 from arp.transport import flat_frame, frame_payload
 
 
@@ -255,3 +266,47 @@ class TestWireEncoding:
         for n in (15, 17, 24):
             with pytest.raises(FormatError, match="expected 16 payload bytes"):
                 unpack_words(bytes(n), (2,), cfg)
+
+    @pytest.mark.parametrize("bits", [8, 12, 16, 20, 31, 32, 40, 57])
+    def test_every_word_width_unpacks_reduced(self, bits):
+        """Each word is the little-endian value of its ceil(L/8) bytes,
+        reduced mod 2^L, whatever the spare top bits of those bytes hold."""
+        cfg = FixedConfig(bits, 4)
+        nb = cfg.word_bytes
+        raw = np.random.default_rng(bits).integers(0, 256, size=7 * nb, dtype=np.uint8).tobytes()
+        want = [int.from_bytes(raw[i * nb : (i + 1) * nb], "little") % 2**bits for i in range(7)]
+        got = unpack_words(raw, (7,), cfg)
+        assert got.dtype == np.uint64 and got.tolist() == want
+
+
+class TestBroadcastView:
+    """`broadcast_view` is `np.broadcast_to` for contiguous arrays, built as
+    a read-only zero-stride view."""
+
+    @pytest.mark.parametrize("src, shape", [((), (4,)), ((3,), (2, 3)), ((3, 1, 1), (3, 4, 5)),
+                                            ((1, 5), (2, 3, 5)), ((2, 3), (2, 3)), ((), ())])
+    def test_matches_broadcast_to(self, src, shape):
+        a = np.arange(1, math.prod(src) + 1, dtype=np.float64).reshape(src)
+        view = broadcast_view(a, shape)
+        want = np.broadcast_to(a, shape)
+        assert view.shape == shape and view.dtype == a.dtype and np.array_equal(view, want)
+        assert view.strides == want.strides or view.size <= 1
+        assert view.ctypes.data == a.ctypes.data  # a view of `a`, nothing copied
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[...] = 0
+
+    @pytest.mark.parametrize("src, shape", [((3,), (4,)), ((2, 3), (3,)), ((2, 1), (3, 1)), ((3,), ())])
+    def test_refuses_what_does_not_broadcast(self, src, shape):
+        assert not broadcasts(src, shape)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            broadcast_view(np.zeros(src), shape)
+
+    @pytest.mark.parametrize("src, to", [((), (2, 3)), ((3,), (2, 3)), ((1, 3), (2, 3)), ((2, 1), (2, 3)),
+                                         ((2, 3), (2, 3)), ((3,), (3, 2)), ((4, 2, 3), (2, 3)), ((2,), ())])
+    def test_broadcasts_agrees_with_numpy(self, src, to):
+        try:
+            same = np.broadcast_shapes(src, to) == to
+        except ValueError:
+            same = False
+        assert broadcasts(src, to) == same

@@ -776,6 +776,47 @@ class TestBlockwiseFinish:
         assert two_party(fn, seed=43) == self.MULTI_BLOCK_HASHES
 
 
+class TestZeroStrideViews:
+    """The all-zero operands of a2b, b2a and the reveals, and a2b's operand
+    at each adder level, are read-only views that allocate nothing."""
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+    @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
+    def test_zeros_view_the_one_zero_word(self, cfg, shape):
+        z = protocol._zeros(shape, cfg).words
+        assert z.shape == shape and z.dtype == np.uint64 and not z.any()
+        assert z.strides == (0,) * len(shape)
+        assert z.ctypes.data == protocol._ZERO_WORD.ctypes.data  # no buffer of its own
+        assert not z.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            z[...] = 1
+        assert not protocol._ZERO_WORD
+
+    def test_a2b_level_operands_view_their_share(self, monkeypatch):
+        """At every adder level a2b ANDs p against two rows at once: both rows
+        are the one share p, read through stride 0."""
+        shape = (3, 4)
+        ring = RingTensor(np.arange(12, dtype=np.uint64).reshape(shape), CFG64)
+        sh = share_ring(ring, seed=9)
+        lhs = []
+        real = protocol.and_shares
+
+        def spy(sess, x, y):
+            lhs.append(x.words)
+            return real(sess, x, y)
+
+        monkeypatch.setattr(protocol, "and_shares", spy)
+        bits = two_party(lambda sess: sess.reveal_bits(a2b(sess, ShareTensor(sh[sess.party], 0))).words)
+        assert all(np.array_equal(b, ring.words) for b in bits)
+        levels = [w for w in lhs if w.shape == (2, *shape)]
+        assert len(levels) == 2 * protocol.adder_levels(CFG64)  # both parties' levels
+        for w in levels:
+            assert w.strides == (0, 32, 8) and np.shares_memory(w[0], w[1])
+            assert not w.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                w[...] = 0
+
+
 class TestFrames:
     def test_frames_are_never_written_after_sending(self):
         """Each in-memory frame hashes the same at send and after both parties

@@ -330,6 +330,81 @@ class TestTcpLoop:
             ch.close()
             b.close()
 
+    def test_trickling_peer_times_out_at_the_exchange_deadline(self):
+        """Each blocking receive waits only for what is left of the exchange's
+        timeout: a peer that sends one payload byte every 0.1 s cannot keep a
+        0.4 s exchange alive until its whole frame is in (1.0 s)."""
+        a, b = loopback_pair()
+        ch = TcpChannel(a, timeout=0.4)
+
+        def peer():
+            recv_exactly(b, 4 + 10)
+            b.sendall(struct.pack("<I", 10))
+            try:
+                for _ in range(10):
+                    time.sleep(0.1)
+                    b.sendall(b"x")
+            except OSError:  # this party gave up and closed
+                pass
+
+        t = threading.Thread(target=peer)
+        t.start()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                ch.exchange_bytes(bytes(10))
+            assert 0.4 <= time.monotonic() - t0 < 0.9
+        finally:
+            ch.close()
+            t.join(timeout=5)
+            b.close()
+        assert not t.is_alive()
+
+    def test_peer_closing_while_this_party_waits_to_receive(self):
+        a, b = loopback_pair()
+        ch = TcpChannel(a, timeout=5)
+
+        def peer():
+            recv_exactly(b, 4 + 3)  # this party's whole frame: it now waits in the receive
+            time.sleep(0.2)
+            b.close()
+
+        t = threading.Thread(target=peer)
+        t.start()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match="peer closed"):
+                ch.exchange_bytes(b"abc")
+            assert time.monotonic() - t0 < 2.0
+        finally:
+            t.join(timeout=5)
+            ch.close()
+        assert not t.is_alive()
+
+    @pytest.mark.parametrize("left", [1.5e-6, 4e-7, 0.0, -0.5], ids=["1us", "under-1us", "none", "past"])
+    def test_receive_with_a_microsecond_or_less_left_times_out(self, left, monkeypatch):
+        """SO_RCVTIMEO reads 0, and a negative time, as "wait forever": a
+        blocking receive with less than a microsecond left must time out at
+        once, and one with a microsecond left must wait at most about that,
+        not block."""
+        a, b = loopback_pair()
+        ch = TcpChannel(a, timeout=5)
+        # the exchange's start, which sets its deadline, then the first
+        # receive, then any later one, past the deadline
+        clock = iter([100.0, 105.0 - left])
+        monkeypatch.setattr(transport, "time", types.SimpleNamespace(monotonic=lambda: next(clock, 106.0)))
+        watchdog = threading.Timer(3.0, b.close)  # a blocked receive would see "peer closed"
+        watchdog.start()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                ch.exchange_bytes(b"abc")
+            assert time.monotonic() - t0 < 1.0
+        finally:
+            watchdog.cancel()
+            ch.close()
+            b.close()
+
     def test_back_to_back_frames_never_merge_or_split(self):
         ch0, ch1 = (TcpChannel(s, timeout=10) for s in loopback_pair())
         sent0 = [bytes([k % 251]) * (k % 9) for k in range(200)]
