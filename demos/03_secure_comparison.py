@@ -1,16 +1,19 @@
 """Secure comparison and ReLU: why the nonlinearity is the expensive part.
 
-Sign extraction converts the arithmetic sharing to an XOR sharing with a
-Kogge-Stone adder (one batched AND per level), grabs the top bit locally,
-and converts that bit back.  Every linear layer is round-free; one ReLU
-costs 3 + ceil(log2 L) rounds.  This demo prints the ladder.
+Sign extraction turns each party's arithmetic share into bit planes, then a
+carry tree over the two shares (one batched AND per level) finds the carry
+into the top bit: that carry XOR both top bits is the XOR-shared sign, which
+b2a converts back.  Every linear layer is round-free; one ReLU costs
+3 + ceil(log2(L-1)) rounds.  This demo prints the ladder.
 """
+
+import math
 
 import numpy as np
 
 from arp.dealer import Dealer, DealingReader
 from arp.fixed import FixedConfig, decode, encode
-from arp.protocol import Session, ShareTensor, a2b, adder_levels, b2a, ltz, msb, relu_secure
+from arp.protocol import Session, ShareTensor, a2b, a2b_geometry, b2a, ltz, relu_secure
 from arp.runtime import run_both
 from arp.transport import memory_channel_pair
 
@@ -28,35 +31,34 @@ def program(sess):
     xs = ShareTensor(x_shares[sess.party], cfg.frac_bits)
     ladder = {}
 
-    r0 = sess.channel.rounds
-    bits = a2b(sess, xs)
-    ladder["a2b"] = sess.channel.rounds - r0
+    r0, w0 = sess.channel.rounds, sess.opened_words
+    sign = a2b(sess, xs)  # the XOR-shared sign bit of each element
+    ladder["a2b (sign bit)"] = (sess.channel.rounds - r0, sess.opened_words - w0)
 
-    r0 = sess.channel.rounds
-    sign = msb(bits)  # local bit extraction
-    ladder["msb"] = sess.channel.rounds - r0
+    r0, w0 = sess.channel.rounds, sess.opened_words
+    b2a(sess, sign)
+    ladder["b2a"] = (sess.channel.rounds - r0, sess.opened_words - w0)
 
-    r0 = sess.channel.rounds
-    sign_arith = b2a(sess, sign)
-    ladder["b2a"] = sess.channel.rounds - r0
-
-    r0 = sess.channel.rounds
+    r0, w0 = sess.channel.rounds, sess.opened_words
     negative = ltz(sess, xs)
-    ladder["ltz (all three)"] = sess.channel.rounds - r0
+    ladder["ltz (a2b + b2a)"] = (sess.channel.rounds - r0, sess.opened_words - w0)
 
-    r0 = sess.channel.rounds
+    r0, w0 = sess.channel.rounds, sess.opened_words
     relu = relu_secure(sess, xs)
-    ladder["relu (ltz + multiply)"] = sess.channel.rounds - r0
+    ladder["relu (ltz + multiply)"] = (sess.channel.rounds - r0, sess.opened_words - w0)
 
-    return ladder, sess.reveal(negative).words, decode(sess.reveal(relu), cfg)
+    return ladder, sess.reveal_bits(sign).words, sess.reveal(negative).words, decode(sess.reveal(relu), cfg)
 
 
-(ladder, neg, relu), _ = run_both(lambda: program(sessions[0]), lambda: program(sessions[1]))
+(ladder, sign, neg, relu), _ = run_both(lambda: program(sessions[0]), lambda: program(sessions[1]))
 
-print(f"bit width L = {cfg.total_bits}, adder levels = {adder_levels(cfg)}")
-print("round ladder:")
-for step, rounds in ladder.items():
-    print(f"  {step:<24} {rounds} rounds")
+words, leaves, _ = a2b_geometry(cfg, x.size)
+print(f"bit width L = {cfg.total_bits}: {leaves} carry-tree leaves, "
+      f"{math.ceil(math.log2(cfg.total_bits - 1))} levels, {words} plane word(s) for {x.size} elements")
+print("round ladder (rounds, words this party opens):")
+for step, (rounds, opened) in ladder.items():
+    print(f"  {step:<24} {rounds} rounds  {opened:4d} words")
 print("\nx        :", x)
+print("sign bit :", sign, " (a2b's XOR sharing, opened)")
 print("x < 0    :", neg, " (zero counts as non-negative)")
 print("relu(x)  :", relu)

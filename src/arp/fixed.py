@@ -187,17 +187,13 @@ class RingTensor:
         out = conv2d_forward(self.words, self._coerce(kernel), stride, padding)
         return RingTensor(out, self.cfg)
 
-    # ---- bit operations (XOR sharing / adder circuits) ------------------
+    # ---- bit operations (XOR sharing) -----------------------------------
 
     def __xor__(self, other) -> "RingTensor":
         return RingTensor(self.words ^ self._coerce(other), self.cfg)
 
     def lshift(self, bits: int) -> "RingTensor":
         return RingTensor(self.words << np.uint64(bits), self.cfg)
-
-    def rshift(self, bits: int) -> "RingTensor":
-        """Logical right shift within the L-bit word."""
-        return RingTensor(self.words >> np.uint64(bits), self.cfg)
 
     def __eq__(self, other):
         if not isinstance(other, RingTensor):
@@ -269,15 +265,18 @@ def encode(x, cfg: FixedConfig) -> RingTensor:
     """Encode reals at scale 2^f, round half away from zero, wrap mod 2^L.
 
     Raises EncodeOverflowError naming the first offending flat index if any
-    value is non-finite or outside the representable range.
+    value is non-finite or its rounded word falls outside [-2^(L-1),
+    2^(L-1)).  The check is on the rounded word, not on [min_real,
+    max_real]: at L=64 float64 rounds max_real up to 2^(L-1-f), whose word
+    would wrap to -2^(L-1).
     """
     arr = np.asarray(x, dtype=np.float64)
-    bad = ~((arr >= cfg.min_real) & (arr <= cfg.max_real))  # nan too
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
+    scaled = np.trunc(arr * cfg.scale + np.copysign(0.5, arr))
+    top = 2.0 ** (cfg.total_bits - 1)
+    if not (scaled.min(initial=0.0) >= -top and scaled.max(initial=0.0) < top):  # nan too
+        idx = int(np.flatnonzero(~((scaled >= -top) & (scaled < top)))[0])
         raise EncodeOverflowError(idx, float(arr.reshape(-1)[idx]), cfg.min_real, cfg.max_real)
-    scaled = np.copysign(np.floor(np.abs(arr) * cfg.scale + 0.5), arr)
-    return RingTensor.from_signed(scaled.astype(np.int64), cfg)
+    return RingTensor(scaled.astype(np.int64).view(np.uint64), cfg)
 
 
 def decode(r: RingTensor, cfg: FixedConfig | None = None) -> np.ndarray:

@@ -1,15 +1,19 @@
 """Online two-party operations on additive and XOR shares.
 
 Round and opening accounting (asserted by tests):
-  msb                              0 rounds, nothing opened
   lin_combine / mul_public         0 rounds, nothing opened, on rings that
                                    truncate locally; else one exact
                                    truncation
   mul_beaver                       1 round, opens 2|X| words
   square                           1 round, opens |X| words
-  b2a                              1 round (one Beaver multiply)
-  a2b                              1 + ceil(log2 L) rounds (initial AND plus
-                                   one batched AND per prefix-adder level)
+  b2a                              1 round (one Beaver multiply), opens
+                                   2|X| words
+  a2b (the sign bit only)          1 + ceil(log2(L-1)) rounds (the generate
+                                   AND, then one batched AND per carry-tree
+                                   level); opens 2g + 4(n-1) words per
+                                   plane word, W = ceil(|X| / B) of them
+                                   (`a2b_geometry`): at L=64, 378 per 64
+                                   elements or fewer
   exact truncation                 1 round, opens |X| words, per rescale
 
 Model weights and polynomial coefficients are public to both compute
@@ -53,10 +57,11 @@ the result is the floor of the shifted value or one ULP above it, for any
 
 from __future__ import annotations
 
-import math
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,12 +81,11 @@ __all__ = [
     "square",
     "and_shares",
     "a2b",
-    "msb",
+    "a2b_geometry",
     "b2a",
     "ltz",
     "relu_secure",
     "dapa_eval_secure",
-    "adder_levels",
 ]
 
 
@@ -250,9 +254,16 @@ def _finish(sess: Session, pairs, mode: str, kernel, *operands: RingTensor) -> n
     return out.reshape(pairs[0][0].shape)
 
 
+def _word(v: int) -> np.ndarray:
+    """A read-only 0-d uint64 array: a ufunc takes it faster than a scalar."""
+    a = np.array(v, np.uint64)
+    a.setflags(write=False)
+    return a
+
+
 # the one word every `_zeros` view reads
-_ZERO_WORD = np.zeros((), np.uint64)
-_ZERO_WORD.setflags(write=False)
+_ZERO_WORD = _word(0)
+_ONE = _word(1)
 
 
 def _zeros(shape, cfg: FixedConfig) -> RingTensor:
@@ -344,8 +355,7 @@ def public_complement(sess: Session, x: ShareTensor) -> ShareTensor:
     """1 - x for a scale-0 bit share."""
     if sess.party == 1:
         return ShareTensor(-x.payload, 0)
-    one = RingTensor(np.ones(x.shape, dtype=np.uint64), x.payload.cfg)
-    return ShareTensor(one - x.payload, 0)
+    return ShareTensor(RingTensor(_ONE - x.payload.words, x.payload.cfg), 0)
 
 
 # ---- interactive operations --------------------------------------------------
@@ -406,44 +416,145 @@ def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
     return RingTensor.of_reduced(_finish(sess, [(x, a), (y, b)], "xor", kernel, a, b, c), x.cfg)
 
 
-def adder_levels(cfg: FixedConfig) -> int:
-    """Prefix-adder levels of an L-bit a2b: ceil(log2 L), one batched AND each."""
-    return math.ceil(math.log2(cfg.total_bits))
+class _Layout(NamedTuple):
+    """The bit planes and carry tree of an a2b on one ring (see
+    `a2b_geometry`)."""
+
+    B: int  # element bits of a plane word
+    n: int  # leaves
+    g: int  # rows of the generate AND
+    shifts: np.ndarray  # 0..B-1, to unpack a plane word
+    top: np.ndarray  # 0-d L-1
+    ident: np.ndarray  # 0-d word of bits L-1..n-1: the identity leaves
+    rest: np.ndarray  # 0-d word of the other bits
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(total_bits: int) -> _Layout:
+    """The a2b layout of an L-bit ring, built once."""
+    B = 1 << (total_bits.bit_length() - 1)
+    n = 1 << (total_bits - 2).bit_length()
+    ident = ((1 << n) - 1) ^ ((1 << (total_bits - 1)) - 1)
+    shifts = np.arange(B, dtype=np.uint64)
+    shifts.setflags(write=False)
+    return _Layout(B, n, n - (n > total_bits - 1), shifts, _word(total_bits - 1), _word(ident),
+                   _word(ident ^ (2**64 - 1)))
+
+
+def a2b_geometry(cfg: FixedConfig, size: int) -> tuple[int, int, int]:
+    """The bit-plane layout of an a2b of `size` elements: (W, n, g).
+
+    A plane holds one bit of every element, B = 2^floor(log2 L) of them to a
+    word (the largest power of two <= L, so plane words are reduced on every
+    ring), in W = ceil(size / B) words.  The carry tree has n =
+    2^ceil(log2(L-1)) leaves: bits 0..L-2, then n - (L-1) identity leaves,
+    which pass the carry on.  The generate AND covers rows 0..g-1 of the
+    tree, all but row n-1 when that row holds an identity leaf.  So an a2b
+    takes an AND of shape (g, W), then one of shape (2, h, W) for each h =
+    n/2, n/4, ..., 1.
+    """
+    layout = _layout(cfg.total_bits)
+    return -(-size // layout.B), layout.n, layout.g
+
+
+# the three steps of an 8x8 bit-block transpose of a word whose byte s is
+# row s: each swaps the off-diagonal halves of its 2x2, 4x4 or 8x8 blocks
+_TRANSPOSE_STEPS = tuple((_word(shift), _word(mask)) for shift, mask in
+                         ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+
+
+def _bit_planes(sess: Session, words: np.ndarray, layout: _Layout, W: int) -> np.ndarray:
+    """This party's leaf planes of the carry tree over `words`.
+
+    Returns `tree`, a fresh (2, n, W) array: row tree[1, k] is this party's
+    share of the propagate plane of leaf rev(k), k's log2(n) bits reversed,
+    and tree[0] is zero.  So at every level of the tree the low groups fill
+    the first half of the rows and each one's high partner sits half the
+    rows further on.  Leaf j < L-1 is bit j of this party's words, and word
+    w of its plane holds element w*B + t at its bit t.  An identity leaf
+    propagates and generates nothing: party 0's planes hold ones there and
+    party 1's zeros, so their AND is zero.  Bits past the last element are
+    zero in every plane.
+
+    Words are read as little-endian bytes, as the wire codec reads them,
+    one block of `_BLOCK` elements at a time, while the block is in cache.
+    Byte k of each group of 8 elements is gathered into one word, whose 8x8
+    bit block is then transposed in place, so byte r holds bit 8k + r of
+    the 8 elements.  Leaf j = 8k + r then goes to row rev(j) in one strided
+    copy: reversing j's bits reverses the axes of its (2, ..., 2) shape.
+    """
+    B, n = layout.B, layout.n
+    U, m = B // 8, n.bit_length() - 1  # bytes of a plane word; tree levels
+    padded = np.zeros(W * B, "<u8")  # the elements, then zero words up to whole plane words
+    if sess.party == 0:
+        np.bitwise_or(words.reshape(-1), layout.ident, out=padded[: words.size])
+    else:
+        np.bitwise_and(words.reshape(-1), layout.rest, out=padded[: words.size])
+    tree = np.zeros((2, n, W), np.uint64)
+    # byte u of word w of leaf j, j's bits most significant first, sits in
+    # row rev(j) of tree[1]: bit a of the row number is j's bit m-1-a
+    row_strides = (8, 1) + tuple(8 * W << a for a in range(m))
+    step = _BLOCK // B  # plane words a block
+    for lo in range(0, W, step):
+        c = min(step, W - lo)
+        # [group of 8 elements, byte k < n/8, element in group]: a group's
+        # elements are 8 bytes apart
+        blocks = np.ndarray((c * U, n // 8, 8), np.uint8, padded, 8 * B * lo, (64, 1, 8)).copy()
+        x = blocks.view("<u8")
+        t = np.empty_like(x)
+        for shift, mask in _TRANSPOSE_STEPS:
+            np.right_shift(x, shift, out=t)
+            t ^= x
+            t &= mask
+            x ^= t
+            t <<= shift
+            x ^= t
+        rows = np.ndarray((c, U) + (2,) * m, np.uint8, tree, 8 * (n * W + lo), row_strides)
+        rows[...] = blocks.reshape((c, U) + (2,) * m)
+    return tree
 
 
 def a2b(sess: Session, x: ShareTensor) -> RingTensor:
-    """Arithmetic to binary sharing via a Kogge-Stone adder; returns this
-    party's XOR share of x's words.
+    """This party's XOR share of each element's sign bit, one 0/1 word per
+    element; no other bit of x is computed.
 
-    Each party XOR-shares its own arithmetic share locally, then the two
-    L-bit summands are added with a carry-lookahead circuit: 1 + ceil(log2 L)
-    rounds, one batched AND per level.
+    The sign of x_0 + x_1 is both summands' bit L-1 XOR the carry into it.
+    Each party transposes its own share into bit planes (`_bit_planes`), so
+    a leaf's propagate plane a_j ^ b_j is shared as each party's own plane,
+    and one AND gives the generate planes a_j & b_j.  A parallel-prefix
+    carry tree (ABY3's bit extraction, Mohassel and Rindal, CCS 2018) then
+    combines adjacent groups, G = G_hi ^ P_hi & G_lo and P = P_hi & P_lo, in
+    one batched AND per level until one plane holds the carry: 1 +
+    ceil(log2(L-1)) rounds.  Leaves sit in bit-reversed rows, so each
+    level's operands are row slices of the last level's result, or a
+    stride-0 view of one.
+
+    At L=64 an element count that is a multiple of 64 opens 378 bits
+    (47.25 B) an element.  Plane words are whole, so any count up to B
+    opens the same words as B elements: 378 at L=64.  Padding bits past the
+    last element are zero in both parties' planes, and the identity leaves
+    that pad the tree to a power of two hold public constants (ones in party
+    0's planes, zeros in party 1's), so padding opens only masked public
+    values.
     """
     cfg = x.payload.cfg
-    own, zero = x.payload, _zeros(x.shape, cfg)
+    layout = _layout(cfg.total_bits)
+    W, n, g = a2b_geometry(cfg, x.size)
+    tree = _bit_planes(sess, x.payload.words, layout, W)
+    own, zero = RingTensor.of_reduced(tree[1, :g], cfg), _zeros((g, W), cfg)
     a, b = (own, zero) if sess.party == 0 else (zero, own)
-
-    g = and_shares(sess, a, b).words  # a fresh buffer, updated in place below
-    # p = a ^ b is the party's own share, since the other summand is zero
-    p = own.words if own.words.flags.c_contiguous else own.words.copy()
-    shifted = np.empty((2, *x.shape), dtype=np.uint64)
-    for level in range(adder_levels(cfg)):
-        k = np.uint64(1 << level)
-        np.left_shift(g, k, out=shifted[0, ...])
-        np.left_shift(p, k, out=shifted[1, ...])
-        # p against both rows of `shifted`: a view, as p is already reduced
-        lhs = RingTensor.of_reduced(broadcast_view(p, shifted.shape), cfg)
-        both = and_shares(sess, lhs, RingTensor(shifted, cfg)).words
-        g ^= both[0, ...]
-        p = both[1, ...]
-    np.left_shift(g, np.uint64(1), out=g)  # the carries
-    g ^= own.words
-    return RingTensor(g, cfg)
-
-
-def msb(x: RingTensor) -> RingTensor:
-    """Extract the sign bit plane of an XOR share; local, zero rounds."""
-    return x.rshift(x.cfg.total_bits - 1)
+    tree[0, :g] = and_shares(sess, a, b).words
+    h = n // 2
+    while h:
+        hi_p = RingTensor.of_reduced(broadcast_view(tree[1, h:], (2, h, W)), cfg)
+        both = and_shares(sess, hi_p, RingTensor.of_reduced(tree[:, :h], cfg)).words
+        both[0] ^= tree[0, h:]  # (G_hi ^ P_hi & G_lo, P_hi & P_lo)
+        tree, h = both, h // 2
+    bits = np.right_shift(tree[0, 0, :, None], layout.shifts)
+    bits &= _ONE
+    sign = bits.reshape(-1)[: x.size]  # the carries into bit L-1
+    sign ^= np.right_shift(x.payload.words.reshape(-1), layout.top)
+    return RingTensor.of_reduced(sign.reshape(x.shape), cfg)
 
 
 def b2a(sess: Session, bit: RingTensor) -> ShareTensor:
@@ -456,16 +567,16 @@ def b2a(sess: Session, bit: RingTensor) -> ShareTensor:
     x0 = ShareTensor(bit if sess.party == 0 else zero, 0)
     x1 = ShareTensor(bit if sess.party == 1 else zero, 0)
     cross = mul_beaver(sess, x0, x1)
-    return ShareTensor(bit - cross.payload * np.uint64(2), 0)
+    return ShareTensor(RingTensor(bit.words - (cross.payload.words << _ONE), bit.cfg), 0)
 
 
 def ltz(sess: Session, x: ShareTensor) -> ShareTensor:
     """Exact comparison with zero: reconstructs to 1 iff decode(x) < 0.
 
-    Zero counts as non-negative.  Composition: a2b, local sign-bit extract,
-    then b2a.
+    Zero counts as non-negative.  Composition: a2b, which gives the sign
+    bit, then b2a.
     """
-    return b2a(sess, msb(a2b(sess, x)))
+    return b2a(sess, a2b(sess, x))
 
 
 def relu_secure(sess: Session, x: ShareTensor) -> ShareTensor:

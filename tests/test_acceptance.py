@@ -33,7 +33,6 @@ from arp.protocol import (
     dapa_eval_secure,
     lin_combine,
     ltz,
-    msb,
     mul_beaver,
     mul_public,
     relu_secure,
@@ -183,11 +182,11 @@ def test_criterion_04_protocol_exactness_exhaustive():
         xb = a2b(sess, ShareTensor(sh[sess.party], 0))
         return sess.reveal_bits(xb).words
 
-    (patterns, _) = two_party(fn_a2b, cfg=CFG8)
-    a2b_ok = np.array_equal(patterns, np.arange(256, dtype=np.uint64))
+    (signs, _) = two_party(fn_a2b, cfg=CFG8)
+    a2b_ok = np.array_equal(signs.astype(bool), ring.signed() < 0)
     check(4, ltz_ok and a2b_ok,
-          "exhaustive L=8: ltz matches sign for all 256 ring values, "
-          "a2b reconstructs all 256 bit patterns")
+          "exhaustive L=8: ltz and a2b's XOR-shared sign bit match the sign "
+          "of all 256 ring values")
 
 
 def _ref_poly(x, c0, c1, c2):
@@ -291,7 +290,7 @@ def test_criterion_06_round_and_opening_accounting():
         stats["a2b"] = sess.channel.rounds - r0
 
         r0 = sess.channel.rounds
-        b2a(sess, msb(xb))
+        b2a(sess, xb)
         stats["b2a"] = sess.channel.rounds - r0
         return stats
 
@@ -312,9 +311,9 @@ def test_criterion_06_round_and_opening_accounting():
         s["local_rounds"] == 0
         and s["mul"] == (1, 2 * n)
         and s["square"] == (1, n)
-        and s["a2b"] == 1 + math.ceil(math.log2(64))
+        and s["a2b"] == 1 + math.ceil(math.log2(63))
         and s["b2a"] == 1
-        and rounds8 == 1 + math.ceil(math.log2(8))
+        and rounds8 == 1 + math.ceil(math.log2(7))
         and s["square"][1] * 2 == s["mul"][1]
     )
     check(6, ok,

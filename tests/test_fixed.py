@@ -54,6 +54,52 @@ class TestEncode:
         with pytest.raises(EncodeOverflowError):
             encode(cfg.max_real + cfg.resolution, cfg)
 
+    @pytest.mark.parametrize("bits, frac", [(64, 16), (32, 8), (8, 4)])
+    def test_both_ends_of_the_ring(self, bits, frac):
+        """The least and greatest encodable reals give the least and greatest
+        words and decode back; the next float out on either side, or the
+        half ULP past the end that rounds away from zero, is refused.  At
+        L=64 float64 rounds max_real up to 2^47, which is refused rather
+        than wrapped to -2^63, and the float just below it is the greatest."""
+        cfg = FixedConfig(bits, frac)
+        lo, hi = cfg.min_real, cfg.max_real
+        if hi * cfg.scale == 2.0 ** (bits - 1):  # max_real is no float64
+            with pytest.raises(EncodeOverflowError, match="at flat index 0"):
+                encode(np.array([hi]), cfg)
+            hi = np.nextafter(hi, 0.0)
+        words = encode(np.array([lo, hi]), cfg)
+        assert words.signed().tolist() == [-(2 ** (bits - 1)), int(hi * cfg.scale)]
+        assert np.array_equal(decode(words), [lo, hi])
+        below = min(lo - cfg.resolution / 2, np.nextafter(lo, -np.inf))
+        above = max(hi + cfg.resolution / 2, np.nextafter(hi, np.inf))
+        for out in (below, above):
+            with pytest.raises(EncodeOverflowError):
+                encode(np.array([out]), cfg)
+
+    @pytest.mark.parametrize("bits, frac", [(64, 16), (64, 0), (54, 0), (53, 0), (32, 8), (16, 8), (8, 4)])
+    def test_refused_exactly_when_the_rounded_word_leaves_the_ring(self, bits, frac):
+        """Around each end of the ring, a float is encoded exactly when its
+        rounded word, x * 2^f rounded half away from zero in float64, lies
+        in [-2^(L-1), 2^(L-1)), and then encodes to that word: none wraps."""
+        cfg = FixedConfig(bits, frac)
+        top = 2 ** (bits - 1)
+        for end in (-top / cfg.scale, top / cfg.scale):
+            for centre in (end, end - cfg.resolution / 2, end + cfg.resolution / 2):
+                v = np.float64(centre)
+                near = [v]
+                for direction in (-np.inf, np.inf):
+                    w = v
+                    for _ in range(3):
+                        w = np.nextafter(w, direction)
+                        near.append(w)
+                for v in near:
+                    word = int(np.trunc(v * cfg.scale + np.copysign(0.5, v)))
+                    if -top <= word < top:
+                        assert int(encode(np.array([v]), cfg).signed()[0]) == word
+                    else:
+                        with pytest.raises(EncodeOverflowError):
+                            encode(np.array([v]), cfg)
+
     def test_monotone(self):
         cfg = FixedConfig(64, 16)
         rng = np.random.default_rng(11)

@@ -29,7 +29,6 @@ from arp.protocol import (
     exact_truncation,
     lin_combine,
     ltz,
-    msb,
     mul_beaver,
     mul_public,
     relu_secure,
@@ -411,45 +410,113 @@ class TestLocalTruncationFaults:
         assert lo <= counted <= hi, (counted, predicted)
 
 
+def sign_shares(sh, cfg):
+    """Both parties' reconstructions of a2b's XOR-shared sign bits of `sh`."""
+    return two_party(lambda sess: sess.reveal_bits(a2b(sess, ShareTensor(sh[sess.party], 0))).words, cfg=cfg)
+
+
+def assert_signs(ring: RingTensor, seed: int):
+    want = (ring.signed() < 0).astype(np.uint64)
+    for got in sign_shares(share_ring(ring, seed=seed), ring.cfg):
+        assert got.shape == ring.shape
+        assert np.array_equal(got, want)
+
+
+SIGN_RINGS = [9, 13, 16, 17, 20, 32, 33, 48, 64]
+
+
 class TestA2B:
-    def test_bit_patterns(self):
-        ring = RingTensor(np.array([5, 255], dtype=np.uint64), CFG8)  # 5 and -1
-        sh = share_ring(ring, seed=4)
-
-        def fn(sess):
-            xb = a2b(sess, ShareTensor(sh[sess.party], 0))
-            return sess.reveal_bits(xb).words
-
-        (bits, _) = two_party(fn, cfg=CFG8)
-        assert bits[0] == 0b00000101
-        assert bits[1] == 0b11111111
+    """a2b gives each element's XOR-shared sign bit and nothing more, exactly
+    on every ring width, element count and pad layout."""
 
     def test_exhaustive_l8(self):
-        ring = RingTensor(np.arange(256, dtype=np.uint64), CFG8)
-        sh = share_ring(ring, seed=5)
+        assert_signs(RingTensor(np.arange(256, dtype=np.uint64), CFG8), seed=5)
+
+    @pytest.mark.parametrize("L", SIGN_RINGS)
+    def test_random_and_boundary_values(self, L):
+        """0, +-1 ULP, the least and greatest ring values, as words and as
+        encoded reals, among uniform words."""
+        cfg = FixedConfig(L, L // 4)
+        top = 1 << (L - 1)
+        edges = np.array([0, 1, (1 << L) - 1, top, top - 1, top + 1, top - 2], dtype=np.uint64)
+        # at L=64 float64 rounds max_real up past the ring; the float below it is the greatest
+        hi = cfg.max_real if cfg.max_real * cfg.scale < top else np.nextafter(cfg.max_real, 0.0)
+        edge_reals = [0.0, cfg.resolution, -cfg.resolution, cfg.min_real, hi]
+        reals = encode(np.array(edge_reals), cfg)
+        assert np.array_equal(decode(reals), edge_reals)
+        rand = ring_words(np.random.default_rng(L), 200, cfg)
+        assert_signs(RingTensor(np.concatenate([edges, reals.words, rand.words]), cfg), seed=L)
+
+    @pytest.mark.parametrize("cfg", [CFG64, FixedConfig(20, 5)], ids=["L64", "L20"])
+    @pytest.mark.parametrize("count", ["1", "B-1", "B", "B+1", "multi-block"])
+    def test_element_counts(self, cfg, count):
+        """Counts around one plane word of B elements, and one whose ANDs
+        finish in several blocks of `protocol._BLOCK` words."""
+        B = protocol._layout(cfg.total_bits).B
+        size = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "multi-block": 2 * BLOCK + 1}[count]
+        W, n, g = protocol.a2b_geometry(cfg, size)
+        assert W == -(-size // B)
+        if count == "multi-block":
+            assert g * W > BLOCK
+        assert_signs(ring_words(np.random.default_rng(size), (size,), cfg), seed=size)
+
+    @pytest.mark.parametrize("shape", [(), (3, 5)])
+    def test_shapes(self, shape):
+        ring = encode(np.random.default_rng(2).uniform(-4, 4, size=shape), CFG64)
+        assert_signs(ring, seed=6)
+
+    @pytest.mark.parametrize("party", [0, 1])
+    @pytest.mark.parametrize("L", [8, *SIGN_RINGS])
+    @pytest.mark.parametrize("size", [1, 13, 100])
+    def test_planes_match_unpackbits(self, L, size, party):
+        """Row k of tree[1] is the plane of leaf rev(k): bit j < L-1 of every
+        element, packed B to a word, or for an identity leaf j >= L-1 ones in
+        party 0's planes and zeros in party 1's; bits past the last element
+        are zero.  tree[0] is zero."""
+        cfg = FixedConfig(L, 0)
+        words = ring_words(np.random.default_rng(L * size), size, cfg).words
+        W, n, g = protocol.a2b_geometry(cfg, size)
+        B = protocol._layout(L).B
+        tree = protocol._bit_planes(Session(party, cfg, None), words, protocol._layout(L), W)
+        bits = np.zeros((W * B, 64), np.uint8)
+        bits[:size] = np.unpackbits(words.astype("<u8").view(np.uint8).reshape(size, 8), axis=1, bitorder="little")
+        bits[:size, L - 1:] = 1 - party  # leaves L-1 and up are identity leaves, not the top bit
+        packed = np.zeros((64, W, 8), np.uint8)
+        packed[:, :, : B // 8] = np.packbits(bits.T.reshape(64, W, B), axis=2, bitorder="little")
+        leaves = packed.view("<u8")[..., 0][:n]  # leaves[j, w]: bit j of elements w*B .. w*B + B-1
+        rev = [int(f"{k:0{n.bit_length() - 1}b}"[::-1], 2) for k in range(n)]
+        assert np.array_equal(tree[1], leaves[rev])
+        assert not tree[0].any()
+        assert g == n - (L - 1 < n)
+
+    @pytest.mark.parametrize("L", [8, *SIGN_RINGS])
+    def test_rounds_and_opened_words(self, L):
+        """1 + ceil(log2(L-1)) rounds; the generate AND opens its g planes
+        twice, each level its (2, h) rows twice."""
+        cfg = FixedConfig(L, 0)
+        sh = share_ring(ring_words(np.random.default_rng(3), 70, cfg), seed=8)
+        W, n, g = protocol.a2b_geometry(cfg, 70)
 
         def fn(sess):
-            xb = a2b(sess, ShareTensor(sh[sess.party], 0))
-            return sess.reveal_bits(xb).words
+            a2b(sess, ShareTensor(sh[sess.party], 0))
+            return sess.channel.rounds, sess.opened_words
 
-        (bits, _) = two_party(fn, cfg=CFG8)
-        assert np.array_equal(bits, np.arange(256, dtype=np.uint64))
+        for rounds, opened in two_party(fn, cfg=cfg):
+            assert rounds == 1 + math.ceil(math.log2(L - 1))
+            assert opened == 2 * g * W + 4 * (n - 1) * W
 
-
-class TestMsb:
-    def test_local_and_exhaustive(self):
-        ring = RingTensor(np.arange(256, dtype=np.uint64), CFG8)
-        sh = share_ring(ring, seed=6)
+    def test_kept_element_opens_378_bits_at_l64(self):
+        """At L=64 a count that fills its plane words opens 378 bits (47.25 B)
+        an element, against 26 words for the full 64-bit adder."""
+        sh = share_ring(ring_words(np.random.default_rng(4), 128, CFG64), seed=9)
 
         def fn(sess):
-            xb = a2b(sess, ShareTensor(sh[sess.party], 0))
-            rounds_before = sess.channel.rounds
-            top = msb(xb)
-            assert sess.channel.rounds == rounds_before  # local
-            return sess.reveal_bits(top).words
+            a2b(sess, ShareTensor(sh[sess.party], 0))
+            return sess.opened_words, sess.channel.bytes_sent
 
-        (bits, _) = two_party(fn, cfg=CFG8)
-        assert np.array_equal(bits.astype(bool), ring.signed() < 0)
+        for opened, sent in two_party(fn):
+            assert opened * 64 == 378 * 128
+            assert sent == 8 * opened + 12 * 7
 
 
 class TestB2A:
@@ -758,10 +825,10 @@ class TestBlockwiseFinish:
         assert np.max(np.abs(got - ref_mul(x, y, cfg))) <= cfg.resolution
 
     # both parties' transcript hashes of relu_secure plus square at (64, 600),
-    # several blocks per op, taken before ops finished block by block
+    # several blocks per op; re-pinned when a2b became a sign-only carry tree
     MULTI_BLOCK_HASHES = (
-        "95e8499121cafe4e7e48f9f3d2ddaa91dd14e2f6fcde3631c8d919d1482ccf2e",
-        "fe21691c1e86c08cd21edef7ee802f89ab91dccd30d9f3c0c957c116e6c71611",
+        "3aac834ae1eae1a54e1908d3e41dc17fd6eb5e2d5f53150d1d11d1c53e8f00a8",
+        "cbbb4988988a66733d64678d8aaaeb480196f9253f17421cef2f3e43cc41b515",
     )
 
     def test_multi_block_transcript_is_pinned(self):
@@ -778,7 +845,7 @@ class TestBlockwiseFinish:
 
 class TestZeroStrideViews:
     """The all-zero operands of a2b, b2a and the reveals, and a2b's operand
-    at each adder level, are read-only views that allocate nothing."""
+    at each carry-tree level, are read-only views that allocate nothing."""
 
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
     @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
@@ -793,28 +860,31 @@ class TestZeroStrideViews:
         assert not protocol._ZERO_WORD
 
     def test_a2b_level_operands_view_their_share(self, monkeypatch):
-        """At every adder level a2b ANDs p against two rows at once: both rows
-        are the one share p, read through stride 0."""
-        shape = (3, 4)
-        ring = RingTensor(np.arange(12, dtype=np.uint64).reshape(shape), CFG64)
+        """At every carry-tree level a2b ANDs the high groups' propagate
+        planes against the low groups' generate and propagate rows at once:
+        both rows of the left operand are the one slice, read through stride
+        0, and the right operand is a slice of the last level's rows."""
+        ring = RingTensor(np.arange(-100, 100, dtype=np.int64).view(np.uint64), CFG64)
         sh = share_ring(ring, seed=9)
-        lhs = []
+        ops = []
         real = protocol.and_shares
 
         def spy(sess, x, y):
-            lhs.append(x.words)
+            ops.append((x.words, y.words))
             return real(sess, x, y)
 
         monkeypatch.setattr(protocol, "and_shares", spy)
         bits = two_party(lambda sess: sess.reveal_bits(a2b(sess, ShareTensor(sh[sess.party], 0))).words)
-        assert all(np.array_equal(b, ring.words) for b in bits)
-        levels = [w for w in lhs if w.shape == (2, *shape)]
-        assert len(levels) == 2 * protocol.adder_levels(CFG64)  # both parties' levels
-        for w in levels:
-            assert w.strides == (0, 32, 8) and np.shares_memory(w[0], w[1])
-            assert not w.flags.writeable
+        assert all(np.array_equal(b, (ring.signed() < 0).astype(np.uint64)) for b in bits)
+        W, n, _ = protocol.a2b_geometry(CFG64, ring.size)
+        levels = [(x, y) for x, y in ops if x.ndim == 3]
+        assert sorted(x.shape for x, _ in levels) == sorted(2 * [(2, n >> k, W) for k in range(1, 7)])  # both parties
+        for x, y in levels:
+            assert x.strides == (0, 8 * W, 8) and np.shares_memory(x[0], x[1])
+            assert not x.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                w[...] = 0
+                x[...] = 0
+            assert y.base is not None and y[0].flags.c_contiguous and y[1].flags.c_contiguous
 
 
 class TestFrames:
@@ -861,7 +931,7 @@ class TestFrames:
 
 class TestAccounting:
     def test_round_counts(self):
-        """lin_combine/mul_public/msb: 0; mul/square/b2a: 1; a2b: 1+ceil(log2 L)."""
+        """lin_combine/mul_public: 0; mul/square/b2a: 1; a2b: 1+ceil(log2(L-1))."""
         x = np.array([1.0, -2.0])
         xs = share_reals(x)
 
@@ -886,16 +956,16 @@ class TestAccounting:
             counts["a2b"] = sess.channel.rounds - r0
 
             r0 = sess.channel.rounds
-            b2a(sess, msb(xb))
-            counts["b2a_msb"] = sess.channel.rounds - r0
+            b2a(sess, xb)
+            counts["b2a"] = sess.channel.rounds - r0
             return counts
 
         (c, _) = two_party(fn)
         assert c["local"] == 0
         assert c["mul"] == 1
         assert c["square"] == 1
-        assert c["a2b"] == 1 + math.ceil(math.log2(64))
-        assert c["b2a_msb"] == 1
+        assert c["a2b"] == 1 + math.ceil(math.log2(63))
+        assert c["b2a"] == 1
 
     def test_a2b_rounds_l8(self):
         ring = RingTensor(np.arange(4, dtype=np.uint64), CFG8)
@@ -907,7 +977,7 @@ class TestAccounting:
             return sess.channel.rounds - r0
 
         (rounds, _) = two_party(fn, cfg=CFG8)
-        assert rounds == 1 + math.ceil(math.log2(8))
+        assert rounds == 1 + math.ceil(math.log2(7))
 
     def test_transcript_determinism(self):
         """Fixed seeds give byte-identical transcripts run over run."""
