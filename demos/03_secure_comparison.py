@@ -2,9 +2,12 @@
 
 Sign extraction turns each party's arithmetic share into bit planes, then a
 carry tree over the two shares (one batched AND per level) finds the carry
-into the top bit: that carry XOR both top bits is the XOR-shared sign, which
-b2a converts back.  Every linear layer is round-free; one ReLU costs
-3 + ceil(log2(L-1)) rounds.  This demo prints the ladder.
+into the top bit: that carry XOR both top bits is the XOR-shared sign.  One
+dealt bit-injection triple then multiplies a share by an XOR-shared bit in
+a single round (`select`): b2a selects the public one by the sign, and ReLU
+selects x by the complemented sign.  Every linear layer is round-free; one
+ReLU (a2b, then select) costs 2 + ceil(log2(L-1)) rounds.  This demo
+prints the ladder.
 """
 
 import math
@@ -37,7 +40,7 @@ def program(sess):
 
     r0, w0 = sess.channel.rounds, sess.opened_words
     b2a(sess, sign)
-    ladder["b2a"] = (sess.channel.rounds - r0, sess.opened_words - w0)
+    ladder["b2a (select 1)"] = (sess.channel.rounds - r0, sess.opened_words - w0)
 
     r0, w0 = sess.channel.rounds, sess.opened_words
     negative = ltz(sess, xs)
@@ -45,7 +48,7 @@ def program(sess):
 
     r0, w0 = sess.channel.rounds, sess.opened_words
     relu = relu_secure(sess, xs)
-    ladder["relu (ltz + multiply)"] = (sess.channel.rounds - r0, sess.opened_words - w0)
+    ladder["relu (a2b + select)"] = (sess.channel.rounds - r0, sess.opened_words - w0)
 
     return ladder, sess.reveal_bits(sign).words, sess.reveal(negative).words, decode(sess.reveal(relu), cfg)
 

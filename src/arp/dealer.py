@@ -1,13 +1,13 @@
 """Trusted dealer: all correlated randomness is pre-generated from a seed.
 
 The dealer runs as an offline setup phase.  It answers a list of
-`Request(kind, shape)`s for elementwise correlations of four kinds
-("beaver" triples, "square" pairs, boolean "and" triples and "trunc"
-masks) and emits one tape per party.  The compute servers hold the model
-weights in the clear, so no other product consumes dealer randomness.
-Tapes are consumed strictly in order by the online protocol: each
-`TapeReader.take(request)` checks the next `Record` against the request that
-planned it, marks it used and returns its fields.  A `DealingReader` instead
+`Request(kind, shape)`s for elementwise correlations of five kinds
+("beaver" triples, "square" pairs, boolean "and" triples, "trunc" masks
+and "select" bit-injection triples) and emits one tape per party.  The
+compute servers hold the model weights in the clear, so no other product
+consumes dealer randomness.  Tapes are consumed strictly in order by the
+online protocol: each `TapeReader.take(request)` checks the next `Record`
+against the request that planned it, marks it used and returns its fields.  A `DealingReader` instead
 deals each record as an op takes it, the words a tape planned up front from
 the same requests holds.  A replay with the same seed and request sequence
 uses identical randomness.
@@ -17,12 +17,13 @@ Draw order.  Each `Dealer` reads one AES-128-CTR keystream as little-endian
 SHA-256(`KEY_TAG` + the seed's decimal digits), and the counter is the whole
 128-bit block, big-endian, starting at block 0: words 2i and 2i+1 are the
 block AES_key(i) read as two words.  `build_tapes` draws the words of each
-record in request order: the secret words (a and b per element, or a alone
-for a square pair, or r alone for a truncation mask), then party 0's share
-of each field in record order.  Party 1's share of a field is its value (a
-secret, the product a*b, a*a or a&b, or a truncation mask's derived fields)
-minus party 0's share, or XOR it for AND triples.  Each `gen_shares` call
-draws one word per element of its input, at its turn in the stream.
+record in request order: the secret words (a and b, or a and c, per
+element, or a alone for a square pair, or r alone for a truncation mask),
+then party 0's share of each field in record order.  Party 1's share of a
+field is its value (a secret, c's low bit, a*b, a*c, a*a or a&b, or a
+truncation mask's derived fields) minus party 0's share, or XOR it for AND
+triples.  Each `gen_shares` call draws one word per element of its input,
+at its turn in the stream.
 
 Party 0's tape alone draws every word too, keeps its share words and drops
 the secret words (or seeks the stream past them); it derives and splits
@@ -45,7 +46,7 @@ row there plus the op that takes its record.
 
 Tape file layout (little-endian throughout):
   magic "ARPT", version u16, L u16, f u16, party u8, record count u32,
-  then per record: tag u8 (1 beaver / 2 square / 3 and / 4 trunc), descriptor, shapes
+  then per record: tag u8 (1 beaver / 2 square / 3 and / 4 trunc / 5 select), descriptor, shapes
   (rank u8 + dims u32 each) and this party's share words packed to
   ceil(L/8) bytes.  A Beaver record keeps version 1's fixed op code 0
   (elementwise), stride 1 and padding 0 bytes and writes its shape twice.
@@ -154,10 +155,11 @@ class _Kind(NamedTuple):
     copies: int  # copies of its shape on tape
 
 
-# Additive shares of (a, b, a*b) and (a, a*a), XOR shares of bit words
-# (a, b, a&b), and additive shares of a truncation mask r with s >> f and
-# msb(s) * 2^(L-f) for s = -r (see protocol's exact truncation).  A Beaver
-# record's descriptor is op code 0 (elementwise), stride 1, padding 0.
+# Additive shares of (a, b, a*b), (a, a*a) and (a, c, a*c) for a uniform
+# bit c (see protocol's select); XOR shares of bit words (a, b, a&b); and
+# additive shares of a truncation mask r with s >> f and msb(s) * 2^(L-f)
+# for s = -r (see protocol's exact truncation).  A Beaver record's
+# descriptor is op code 0 (elementwise), stride 1, padding 0.
 _KIND = {
     "beaver": _Kind(1, ("a", "b", "z"), 2, lambda cfg, v: np.multiply(v[0], v[1], out=v[2]),
                     np.subtract, b"\x00\x01\x00", 2),
@@ -166,6 +168,8 @@ _KIND = {
     "and": _Kind(3, ("a", "b", "c"), 2, lambda cfg, v: np.bitwise_and(v[0], v[1], out=v[2]),
                  np.bitwise_xor, b"", 1),
     "trunc": _Kind(4, ("r", "hi", "w"), 1, _trunc_fields, np.subtract, b"", 1),
+    "select": _Kind(5, ("a", "c", "z"), 2, lambda cfg, v: np.multiply(v[0], np.bitwise_and(v[1], 1, v[1]), out=v[2]),
+                    np.subtract, b"", 1),
 }
 _BY_TAG = {k.tag: name for name, k in _KIND.items()}
 

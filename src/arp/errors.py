@@ -14,13 +14,13 @@ class ArpError(Exception):
 
 
 class EncodeOverflowError(ArpError):
-    """A real value was not finite or fell outside the representable
-    fixed-point range."""
+    """A real value was not finite, or its rounded value fell outside the
+    representable fixed-point range [lo, hi)."""
 
     def __init__(self, index, value, lo, hi):
         self.index = index
         self.value = value
-        why = "is not finite" if not math.isfinite(value) else f"outside representable range [{lo}, {hi}]"
+        why = "is not finite" if not math.isfinite(value) else f"outside representable range [{lo}, {hi})"
         super().__init__(f"value {value!r} at flat index {index} {why}")
 
 

@@ -266,16 +266,17 @@ def encode(x, cfg: FixedConfig) -> RingTensor:
 
     Raises EncodeOverflowError naming the first offending flat index if any
     value is non-finite or its rounded word falls outside [-2^(L-1),
-    2^(L-1)).  The check is on the rounded word, not on [min_real,
-    max_real]: at L=64 float64 rounds max_real up to 2^(L-1-f), whose word
-    would wrap to -2^(L-1).
+    2^(L-1)), and printing that range in reals, [min_real, -min_real).  The
+    check is on the rounded word, not on [min_real, max_real]: at L=64
+    float64 rounds max_real up to 2^(L-1-f), whose word would wrap to
+    -2^(L-1).
     """
     arr = np.asarray(x, dtype=np.float64)
     scaled = np.trunc(arr * cfg.scale + np.copysign(0.5, arr))
     top = 2.0 ** (cfg.total_bits - 1)
     if not (scaled.min(initial=0.0) >= -top and scaled.max(initial=0.0) < top):  # nan too
         idx = int(np.flatnonzero(~((scaled >= -top) & (scaled < top)))[0])
-        raise EncodeOverflowError(idx, float(arr.reshape(-1)[idx]), cfg.min_real, cfg.max_real)
+        raise EncodeOverflowError(idx, float(arr.reshape(-1)[idx]), cfg.min_real, -cfg.min_real)
     return RingTensor(scaled.astype(np.int64).view(np.uint64), cfg)
 
 

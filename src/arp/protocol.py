@@ -6,20 +6,21 @@ Round and opening accounting (asserted by tests):
                                    truncation
   mul_beaver                       1 round, opens 2|X| words
   square                           1 round, opens |X| words
-  b2a                              1 round (one Beaver multiply), opens
-                                   2|X| words
   a2b (the sign bit only)          1 + ceil(log2(L-1)) rounds (the generate
                                    AND, then one batched AND per carry-tree
                                    level); opens 2g + 4(n-1) words per
                                    plane word, W = ceil(|X| / B) of them
                                    (`a2b_geometry`): at L=64, 378 per 64
                                    elements or fewer
+  select (x * bit)                 1 round, opens |X| + W words
+  b2a (select of the public one)   1 round, opens |X| + W words
+  relu_secure (a2b, then select)   2 + ceil(log2(L-1)) rounds
   exact truncation                 1 round, opens |X| words, per rescale
 
 Model weights and polynomial coefficients are public to both compute
 servers; only activations are secret shared.  So every interactive op is
-elementwise, and it takes its dealer record's fields (a "beaver" triple, a
-"square" pair, an "and" triple or a "trunc" mask) from the session's tape
+elementwise, and it takes its dealer record's fields (a "beaver", "and" or
+"select" triple, a "square" pair or a "trunc" mask) from the session's tape
 with the one `dealer.Request` it builds; ops never list the records they
 will take.  `runtime.SecureEvaluator.plan` lists a whole run's.
 
@@ -29,7 +30,8 @@ every op that needs it reads it from the session, which it takes first.
 
 Frames and blocks: every opening goes through `_finish`.  An op writes its
 masked words once, straight into the `transport.flat_frame` it sends
-(`_open_masked`); `Session.reveal` and `reveal_bits` mask with zeros, so
+(`_open_masked`); one frame may carry parts of different sizes and modes,
+as `select`'s does.  `Session.reveal` and `reveal_bits` mask with zeros, so
 their frame carries the share itself.  Once sent, a frame belongs to the
 channel, and the in-memory peer reads the very array, so no op writes into
 a frame it has sent or received; both are read-only.  The op then builds its
@@ -82,6 +84,7 @@ __all__ = [
     "and_shares",
     "a2b",
     "a2b_geometry",
+    "select",
     "b2a",
     "ltz",
     "relu_secure",
@@ -147,7 +150,7 @@ class Session:
     many as are received), rounds, opened words and seconds.  "dealer"
     covers tape generation (setup), "linear" covers public-weight layers,
     pooling and the final logit opening, "comparison" covers secure ReLU
-    (including its multiply), "polynomial" covers the secure polynomial path.
+    (a2b and its select), "polynomial" covers the secure polynomial path.
     """
 
     def __init__(self, party: int, cfg: FixedConfig, channel: Channel,
@@ -204,52 +207,57 @@ _MODES = {"add": (np.subtract, np.add), "xor": (np.bitwise_xor, np.bitwise_xor)}
 _BLOCK = 1 << 14
 
 
-def _open_masked(sess: Session, pairs, mode: str = "add"):
+def _open_masked(sess: Session, pairs, mode="add") -> list:
     """Open share - mask ("add") or share ^ mask ("xor") for each (share,
-    mask) pair in one message.
+    mask) pair in one message; `mode` is one mode for all pairs, or one per
+    pair, and pairs may differ in size.
 
-    The masked words are written once, straight into the rows of the frame
-    that is sent.  Returns this party's rows and the peer's, each a read-only
-    (len(pairs), size) array, uncombined.  On rings narrower than 64 bits
-    this party's words are not reduced mod 2^L (the wire packs their low
-    bytes), so a caller that shifts or compares their combination reduces it.
+    The masked words are written once, straight into the frame that is
+    sent.  Returns, per pair, the ufunc that combines both parties' words,
+    and this party's and the peer's flat words, read-only and uncombined.
+    On rings narrower than 64 bits this party's words are not reduced mod
+    2^L (the wire packs their low bytes), so a caller that shifts or
+    compares their combination reduces it.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown opening mode {mode!r}: expected 'add' or 'xor'")
-    mask_op = _MODES[mode][0]
-    share = pairs[0][0]
-    k, n = len(pairs), share.words.size
-    frame = flat_frame(k * n)
-    rows = frame[1:].reshape(k, *share.shape)
-    for i, (v, m) in enumerate(pairs):
-        mask_op(v.words, m.words, out=rows[i, ...])
-    theirs = sess.channel.exchange_frame(frame, share.cfg)
-    sess.opened_words += k * n
-    return frame[1:].reshape(k, n), theirs.reshape(k, n)
+    modes = (mode,) * len(pairs) if isinstance(mode, str) else mode
+    cuts, lo = [], 1  # each pair's mode and words of the frame
+    for (v, _), m in zip(pairs, modes):
+        if m not in _MODES:
+            raise ValueError(f"unknown opening mode {m!r}: expected 'add' or 'xor'")
+        cuts.append((m, lo, lo := lo + v.words.size))
+    frame = flat_frame(lo - 1)
+    for (v, mask), (m, a, b) in zip(pairs, cuts):
+        _MODES[m][0](v.words, mask.words, out=frame[a:b].reshape(v.shape))
+    theirs = sess.channel.exchange_frame(frame, pairs[0][0].cfg)
+    sess.opened_words += lo - 1
+    return [(_MODES[m][1], frame[a:b], theirs[a - 1 : b - 1]) for m, a, b in cuts]
 
 
-def _finish(sess: Session, pairs, mode: str, kernel, *operands: RingTensor) -> np.ndarray:
+def _finish(sess: Session, pairs, mode, kernel, *operands: RingTensor) -> np.ndarray:
     """Open `pairs` as `_open_masked` does, then build the op's result one
     block of `_BLOCK` flat words at a time, while the block is in cache.
 
     For each block, both parties' words are combined into scratch rows, one
     per pair, and `kernel(out, *opened, *operands)` writes the block of the
     result from the block of each scratch row, which it may overwrite, and
-    of each operand.  Returns the fresh result, shaped like the first share.
+    of each operand.  Blocks cut the first pair's n words; block [lo, hi) of
+    a pair of m words is [lo*m // n, hi*m // n).  Returns the fresh result,
+    shaped like the first share.
     """
-    mine, theirs = _open_masked(sess, pairs, mode)
-    combine = _MODES[mode][1]
-    k, n = mine.shape
+    parts = _open_masked(sess, pairs, mode)
+    n = parts[0][1].size
     flat = [t.words.reshape(n) for t in operands]  # views, also of `_zeros`
     out = np.empty(n, np.uint64)
     if n <= _BLOCK:  # one block, whole
-        kernel(out, *combine(mine, theirs), *flat)
+        kernel(out, *[combine(mine, theirs) for combine, mine, theirs in parts], *flat)
         return out.reshape(pairs[0][0].shape)
-    scratch = np.empty((k, _BLOCK), np.uint64)
+    scratch = [np.empty(_BLOCK * mine.size // n + 1, np.uint64) for _, mine, _ in parts]
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        opened = scratch[:, : hi - lo]
-        combine(mine[:, lo:hi], theirs[:, lo:hi], out=opened)
+        opened = []
+        for (combine, mine, theirs), row in zip(parts, scratch):
+            a, b = lo * mine.size // n, hi * mine.size // n
+            opened.append(combine(mine[a:b], theirs[a:b], out=row[: b - a]))
         kernel(out[lo:hi], *opened, *(w[lo:hi] for w in flat))
     return out.reshape(pairs[0][0].shape)
 
@@ -351,13 +359,6 @@ def add_public(sess: Session, x: ShareTensor, c: RingTensor) -> ShareTensor:
     return x
 
 
-def public_complement(sess: Session, x: ShareTensor) -> ShareTensor:
-    """1 - x for a scale-0 bit share."""
-    if sess.party == 1:
-        return ShareTensor(-x.payload, 0)
-    return ShareTensor(RingTensor(_ONE - x.payload.words, x.payload.cfg), 0)
-
-
 # ---- interactive operations --------------------------------------------------
 
 
@@ -423,7 +424,6 @@ class _Layout(NamedTuple):
     B: int  # element bits of a plane word
     n: int  # leaves
     g: int  # rows of the generate AND
-    shifts: np.ndarray  # 0..B-1, to unpack a plane word
     top: np.ndarray  # 0-d L-1
     ident: np.ndarray  # 0-d word of bits L-1..n-1: the identity leaves
     rest: np.ndarray  # 0-d word of the other bits
@@ -435,10 +435,7 @@ def _layout(total_bits: int) -> _Layout:
     B = 1 << (total_bits.bit_length() - 1)
     n = 1 << (total_bits - 2).bit_length()
     ident = ((1 << n) - 1) ^ ((1 << (total_bits - 1)) - 1)
-    shifts = np.arange(B, dtype=np.uint64)
-    shifts.setflags(write=False)
-    return _Layout(B, n, n - (n > total_bits - 1), shifts, _word(total_bits - 1), _word(ident),
-                   _word(ident ^ (2**64 - 1)))
+    return _Layout(B, n, n - (n > total_bits - 1), _word(total_bits - 1), _word(ident), _word(ident ^ (2**64 - 1)))
 
 
 def a2b_geometry(cfg: FixedConfig, size: int) -> tuple[int, int, int]:
@@ -550,24 +547,60 @@ def a2b(sess: Session, x: ShareTensor) -> RingTensor:
         both = and_shares(sess, hi_p, RingTensor.of_reduced(tree[:, :h], cfg)).words
         both[0] ^= tree[0, h:]  # (G_hi ^ P_hi & G_lo, P_hi & P_lo)
         tree, h = both, h // 2
-    bits = np.right_shift(tree[0, 0, :, None], layout.shifts)
-    bits &= _ONE
-    sign = bits.reshape(-1)[: x.size]  # the carries into bit L-1
-    sign ^= np.right_shift(x.payload.words.reshape(-1), layout.top)
+    sign = np.right_shift(x.payload.words.reshape(-1), layout.top)
+    sign ^= _unpack(tree[0, 0], layout, x.size)  # the carries into bit L-1
     return RingTensor.of_reduced(sign.reshape(x.shape), cfg)
+
+
+def _unpack(plane: np.ndarray, layout: _Layout, size: int) -> np.ndarray:
+    """The first `size` bits of contiguous plane words, one 0/1 byte each."""
+    rows = plane.view(np.uint8).reshape(-1, 8)[:, : layout.B // 8]
+    return np.unpackbits(rows, axis=1, bitorder="little").reshape(-1)[:size]
+
+
+def select(sess: Session, x: ShareTensor, bit: RingTensor) -> ShareTensor:
+    """x * bit, exactly, for an XOR-shared bit (one 0/1 word per element);
+    one round, opens |X| + W words (`a2b_geometry`'s W).
+
+    A "select" record holds shares of a uniform word a, a uniform bit c and
+    a*c (bit injection, as in ABY3, Mohassel and Rindal, CCS 2018); the low
+    bits of c's additive shares XOR to c.  One frame opens e = x - a, masked
+    by a uniform word, and d = bit ^ c, masked by a uniform bit and packed
+    as a2b's planes; pad bits past the last element are public zeros.  t =
+    e*c_i + z_i reconstructs to x*c, and bit is c where d = 0, else 1 - c,
+    so the result is t where d = 0, else x_i - t.
+    """
+    if x.shape != bit.shape:
+        raise ValueError(f"select needs equal shapes, got {x.shape} and {bit.shape}")
+    cfg = x.payload.cfg
+    layout = _layout(cfg.total_bits)
+    W = a2b_geometry(cfg, x.size)[0]
+    a, c, z = sess.tape.take(dl.Request("select", x.shape))
+    low = np.zeros((W, layout.B), np.uint8)  # bit_i ^ c_i's low bits, zero past the elements
+    np.bitwise_xor(bit.words.reshape(-1), c.words.reshape(-1), out=low.reshape(-1)[: x.size], casting="unsafe")
+    low &= 1
+    plane = np.zeros((W, 8), np.uint8)  # this party's part of d: word w holds element w*B + t at bit t
+    plane[:, : layout.B // 8] = np.packbits(low, axis=1, bitorder="little")
+    d = RingTensor.of_reduced(plane.view("<u8").reshape(W), cfg)
+
+    def kernel(out, e, d, xw, c, z):
+        # t = e*c_i + z_i; out = t + d*(x_i - 2t)
+        np.multiply(e, c, out=out)
+        out += z
+        np.subtract(xw, out, out=e)
+        e -= out
+        e *= _unpack(d, layout, out.size)
+        out += e
+
+    out = _finish(sess, [(x.payload, a), (d, _zeros((W,), cfg))], ("add", "xor"), kernel, x.payload, c, z)
+    return ShareTensor(RingTensor(out, cfg), x.scale)
 
 
 def b2a(sess: Session, bit: RingTensor) -> ShareTensor:
     """Convert this party's share `bit` of a 1-bit XOR sharing to an
-    arithmetic sharing at scale 0.
-
-    b0 XOR b1 = b0 + b1 - 2*b0*b1; the cross term costs one Beaver multiply.
-    """
-    zero = _zeros(bit.shape, bit.cfg)
-    x0 = ShareTensor(bit if sess.party == 0 else zero, 0)
-    x1 = ShareTensor(bit if sess.party == 1 else zero, 0)
-    cross = mul_beaver(sess, x0, x1)
-    return ShareTensor(RingTensor(bit.words - (cross.payload.words << _ONE), bit.cfg), 0)
+    arithmetic sharing at scale 0: `select` of the public one by `bit`."""
+    one = broadcast_view(_ONE if sess.party == 0 else _ZERO_WORD, bit.shape)
+    return select(sess, ShareTensor(RingTensor.of_reduced(one, bit.cfg), 0), bit)
 
 
 def ltz(sess: Session, x: ShareTensor) -> ShareTensor:
@@ -580,9 +613,12 @@ def ltz(sess: Session, x: ShareTensor) -> ShareTensor:
 
 
 def relu_secure(sess: Session, x: ShareTensor) -> ShareTensor:
-    """max(x, 0) on shares: one comparison plus one Beaver multiply."""
-    b = ltz(sess, x)
-    return mul_beaver(sess, public_complement(sess, b), x)
+    """max(x, 0) on shares: `a2b`'s sign bit, complemented (party 0 flips
+    its share), selects x; 2 + ceil(log2(L-1)) rounds."""
+    keep = a2b(sess, x)
+    if sess.party == 0:
+        keep.words ^= _ONE  # a2b's fresh words
+    return select(sess, x, keep)
 
 
 def dapa_eval_secure(sess: Session, x: ShareTensor, c0, c1, c2=None) -> ShareTensor:

@@ -121,8 +121,7 @@ def hybrid_activation_secure(sess: Session, x: ShareTensor, mask: np.ndarray, c0
 def _hybrid_requests(batch: int, layer: HybridActivation, cfg: FixedConfig) -> list:
     """The dealer requests of `hybrid_activation_secure` on `layer`, in the
     order it takes them: the ReLU's (a2b's AND triples, on its bit planes,
-    then b2a's and the product's Beaver triples), then the polynomial's
-    square and masks."""
+    then the select triple), then the polynomial's square and masks."""
     n_relu = int(np.count_nonzero(layer.indicator.m))
     relu, poly = (batch, n_relu), (batch, layer.indicator.m.size - n_relu)
     masks = [Request("trunc", poly)] if exact_truncation(cfg) else []  # one per rescale
@@ -130,7 +129,7 @@ def _hybrid_requests(batch: int, layer: HybridActivation, cfg: FixedConfig) -> l
     if n_relu:
         W, n, g = a2b_geometry(cfg, batch * n_relu)
         reqs += [Request("and", (g, W)), *(Request("and", (2, n >> k, W)) for k in range(1, n.bit_length())),
-                 Request("beaver", relu), Request("beaver", relu)]
+                 Request("select", relu)]
     if poly[1]:
         reqs += ([Request("square", poly), *masks] if layer.degree >= 2 else []) + masks
     return reqs

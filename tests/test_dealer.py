@@ -151,6 +151,14 @@ def check_and(cfg, p0, p1):
     assert np.array_equal(c, a & b)
 
 
+def check_select(cfg, p0, p1):
+    """z = a*c with c a bit, whose XOR sharing is the shares' low bits."""
+    a, c, z = (u + v for u, v in zip(p0, p1))
+    assert z == a * c
+    assert set(np.unique(c.words).tolist()) == {0, 1}
+    assert np.array_equal((p0[1].words ^ p1[1].words) & np.uint64(1), c.words)
+
+
 def check_trunc(cfg, p0, p1):
     """hi and w reconstruct to s >> f and msb(s) * 2^(L-f) for s = -r,
     checked on Python ints."""
@@ -164,7 +172,8 @@ def check_trunc(cfg, p0, p1):
 
 
 # each correlation kind's identity on both parties' reconstructed fields
-IDENTITIES = {"beaver": check_beaver, "square": check_square, "and": check_and, "trunc": check_trunc}
+IDENTITIES = {"beaver": check_beaver, "square": check_square, "and": check_and, "trunc": check_trunc,
+              "select": check_select}
 
 
 def check_identity(kind, bits, frac, seed, shape):
@@ -187,6 +196,10 @@ class TestTriples:
     @pytest.mark.parametrize("bits,frac", [(8, 4), (32, 8), (64, 16), (64, 0)])
     def test_trunc_mask_fields(self, bits, frac):
         check_identity("trunc", bits, frac, 8, (20_000,))
+
+    @pytest.mark.parametrize("bits,frac", [(8, 4), (32, 8), (64, 16)])
+    def test_select_triple_fields(self, bits, frac):
+        check_identity("select", bits, frac, 9, (20_000,))
 
     def test_every_kind_has_an_identity_check(self):
         assert set(IDENTITIES) == set(dealer._KIND)
@@ -243,7 +256,7 @@ PINNED_STREAM = [
 
 # tag, descriptor and shape copies of each record on tape, in tape format version 1
 RECORD_LAYOUT = {"beaver": (1, b"\x00\x01\x00", 2), "square": (2, b"", 1),
-                 "and": (3, b"", 1), "trunc": (4, b"", 1)}
+                 "and": (3, b"", 1), "trunc": (4, b"", 1), "select": (5, b"", 1)}
 
 
 def packed_tape(tape) -> bytes:
@@ -284,6 +297,7 @@ class TestTapes:
             Request("square", (2, 2)),
             Request("and", (5,)),
             Request("trunc", (2, 3)),
+            Request("select", (2, 2)),
         ]
 
     def test_serialization_bit_identical(self, tmp_path):
@@ -444,7 +458,7 @@ class TestPartyZeroDeal:
         cfg = FixedConfig(bits, bits // 4)
         big = 2 * dealer._SEEK_BYTES // 8
         reqs = [Request("beaver", (3, 2)), Request("trunc", (big,)), Request("and", ()), Request("beaver", (big,)),
-                Request("square", (5,)), Request("and", (2, 7))]
+                Request("square", (5,)), Request("and", (2, 7)), Request("select", (big,)), Request("select", (3,))]
         planned = Dealer(4, cfg).build_tapes(reqs)
         for party in (0, 1):
             d = Dealer(4, cfg)
@@ -497,7 +511,8 @@ class TestTapeBuffers:
         its one unpacked array, the file's words reduced mod 2^L: packed again,
         with each record's head, they give back the file's bytes."""
         cfg = FixedConfig(bits, bits // 4)
-        reqs = [Request("beaver", (4, 6)), Request("trunc", (5,)), Request("and", ()), Request("square", (3,))]
+        reqs = [Request("beaver", (4, 6)), Request("trunc", (5,)), Request("and", ()), Request("square", (3,)),
+                Request("select", (2, 3))]
         for tape in Dealer(9, cfg).build_tapes(reqs):
             raw = bytes(tape_to_bytes(tape))
             loaded = tape_from_bytes(raw)

@@ -1,6 +1,7 @@
 """Fixed-point encoding and exact two's-complement ring arithmetic."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -75,6 +76,20 @@ class TestEncode:
         for out in (below, above):
             with pytest.raises(EncodeOverflowError):
                 encode(np.array([out]), cfg)
+
+    @pytest.mark.parametrize("bits, frac", [(64, 16), (32, 8), (16, 8), (8, 4)])
+    def test_printed_range_is_the_one_enforced(self, bits, frac):
+        """The refusal prints the half-open range [lo, hi) of the rounded
+        value: its upper end is refused and its lower end encodes."""
+        cfg = FixedConfig(bits, frac)
+        with pytest.raises(EncodeOverflowError) as exc:
+            encode(np.array([0.0, 2.0 ** bits]), cfg)
+        m = re.search(r"outside representable range \[(\S+), (\S+)\)$", str(exc.value))
+        lo, hi = float(m[1]), float(m[2])
+        assert (lo, hi) == (cfg.min_real, -cfg.min_real)
+        with pytest.raises(EncodeOverflowError, match="at flat index 0"):
+            encode(np.array([hi]), cfg)
+        assert encode(np.array([lo]), cfg).signed().tolist() == [-(2 ** (bits - 1))]
 
     @pytest.mark.parametrize("bits, frac", [(64, 16), (64, 0), (54, 0), (53, 0), (32, 8), (16, 8), (8, 4)])
     def test_refused_exactly_when_the_rounded_word_leaves_the_ring(self, bits, frac):

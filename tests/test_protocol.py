@@ -3,7 +3,7 @@
 The reference route encodes operands, applies the op on the reconstructed
 value with value-level truncation, and decodes; the secure route truncates
 per share.  Declared tolerances: 1 ULP for lin_combine/mul_public/
-mul_beaver/square, exact for comparison/b2a, 2 ULP for the polynomial,
+mul_beaver/square, exact for comparison/select/b2a, 2 ULP for the polynomial,
 4 ULP for the hybrid layer.
 """
 
@@ -32,6 +32,7 @@ from arp.protocol import (
     mul_beaver,
     mul_public,
     relu_secure,
+    select,
     square,
 )
 from arp.runtime import hybrid_activation_secure, run_both
@@ -592,6 +593,104 @@ class TestReluSecure:
         assert np.max(np.abs(r - plain)) <= ULP
 
 
+def random_bit_shares(rng, shape, cfg):
+    """A uniform bit of `shape` and both parties' XOR shares of it, one 0/1
+    word per element."""
+    bit, r = (rng.integers(0, 2, size=shape, dtype=np.uint64) for _ in range(2))
+    return RingTensor(bit, cfg), (RingTensor(bit ^ r, cfg), RingTensor(r, cfg))
+
+
+def assert_select_and_relu(ring: RingTensor, seed: int):
+    """select(x, bit) reconstructs to x*bit for uniform XOR-shared bits, and
+    relu_secure(x) to x where x >= 0, else 0, on both parties, exactly."""
+    cfg = ring.cfg
+    bit, bs = random_bit_shares(np.random.default_rng(seed), ring.shape, cfg)
+    xs = share_ring(ring, seed=seed)
+
+    def fn(sess):
+        x = ShareTensor(xs[sess.party], 0)
+        return sess.reveal(select(sess, x, bs[sess.party])).words, sess.reveal(relu_secure(sess, x)).words
+
+    want = (ring * bit).words, np.where(ring.signed() < 0, np.uint64(0), ring.words)
+    for got in two_party(fn, cfg=cfg, seed=seed):
+        assert all(g.shape == ring.shape and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestSelect:
+    """select(x, bit) is x*bit, and relu_secure (a2b, then select) is
+    max(x, 0), exactly on every ring width, element count and pad layout
+    of select's d plane."""
+
+    def test_exhaustive_l8(self):
+        assert_select_and_relu(RingTensor(np.arange(256, dtype=np.uint64), CFG8), seed=5)
+
+    @pytest.mark.parametrize("L", SIGN_RINGS)
+    def test_random_and_boundary_values(self, L):
+        cfg = FixedConfig(L, L // 4)
+        top = 1 << (L - 1)
+        edges = np.array([0, 1, (1 << L) - 1, top, top - 1, top + 1, top - 2], dtype=np.uint64)
+        rand = ring_words(np.random.default_rng(L), 200, cfg)
+        assert_select_and_relu(RingTensor(np.concatenate([edges, rand.words]), cfg), seed=L)
+
+    @pytest.mark.parametrize("cfg", [CFG64, FixedConfig(20, 5)], ids=["L64", "L20"])
+    @pytest.mark.parametrize("count", ["1", "B-1", "B", "B+1", "multi-block"])
+    def test_element_counts(self, cfg, count):
+        """Counts around one plane word of B elements, and one whose opening
+        finishes in several blocks, each with its own plane words."""
+        B = protocol._layout(cfg.total_bits).B
+        size = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "multi-block": 2 * BLOCK + 1}[count]
+        assert_select_and_relu(ring_words(np.random.default_rng(size), (size,), cfg), seed=size)
+
+    @pytest.mark.parametrize("shape", [(), (3, 5)])
+    def test_shapes(self, shape):
+        assert_select_and_relu(encode(np.random.default_rng(2).uniform(-4, 4, size=shape), CFG64), seed=6)
+
+    @pytest.mark.parametrize("L", [8, *SIGN_RINGS])
+    @pytest.mark.parametrize("size", [1, 70, 2 * BLOCK + 1])
+    def test_rounds_opened_words_and_bytes(self, L, size):
+        """select takes 1 round and opens |X| + W words, each as wide as the
+        wire packs it, plus 12 bytes of frame header; relu_secure takes 2 +
+        ceil(log2(L-1)) rounds and opens a2b's words and select's."""
+        cfg = FixedConfig(L, 0)
+        rng = np.random.default_rng(L + size)
+        xs = share_ring(ring_words(rng, (size,), cfg), seed=8)
+        _, bs = random_bit_shares(rng, (size,), cfg)
+
+        def fn(sess):
+            x, ch, counts = ShareTensor(xs[sess.party], 0), sess.channel, []
+            for op in (lambda: select(sess, x, bs[sess.party]), lambda: relu_secure(sess, x)):
+                before = ch.rounds, sess.opened_words, ch.bytes_sent
+                op()
+                counts.append(tuple(now - was for now, was in zip((ch.rounds, sess.opened_words, ch.bytes_sent), before)))
+            return counts
+
+        W, n, g = protocol.a2b_geometry(cfg, size)
+        for sel, relu in two_party(fn, cfg=cfg):
+            assert sel == (1, size + W, cfg.word_bytes * (size + W) + 12)
+            assert relu[:2] == (2 + math.ceil(math.log2(L - 1)), 2 * g * W + 4 * (n - 1) * W + size + W)
+
+    def test_kept_relu_opens_443_bits_at_l64(self):
+        """At L=64 a count that fills its plane words opens 378 + 65 bits an
+        element in a ReLU, under 7 words; 8 B per word plus 12 per round."""
+        sh = share_ring(ring_words(np.random.default_rng(4), 128, CFG64), seed=9)
+
+        def fn(sess):
+            relu_secure(sess, ShareTensor(sh[sess.party], 0))
+            return sess.opened_words, sess.channel.bytes_sent
+
+        for opened, sent in two_party(fn):
+            assert opened * 64 == 443 * 128
+            assert sent == 8 * opened + 12 * 8
+
+    def test_unequal_shapes_are_refused_before_the_tape(self):
+        def fn(sess):
+            with pytest.raises(ValueError, match="equal shapes"):
+                select(sess, sess.zeros_like((2,)), RingTensor.zeros((3,), CFG64))
+            return sess.tape.remaining(), sess.channel.rounds
+
+        assert two_party(fn, [Request("select", (2,))]) == ((1, 0), (1, 0))
+
+
 class TestDapaEvalSecure:
     COEFFS = (0.28, 0.5, 0.14)
 
@@ -698,6 +797,13 @@ def _per_column(x, lo, hi):
     return np.linspace(lo, hi, x.shape[-1]) if x.shape else lo
 
 
+def _read_only_bits(y: ShareTensor) -> RingTensor:
+    """The low bits of a share's words, read-only: an XOR-shared bit."""
+    bits = y.payload.words & np.uint64(1)
+    bits.setflags(write=False)
+    return RingTensor.of_reduced(bits, y.payload.cfg)
+
+
 class TestInputsStayUnwritten:
     """Online ops never write into their input shares or their tape records,
     and return a share of their input's shape.  Records are read-only on
@@ -706,6 +812,8 @@ class TestInputsStayUnwritten:
     OPS = {
         "a2b": lambda sess, x, y: a2b(sess, x),
         "relu_secure": lambda sess, x, y: relu_secure(sess, x),
+        "select": lambda sess, x, y: select(sess, x, _read_only_bits(y)),
+        "b2a": lambda sess, x, y: b2a(sess, _read_only_bits(y)),
         "mul_beaver": mul_beaver,
         "square": lambda sess, x, y: square(sess, x),
         "dapa_eval_secure": lambda sess, x, y: dapa_eval_secure(
@@ -761,10 +869,11 @@ class TestBlockwiseFinish:
 
     @pytest.mark.parametrize("shape", list(BLOCK_SHAPES.values()), ids=list(BLOCK_SHAPES))
     @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
-    @pytest.mark.parametrize("op", ["and_shares", "mul_beaver", "square", "relu_secure"])
+    @pytest.mark.parametrize("op", ["and_shares", "mul_beaver", "square", "relu_secure", "select"])
     def test_reconstructs(self, op, cfg, shape):
         rng = np.random.default_rng(31)
         x, y = ring_words(rng, shape, cfg), ring_words(rng, shape, cfg)
+        bit, bs = random_bit_shares(rng, shape, cfg)
         if op == "and_shares":
             xs, ys = xor_shares(x, rng), xor_shares(y, rng)
             want = x.words & y.words
@@ -778,13 +887,15 @@ class TestBlockwiseFinish:
                 "mul_beaver": (x * y).words,
                 "square": (x * x).words,
                 "relu_secure": np.where(x.signed() < 0, np.uint64(0), x.words),
+                "select": (x * bit).words,
             }[op]
 
             def fn(sess):
                 xt, yt = as_share(sess, xs, 0), as_share(sess, ys, 0)
                 out = {"mul_beaver": lambda: mul_beaver(sess, xt, yt),
                        "square": lambda: square(sess, xt),
-                       "relu_secure": lambda: relu_secure(sess, xt)}[op]()
+                       "relu_secure": lambda: relu_secure(sess, xt),
+                       "select": lambda: select(sess, xt, bs[sess.party])}[op]()
                 return sess.reveal(out).words
 
         for got in two_party(fn, cfg=cfg):
@@ -796,7 +907,7 @@ class TestBlockwiseFinish:
     @pytest.mark.parametrize("op", ["and_shares", "mul_beaver"])
     def test_zero_stride_operands(self, op, cfg, shape):
         """Each party's own words against an all-zero broadcast for the
-        peer's, as a2b and b2a pass them."""
+        peer's, as a2b passes them."""
         rng = np.random.default_rng(32)
         own = ring_words(rng, shape, cfg), ring_words(rng, shape, cfg)
 
@@ -825,10 +936,10 @@ class TestBlockwiseFinish:
         assert np.max(np.abs(got - ref_mul(x, y, cfg))) <= cfg.resolution
 
     # both parties' transcript hashes of relu_secure plus square at (64, 600),
-    # several blocks per op; re-pinned when a2b became a sign-only carry tree
+    # several blocks per op; re-pinned when relu_secure became a2b, then select
     MULTI_BLOCK_HASHES = (
-        "3aac834ae1eae1a54e1908d3e41dc17fd6eb5e2d5f53150d1d11d1c53e8f00a8",
-        "cbbb4988988a66733d64678d8aaaeb480196f9253f17421cef2f3e43cc41b515",
+        "d80490f663f2ccd26ec12c12c3668dd8c94b3b90a8aeac844f72947ccf4b4535",
+        "dafaa6621d5d1edd21d07d32f4f09e99618da033312d8b81dac3da2a0f9aef95",
     )
 
     def test_multi_block_transcript_is_pinned(self):
@@ -844,8 +955,9 @@ class TestBlockwiseFinish:
 
 
 class TestZeroStrideViews:
-    """The all-zero operands of a2b, b2a and the reveals, and a2b's operand
-    at each carry-tree level, are read-only views that allocate nothing."""
+    """The all-zero operands of a2b, select and the reveals, b2a's public
+    one, and a2b's operand at each carry-tree level, are read-only views
+    that allocate nothing."""
 
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
     @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
@@ -885,6 +997,35 @@ class TestZeroStrideViews:
             with pytest.raises(ValueError, match="read-only"):
                 x[...] = 0
             assert y.base is not None and y[0].flags.c_contiguous and y[1].flags.c_contiguous
+
+
+    def test_b2a_selects_a_stride_zero_one(self, monkeypatch):
+        """b2a selects the public one, on each party a stride-0 view of one
+        word, by `bit`, and select masks the d plane it opens with `_zeros`;
+        select writes neither, nor its input bit."""
+        seen = []
+        real = protocol._open_masked
+
+        def spy(sess, pairs, mode="add"):
+            if mode == ("add", "xor"):
+                seen.append((sess.party, [(v.words, m.words) for v, m in pairs]))
+            return real(sess, pairs, mode)
+
+        monkeypatch.setattr(protocol, "_open_masked", spy)
+        rng = np.random.default_rng(3)
+        bit, bs = random_bit_shares(rng, (2, 70), CFG64)
+        for b in bs:
+            b.words.setflags(write=False)
+        got = two_party(lambda sess: sess.reveal(b2a(sess, bs[sess.party])).words)
+        assert all(np.array_equal(g, bit.words) for g in got)
+        assert sorted(party for party, _ in seen) == [0, 1]
+        for party, ((one, a), (d, zero)) in seen:
+            word = protocol._ONE if party == 0 else protocol._ZERO_WORD
+            assert one.shape == (2, 70) and one.strides == (0, 0) and one.ctypes.data == word.ctypes.data
+            assert zero.shape == d.shape == (3,) and zero.strides == (0,)
+            assert zero.ctypes.data == protocol._ZERO_WORD.ctypes.data
+            assert not (one.flags.writeable or zero.flags.writeable)
+        assert protocol._ONE == 1 and not protocol._ZERO_WORD
 
 
 class TestFrames:
@@ -931,7 +1072,8 @@ class TestFrames:
 
 class TestAccounting:
     def test_round_counts(self):
-        """lin_combine/mul_public: 0; mul/square/b2a: 1; a2b: 1+ceil(log2(L-1))."""
+        """lin_combine/mul_public: 0; mul/square/select/b2a: 1; a2b:
+        1+ceil(log2(L-1)); relu: 2+ceil(log2(L-1))."""
         x = np.array([1.0, -2.0])
         xs = share_reals(x)
 
@@ -958,6 +1100,14 @@ class TestAccounting:
             r0 = sess.channel.rounds
             b2a(sess, xb)
             counts["b2a"] = sess.channel.rounds - r0
+
+            r0 = sess.channel.rounds
+            select(sess, xt, xb)
+            counts["select"] = sess.channel.rounds - r0
+
+            r0 = sess.channel.rounds
+            relu_secure(sess, xt)
+            counts["relu"] = sess.channel.rounds - r0
             return counts
 
         (c, _) = two_party(fn)
@@ -965,7 +1115,8 @@ class TestAccounting:
         assert c["mul"] == 1
         assert c["square"] == 1
         assert c["a2b"] == 1 + math.ceil(math.log2(63))
-        assert c["b2a"] == 1
+        assert c["b2a"] == c["select"] == 1
+        assert c["relu"] == 2 + math.ceil(math.log2(63))
 
     def test_a2b_rounds_l8(self):
         ring = RingTensor(np.arange(4, dtype=np.uint64), CFG8)

@@ -19,7 +19,7 @@ from arp.errors import EncodeOverflowError, FormatError, TransportError
 from arp.fixed import FixedConfig, encode
 from arp.model_io import deserialize_model, serialize_model
 from arp.nn import build_model, fold_batchnorm, input_shape
-from arp.protocol import PHASES, ShareTensor
+from arp.protocol import PHASES, ShareTensor, a2b_geometry
 from arp.replace import ReplacementConfig, train_replace, train_supervised
 from arp.runtime import (
     SecureEvaluator,
@@ -194,18 +194,22 @@ class TestAccountingShape:
     def test_phase_bytes_are_exact(self, name, batch):
         """Each phase sends 8 bytes per opened word and 12 bytes of frame
         header per round.  The plan's records imply the words: 2 per element
-        of an AND or Beaver record, 1 per square element, and the logits
-        open once.  A comparison's AND records cover whole plane words of B
-        elements, so its bytes step with the plane words, not the batch."""
+        of an AND record, 1 per square element, 1 per select element plus
+        the W plane words of its d bits, and the logits open once.  A
+        comparison's AND records cover whole plane words of B elements, so
+        its bytes step with the plane words, not the batch."""
         model, x = plan_model(name, batch)
         plan = SecureEvaluator(model, CFG).plan(x.shape)
-        per_element = {"and": 2, "beaver": 2, "square": 1}
+
+        def words(r):
+            n = math.prod(r.shape)
+            return {"and": 2 * n, "square": n, "select": n + a2b_geometry(CFG, n)[0]}[r.kind]
 
         def expect(kinds):
             reqs = [r for r in plan if r.kind in kinds]
-            return sum(8 * per_element[r.kind] * math.prod(r.shape) + 12 for r in reqs), len(reqs)
+            return sum(8 * words(r) + 12 for r in reqs), len(reqs)
 
-        want = {"linear": (8 * batch * 4 + 12, 1), "comparison": expect({"and", "beaver"}),
+        want = {"linear": (8 * batch * 4 + 12, 1), "comparison": expect({"and", "select"}),
                 "polynomial": expect({"square"})}
         for rep in private_inference_memory(model, CFG, x, 7, 11):
             assert {p: (rep.phases[p]["bytes_sent"], rep.phases[p]["rounds"]) for p in want} == want
@@ -344,24 +348,24 @@ class TestTranscriptPin:
 
     PINNED = {
         "mlp": dict(
-            hashes=("dd695004769cd64f9414c099b59571df142e05e4cde34baf0063b18418feb634",
-                    "222178d10f6a721171e5f59b3a3b7c4a4f60c6baba5af6b01c0f70d52f83ff19"),
-            bytes_sent=354092, rounds=21,
-            phases={"dealer": (0, 0), "linear": (1036, 1), "comparison": (319752, 18),
+            hashes=("327197fc0e8da1eb91afb641d490de9f192e7cd5cbf625c63d72bb9ae327b1df",
+                    "b0222ae6affea9cd8056753f17607764c72669d5053a4cad5a6d8ad7c6eb2d9c"),
+            bytes_sent=257804, rounds=19,
+            phases={"dealer": (0, 0), "linear": (1036, 1), "comparison": (223464, 16),
                     "polynomial": (33304, 2)},
         ),
         "smallcnn": dict(
-            hashes=("bba1d6cebdddbfc2362daff6360194e0c0f9cbc724a0ba86b24bab1954314c4d",
-                    "eec0cf0592af6f77a1df08d8fe7fef5fd571fdf4d6745158ac2e6605608c8c04"),
-            bytes_sent=572540, rounds=21,
-            phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (526680, 18),
+            hashes=("a0d7bf3e0510e3bd21a208393ade416ea16d0815aa1644fa315d99266d39de94",
+                    "f1b423bf1d2e856915bfebe3d502161327ea6a545dfd9fd7b3bf3247c31b78f2"),
+            bytes_sent=414372, rounds=19,
+            phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (368512, 16),
                     "polynomial": (45336, 2)},
         ),
         "smallcnn-single-path": dict(
-            hashes=("78040052cc3a216b961d51d2cee79e57dacdeafeb2cf1f95bc02df170d54297d",
-                    "5fa7ef49bc8e80ceef3d5a989ef27c96ec13b29d18ee129b29b70094ff1c2b22"),
-            bytes_sent=682628, rounds=11,
-            phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (649324, 9),
+            hashes=("a9a331bfb8a122bbfec9ee6e7831d376bbbdc951eace6caa02cd4f0b86787f2a",
+                    "6c3f660e70a0c8833a24c699f52f3260d4afc80248fffb61b88c3bebc4817948"),
+            bytes_sent=487032, rounds=10,
+            phases={"dealer": (0, 0), "linear": (524, 1), "comparison": (453728, 8),
                     "polynomial": (32780, 1)},
         ),
     }
@@ -393,14 +397,14 @@ class TestTranscriptPin:
 
     # SHA-256 over every sent frame, prefix then payload: the fingerprint
     # before frame tags, kept to show whether the wire bytes changed (last
-    # re-pinned when a2b became a sign-only carry tree on bit planes)
+    # re-pinned when relu_secure became a2b, then one select)
     WIRE_SHA256 = {
-        "mlp": ("73a115c53f5068c61ab94a596a85220774c3547b22f417bfb884f44a0a385fba",
-                "6408f3417293573cd7fdfe225bc1e930cc5c8112846e9f5229ff9e16ad2b924f"),
-        "smallcnn": ("1891198bc8973d5b08e5682dd6bfc2c3a088efd5d5199aacb566b24ba420990b",
-                     "8e00bd0cb3dd0301e8de5209819c4f73c0c657f886347c8f60a6a97a6f0d395d"),
-        "smallcnn-single-path": ("c51d583b2ea5680d01f9913871f7300675de6bdcc6629be3f65ce0edd87f4c79",
-                                 "e3a1160e8d12c88efac7f9e4635382334a7bc4ce8d95b86217d7e1267b0e12be"),
+        "mlp": ("c8af1be477e84d70c37327e3d7d99a9b8094dfc14d387f0488955e69518513d9",
+                "9e14890d99802a3bea6897154e897dd606c6300392862b3bc5203fb5d6bb4dc2"),
+        "smallcnn": ("782c2f81abce247bf2f533ff5ecb709765769e76a8d33186c2fbc5563ec28a8d",
+                     "f49b9ae1f6bea90f662109f487d4ced6b04782be99800859158d8f2f6282b3d3"),
+        "smallcnn-single-path": ("14f83bce7326c9017571e7de6726965626e529c9fcf794d912fd182085e0ed54",
+                                 "cf7e815285933c65c922ff43a40560b75530d8b4d7a83b412730c77be7d080bd"),
     }
 
     @pytest.mark.parametrize("arch", ["mlp", "smallcnn", "smallcnn-single-path"])
