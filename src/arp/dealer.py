@@ -40,16 +40,15 @@ record fields are read-only views of its file bytes (on rings of under 64
 bits, of the record's one read-only unpacked copy), and `tape_to_bytes`
 returns those bytes without a copy.
 
-One table, `_KIND`, describes each kind: its tape tag, its fields, how
-they are drawn, derived and split, and its tape layout.  A new kind is one
-row there plus the op that takes its record.
+One table, `_KIND`, describes each kind: its tape tag, its fields, and how
+they are drawn, derived and split.  A new kind is one row there plus the op
+that takes its record.
 
 Tape file layout (little-endian throughout):
   magic "ARPT", version u16, L u16, f u16, party u8, record count u32,
-  then per record: tag u8 (1 beaver / 2 square / 3 and / 4 trunc / 5 select), descriptor, shapes
-  (rank u8 + dims u32 each) and this party's share words packed to
-  ceil(L/8) bytes.  A Beaver record keeps version 1's fixed op code 0
-  (elementwise), stride 1 and padding 0 bytes and writes its shape twice.
+  then per record: tag u8 (1 beaver / 2 square / 3 and / 4 trunc / 5
+  select), its shape (rank u8, then dims u32 each) and this party's share
+  words packed to ceil(L/8) bytes.  Version 1 tapes are refused.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ __all__ = [
 ]
 
 TAPE_MAGIC = b"ARPT"
-TAPE_VERSION = 1
+TAPE_VERSION = 2
 KEY_TAG = b"arp.dealer.aes128ctr.v1:"  # domain tag of the stream key
 
 # plaintext of every draw, fed in slices: the keystream is its ciphertext
@@ -98,10 +97,12 @@ _SEEK_BYTES = 1 << 18
 # threshold, which rises to the size of each mapped block freed (up to 32 MiB).
 # The deal frees no block of that size (its tape files live through the
 # online phase), so it frees one of 16 MiB before it returns, for the online
-# phase's buffers.  Without it the online phase took a median of 3,400 minor
-# faults per party and request on `cnn-relu-b256-tcp` (3 with it) and 264 on
-# `cnn-plan-b256-mem` (3), and `online_p50_ms` rose by 12 and 21 %.
-# Plan-owned online buffers would end this coupling.
+# phase's buffers.  Counted as minor faults over a whole in-process request
+# (one CPU, seed 1, medians of 20 requests a run), it keeps
+# `cnn-plan-b256-mem` off fresh pages, at 9 faults against 1,433 without it.
+# It does nothing steady for `cnn-relu-b256-tcp`, which read medians of 893
+# to 970 faults with it (11 to 2,223 a request) and 10 without.  Plan-owned
+# online buffers would end this coupling.
 _THRESHOLD_BLOCK = 16 << 20
 
 # Words of party 0's shares drawn at a time.  A deal splits each chunk
@@ -151,25 +152,19 @@ class _Kind(NamedTuple):
     secrets: int  # secret words drawn per element
     derive: object  # (cfg, v) fills the fields v[secrets:] from the secrets
     split: np.ufunc  # party 1's share from a value and party 0's share
-    head: bytes  # its fixed tape descriptor
-    copies: int  # copies of its shape on tape
 
 
 # Additive shares of (a, b, a*b), (a, a*a) and (a, c, a*c) for a uniform
 # bit c (see protocol's select); XOR shares of bit words (a, b, a&b); and
 # additive shares of a truncation mask r with s >> f and msb(s) * 2^(L-f)
-# for s = -r (see protocol's exact truncation).  A Beaver record's
-# descriptor is op code 0 (elementwise), stride 1, padding 0.
+# for s = -r (see protocol's exact truncation).
 _KIND = {
-    "beaver": _Kind(1, ("a", "b", "z"), 2, lambda cfg, v: np.multiply(v[0], v[1], out=v[2]),
-                    np.subtract, b"\x00\x01\x00", 2),
-    "square": _Kind(2, ("a", "z"), 1, lambda cfg, v: np.multiply(v[0], v[0], out=v[1]),
-                    np.subtract, b"", 1),
-    "and": _Kind(3, ("a", "b", "c"), 2, lambda cfg, v: np.bitwise_and(v[0], v[1], out=v[2]),
-                 np.bitwise_xor, b"", 1),
-    "trunc": _Kind(4, ("r", "hi", "w"), 1, _trunc_fields, np.subtract, b"", 1),
+    "beaver": _Kind(1, ("a", "b", "z"), 2, lambda cfg, v: np.multiply(v[0], v[1], out=v[2]), np.subtract),
+    "square": _Kind(2, ("a", "z"), 1, lambda cfg, v: np.multiply(v[0], v[0], out=v[1]), np.subtract),
+    "and": _Kind(3, ("a", "b", "c"), 2, lambda cfg, v: np.bitwise_and(v[0], v[1], out=v[2]), np.bitwise_xor),
+    "trunc": _Kind(4, ("r", "hi", "w"), 1, _trunc_fields, np.subtract),
     "select": _Kind(5, ("a", "c", "z"), 2, lambda cfg, v: np.multiply(v[0], np.bitwise_and(v[1], 1, v[1]), out=v[2]),
-                    np.subtract, b"", 1),
+                    np.subtract),
 }
 _BY_TAG = {k.tag: name for name, k in _KIND.items()}
 
@@ -243,7 +238,7 @@ class Dealer:
                 raise ValueError(f"unknown correlation kind {req.kind!r}: expected one of {', '.join(_KIND)}")
             c = _KIND[req.kind]
             n = math.prod(req.shape)
-            head = bytes((c.tag,)) + c.head + _pack_shape(req.shape) * c.copies
+            head = bytes((c.tag,)) + _pack_shape(req.shape)
             layout.append((c, n, size, head))
             size += len(head) + len(c.names) * n * nb
             widest = max(widest, len(c.names) * n)
@@ -421,17 +416,12 @@ def tape_from_bytes(buf) -> Tape:
         if tag not in _BY_TAG:
             raise FormatError(f"unknown tape record tag {tag}")
         kind = _BY_TAG[tag]
-        k = _KIND[kind]
-        if cur.take(len(k.head)) != k.head:
-            raise FormatError(f"bad {kind!r} descriptor: only elementwise records are served")
-        shapes = [cur.shape() for _ in range(k.copies)]
-        if len(set(shapes)) > 1:
-            raise FormatError(f"bad {kind!r} shapes: {shapes} are not equal")
-        packed = cur.take(len(k.names) * math.prod(shapes[0]) * cfg.word_bytes)
-        words = unpack_words(packed, (len(k.names), *shapes[0]), cfg)
+        names, shape = _KIND[kind].names, cur.shape()
+        packed = cur.take(len(names) * math.prod(shape) * cfg.word_bytes)
+        words = unpack_words(packed, (len(names), *shape), cfg)
         words.setflags(write=False)  # one unpacked copy on rings of under 64 bits
         records.append(Record(kind, tuple(RingTensor.of_reduced(words[i, ...], cfg)
-                                          for i in range(len(k.names)))))
+                                          for i in range(len(names)))))
     if cur.pos != len(cur.buf):
         raise FormatError("trailing bytes after last tape record")
     return Tape(party, cfg, cur.buf, records)

@@ -166,12 +166,15 @@ def deserialize_model(buf: bytes):
             layer = Flatten()
         elif kind == "hybrid":
             feat = entry.get("feat_shape")
-            if not isinstance(feat, list) or any(type(d) is not int or d < 1 for d in feat):
-                raise FormatError(f"hybrid feature shape {feat!r} is not a list of positive ints")
+            if not isinstance(feat, list) or not feat or any(type(d) is not int or d < 1 for d in feat):
+                raise FormatError(f"hybrid feature shape {feat!r} is not a non-empty list of positive ints")
             feat = tuple(feat)
             degree = _int_field(entry, "degree", "hybrid degree", hi=2)  # the secure path has no other
             axis = _int_field(entry, "channel_axis", "hybrid channel axis", lo=0, hi=len(feat) - 1)
             mask = _read_shaped(cur, feat, "hybrid mask").astype(np.float64)
+            bad = mask[(mask != 0) & (mask != 1)]
+            if bad.size:  # the oracle would scale a ReLU by it; the secure path keeps a plain one
+                raise FormatError(f"hybrid mask of layer {len(layers)} holds {bad[0]:g}: each entry must be 0 or 1")
             coeffs = _read_shaped(cur, (feat[axis], degree + 1), "hybrid coefficient")
             layer = HybridActivation(feat, axis)
             layer.indicator = IndicatorState(mask, np.where(mask == 1, M_W_INIT, -M_W_INIT))

@@ -4,7 +4,7 @@ Round and opening accounting (asserted by tests):
   lin_combine / mul_public         0 rounds, nothing opened, on rings that
                                    truncate locally; else one exact
                                    truncation
-  mul_beaver                       1 round, opens 2|X| words
+  mul_beaver / and_shares          1 round, opens 2|X| words
   square                           1 round, opens |X| words
   a2b (the sign bit only)          1 + ceil(log2(L-1)) rounds (the generate
                                    AND, then one batched AND per carry-tree
@@ -23,6 +23,8 @@ elementwise, and it takes its dealer record's fields (a "beaver", "and" or
 "select" triple, a "square" pair or a "trunc" mask) from the session's tape
 with the one `dealer.Request` it builds; ops never list the records they
 will take.  `runtime.SecureEvaluator.plan` lists a whole run's.
+`mul_beaver` and `and_shares` are one op, `_triple`, over the two rings:
+multiply and add on additive shares, AND and XOR on XOR shares.
 
 Share types: an additive share is a `ShareTensor` (ring words and a
 scale); an XOR share is a plain `RingTensor`.  Neither stores its party:
@@ -198,9 +200,10 @@ class Session:
         return RingTensor(out, self.cfg)
 
 
-# each opening mode's mask op (share - mask, or share ^ mask) and the op
-# that combines both parties' masked words
-_MODES = {"add": (np.subtract, np.add), "xor": (np.bitwise_xor, np.bitwise_xor)}
+# each opening mode's mask op (share - mask, or share ^ mask), the op that
+# combines both parties' masked words, and its ring's product
+_MODES = {"add": (np.subtract, np.add, np.multiply),
+          "xor": (np.bitwise_xor, np.bitwise_xor, np.bitwise_and)}
 
 # Words of each operand in one block of an op's finish: the ~7 operands of a
 # block (opened words, tape fields, inputs, output) then fit in a 2 MiB L2.
@@ -362,23 +365,32 @@ def add_public(sess: Session, x: ShareTensor, c: RingTensor) -> ShareTensor:
 # ---- interactive operations --------------------------------------------------
 
 
+def _triple(sess: Session, kind: str, mode: str, x: RingTensor, y: RingTensor) -> np.ndarray:
+    """x * y by one `kind` triple (a, b, c = a * b) in `mode`'s ring, the
+    product of "add" and the AND of "xor": one round opens e = x - a and f =
+    y - b (x ^ a and y ^ b), and each party gets c_i + e * b_i + a_i * f,
+    plus e * f on party 0 (Beaver, CRYPTO 1991).  Returns the fresh words,
+    unreduced on an "add" ring narrower than 64 bits."""
+    if x.shape != y.shape:
+        raise ValueError(f"a {kind!r} triple needs equal shapes, got {x.shape} and {y.shape}")
+    a, b, c = sess.tape.take(dl.Request(kind, x.shape))
+    _, plus, times = _MODES[mode]
+
+    def kernel(z, e, f_, a, b, c):
+        times(e, b, out=z)
+        plus(z, c, out=z)
+        if sess.party == 0:
+            times(e, f_, out=e)
+            plus(z, e, out=z)
+        times(f_, a, out=f_)
+        plus(z, f_, out=z)
+
+    return _finish(sess, [(x, a), (y, b)], mode, kernel, a, b, c)
+
+
 def mul_beaver(sess: Session, x: ShareTensor, y: ShareTensor) -> ShareTensor:
     """Elementwise secure product via one Beaver triple; one round, opens 2|X| words."""
-    if x.shape != y.shape:
-        raise ValueError(f"mul_beaver needs equal shapes, got {x.shape} and {y.shape}")
-    a, b, z = sess.tape.take(dl.Request("beaver", x.shape))
-
-    def kernel(r, e, f_, xw, yw, z):
-        # r = x*f + e*y + z [- e*f on party 1]
-        np.multiply(xw, f_, out=r)
-        r += z
-        if sess.party == 1:
-            f_ *= e
-            r -= f_
-        e *= yw
-        r += e
-
-    r = _finish(sess, [(x.payload, a), (y.payload, b)], "add", kernel, x.payload, y.payload, z)
+    r = _triple(sess, "beaver", "add", x.payload, y.payload)
     return _rescale(sess, ShareTensor(RingTensor(r, x.payload.cfg), 0), x.scale + y.scale)
 
 
@@ -401,20 +413,8 @@ def square(sess: Session, x: ShareTensor) -> ShareTensor:
 
 def and_shares(sess: Session, x: RingTensor, y: RingTensor) -> RingTensor:
     """Bitwise AND of XOR-shared words via one AND triple; one round."""
-    a, b, c = sess.tape.take(dl.Request("and", x.shape))
-
-    def kernel(z, e, f_, a, b, c):
-        # z = c ^ (e & b) ^ (a & f) [^ (e & f) on party 0]
-        np.bitwise_and(e, b, out=z)
-        z ^= c
-        if sess.party == 0:
-            e &= f_
-            z ^= e
-        f_ &= a
-        z ^= f_
-
     # XORs and ANDs of reduced words are reduced
-    return RingTensor.of_reduced(_finish(sess, [(x, a), (y, b)], "xor", kernel, a, b, c), x.cfg)
+    return RingTensor.of_reduced(_triple(sess, "and", "xor", x, y), x.cfg)
 
 
 class _Layout(NamedTuple):

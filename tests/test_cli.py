@@ -462,6 +462,21 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("i/o or format error: dense bias shape") and "Traceback" not in err
 
+    def test_mask_of_two_exit_code(self, artifacts, tmp_path, capsys):
+        """A hybrid mask entry of 2 is a format error on load, not a run whose
+        oracle doubles a ReLU the secure path keeps plain."""
+        from arp.model_io import save_model
+        from arp.nn import build_model
+
+        _, data, _ = artifacts
+        model = build_model("mlp", seed=0)
+        model.hybrid_layers()[0].indicator.m.reshape(-1)[0] = 2
+        bad = tmp_path / "mask2.arpm"
+        save_model(bad, model, FixedConfig(64, 16))
+        assert run(["infer-private", "--model", bad, "--inputs", data]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o or format error: hybrid mask of layer 1 holds 2") and "Traceback" not in err
+
     def test_impossible_ring_exit_code(self, artifacts, tmp_path, capsys):
         """The model digest does not cover the header, so a header ring of
         L=70 is refused on load as a format error, not a ValueError traceback."""

@@ -242,33 +242,31 @@ class TestTriples:
 
 
 PINNED_STREAM = [
-    (64, 16, ("3ee7bbad486c5c7b9254a3fb292d1794c382b47629b7738e7ea755a9fa2e12c0",
-              "4dd37dd6b0863e41443672a73fb759efa4ed9f827ab9ca3931465ffea168c85a",
+    (64, 16, ("7fd5924daf49677427f6a3ed2aa4871814068456c53be34015070a1ea1743cee",
+              "e47a99fe69ef8f50ee7eb5630ff9d3938686df33680c346d5133357bf8ac43cf",
               "07b1697319f5815e3897a5a709d90743b56acb8d7f2b6918dc1812edcbc2d968")),
-    (32, 12, ("64e7a309e49e17e53012f1e80e8c327c9a118ad168ea9200c4baa6e45b29d0a2",
-              "49bd24f05ec707f51388d269794fa29cd5ad6764f91193546d99dee27992c592",
+    (32, 12, ("2f428fafa8ac8316208f23ff3a85f0898e8d95f7e2f153b35952d8d00064c386",
+              "6c2e3bfa596ea5c42bd6423c360296917a60781f55ff97de48bc15692b38f02e",
               "a8f82ed4863451742bd4b6e8639ad3198debf0f498959c3e227c9ddae7189191")),
     # 3-byte words: packing clears the top 4 bits of each word's last byte
-    (20, 5, ("4f0856274c662bbe9c92871ae139e33d9d23f24a50589a8e6ef80161cecb5463",
-             "f72da7bcc7ec34d1b16968aa9c793f5f57e9719c34c9e754ca33b8a8d14a6f1c",
+    (20, 5, ("4a2f026ec8706e8019015accd7961f1e196ea4ae691cc03c974228ed940a9428",
+             "bd9c4341ba1c86f14bbde853c58372cf4b0bc56919b3dbf1519eea1639fbfb33",
              "8f9122c514bae9275fe0a2903f2a81373a61eff1fa504a76ee95fc10ff3d1309")),
 ]
 
-# tag, descriptor and shape copies of each record on tape, in tape format version 1
-RECORD_LAYOUT = {"beaver": (1, b"\x00\x01\x00", 2), "square": (2, b"", 1),
-                 "and": (3, b"", 1), "trunc": (4, b"", 1), "select": (5, b"", 1)}
+# each kind's record tag on tape, in tape format version 2
+RECORD_TAGS = {"beaver": 1, "square": 2, "and": 3, "trunc": 4, "select": 5}
 
 
 def packed_tape(tape) -> bytes:
-    """The tape file packed record by record from `tape.records`, as the codec
-    once joined it: header, then each record's tag, descriptor, shapes and
-    share words packed with `pack_words`."""
+    """The tape file packed record by record from `tape.records`: header
+    (version 2), then each record's tag, its shape and its share words
+    packed with `pack_words`."""
     cfg = tape.cfg
-    out = [b"ARPT", struct.pack("<HHHBI", 1, cfg.total_bits, cfg.frac_bits, tape.party, len(tape.records))]
+    out = [b"ARPT", struct.pack("<HHHBI", 2, cfg.total_bits, cfg.frac_bits, tape.party, len(tape.records))]
     for rec in tape.records:
-        tag, head, copies = RECORD_LAYOUT[rec.kind]
         shape = rec.fields[0].shape
-        out += [bytes([tag]), head, struct.pack(f"<B{len(shape)}I", len(shape), *shape) * copies]
+        out += [bytes([RECORD_TAGS[rec.kind]]), struct.pack(f"<B{len(shape)}I", len(shape), *shape)]
         out += [bytes(pack_words(v.words, cfg)) for v in rec.fields]
     return b"".join(out)
 
@@ -344,19 +342,16 @@ class TestTapes:
         with pytest.raises(FormatError):
             tape_from_bytes(raw[:-2])
 
-    def test_misfit_beaver_shapes_are_format_errors(self):
-        """Beaver records keep the version-1 head (op 0, stride 1, padding 0)
-        and two equal shapes; any other head or unequal shapes are refused."""
-        raw = bytes(tape_to_bytes(Dealer(14, CFG).build_tapes([Request("beaver", (2,))])[0]))
-        at = 4 + 11  # magic, then the header fields
+    def test_version_1_tapes_are_refused(self):
+        """A version-1 tape, whose Beaver records carried a fixed descriptor
+        (op 0, stride 1, padding 0) and their shape twice, is refused by
+        its version in one line."""
         dim2 = (2).to_bytes(4, "little")
-        assert raw[at : at + 14] == bytes([1, 0, 1, 0, 1]) + dim2 + bytes([1]) + dim2
-        for head in ([1, 1, 0], [0, 2, 0], [0, 1, 1]):
-            with pytest.raises(FormatError, match="descriptor"):
-                tape_from_bytes(raw[: at + 1] + bytes(head) + raw[at + 4 :])
-        unequal = raw[: at + 9] + bytes([1]) + (3).to_bytes(4, "little") + raw[at + 14 :]
-        with pytest.raises(FormatError, match="shapes"):
-            tape_from_bytes(unequal)
+        words = b"".join(struct.pack("<Q", w) for w in range(6))  # a, b and z of 2 elements
+        raw = (b"ARPT" + struct.pack("<HHHBI", 1, 64, 16, 0, 1)
+               + bytes([1, 0, 1, 0, 1]) + dim2 + bytes([1]) + dim2 + words)
+        with pytest.raises(FormatError, match=r"^unsupported tape version 1$"):
+            tape_from_bytes(raw)
 
     @pytest.mark.parametrize("at, value, reason", [
         (6, struct.pack("<H", 70), "total_bits must be in"),
@@ -391,7 +386,7 @@ class TestPartyZeroDeal:
     party 0's words into a scratch buffer.  Either tape, and the stream
     position after it, equal the full deal's."""
 
-    KINDS = tuple(RECORD_LAYOUT)
+    KINDS = tuple(RECORD_TAGS)
 
     def random_requests(self, rng):
         """Up to 8 requests of rank 0 to 3; dims 0 to 6, so element counts
@@ -518,7 +513,6 @@ class TestTapeBuffers:
             loaded = tape_from_bytes(raw)
             rebuilt = raw[: dealer._HEADER.size]
             for req, rec in zip(reqs, loaded.records):
-                kind = dealer._KIND[rec.kind]
                 words = [v.words for v in rec.fields]
                 base = words[0].base
                 assert all(w.base is base for w in words)  # no per-field copies
@@ -528,7 +522,7 @@ class TestTapeBuffers:
                     assert not np.any(w >> np.uint64(bits))
                     with pytest.raises(ValueError, match="read-only"):
                         w[...] = 0
-                rebuilt += bytes((kind.tag,)) + kind.head + dealer._pack_shape(req.shape) * kind.copies
+                rebuilt += bytes((dealer._KIND[rec.kind].tag,)) + dealer._pack_shape(req.shape)
                 rebuilt += b"".join(bytes(pack_words(w, cfg)) for w in words)
             assert rebuilt == raw
 

@@ -156,14 +156,24 @@ class TestIntegrity:
         (lambda d: {"layers": 5}, "no list of layer objects"),
         (lambda d: d["layers"], "no list of layer objects"),
         (layer_field(1, "feat_shape", [64.0]), "hybrid feature shape"),
+        (layer_field(1, "feat_shape", []), r"hybrid feature shape \[\] is not a non-empty list"),
     ], ids=["no-in", "no-kind", "string-in", "negative-in", "layers-not-a-list",
-            "descriptor-a-list", "float-feat-shape"])
+            "descriptor-a-list", "float-feat-shape", "empty-feat-shape"])
     def test_malformed_descriptor_fields(self, edit, match):
         """A descriptor the digest vouches for (it has no key) is still checked
         field by field."""
         blob = edit_descriptor(serialize_model(build_model("mlp", seed=3), CFG), edit)
         with pytest.raises(FormatError, match=match):
             deserialize_model(blob)
+
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_hybrid_mask_must_be_zero_or_one(self, value):
+        """The plaintext oracle would scale the ReLU by a mask of 2, while the
+        secure path keeps a plain ReLU for any nonzero entry."""
+        model = build_model("mlp", seed=3)
+        model.hybrid_layers()[0].indicator.m.reshape(-1)[0] = value
+        with pytest.raises(FormatError, match=f"hybrid mask of layer 1 holds {value}: each entry must be 0 or 1"):
+            deserialize_model(serialize_model(model, CFG))
 
     @pytest.mark.parametrize("kind, shape", [("dense", (3,)), ("dense", (1, 64)), ("conv", (3,))])
     def test_bias_shape_must_match_the_descriptor(self, kind, shape):

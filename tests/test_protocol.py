@@ -43,6 +43,7 @@ from conftest import CFG8, CFG64, as_share, share_reals, share_ring, two_party
 ULP = CFG64.resolution
 BLOCK = protocol._BLOCK
 MULTI_BLOCK = (5, BLOCK // 2 + 7)  # three blocks, the last one short
+CFG20 = FixedConfig(20, 5)  # 3-byte words
 
 
 def ref_mul(x, y, cfg=CFG64):
@@ -448,7 +449,7 @@ class TestA2B:
         rand = ring_words(np.random.default_rng(L), 200, cfg)
         assert_signs(RingTensor(np.concatenate([edges, reals.words, rand.words]), cfg), seed=L)
 
-    @pytest.mark.parametrize("cfg", [CFG64, FixedConfig(20, 5)], ids=["L64", "L20"])
+    @pytest.mark.parametrize("cfg", [CFG64, CFG20], ids=["L64", "L20"])
     @pytest.mark.parametrize("count", ["1", "B-1", "B", "B+1", "multi-block"])
     def test_element_counts(self, cfg, count):
         """Counts around one plane word of B elements, and one whose ANDs
@@ -632,7 +633,7 @@ class TestSelect:
         rand = ring_words(np.random.default_rng(L), 200, cfg)
         assert_select_and_relu(RingTensor(np.concatenate([edges, rand.words]), cfg), seed=L)
 
-    @pytest.mark.parametrize("cfg", [CFG64, FixedConfig(20, 5)], ids=["L64", "L20"])
+    @pytest.mark.parametrize("cfg", [CFG64, CFG20], ids=["L64", "L20"])
     @pytest.mark.parametrize("count", ["1", "B-1", "B", "B+1", "multi-block"])
     def test_element_counts(self, cfg, count):
         """Counts around one plane word of B elements, and one whose opening
@@ -865,10 +866,11 @@ BLOCK_SHAPES = {
 class TestBlockwiseFinish:
     """Interactive ops finish one block of `protocol._BLOCK` words at a time.
     Every block layout reconstructs exactly, at the widest and the narrowest
-    ring."""
+    ring, and at L=20, whose 3-byte wire words leave each party's own opened
+    words unreduced, so a product is reduced after the kernel."""
 
     @pytest.mark.parametrize("shape", list(BLOCK_SHAPES.values()), ids=list(BLOCK_SHAPES))
-    @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
+    @pytest.mark.parametrize("cfg", [CFG64, CFG20, CFG8], ids=["L64", "L20", "L8"])
     @pytest.mark.parametrize("op", ["and_shares", "mul_beaver", "square", "relu_secure", "select"])
     def test_reconstructs(self, op, cfg, shape):
         rng = np.random.default_rng(31)
@@ -880,7 +882,7 @@ class TestBlockwiseFinish:
 
             def fn(sess):
                 out = and_shares(sess, xs[sess.party], ys[sess.party])
-                return sess.reveal_bits(out).words
+                return sess.reveal_bits(out).words, out.words
         else:
             xs, ys = share_ring(x, seed=3), share_ring(y, seed=4)
             want = {
@@ -896,14 +898,15 @@ class TestBlockwiseFinish:
                        "square": lambda: square(sess, xt),
                        "relu_secure": lambda: relu_secure(sess, xt),
                        "select": lambda: select(sess, xt, bs[sess.party])}[op]()
-                return sess.reveal(out).words
+                return sess.reveal(out).words, out.payload.words
 
-        for got in two_party(fn, cfg=cfg):
+        for got, own in two_party(fn, cfg=cfg):
             assert got.shape == shape
             assert np.array_equal(got, want)
+            assert not np.any(own >> np.uint64(cfg.total_bits))  # each party's share is reduced
 
     @pytest.mark.parametrize("shape", [MULTI_BLOCK, (5,), ()], ids=["multi-block", "1d-small", "0d"])
-    @pytest.mark.parametrize("cfg", [CFG64, CFG8], ids=["L64", "L8"])
+    @pytest.mark.parametrize("cfg", [CFG64, CFG20, CFG8], ids=["L64", "L20", "L8"])
     @pytest.mark.parametrize("op", ["and_shares", "mul_beaver"])
     def test_zero_stride_operands(self, op, cfg, shape):
         """Each party's own words against an all-zero broadcast for the
